@@ -37,7 +37,8 @@ from .properties import (
     corrupted_engine,
     run_expected,
 )
-from .rational import decimal_approx, rational, rational_str
+from . import __version__
+from .rational import BACKEND, decimal_approx, rational_str
 from .report import build_run_report
 from .suites import GROUP_SP_MAX_N, SUITES, generate_suite, run_suite
 from .welfare import sweep_point, valid_alphas
@@ -186,7 +187,7 @@ def cmd_welfare(args) -> int:
         alphas = valid_alphas(n) if explicit_alphas is None else explicit_alphas
         for alpha in alphas:
             try:
-                rows.append(sweep_point(n, rational(alpha)))
+                rows.append(sweep_point(n, alpha))
             except InvalidAlpha as exc:
                 print(f"warning: skipping row: {exc}", file=sys.stderr)
 
@@ -227,6 +228,11 @@ def _build_parser() -> argparse.ArgumentParser:
             "Run the Multi-BMBY share-restructuring mechanism on a cap table, "
             "verify its properties on generated instances, or tabulate welfare."
         ),
+    )
+    parser.add_argument(
+        "--version",
+        action="version",
+        version=f"mbm {__version__} ({BACKEND} rational backend)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

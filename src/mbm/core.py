@@ -408,6 +408,37 @@ def _run_expected(
 run_expected = lru_cache(maxsize=4096)(_run_expected)
 
 
+def expected_adjusted_utilities(
+    initial: Allocation, profile: BidProfile, config: MbmConfig, valuations: BidProfile
+) -> tuple:
+    """Every agent's expected adjusted utility, read off the integer kernel.
+
+    Equals ``expected_adjusted_utility(initial, run_expected(initial,
+    profile, config), valuations, j)`` for every agent j, and raises what
+    ``_run_expected`` raises, but builds no outcome and skips the cache.
+    With price u / e, value p / q, buyer masses H (high branch) and L (low)
+    over d: the threshold agent gets 0, an agent ranked above m_bar (a
+    buyer in both branches) a_j (d - H)(p e - u q) / (d L q e), and one
+    ranked below m_bar (a seller in both) -a_j (p e - u q) / (d q e).
+    Initial money cancels out of every utility change.
+    """
+    order, a, d, w, e, ((m_bar, high, _), (_, low, _)) = _branch_kernel(
+        initial, profile, config
+    )
+    u = w[order[m_bar - 1]]
+    out = [ZERO] * len(order)
+    for pos, j in enumerate(order):
+        if pos == m_bar - 1:
+            continue
+        p, q = as_ratio(valuations.bids[j])
+        gain = a[j] * (p * e - u * q)
+        if pos < m_bar:
+            out[j] = Rational(gain * (d - high), d * low * q * e)
+        else:
+            out[j] = Rational(-gain, d * q * e)
+    return tuple(out)
+
+
 def realize(
     initial: Allocation, profile: BidProfile, config: MbmConfig, seed: SeedLike
 ) -> MechanismOutcome:

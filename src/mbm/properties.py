@@ -17,7 +17,13 @@ refinement.
 
 Every oracle accepts an ``engine`` hook (defaulting to the real mechanism)
 so deliberately corrupted variants can be run through the same verdict
-logic as negative controls; see ``corrupted_engine``.
+logic as negative controls; see ``corrupted_engine``. The two deviation
+searches evaluate one profile per case and need only expected utilities:
+with the real mechanism they read them straight off the integer kernel
+(``expected_adjusted_utilities``), building no outcome and skipping the
+``run_expected`` cache. Any other engine, including a wrapper around the
+real one, takes the reference path: its outcome, then
+``expected_adjusted_utility`` per agent. Both paths give equal verdicts.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from .core import (
     MbmConfig,
     MechanismOutcome,
     branch_probabilities,
+    expected_adjusted_utilities,
     expected_adjusted_utility,
     rank_bids,
     run_expected,
@@ -142,6 +149,20 @@ def describe_instance(
     shares = ",".join(str(s) for s in initial.shares)
     bids = ",".join(str(b) for b in profile.bids)
     return f"n={config.n} m_bar={config.m_bar} shares=[{shares}] bids=[{bids}]"
+
+
+def _utilities(engine, initial, profile, config, valuations, agents):
+    """The expected adjusted utilities of ``agents`` when ``profile`` is bid.
+
+    The real mechanism reads them off the integer kernel; any other engine
+    is run and its outcome goes through the reference definition, one agent
+    at a time as the caller consumes them.
+    """
+    if engine is run_expected:
+        eu = expected_adjusted_utilities(initial, profile, config, valuations)
+        return (eu[j] for j in agents)
+    expected = engine(initial, profile, config)
+    return (expected_adjusted_utility(initial, expected, valuations, j) for j in agents)
 
 
 def check_budget_balance(
@@ -318,8 +339,8 @@ def check_strategyproofness(
     cases = 0
     for agent in range(config.n):
         truthful = others_profile.replace_bid(agent, valuations.bids[agent])
-        truthful_eu = expected_adjusted_utility(
-            initial, engine(initial, truthful, config), valuations, agent
+        (truthful_eu,) = _utilities(
+            engine, initial, truthful, config, valuations, (agent,)
         )
         grid = deviation_grid(
             others_profile,
@@ -330,9 +351,7 @@ def check_strategyproofness(
         )
         for cand in grid.candidates:
             deviant = others_profile.replace_bid(agent, cand)
-            eu = expected_adjusted_utility(
-                initial, engine(initial, deviant, config), valuations, agent
-            )
+            (eu,) = _utilities(engine, initial, deviant, config, valuations, (agent,))
             cases += 1
             if eu > truthful_eu:
                 return PropertyReport(
@@ -377,11 +396,9 @@ def check_weak_group_strategyproofness(
     name = "weak-group-strategyproofness"
     instance = describe_instance(initial, valuations, config)
     n = config.n
-    truthful_expected = engine(initial, valuations, config)
-    truthful_eu = [
-        expected_adjusted_utility(initial, truthful_expected, valuations, j)
-        for j in range(n)
-    ]
+    truthful_eu = tuple(
+        _utilities(engine, initial, valuations, config, valuations, range(n))
+    )
     grids = [
         deviation_grid(
             valuations, j, delta=delta, resolution=grid_resolution, delta_divisor=delta_divisor
@@ -401,24 +418,23 @@ def check_weak_group_strategyproofness(
     if required > budget:
         raise SearchBudgetExceeded(required, budget)
 
+    # candidates by position in their sorted union: tie tests compare ints
+    values = sorted(set().union(*grids))
+    position = {c: k for k, c in enumerate(values)}
+    keyed = [tuple(map(position.__getitem__, grid)) for grid in grids]
     cases = 0
     for coalition in coalitions:
-        for combo in itertools.product(*(grids[j] for j in coalition)):
+        for keys in itertools.product(*(keyed[j] for j in coalition)):
             cases += 1
-            if len(set(combo)) < len(combo):
+            if len(set(keys)) < len(keys):
                 continue  # joint ties: outside the mechanism's domain
+            combo = tuple(map(values.__getitem__, keys))
             bids = list(valuations.bids)
             for j, bid in zip(coalition, combo):
                 bids[j] = bid
             deviant = BidProfile(tuple(bids))
-            expected = engine(initial, deviant, config)
-            all_strict = True
-            for j in coalition:
-                eu = expected_adjusted_utility(initial, expected, valuations, j)
-                if eu <= truthful_eu[j]:
-                    all_strict = False
-                    break
-            if all_strict:
+            gains = _utilities(engine, initial, deviant, config, valuations, coalition)
+            if all(eu > truthful_eu[j] for j, eu in zip(coalition, gains)):
                 return PropertyReport(
                     name,
                     instance,

@@ -18,7 +18,7 @@ from .core import (
     BidProfile,
     MbmConfig,
     adjusted_utility,
-    expected_adjusted_utility,
+    expected_adjusted_utilities,
     realize,
     run_expected,
 )
@@ -282,10 +282,7 @@ def build_run_report(
         p_high=expected.high_branch.branch_probability,
         p_low=expected.low_branch.branch_probability,
         branches=tuple(sections),
-        expected_utilities=tuple(
-            expected_adjusted_utility(initial, expected, profile, a)
-            for a in range(config.n)
-        ),
+        expected_utilities=expected_adjusted_utilities(initial, profile, config, profile),
         welfare=welfare_report(initial, profile, config),
         checks=tuple(checks),
     )

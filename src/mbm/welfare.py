@@ -109,8 +109,8 @@ def uniform_grid_instance(n: int, m_bar: int):
     return _equal_shares_allocation(n), uniform_grid_valuations(n), MbmConfig(n=n, m_bar=m_bar)
 
 
-def _m_bar_from_alpha(n: int, alpha) -> int:
-    alpha = rational(alpha)
+def _m_bar_from_alpha(n: int, alpha: Rational) -> int:
+    """m_bar = alpha * n for an already parsed alpha; InvalidAlpha unless in 2..n-1."""
     m_bar = alpha * n
     if m_bar.denominator != 1:
         raise InvalidAlpha(f"alpha={alpha} with n={n}: alpha * n is not an integer")
@@ -137,12 +137,21 @@ def uniform_grid_welfare(n: int, alpha) -> Rational:
     """
     alpha = rational(alpha)
     _m_bar_from_alpha(n, alpha)
-    return (2 - alpha) / 2 + (2 - alpha) / (2 * n)
+    return _closed_form(n, alpha)
 
 
 def uniform_grid_limit(alpha) -> Rational:
     """Large-n limit of the closed form: (2 - alpha)/2, inside (1/2, 1)."""
-    return (2 - rational(alpha)) / 2
+    return _limit(rational(alpha))
+
+
+# the closed forms on a parsed, checked alpha
+def _closed_form(n: int, alpha: Rational) -> Rational:
+    return (2 - alpha) / 2 + (2 - alpha) / (2 * n)
+
+
+def _limit(alpha: Rational) -> Rational:
+    return (2 - alpha) / 2
 
 
 def uniform_grid_prefix_sums(n: int, m_bar: int) -> tuple:
@@ -173,10 +182,10 @@ class SweepRow:
 
 
 def sweep_point(n: int, alpha) -> SweepRow:
-    """Evaluate one (n, alpha) point along both routes."""
+    """Evaluate one (n, alpha) point along both routes, parsing and checking alpha once."""
     alpha = rational(alpha)
     m_bar = _m_bar_from_alpha(n, alpha)
-    closed = uniform_grid_welfare(n, alpha)
+    closed = _closed_form(n, alpha)
     initial, valuations, config = uniform_grid_instance(n, m_bar)
     engine = expected_mbm_welfare(initial, valuations, config)
     return SweepRow(
@@ -186,7 +195,7 @@ def sweep_point(n: int, alpha) -> SweepRow:
         closed_form=closed,
         engine=engine,
         preservation_ratio=engine / first_best(valuations),
-        limit_gap=closed - uniform_grid_limit(alpha),
+        limit_gap=closed - _limit(alpha),
     )
 
 

@@ -5,8 +5,11 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from mbm import __version__
 from mbm.cli import main
-from mbm.rational import rational
+from mbm.rational import BACKEND, rational
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 WORKED = os.path.join(DATA, "worked.csv")
@@ -260,6 +263,16 @@ def test_welfare_large_n_limit_gap(capsys):
     _, out, _ = run_cli(capsys, "welfare", "--n-list", "1000", "--alpha-list", "1/2")
     fields = out.strip().splitlines()[1].split(",")
     assert fields[5] == "3/4000"  # closed form minus (2 - alpha)/2
+
+
+# --- version -------------------------------------------------------------------
+
+
+def test_version_names_package_version_and_rational_backend(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--version"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out == f"mbm {__version__} ({BACKEND} rational backend)\n"
 
 
 # --- module entry point ---------------------------------------------------------

@@ -24,6 +24,7 @@ from mbm import (
     adjusted_utility,
     apply_branch,
     branch_probabilities,
+    expected_adjusted_utilities,
     expected_adjusted_utility,
     rank_bids,
     realize,
@@ -31,7 +32,9 @@ from mbm import (
     threshold_price,
 )
 from mbm.core import _buyout, _run_expected
+from mbm.instances import perturbed_profile
 from mbm.rational import ONE, ZERO, Rational as Q
+from mbm.suites import generate_suite
 
 from strategies import instances
 
@@ -297,6 +300,69 @@ def test_run_expected_keeps_initial_money(worked):
     assert expected.low_branch == apply_branch(initial, profile, config, 1)
 
 
+# --- expected adjusted utilities read off the kernel ---------------------------
+
+
+def _reference_utilities(initial, profile, config, valuations):
+    expected = run_expected(initial, profile, config)
+    return tuple(
+        expected_adjusted_utility(initial, expected, valuations, j) for j in range(config.n)
+    )
+
+
+def _without_two_stakes(initial, profile, config):
+    # the threshold bidder and the lowest bidder hand their stakes to the top
+    # bidder: both hold nothing, and both branches keep a positive buyer mass
+    order = rank_bids(profile).order
+    shares = list(initial.shares)
+    for j in (order[config.m_bar - 1], order[-1]):
+        shares[order[0]] += shares[j]
+        shares[j] = ZERO
+    return Allocation.from_shares(shares)
+
+
+def test_expected_adjusted_utilities_equal_reference_definition():
+    rng = random.Random(17)
+    checked = 0
+    for initial, profile, _ in generate_suite(60, seed=23, n_range=(3, 8)):
+        n = profile.n
+        valuations = perturbed_profile(profile, rng)
+        money = tuple(Q(rng.randint(-99, 99), rng.randint(1, 7)) for _ in range(n))
+        for config in {MbmConfig(n, 2), MbmConfig(n, n - 1)}:
+            starts = (
+                initial,
+                Allocation(initial.shares, money),
+                _without_two_stakes(initial, profile, config),
+            )
+            for start in starts:
+                for values in (profile, valuations):
+                    got = expected_adjusted_utilities(start, profile, config, values)
+                    assert got == _reference_utilities(start, profile, config, values)
+                    checked += 1
+    assert checked > 500
+
+
+def test_expected_adjusted_utilities_raise_what_the_engine_raises():
+    bids = BidProfile((Q(10), Q(8), Q(5), Q(2)))
+    tied = BidProfile((Q(5), Q(5), Q(2)))
+    cases = [
+        (Allocation.from_shares((Q(1, 4),) * 4), BidProfile((Q(1),)), MbmConfig(3, 2)),
+        (Allocation.from_shares((Q(3, 2), Q(-1, 4), Q(-1, 4))), tied, MbmConfig(3, 2)),
+        (Allocation.from_shares((Q(1, 2), Q(1, 4), Q(1, 5))), tied, MbmConfig(3, 2)),
+        (Allocation.from_shares((ZERO, ZERO, ONE)), tied, MbmConfig(3, 2)),
+        (Allocation.from_shares((ONE, ZERO)), BidProfile((Q(2), Q(1))), MbmConfig(3, 2)),
+        (Allocation.from_shares((ZERO, ZERO, ZERO, ONE)), bids, MbmConfig(4, 3)),
+        (Allocation.from_shares((ZERO, ZERO, Q(1, 2), Q(1, 2))), bids, MbmConfig(4, 3)),
+    ]
+    for initial, profile, config in cases:
+        with pytest.raises(Exception) as engine:
+            _run_expected(initial, profile, config)
+        with pytest.raises(Exception) as readout:
+            expected_adjusted_utilities(initial, profile, config, profile)
+        assert type(readout.value) is type(engine.value)
+        assert str(readout.value) == str(engine.value)
+
+
 # --- realize -----------------------------------------------------------------
 
 
@@ -374,6 +440,8 @@ def test_expected_adjusted_utility_worked(worked):
     assert expected_adjusted_utility(initial, expected, profile, 0) == 1
     assert expected_adjusted_utility(initial, expected, profile, 1) == 0
     assert expected_adjusted_utility(initial, expected, profile, 2) == Q(3, 5)
+    readout = expected_adjusted_utilities(initial, profile, config, profile)
+    assert readout == (ONE, ZERO, Q(3, 5))
 
 
 def test_definite_buyer_above_price_gains_in_both_branches(worked):

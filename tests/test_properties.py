@@ -23,6 +23,7 @@ from mbm import (
 from mbm.instances import InstanceSpec, generate, perturbed_profile
 from mbm.properties import CORRUPTION_KINDS, PropertyReport, Witness
 from mbm.rational import Rational as Q
+from mbm.suites import SUITES, generate_suite, run_suite
 
 import random
 
@@ -359,3 +360,58 @@ def test_every_corruption_kind_trips_some_oracle(worked):
     for kind in CORRUPTION_KINDS:
         engine = corrupted_engine(kind)
         assert any(not oracle(engine).holds for oracle in oracles), kind
+
+
+# --- kernel readout against the reference path -----------------------------------
+
+
+def reference_engine(initial, profile, config):
+    # not the real engine by identity, so oracles take the reference path:
+    # the outcome, then expected_adjusted_utility per agent
+    return run_expected(initial, profile, config)
+
+
+def test_sp_verdicts_equal_on_readout_and_reference_paths():
+    rng = random.Random(41)
+    for initial, profile, config in generate_suite(40, seed=43, n_range=(3, 6)):
+        for others in (None, perturbed_profile(profile, rng)):
+            fast = check_strategyproofness(initial, profile, config, others_profile=others)
+            slow = check_strategyproofness(
+                initial, profile, config, others_profile=others, engine=reference_engine
+            )
+            assert fast == slow
+
+
+def test_group_sp_verdicts_equal_on_readout_and_reference_paths():
+    instances = generate_suite(6, seed=47, n_range=(3, 4)) + [weak_gain_instance()]
+    for initial, profile, config in instances:
+        fast = check_weak_group_strategyproofness(initial, profile, config)
+        slow = check_weak_group_strategyproofness(
+            initial, profile, config, engine=reference_engine
+        )
+        assert fast == slow
+
+
+# the suites that catch each injected defect on one small seeded batch
+CAUGHT_BY = {
+    "payment": {"budget", "sp"},
+    "shares": {"budget", "efficiency"},
+    "scale-skew": {"ir", "sp", "group-sp", "efficiency"},
+    "price-next": {"ir", "sp", "group-sp"},
+    "price-dip": {"ir", "sp", "group-sp", "monotone"},
+}
+
+
+def test_each_corruption_kind_is_caught_by_its_suites():
+    assert set(CAUGHT_BY) == set(CORRUPTION_KINDS)
+    instances = generate_suite(6, seed=31, n_range=(3, 4))
+    for kind, suites in CAUGHT_BY.items():
+        engine = corrupted_engine(kind)
+        caught = {
+            suite
+            for suite in SUITES
+            if not all(
+                r.holds for r in run_suite(suite, instances, seed=31, engine=engine)
+            )
+        }
+        assert caught == suites, kind

@@ -199,6 +199,8 @@ def test_closed_form_rejects_bad_alpha():
         uniform_grid_welfare(10, Q(1, 10))  # one owner: below the domain
     with pytest.raises(InvalidAlpha):
         uniform_grid_welfare(10, ONE)  # full retention: above the domain
+    with pytest.raises(InvalidAlpha):
+        sweep_point(10, "1/3")
 
 
 def test_closed_form_equals_engine_small_case():
@@ -212,9 +214,11 @@ def test_closed_form_equals_engine_small_case():
 def test_closed_form_equals_engine_on_small_sweep():
     for n in range(4, 13):
         for alpha in valid_alphas(n):
-            row = sweep_point(n, alpha)
-            assert row.closed_form == row.engine
+            row = sweep_point(n, str(alpha))
+            assert row.alpha == alpha and row.m_bar == alpha * n
+            assert row.closed_form == row.engine == uniform_grid_welfare(n, alpha)
             assert row.preservation_ratio == row.engine  # first-best is 1 here
+            assert row.limit_gap == row.closed_form - uniform_grid_limit(alpha)
 
 
 def test_closed_form_always_above_half():
