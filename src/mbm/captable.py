@@ -102,13 +102,15 @@ def parse_captable(source, normalize: bool = False) -> list:
 def to_instance(records, m_bar: int):
     """Build (Allocation, BidProfile, MbmConfig) from parsed records.
 
-    Every record must carry a bid; table-only files cannot be run.
+    Every record must carry a bid; table-only files cannot be run. The
+    shares are not checked here: ``parse_captable`` rejects negative and
+    non-summing shares, and the engine checks the simplex on every run.
     """
     missing = [r.agent_id for r in records if r.bid is None]
     if missing:
         raise ParseError(
             f"cap table has no bid column; cannot run for agents {missing}"
         )
-    initial = Allocation.from_shares(tuple(r.share for r in records)).validate()
+    initial = Allocation.from_shares(tuple(r.share for r in records))
     profile = BidProfile(tuple(r.bid for r in records))
     return initial, profile, MbmConfig(n=len(records), m_bar=m_bar)

@@ -13,9 +13,10 @@ gains at the asset price; each seller's full stake is cashed out at the
 asset price.
 
 All arithmetic is exact rational arithmetic; there is no rounding anywhere
-in this module. The expected-outcome engine works on integer numerators:
-shares and bids are scaled once per instance to integers over their least
-common denominators, and rationals are made only for the returned outcome.
+in this module. Every outcome comes from one computation, ``run_expected``,
+which works on integer numerators: shares and bids are scaled once per
+instance to integers over their least common denominators, and rationals
+are made only for the returned outcome.
 Every type is an immutable value and every operation is a pure function of
 its inputs, so results are safe to share across threads.
 ``realize`` is the only randomized entry point and owns its generator
@@ -37,7 +38,7 @@ from .errors import (
     InvalidConfig,
     InvalidOwnerCount,
 )
-from .rational import ONE, ZERO, Rational, as_ratio, rational
+from .rational import ZERO, Rational, as_ratio, rational
 
 _RATIONAL_TYPE = type(ZERO)
 
@@ -260,10 +261,9 @@ def branch_probabilities(
     rest, so the two sum to exactly 1.
     """
     _check_sizes(initial.n, config, "allocation")
-    initial.validate()
-    p_high = sum((initial.shares[a] for a in ranking.order[: config.m_bar]), ZERO)
-    p_low = sum((initial.shares[a] for a in ranking.order[config.m_bar :]), ZERO)
-    return (p_high, p_low)
+    a, d = _simplex_numerators(initial.shares)
+    high = sum(map(a.__getitem__, ranking.order[: config.m_bar]))
+    return (Rational(high, d), Rational(d - high, d))
 
 
 def _check_buyer_mass(mass, m: int) -> None:
@@ -273,44 +273,18 @@ def _check_buyer_mass(mass, m: int) -> None:
         )
 
 
-def _buyout(initial: Allocation, ranking: Ranking, price, m: int) -> tuple:
-    """Final (shares, money) after the top m ranked agents buy out the rest.
-
-    Callers guarantee ``initial`` is a valid (simplex) allocation, so the
-    seller mass is the complement of the buyer mass. No owner-count
-    validation: apply_branch guards the public contract and the welfare
-    tests use this directly to check the m_bar = n boundary remark (full
-    retention changes nothing).
-    """
-    order = ranking.order
-    s_buy = sum((initial.shares[a] for a in order[:m]), ZERO)
-    _check_buyer_mass(s_buy, m)
-    s_sell = ONE - s_buy
-    ratio = s_sell / s_buy
-    factor = ONE + ratio
-    shares = list(initial.shares)
-    money = list(initial.money)
-    for pos, agent in enumerate(order):
-        stake = initial.shares[agent]
-        if pos < m:
-            shares[agent] = stake * factor
-            money[agent] = money[agent] - stake * ratio * price
-        else:
-            shares[agent] = ZERO
-            money[agent] = money[agent] + stake * price
-    return tuple(shares), tuple(money)
-
-
 def apply_branch(
     initial: Allocation, profile: BidProfile, config: MbmConfig, m: int
 ) -> MechanismOutcome:
-    """Deterministically apply one branch of the owner-count lottery.
+    """One branch of the owner-count lottery: the m-branch of ``run_expected``.
 
     Buyers (rank <= m) scale their stake by 1 + S_sell/S_buy and pay
     stake * (S_sell/S_buy) * price; sellers (rank > m) drop to zero shares
     and collect stake * price. The price is the m_bar-th highest bid in
     both branches. Payments add to whatever money the initial allocation
-    carries; conservation is a statement about the deltas.
+    carries; conservation is a statement about the deltas. Raises what
+    ``run_expected`` raises, so DegenerateBuyerMass if either branch's
+    buyers hold nothing, whichever m is asked for.
     """
     _check_sizes(initial.n, config, "allocation")
     _check_sizes(profile.n, config, "bid profile")
@@ -319,18 +293,8 @@ def apply_branch(
             f"owner count {m} not in {{m_bar - 1, m_bar}} = "
             f"{{{config.m_bar - 1}, {config.m_bar}}}"
         )
-    initial.validate()
-    ranking = rank_bids(profile)
-    price = profile.bids[ranking.agent_at(config.m_bar)]
-    p_high, p_low = branch_probabilities(initial, ranking, config)
-    shares, money = _buyout(initial, ranking, price, m)
-    return MechanismOutcome(
-        realized_m=m,
-        price=price,
-        branch_probability=p_high if m == config.m_bar else p_low,
-        final_allocation=Allocation(shares, money),
-        ranking=ranking,
-    )
+    expected = run_expected(initial, profile, config)
+    return expected.high_branch if m == config.m_bar else expected.low_branch
 
 
 def _branch_kernel(initial: Allocation, profile: BidProfile, config: MbmConfig) -> tuple:

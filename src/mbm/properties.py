@@ -37,13 +37,10 @@ from .core import (
     BidProfile,
     ExpectedOutcome,
     MbmConfig,
-    MechanismOutcome,
-    branch_probabilities,
     expected_adjusted_utilities,
     expected_adjusted_utility,
-    rank_bids,
     run_expected,
-    _buyout,
+    _run_expected,
 )
 from .errors import DuplicateBids, SearchBudgetExceeded
 from .rational import ONE, ZERO, Rational, rational
@@ -143,6 +140,14 @@ class PropertyReport:
             raise ValueError("a violated verdict must carry a witness")
 
 
+def _violation(
+    name: str, instance: str, cases: int, detail: str, **witness_fields
+) -> PropertyReport:
+    """A violated verdict whose witness carries ``detail`` and ``witness_fields``."""
+    witness = Witness(detail=detail, **witness_fields)
+    return PropertyReport(name, instance, holds=False, cases=cases, witness=witness)
+
+
 def describe_instance(
     initial: Allocation, profile: BidProfile, config: MbmConfig
 ) -> str:
@@ -182,33 +187,22 @@ def check_budget_balance(
         cases += 2
         final_shares = sum(final.shares, ZERO)
         if final_shares != share_total:
-            return PropertyReport(
+            return _violation(
                 name,
                 instance,
-                holds=False,
-                cases=cases,
-                witness=Witness(
-                    detail=(
-                        f"branch m={branch.realized_m}: final shares total "
-                        f"{final_shares}, initial total {share_total}"
-                    ),
-                    bids=profile.bids,
-                ),
+                cases,
+                f"branch m={branch.realized_m}: final shares total "
+                f"{final_shares}, initial total {share_total}",
+                bids=profile.bids,
             )
         delta_total = sum(final.money, ZERO) - sum(initial.money, ZERO)
         if delta_total != 0:
-            return PropertyReport(
+            return _violation(
                 name,
                 instance,
-                holds=False,
-                cases=cases,
-                witness=Witness(
-                    detail=(
-                        f"branch m={branch.realized_m}: payments sum to "
-                        f"{delta_total}, expected 0"
-                    ),
-                    bids=profile.bids,
-                ),
+                cases,
+                f"branch m={branch.realized_m}: payments sum to {delta_total}, expected 0",
+                bids=profile.bids,
             )
     return PropertyReport(name, instance, holds=True, cases=cases)
 
@@ -233,20 +227,14 @@ def check_individual_rationality(
                 final.money[agent] - initial.money[agent]
             )
             if gain < 0:
-                return PropertyReport(
+                return _violation(
                     name,
                     instance,
-                    holds=False,
-                    cases=cases,
-                    witness=Witness(
-                        detail=(
-                            f"agent {agent} loses {-gain} in branch "
-                            f"m={branch.realized_m}"
-                        ),
-                        agent=agent,
-                        bids=valuations.bids,
-                        utility_delta=gain,
-                    ),
+                    cases,
+                    f"agent {agent} loses {-gain} in branch m={branch.realized_m}",
+                    agent=agent,
+                    bids=valuations.bids,
+                    utility_delta=gain,
                 )
     return PropertyReport(name, instance, holds=True, cases=cases)
 
@@ -298,19 +286,14 @@ def check_price_monotonicity(
         ok = new_price >= base_price if raise_bid else new_price <= base_price
         if not ok:
             direction = "raised" if raise_bid else "lowered"
-            return PropertyReport(
+            return _violation(
                 name,
                 instance,
-                holds=False,
-                cases=cases,
-                witness=Witness(
-                    detail=(
-                        f"agent {agent} {direction} bid {old} -> {candidate}; "
-                        f"price moved {base_price} -> {new_price}"
-                    ),
-                    agent=agent,
-                    bids=perturbed.bids,
-                ),
+                cases,
+                f"agent {agent} {direction} bid {old} -> {candidate}; "
+                f"price moved {base_price} -> {new_price}",
+                agent=agent,
+                bids=perturbed.bids,
             )
     return PropertyReport(name, instance, holds=True, cases=cases)
 
@@ -354,20 +337,15 @@ def check_strategyproofness(
             (eu,) = _utilities(engine, initial, deviant, config, valuations, (agent,))
             cases += 1
             if eu > truthful_eu:
-                return PropertyReport(
+                return _violation(
                     name,
                     instance,
-                    holds=False,
-                    cases=cases,
-                    witness=Witness(
-                        detail=(
-                            f"agent {agent} (value {valuations.bids[agent]}) gains "
-                            f"{eu - truthful_eu} by bidding {cand}"
-                        ),
-                        agent=agent,
-                        bids=deviant.bids,
-                        utility_delta=eu - truthful_eu,
-                    ),
+                    cases,
+                    f"agent {agent} (value {valuations.bids[agent]}) gains "
+                    f"{eu - truthful_eu} by bidding {cand}",
+                    agent=agent,
+                    bids=deviant.bids,
+                    utility_delta=eu - truthful_eu,
                 )
     return PropertyReport(name, instance, holds=True, cases=cases)
 
@@ -435,19 +413,14 @@ def check_weak_group_strategyproofness(
             deviant = BidProfile(tuple(bids))
             gains = _utilities(engine, initial, deviant, config, valuations, coalition)
             if all(eu > truthful_eu[j] for j, eu in zip(coalition, gains)):
-                return PropertyReport(
+                return _violation(
                     name,
                     instance,
-                    holds=False,
-                    cases=cases,
-                    witness=Witness(
-                        detail=(
-                            f"coalition {coalition} all strictly gain by bidding "
-                            f"{tuple(str(b) for b in combo)}"
-                        ),
-                        coalition=coalition,
-                        bids=deviant.bids,
-                    ),
+                    cases,
+                    f"coalition {coalition} all strictly gain by bidding "
+                    f"{tuple(str(b) for b in combo)}",
+                    coalition=coalition,
+                    bids=deviant.bids,
                 )
     return PropertyReport(name, instance, holds=True, cases=cases)
 
@@ -477,38 +450,28 @@ def check_pp_expost_efficiency(
         for j, k in itertools.combinations(owners, 2):
             cases += 1
             if final.shares[j] * initial.shares[k] != final.shares[k] * initial.shares[j]:
-                return PropertyReport(
+                return _violation(
                     name,
                     instance,
-                    holds=False,
-                    cases=cases,
-                    witness=Witness(
-                        detail=(
-                            f"branch m={branch.realized_m}: owners {j},{k} moved from "
-                            f"ratio {initial.shares[j]}:{initial.shares[k]} to "
-                            f"{final.shares[j]}:{final.shares[k]}"
-                        ),
-                        bids=valuations.bids,
-                    ),
+                    cases,
+                    f"branch m={branch.realized_m}: owners {j},{k} moved from "
+                    f"ratio {initial.shares[j]}:{initial.shares[k]} to "
+                    f"{final.shares[j]}:{final.shares[k]}",
+                    bids=valuations.bids,
                 )
         for j in out:
             for k in owners:
                 cases += 1
                 if valuations.bids[j] > valuations.bids[k]:
-                    return PropertyReport(
+                    return _violation(
                         name,
                         instance,
-                        holds=False,
-                        cases=cases,
-                        witness=Witness(
-                            detail=(
-                                f"branch m={branch.realized_m}: seller {j} values the "
-                                f"asset at {valuations.bids[j]}, above owner {k}'s "
-                                f"{valuations.bids[k]}"
-                            ),
-                            agent=j,
-                            bids=valuations.bids,
-                        ),
+                        cases,
+                        f"branch m={branch.realized_m}: seller {j} values the "
+                        f"asset at {valuations.bids[j]}, above owner {k}'s "
+                        f"{valuations.bids[k]}",
+                        agent=j,
+                        bids=valuations.bids,
                     )
     return PropertyReport(name, instance, holds=True, cases=cases)
 
@@ -516,85 +479,63 @@ def check_pp_expost_efficiency(
 # --- corrupted mechanism variants (negative controls) -----------------------
 #
 # Each variant breaks exactly one property so the oracles can be shown to
-# catch real defects. They post-process or recompute the true outcome; they
-# are never part of the mechanism API.
+# catch real defects. Every one post-processes the true outcome: payment,
+# shares and scale-skew edit the high branch, and the price-* variants
+# reprice both branches. They are never part of the mechanism API.
 
 CORRUPTION_KINDS = ("payment", "shares", "scale-skew", "price-next", "price-dip")
 
 
+def _repriced(initial: Allocation, branch, price):
+    # the branch's trades settled at ``price``: each agent pays for the share
+    # mass she gains, or collects for the mass she gives up, at that price
+    final = branch.final_allocation
+    money = tuple(
+        x + (s0 - s1) * price
+        for x, s0, s1 in zip(initial.money, initial.shares, final.shares)
+    )
+    return replace(
+        branch, price=price, final_allocation=Allocation._from_parts(final.shares, money)
+    )
+
+
 def corrupted_engine(kind: str):
     """An engine variant with one injected defect; see CORRUPTION_KINDS."""
-    if kind == "payment":
+    if kind not in CORRUPTION_KINDS:
+        raise ValueError(f"unknown corruption kind {kind!r}; pick from {CORRUPTION_KINDS}")
 
-        def engine(initial, profile, config):
-            expected = run_expected(initial, profile, config)
-            high = expected.high_branch
-            money = list(high.final_allocation.money)
-            money[high.ranking.order[-1]] += Rational(1, 1000)
-            bad = replace(
-                high, final_allocation=Allocation(high.final_allocation.shares, money)
-            )
-            return ExpectedOutcome(high_branch=bad, low_branch=expected.low_branch)
-
-    elif kind == "shares":
-
-        def engine(initial, profile, config):
-            expected = run_expected(initial, profile, config)
-            high = expected.high_branch
-            shares = list(high.final_allocation.shares)
-            shares[high.ranking.order[0]] += Rational(1, 1000)
-            bad = replace(
-                high, final_allocation=Allocation(shares, high.final_allocation.money)
-            )
-            return ExpectedOutcome(high_branch=bad, low_branch=expected.low_branch)
-
-    elif kind == "scale-skew":
-
-        def engine(initial, profile, config):
-            # shuffle share mass between the top two buyers: proportionality
-            # breaks while the share total (and hence budget balance) holds
-            expected = run_expected(initial, profile, config)
-            high = expected.high_branch
-            shares = list(high.final_allocation.shares)
-            first, second = high.ranking.order[0], high.ranking.order[1]
-            shift = shares[first] / 10
-            shares[first] -= shift
-            shares[second] += shift
-            bad = replace(
-                high, final_allocation=Allocation(shares, high.final_allocation.money)
-            )
-            return ExpectedOutcome(high_branch=bad, low_branch=expected.low_branch)
-
-    elif kind in ("price-next", "price-dip"):
-
-        def engine(initial, profile, config):
-            initial.validate()
-            ranking = rank_bids(profile)
+    def engine(initial, profile, config):
+        expected = _run_expected(initial, profile, config)
+        high = expected.high_branch
+        order = high.ranking.order
+        if kind in ("price-next", "price-dip"):
+            bids = profile.bids
             if kind == "price-next":
-                price = profile.bids[ranking.agent_at(config.m_bar + 1)]
+                price = bids[order[config.m_bar]]
             else:
                 # subtracting part of the lowest bid makes the price fall
                 # when that bid rises: breaks monotonicity
-                price = (
-                    profile.bids[ranking.agent_at(config.m_bar)]
-                    - profile.bids[ranking.agent_at(config.n)] / 2
-                )
-            p_high, p_low = branch_probabilities(initial, ranking, config)
-            branches = []
-            for m, prob in ((config.m_bar, p_high), (config.m_bar - 1, p_low)):
-                shares, money = _buyout(initial, ranking, price, m)
-                branches.append(
-                    MechanismOutcome(
-                        realized_m=m,
-                        price=price,
-                        branch_probability=prob,
-                        final_allocation=Allocation(shares, money),
-                        ranking=ranking,
-                    )
-                )
-            return ExpectedOutcome(high_branch=branches[0], low_branch=branches[1])
-
-    else:
-        raise ValueError(f"unknown corruption kind {kind!r}; pick from {CORRUPTION_KINDS}")
+                price = bids[order[config.m_bar - 1]] - bids[order[-1]] / 2
+            return ExpectedOutcome(
+                high_branch=_repriced(initial, high, price),
+                low_branch=_repriced(initial, expected.low_branch, price),
+            )
+        shares = list(high.final_allocation.shares)
+        money = list(high.final_allocation.money)
+        if kind == "payment":
+            money[order[-1]] += Rational(1, 1000)
+        elif kind == "shares":
+            shares[order[0]] += Rational(1, 1000)
+        else:
+            # scale-skew: shuffle share mass between the top two buyers, so
+            # proportionality breaks while the share total (and hence budget
+            # balance) holds
+            shift = shares[order[0]] / 10
+            shares[order[0]] -= shift
+            shares[order[1]] += shift
+        bad = replace(
+            high, final_allocation=Allocation._from_parts(tuple(shares), tuple(money))
+        )
+        return ExpectedOutcome(high_branch=bad, low_branch=expected.low_branch)
 
     return engine

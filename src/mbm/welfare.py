@@ -207,19 +207,11 @@ def welfare_sweep(n_values, alphas=None) -> list:
     """
     rows = []
     for n in n_values:
-        if alphas is None:
-            grid = valid_alphas(n)
-        else:
-            grid = []
-            for alpha in alphas:
-                alpha = rational(alpha)
-                try:
-                    _m_bar_from_alpha(n, alpha)
-                except InvalidAlpha:
-                    continue
-                grid.append(alpha)
-        for alpha in grid:
-            rows.append(sweep_point(n, alpha))
+        for alpha in valid_alphas(n) if alphas is None else alphas:
+            try:
+                rows.append(sweep_point(n, alpha))
+            except InvalidAlpha:
+                continue  # an explicit alpha that is not valid for this n
     return rows
 
 

@@ -5,10 +5,13 @@ import io
 import pytest
 
 from mbm import (
+    CapTableRecord,
     DuplicateAgentId,
+    InvalidAllocation,
     ParseError,
     SharesDontSumToOne,
     parse_captable,
+    run_expected,
     to_instance,
 )
 from mbm.rational import Rational as Q
@@ -88,3 +91,22 @@ def test_to_instance_builds_worked(worked):
     assert initial == want_initial
     assert profile == want_profile
     assert config == want_config
+
+
+@pytest.mark.parametrize(
+    "shares, message",
+    [
+        ((Q(1, 2), Q(1, 4), Q(1, 5)), "shares sum to 19/20"),
+        ((Q(3, 2), Q(-1, 4), Q(-1, 4)), "agent 1 has negative share -1/4"),
+    ],
+)
+def test_off_simplex_records_are_rejected_by_the_engine(shares, message):
+    # records built by hand skip the parser's share checks; to_instance
+    # passes them on and the engine's simplex check rejects them
+    records = [
+        CapTableRecord(agent_id, share, bid)
+        for agent_id, share, bid in zip("abc", shares, (Q(10), Q(5), Q(2)))
+    ]
+    initial, profile, config = to_instance(records, m_bar=2)
+    with pytest.raises(InvalidAllocation, match=message):
+        run_expected(initial, profile, config)

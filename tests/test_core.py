@@ -31,7 +31,7 @@ from mbm import (
     run_expected,
     threshold_price,
 )
-from mbm.core import _buyout, _run_expected
+from mbm.core import _run_expected
 from mbm.instances import perturbed_profile
 from mbm.rational import ONE, ZERO, Rational as Q
 from mbm.suites import generate_suite
@@ -200,6 +200,20 @@ def test_apply_branch_degenerate_buyer_mass():
     profile = BidProfile((Q(10), Q(5), Q(2)))
     with pytest.raises(DegenerateBuyerMass):
         apply_branch(initial, profile, MbmConfig(3, 2), 2)
+
+
+def test_apply_branch_raises_when_the_other_branch_is_degenerate():
+    # the top two bidders hold nothing: the high branch alone is well
+    # defined, but apply_branch is a view of run_expected and raises what
+    # it raises
+    initial = Allocation.from_shares((ZERO, ZERO, Q(1, 2), Q(1, 2)))
+    profile = BidProfile((Q(10), Q(8), Q(5), Q(2)))
+    with pytest.raises(DegenerateBuyerMass, match="all 2 prospective buyers"):
+        apply_branch(initial, profile, MbmConfig(4, 3), 3)
+    # both branches degenerate: the high branch is reported for either m
+    nothing_on_top = Allocation.from_shares((ZERO, ZERO, ZERO, ONE))
+    with pytest.raises(DegenerateBuyerMass, match="all 3 prospective buyers"):
+        apply_branch(nothing_on_top, profile, MbmConfig(4, 3), 2)
 
 
 def test_apply_branch_adds_to_existing_money(worked):
@@ -586,12 +600,3 @@ def test_zero_share_instances_either_degenerate_cleanly_or_hold(inst):
             assert adjusted_utility(initial, branch, profile, agent) >= 0
     threshold_agent = ranking.agent_at(config.m_bar)
     assert expected_adjusted_utility(initial, expected, profile, threshold_agent) == 0
-
-
-def test_buyout_with_full_retention_changes_nothing(worked):
-    # boundary remark: keeping every owner (m = n) leaves the allocation as is
-    initial, profile, config = worked
-    ranking = rank_bids(profile)
-    shares, money = _buyout(initial, ranking, Q(5), 3)
-    assert shares == initial.shares
-    assert money == initial.money

@@ -362,6 +362,27 @@ def test_every_corruption_kind_trips_some_oracle(worked):
         assert any(not oracle(engine).holds for oracle in oracles), kind
 
 
+@pytest.mark.parametrize(
+    "kind, price, high_money, low_money",
+    [
+        ("price-next", Q(2), (Q(-1, 4), Q(-3, 20), Q(2, 5)), (Q(-1), Q(3, 5), Q(2, 5))),
+        ("price-dip", Q(4), (Q(-1, 2), Q(-3, 10), Q(4, 5)), (Q(-2), Q(6, 5), Q(4, 5))),
+    ],
+)
+def test_price_controls_reprice_both_branches(worked, kind, price, high_money, low_money):
+    # hand-checked: the true trades (buyers gain mass, sellers give it up)
+    # settled at the control's price, 2 = next bid, 4 = 5 - 2/2
+    initial, profile, config = worked
+    true = run_expected(initial, profile, config)
+    expected = corrupted_engine(kind)(initial, profile, config)
+    assert [branch.price for branch in expected.branches] == [price, price]
+    assert expected.high_branch.final_allocation.money == high_money
+    assert expected.low_branch.final_allocation.money == low_money
+    for branch, truth in zip(expected.branches, true.branches):
+        assert branch.final_allocation.shares == truth.final_allocation.shares
+        assert branch.branch_probability == truth.branch_probability
+
+
 # --- kernel readout against the reference path -----------------------------------
 
 

@@ -15,7 +15,6 @@ from mbm import (
     efficiency_loss_instance,
     expected_mbm_welfare,
     first_best,
-    rank_bids,
     run_expected,
     social_welfare,
     sweep_point,
@@ -26,7 +25,6 @@ from mbm import (
     welfare_report,
     welfare_sweep,
 )
-from mbm.core import _buyout
 from mbm.rational import ONE, ZERO, Rational as Q
 from mbm.suites import generate_suite
 from mbm.welfare import uniform_grid_instance, uniform_grid_valuations
@@ -139,18 +137,6 @@ def test_preservation_ratio_in_unit_interval(inst):
     report = welfare_report(initial, profile, config)
     assert 0 < report.preservation_ratio <= 1
     assert report.expected_mbm_welfare >= report.initial_welfare
-
-
-def test_full_retention_keeps_welfare_unchanged(worked):
-    # the m_bar = n boundary: every agent keeps her stake, so welfare is the
-    # initial welfare; checked through the raw buyout since the public
-    # config bounds stop at m_bar = n - 1
-    initial, profile, _ = worked
-    ranking = rank_bids(profile)
-    shares, _money = _buyout(initial, ranking, Q(5), 3)
-    assert social_welfare(Allocation.from_shares(shares), profile) == social_welfare(
-        initial, profile
-    )
 
 
 # --- equal shares, uniform grid closed forms -------------------------------------
