@@ -15,20 +15,7 @@ import os
 import sys
 
 from .captable import parse_captable, to_instance
-from .errors import (
-    DegenerateBuyerMass,
-    DuplicateAgentId,
-    DuplicateBids,
-    InvalidAllocation,
-    InvalidAlpha,
-    InvalidConfig,
-    InvalidOwnerCount,
-    MbmError,
-    ParseError,
-    SearchBudgetExceeded,
-    SharesDontSumToOne,
-    SpecInvalid,
-)
+from .errors import DegenerateBuyerMass, InvalidAlpha, MbmError, SearchBudgetExceeded
 from .properties import (
     CORRUPTION_KINDS,
     check_budget_balance,
@@ -48,20 +35,6 @@ EXIT_VIOLATION = 1
 EXIT_VALIDATION = 2
 EXIT_DEGENERATE = 3
 EXIT_BUDGET = 4
-
-_VALIDATION_ERRORS = (
-    ParseError,
-    SharesDontSumToOne,
-    DuplicateAgentId,
-    DuplicateBids,
-    InvalidConfig,
-    InvalidAllocation,
-    InvalidOwnerCount,
-    SpecInvalid,
-    InvalidAlpha,
-    ValueError,
-    OSError,
-)
 
 
 def _resolve_seed(value: int | None) -> int | None:
@@ -107,13 +80,15 @@ def cmd_run(args) -> int:
     initial, profile, config = to_instance(records, m_bar=args.mbar)
     seed = _resolve_seed(args.seed)
     mode = "realized" if (seed is not None and not args.expected) else "expected"
+    expected = run_expected(initial, profile, config)
 
     checks = ()
     if args.check:
+        engine = lambda *_: expected
         checks = (
-            check_budget_balance(initial, profile, config),
-            check_individual_rationality(initial, profile, config),
-            check_pp_expost_efficiency(initial, profile, config),
+            check_budget_balance(initial, profile, config, engine=engine),
+            check_individual_rationality(initial, profile, config, engine=engine),
+            check_pp_expost_efficiency(initial, profile, config, engine=engine),
         )
 
     report = build_run_report(
@@ -121,6 +96,7 @@ def cmd_run(args) -> int:
         initial,
         profile,
         config,
+        expected,
         mode=mode,
         seed=seed,
         captable_name=os.path.basename(args.captable),
@@ -302,10 +278,7 @@ def main(argv=None) -> int:
     except SearchBudgetExceeded as exc:
         print(f"search budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except MbmError as exc:
+    except (MbmError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

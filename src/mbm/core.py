@@ -19,8 +19,8 @@ instance to integers over their least common denominators, and rationals
 are made only for the returned outcome.
 Every type is an immutable value and every operation is a pure function of
 its inputs, so results are safe to share across threads.
-``realize`` is the only randomized entry point and owns its generator
-per call.
+``draw_branch`` and ``realize`` are the only randomized entry points; each
+takes an int seed or a caller-owned generator.
 """
 
 from __future__ import annotations
@@ -320,7 +320,7 @@ def _branch_kernel(initial: Allocation, profile: BidProfile, config: MbmConfig) 
     return order, a, d, w, e, ((m_bar, high, high), (m_bar - 1, low, d - high))
 
 
-def _run_expected(
+def run_expected(
     initial: Allocation, profile: BidProfile, config: MbmConfig
 ) -> ExpectedOutcome:
     """Both branches with their probabilities; consumes no randomness.
@@ -330,10 +330,7 @@ def _run_expected(
     a_i w_t / (d e), where w_t / e is the price. Rationals are made only
     for the returned outcome; payments add to the initial money. Rankings
     are recomputed from the given profile on every call, never reused
-    across profiles. The public ``run_expected`` memoizes this (inputs are
-    immutable values, the result deterministic); hot loops that evaluate
-    each profile exactly once call this directly to skip the cache-key
-    hashing.
+    across profiles.
     """
     order, a, d, w, e, branches = _branch_kernel(initial, profile, config)
     n = len(order)
@@ -369,7 +366,8 @@ def _run_expected(
     return ExpectedOutcome(high_branch=outcomes[0], low_branch=outcomes[1])
 
 
-run_expected = lru_cache(maxsize=4096)(_run_expected)
+# the name under which benchmarks/spans.py traces the engine
+_run_expected = run_expected
 
 
 def expected_adjusted_utilities(
@@ -379,7 +377,7 @@ def expected_adjusted_utilities(
 
     Equals ``expected_adjusted_utility(initial, run_expected(initial,
     profile, config), valuations, j)`` for every agent j, and raises what
-    ``_run_expected`` raises, but builds no outcome and skips the cache.
+    ``run_expected`` raises, but builds no outcome.
     With price u / e, value p / q, buyer masses H (high branch) and L (low)
     over d: the threshold agent gets 0, an agent ranked above m_bar (a
     buyer in both branches) a_j (d - H)(p e - u q) / (d L q e), and one
@@ -403,22 +401,35 @@ def expected_adjusted_utilities(
     return tuple(out)
 
 
+def draw_branch(expected: ExpectedOutcome, seed: SeedLike) -> MechanismOutcome:
+    """One draw of the owner-count lottery: the branch it selects.
+
+    ``seed`` is an int (a fresh generator is derived from it, so equal
+    seeds and outcomes give equal branches) or a ``random.Random`` instance
+    for callers drawing many realizations in sequence. The draw is exact:
+    an integer below P(m = m_bar)'s reduced denominator is compared against
+    its numerator, so no floating point enters the branch choice.
+    """
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    p_high = expected.high_branch.branch_probability
+    hit_high = rng.randrange(int(p_high.denominator)) < int(p_high.numerator)
+    return expected.high_branch if hit_high else expected.low_branch
+
+
+# a draw loop asks for one instance's outcome again and again; the bound is
+# small because one outcome at n = 300 takes about 100 KiB
+_realize_expected = lru_cache(maxsize=16)(run_expected)
+
+
 def realize(
     initial: Allocation, profile: BidProfile, config: MbmConfig, seed: SeedLike
 ) -> MechanismOutcome:
     """Sample the owner-count lottery and return the realized branch.
 
-    ``seed`` is an int (a fresh generator is derived from it, so equal
-    seeds and inputs give equal outcomes) or a ``random.Random`` instance
-    for callers drawing many realizations in sequence. The draw is exact:
-    an integer below the probability's denominator is compared against its
-    numerator, so no floating point enters the branch choice.
+    ``draw_branch`` on this instance's ``run_expected`` outcome, with
+    ``seed`` as there. Repeated draws on one instance reuse its outcome.
     """
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    expected = run_expected(initial, profile, config)
-    p_high = expected.high_branch.branch_probability
-    hit_high = rng.randrange(int(p_high.denominator)) < int(p_high.numerator)
-    return expected.high_branch if hit_high else expected.low_branch
+    return draw_branch(_realize_expected(initial, profile, config), seed)
 
 
 def adjusted_utility(

@@ -20,10 +20,10 @@ so deliberately corrupted variants can be run through the same verdict
 logic as negative controls; see ``corrupted_engine``. The two deviation
 searches evaluate one profile per case and need only expected utilities:
 with the real mechanism they read them straight off the integer kernel
-(``expected_adjusted_utilities``), building no outcome and skipping the
-``run_expected`` cache. Any other engine, including a wrapper around the
-real one, takes the reference path: its outcome, then
-``expected_adjusted_utility`` per agent. Both paths give equal verdicts.
+(``expected_adjusted_utilities``), building no outcome. Any other engine,
+including a wrapper around the real one, takes the reference path: its
+outcome, then ``expected_adjusted_utility`` per agent. Both paths give
+equal verdicts.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .core import (
     expected_adjusted_utilities,
     expected_adjusted_utility,
     run_expected,
-    _run_expected,
 )
 from .errors import DuplicateBids, SearchBudgetExceeded
 from .rational import ONE, ZERO, Rational, rational
@@ -505,7 +504,7 @@ def corrupted_engine(kind: str):
         raise ValueError(f"unknown corruption kind {kind!r}; pick from {CORRUPTION_KINDS}")
 
     def engine(initial, profile, config):
-        expected = _run_expected(initial, profile, config)
+        expected = run_expected(initial, profile, config)
         high = expected.high_branch
         order = high.ranking.order
         if kind in ("price-next", "price-dip"):

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 from .core import (
     Allocation,
     BidProfile,
+    ExpectedOutcome,
     MbmConfig,
     adjusted_utility,
+    draw_branch,
     expected_adjusted_utilities,
-    realize,
-    run_expected,
 )
 from .rational import decimal_approx, rational_str
 from .welfare import WelfareReport, welfare_report
@@ -229,18 +229,22 @@ def build_run_report(
     initial: Allocation,
     profile: BidProfile,
     config: MbmConfig,
+    expected: ExpectedOutcome,
     mode: str,
     seed: int | None,
     captable_name: str,
     checks=(),
 ) -> RunReport:
-    """Assemble a RunReport; utilities are taken at face value (bid = value)."""
-    expected = run_expected(initial, profile, config)
+    """Assemble a RunReport from the instance's ``run_expected`` outcome.
+
+    In realized mode the branch is drawn from ``expected`` with ``seed``.
+    Utilities are taken at face value (bid = value).
+    """
     ranking = expected.high_branch.ranking
     agent_ids = tuple(r.agent_id for r in records)
 
     if mode == "realized":
-        outcomes = (realize(initial, profile, config, seed),)
+        outcomes = (draw_branch(expected, seed),)
     else:
         outcomes = expected.branches
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 
+from .errors import InvalidConfig
 from .instances import InstanceSpec, generate, perturbed_profile
 from .properties import (
     DEFAULT_SEARCH_BUDGET,
@@ -30,8 +31,10 @@ GROUP_SP_MAX_N = 4
 
 def generate_suite(count: int, seed: int, n_range=(3, 8)) -> list:
     """``count`` seeded instances with n drawn from ``n_range``, mixed models."""
-    rng = random.Random(seed)
     lo, hi = n_range
+    if lo < 3:
+        raise InvalidConfig(f"need more than 2 agents, got n_range {lo}..{hi}")
+    rng = random.Random(seed)
     out = []
     for idx in range(count):
         n = rng.randint(lo, hi)

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -10,6 +12,16 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("mbm")
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+@pytest.fixture
+def subprocess_env():
+    """This environment with ``src`` first on PYTHONPATH, for a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    return env
 
 
 @pytest.fixture

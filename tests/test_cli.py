@@ -138,6 +138,35 @@ def test_run_shares_off_simplex_exit_2(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "rows, argv, message",
+    [
+        ("a,1/2,10\nb,zz,5\nc,1/5,2\n", ["run", "--mbar", "2"],
+         "error: row 3, column 2: not a number: 'zz'"),
+        ("a,1/2,10\na,3/10,5\nc,1/5,2\n", ["run", "--mbar", "2"],
+         "error: agent_id 'a' appears more than once"),
+        ("a,1/2,5\nb,3/10,5\nc,1/5,2\n", ["run", "--mbar", "2"],
+         "error: tied bids between agent pairs: (0, 1)"),
+        (None, ["verify", "--suite", "budget", "--n-range", "5..3"],
+         "error: empty range '5..3'"),
+        (None, ["verify", "--suite", "budget", "--instances", "20", "--n-range", "2..3"],
+         "error: need more than 2 agents, got n_range 2..3"),
+        (None, ["verify", "--suite", "budget", "--instances", "3", "--n-range", "2..3"],
+         "error: need more than 2 agents, got n_range 2..3"),
+    ],
+    ids=[
+        "malformed-cell", "duplicate-id", "tied-bids", "empty-n-range",
+        "n-range-below-3", "n-range-below-3-few-instances",
+    ],
+)
+def test_validation_errors_exit_2(capsys, tmp_path, rows, argv, message):
+    if rows is not None:
+        path = tmp_path / "table.csv"
+        path.write_text("agent_id,share,bid\n" + rows, encoding="utf-8")
+        argv = argv + ["--captable", str(path)]
+    assert run_cli(capsys, *argv) == (2, "", message + "\n")
+
+
 def test_run_writes_output_file(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, out, _ = run_cli(
@@ -278,12 +307,13 @@ def test_version_names_package_version_and_rational_backend(capsys):
 # --- module entry point ---------------------------------------------------------
 
 
-def test_python_dash_m_entry_point():
+def test_python_dash_m_entry_point(subprocess_env):
     proc = subprocess.run(
         [sys.executable, "-m", "mbm", "run", "--captable", WORKED, "--mbar", "2",
          "--expected", "--format", "json"],
         capture_output=True,
         text=True,
+        env=subprocess_env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["price"] == "5"

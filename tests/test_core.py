@@ -31,7 +31,6 @@ from mbm import (
     run_expected,
     threshold_price,
 )
-from mbm.core import _run_expected
 from mbm.instances import perturbed_profile
 from mbm.rational import ONE, ZERO, Rational as Q
 from mbm.suites import generate_suite
@@ -272,21 +271,21 @@ def test_run_expected_checks_in_order_on_multiply_invalid_inputs():
     config = MbmConfig(3, 2)
     tied = BidProfile((Q(5), Q(5), Q(2)))
     with pytest.raises(InvalidConfig, match="allocation has 4 entries"):
-        _run_expected(Allocation.from_shares((Q(1, 4),) * 4), BidProfile((Q(1),)), config)
+        run_expected(Allocation.from_shares((Q(1, 4),) * 4), BidProfile((Q(1),)), config)
     negative = Allocation.from_shares((Q(3, 2), Q(-1, 4), Q(-1, 4)))
     with pytest.raises(InvalidAllocation, match="agent 1 has negative share -1/4"):
-        _run_expected(negative, tied, config)
+        run_expected(negative, tied, config)
     off_simplex = Allocation.from_shares((Q(1, 2), Q(1, 4), Q(1, 5)))
     with pytest.raises(InvalidAllocation, match="shares sum to 19/20"):
-        _run_expected(off_simplex, tied, config)
+        run_expected(off_simplex, tied, config)
     with pytest.raises(DuplicateBids) as info:
-        _run_expected(Allocation.from_shares((ZERO, ZERO, ONE)), tied, config)
+        run_expected(Allocation.from_shares((ZERO, ZERO, ONE)), tied, config)
     assert info.value.pairs == [(0, 1)]
     # both branches degenerate: the high branch is reported
     bids = BidProfile((Q(10), Q(8), Q(5), Q(2)))
     nothing_on_top = Allocation.from_shares((ZERO, ZERO, ZERO, ONE))
     with pytest.raises(DegenerateBuyerMass, match="all 3 prospective buyers"):
-        _run_expected(nothing_on_top, bids, MbmConfig(4, 3))
+        run_expected(nothing_on_top, bids, MbmConfig(4, 3))
 
 
 def test_run_expected_low_branch_with_zero_buyer_mass_raises():
@@ -295,7 +294,7 @@ def test_run_expected_low_branch_with_zero_buyer_mass_raises():
     initial = Allocation.from_shares((ZERO, ZERO, Q(1, 2), Q(1, 2)))
     profile = BidProfile((Q(10), Q(8), Q(5), Q(2)))
     with pytest.raises(DegenerateBuyerMass, match="all 2 prospective buyers"):
-        _run_expected(initial, profile, MbmConfig(4, 3))
+        run_expected(initial, profile, MbmConfig(4, 3))
 
 
 def test_run_expected_keeps_initial_money(worked):
@@ -303,7 +302,7 @@ def test_run_expected_keeps_initial_money(worked):
     initial = Allocation(
         shares=(Q(1, 2), Q(3, 10), Q(1, 5)), money=(Q(7), Q(-1), Q(4))
     )
-    expected = _run_expected(initial, profile, config)
+    expected = run_expected(initial, profile, config)
     assert expected.high_branch.final_allocation == Allocation(
         (Q(5, 8), Q(3, 8), ZERO), (Q(51, 8), Q(-11, 8), Q(5))
     )
@@ -370,7 +369,7 @@ def test_expected_adjusted_utilities_raise_what_the_engine_raises():
     ]
     for initial, profile, config in cases:
         with pytest.raises(Exception) as engine:
-            _run_expected(initial, profile, config)
+            run_expected(initial, profile, config)
         with pytest.raises(Exception) as readout:
             expected_adjusted_utilities(initial, profile, config, profile)
         assert type(readout.value) is type(engine.value)
@@ -413,6 +412,32 @@ def test_realize_frequency_tracks_probability(worked):
         realize(initial, profile, config, rng).realized_m == 2 for _ in range(draws)
     )
     assert abs(Q(hits, draws) - Q(4, 5)) < Q(1, 100)
+
+
+def drawn_branch(expected, rng):
+    # the lottery's rule: an integer below the reduced P(high)'s denominator,
+    # compared against its numerator
+    p_high = expected.high_branch.branch_probability
+    hit_high = rng.randrange(p_high.denominator) < p_high.numerator
+    return expected.high_branch if hit_high else expected.low_branch
+
+
+def test_realize_draws_on_the_reduced_high_probability():
+    # equal shares at n = 6, m_bar = 3: the kernel's P(high) is 3/6, drawn as
+    # 1/2 (a power-of-two factor such as 2/4 would draw the same random bits)
+    equal = (
+        Allocation.from_shares((Q(1, 6),) * 6),
+        BidProfile((Q(10), Q(9), Q(8), Q(7), Q(6), Q(5))),
+        MbmConfig(6, 3),
+    )
+    for initial, profile, config in generate_suite(20, seed=31, n_range=(3, 8)) + [equal]:
+        expected = run_expected(initial, profile, config)
+        for seed in range(50):
+            drawn = drawn_branch(expected, random.Random(seed))
+            assert realize(initial, profile, config, seed) == drawn
+        shared, twin = random.Random(8), random.Random(8)
+        for _ in range(50):
+            assert realize(initial, profile, config, shared) == drawn_branch(expected, twin)
 
 
 # --- utilities ---------------------------------------------------------------

@@ -37,7 +37,7 @@ def test_canonical_form():
     assert (ZERO, ONE) == (Q(0), Q(1))
 
 
-def test_fraction_fallback_backend_runs_the_mechanism():
+def test_fraction_fallback_backend_runs_the_mechanism(subprocess_env):
     # block gmpy2 in a clean interpreter and drive the worked instance
     script = textwrap.dedent(
         """
@@ -58,7 +58,7 @@ def test_fraction_fallback_backend_runs_the_mechanism():
         """
     )
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True
+        [sys.executable, "-c", script], capture_output=True, text=True, env=subprocess_env
     )
     assert proc.returncode == 0, proc.stderr
     assert "fallback ok" in proc.stdout
