@@ -15,9 +15,10 @@ import os
 import sys
 
 from .captable import parse_captable, to_instance
-from .errors import DegenerateBuyerMass, InvalidAlpha, MbmError, SearchBudgetExceeded
+from .errors import DegenerateBuyerMass, MbmError, SearchBudgetExceeded
 from .properties import (
     CORRUPTION_KINDS,
+    DEFAULT_SEARCH_BUDGET,
     check_budget_balance,
     check_individual_rationality,
     check_pp_expost_efficiency,
@@ -28,7 +29,7 @@ from . import __version__
 from .rational import BACKEND, decimal_approx, rational_str
 from .report import build_run_report
 from .suites import GROUP_SP_MAX_N, SUITES, generate_suite, run_suite
-from .welfare import sweep_point, valid_alphas
+from .welfare import welfare_sweep
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -158,14 +159,9 @@ def cmd_welfare(args) -> int:
         token.strip() for token in args.alpha_list.split(",")
     ]
 
-    rows = []
-    for n in n_values:
-        alphas = valid_alphas(n) if explicit_alphas is None else explicit_alphas
-        for alpha in alphas:
-            try:
-                rows.append(sweep_point(n, alpha))
-            except InvalidAlpha as exc:
-                print(f"warning: skipping row: {exc}", file=sys.stderr)
+    rows, skipped = welfare_sweep(n_values, explicit_alphas)
+    for exc in skipped:
+        print(f"warning: skipping row: {exc}", file=sys.stderr)
 
     buf_rows = [
         [
@@ -241,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--budget",
         type=int,
-        default=10**6,
+        default=DEFAULT_SEARCH_BUDGET,
         help="coalition search evaluation cap",
     )
     verify.add_argument(

@@ -210,6 +210,22 @@ def _check_sizes(n_entries: int, config: MbmConfig, what: str) -> None:
         raise InvalidConfig(f"{what} has {n_entries} entries, config expects n={config.n}")
 
 
+def _reject_ties(indexed) -> None:
+    """Raise DuplicateBids, naming (first agent, later agent) per repeated value.
+
+    ``indexed`` yields (agent, value) pairs; without a repeat nothing happens.
+    """
+    seen: dict = {}
+    pairs = []
+    for i, x in indexed:
+        if x in seen:
+            pairs.append((seen[x], i))
+        else:
+            seen[x] = i
+    if pairs:
+        raise DuplicateBids(pairs)
+
+
 def _bid_order(bids: tuple) -> tuple:
     """(order, w, E): agents by bid descending, with bid i = w[i] / E.
 
@@ -221,14 +237,7 @@ def _bid_order(bids: tuple) -> tuple:
         raise InvalidConfig(f"need at least 3 bids, got {n}")
     w, e = _over_lcm(bids)
     if len(set(w)) != n:
-        seen: dict = {}
-        pairs = []
-        for i, x in enumerate(w):
-            if x in seen:
-                pairs.append((seen[x], i))
-            else:
-                seen[x] = i
-        raise DuplicateBids(pairs)
+        _reject_ties(enumerate(w))
     return tuple(sorted(range(n), key=w.__getitem__, reverse=True)), w, e
 
 

@@ -11,9 +11,9 @@ piecewise constant with breakpoints only at the other agents' bids: between
 breakpoints neither her rank nor any order statistic of the full profile
 changes, and on the piece where she holds rank m_bar the branch weighting
 cancels the price dependence identically. One tie-free sample per piece
-therefore decides the whole piece; near-breakpoint samples guard the piece
-boundaries, and the test suite re-checks verdicts under 10x grid
-refinement.
+therefore decides the whole piece, so the grid has one fixed rule (see
+``DeviationGrid``): near-breakpoint samples guard the piece boundaries,
+and the tests re-check verdicts on a 10x refined grid of their own.
 
 Every oracle accepts an ``engine`` hook (defaulting to the real mechanism)
 so deliberately corrupted variants can be run through the same verdict
@@ -37,12 +37,14 @@ from .core import (
     BidProfile,
     ExpectedOutcome,
     MbmConfig,
+    _reject_ties,
+    adjusted_utility,
     expected_adjusted_utilities,
     expected_adjusted_utility,
     run_expected,
 )
-from .errors import DuplicateBids, SearchBudgetExceeded
-from .rational import ONE, ZERO, Rational, rational
+from .errors import SearchBudgetExceeded
+from .rational import ONE, ZERO, Rational
 
 DEFAULT_SEARCH_BUDGET = 10**6
 
@@ -51,66 +53,38 @@ DEFAULT_SEARCH_BUDGET = 10**6
 class DeviationGrid:
     """Tie-free candidate bids for one deviating agent.
 
-    Candidates are: ``resolution`` evenly spaced points inside every gap
-    between consecutive other-bids, points delta above and below each
-    other-bid, and outer points delta beyond the extremes -- clamped to
-    non-negative bids and never colliding with any other agent's bid.
-    Every rank the deviator can attain is reachable through some candidate.
+    The rule is fixed. Candidates are the midpoint of every gap between
+    consecutive other-bids and the points ``delta`` -- a thousandth of the
+    smallest such gap -- above and below each other-bid, plus half the
+    lowest other-bid when ``delta`` would reach below zero. Negative bids and
+    the other agents' own bids are dropped. Every rank the deviator can
+    attain is reachable through some candidate; a 10x refinement of this
+    grid lives in the tests as a cross-check.
     """
 
     agent: int
     delta: Rational
-    resolution: int
     candidates: tuple
 
 
-def deviation_grid(
-    profile: BidProfile,
-    agent: int,
-    delta=None,
-    resolution: int = 1,
-    delta_divisor: int = 1000,
-) -> DeviationGrid:
-    """Build the deviation grid for ``agent`` against the other bids in ``profile``.
-
-    ``delta`` defaults to 1/``delta_divisor`` of the smallest gap between
-    the other agents' bids; refinement checks shrink it through the divisor.
-    """
-    by_value: dict = {}
-    pairs = []
-    for j, b in enumerate(profile.bids):
-        if j == agent:
-            continue
-        if b in by_value:
-            pairs.append((by_value[b], j))
-        else:
-            by_value[b] = j
-    if pairs:
-        raise DuplicateBids(pairs)
-    others = sorted(by_value)
-    gaps = [hi - lo for lo, hi in zip(others, others[1:])]
-    min_gap = min(gaps)
-    delta = rational(delta) if delta is not None else min_gap / delta_divisor
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-
-    candidates = set()
-    for lo, hi in zip(others, others[1:]):
-        span = hi - lo
-        for t in range(1, resolution + 1):
-            candidates.add(lo + span * t / (resolution + 1))
+def deviation_grid(profile: BidProfile, agent: int) -> DeviationGrid:
+    """Build the deviation grid for ``agent`` against the other bids in ``profile``."""
+    indexed = [(j, b) for j, b in enumerate(profile.bids) if j != agent]
+    _reject_ties(indexed)
+    others = sorted(b for _, b in indexed)
+    gaps = list(zip(others, others[1:]))
+    delta = min(hi - lo for lo, hi in gaps) / 1000
+    candidates = {(lo + hi) / 2 for lo, hi in gaps}
     for b in others:
         candidates.add(b - delta)
         candidates.add(b + delta)
-    candidates.add(others[0] - delta)
-    candidates.add(others[-1] + delta)
     if others[0] - delta < 0 and others[0] > 0:
         # keep the below-minimum piece reachable when delta would go negative
         candidates.add(others[0] / 2)
 
     taken = set(others)
     kept = tuple(sorted(c for c in candidates if c >= 0 and c not in taken))
-    return DeviationGrid(agent=agent, delta=delta, resolution=resolution, candidates=kept)
+    return DeviationGrid(agent=agent, delta=delta, candidates=kept)
 
 
 @dataclass(frozen=True)
@@ -218,13 +192,9 @@ def check_individual_rationality(
     expected = engine(initial, valuations, config)
     cases = 0
     for branch in expected.branches:
-        final = branch.final_allocation
         for agent in range(config.n):
             cases += 1
-            v = valuations.bids[agent]
-            gain = (final.shares[agent] - initial.shares[agent]) * v + (
-                final.money[agent] - initial.money[agent]
-            )
+            gain = adjusted_utility(initial, branch, valuations, agent)
             if gain < 0:
                 return _violation(
                     name,
@@ -238,8 +208,8 @@ def check_individual_rationality(
     return PropertyReport(name, instance, holds=True, cases=cases)
 
 
-def _random_rational(rng: random.Random, lo_num: int = 1, hi_num: int = 2**14):
-    return Rational(rng.randint(lo_num, hi_num), 2**12)
+def _random_rational(rng: random.Random):
+    return Rational(rng.randint(1, 2**14), 2**12)
 
 
 def check_price_monotonicity(
@@ -302,9 +272,6 @@ def check_strategyproofness(
     valuations: BidProfile,
     config: MbmConfig,
     others_profile: BidProfile | None = None,
-    delta=None,
-    resolution: int = 1,
-    delta_divisor: int = 1000,
     engine=run_expected,
 ) -> PropertyReport:
     """No agent gains by deviating from her true value, against any fixed others.
@@ -324,14 +291,7 @@ def check_strategyproofness(
         (truthful_eu,) = _utilities(
             engine, initial, truthful, config, valuations, (agent,)
         )
-        grid = deviation_grid(
-            others_profile,
-            agent,
-            delta=delta,
-            resolution=resolution,
-            delta_divisor=delta_divisor,
-        )
-        for cand in grid.candidates:
+        for cand in deviation_grid(others_profile, agent).candidates:
             deviant = others_profile.replace_bid(agent, cand)
             (eu,) = _utilities(engine, initial, deviant, config, valuations, (agent,))
             cases += 1
@@ -353,9 +313,6 @@ def check_weak_group_strategyproofness(
     initial: Allocation,
     valuations: BidProfile,
     config: MbmConfig,
-    grid_resolution: int = 1,
-    delta=None,
-    delta_divisor: int = 1000,
     budget: int = DEFAULT_SEARCH_BUDGET,
     engine=run_expected,
 ) -> PropertyReport:
@@ -376,12 +333,7 @@ def check_weak_group_strategyproofness(
     truthful_eu = tuple(
         _utilities(engine, initial, valuations, config, valuations, range(n))
     )
-    grids = [
-        deviation_grid(
-            valuations, j, delta=delta, resolution=grid_resolution, delta_divisor=delta_divisor
-        ).candidates
-        for j in range(n)
-    ]
+    grids = [deviation_grid(valuations, j).candidates for j in range(n)]
 
     required = 0
     coalitions = []

@@ -60,7 +60,6 @@ def run_suite(
     instances,
     seed: int = 0,
     engine=run_expected,
-    monotone_trials: int = 20,
     budget: int = DEFAULT_SEARCH_BUDGET,
     group_max_n: int | None = None,
 ) -> list:
@@ -79,7 +78,7 @@ def run_suite(
                 initial,
                 profile,
                 config,
-                trials=monotone_trials,
+                trials=20,
                 seed=rng.randrange(2**32),
                 engine=engine,
             )

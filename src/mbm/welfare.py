@@ -199,20 +199,22 @@ def sweep_point(n: int, alpha) -> SweepRow:
     )
 
 
-def welfare_sweep(n_values, alphas=None) -> list:
-    """Sweep rows for every n in ``n_values`` and every alpha.
+def welfare_sweep(n_values, alphas=None) -> tuple:
+    """(rows, skipped): sweep rows for every n in ``n_values`` and every alpha.
 
     ``alphas`` defaults to every valid fraction per n; an explicit list is
-    filtered to the fractions valid for each n.
+    filtered to the fractions valid for each n, and ``skipped`` holds the
+    InvalidAlpha error of each point filtered out, in sweep order.
     """
     rows = []
+    skipped = []
     for n in n_values:
         for alpha in valid_alphas(n) if alphas is None else alphas:
             try:
                 rows.append(sweep_point(n, alpha))
-            except InvalidAlpha:
-                continue  # an explicit alpha that is not valid for this n
-    return rows
+            except InvalidAlpha as exc:
+                skipped.append(exc)
+    return rows, skipped
 
 
 # --- arbitrarily small preservation ratio ----------------------------------

@@ -39,6 +39,7 @@ from mbm.cli import main
 from mbm.instances import perturbed_profile
 from mbm.rational import BACKEND, Rational as Q, decimal_approx
 from mbm.suites import generate_suite
+from refinement import refined_sp_holds
 
 import os
 
@@ -118,15 +119,7 @@ def test_criterion_04_strategyproofness_grid_and_refinement():
             for (initial, profile, config), others in list(
                 zip(instances, others_profiles)
             )[:100]:
-                report = check_strategyproofness(
-                    initial,
-                    profile,
-                    config,
-                    others_profile=others,
-                    resolution=10,
-                    delta_divisor=10_000,
-                )
-                if not report.holds:
+                if not refined_sp_holds(initial, profile, config, others):
                     refined_stable = False
                     break
         t.finish(
@@ -189,7 +182,8 @@ def test_criterion_07_pp_expost_efficiency(suite_1000):
 
 def test_criterion_08_closed_form_matches_engine_everywhere():
     with Timer(8, "equal-shares closed form == engine, n in 4..200", 30) as t:
-        rows = welfare_sweep(range(4, 201))
+        rows, skipped = welfare_sweep(range(4, 201))
+        assert skipped == []
         ok = True
         named_value_seen = False
         for row in rows:

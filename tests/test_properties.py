@@ -24,6 +24,7 @@ from mbm.instances import InstanceSpec, generate, perturbed_profile
 from mbm.properties import CORRUPTION_KINDS, PropertyReport, Witness
 from mbm.rational import Rational as Q
 from mbm.suites import SUITES, generate_suite, run_suite
+from refinement import refined_sp_holds
 
 import random
 
@@ -70,15 +71,6 @@ def test_grid_zero_minimum_bid_drops_negative_candidates():
     grid = deviation_grid(profile, 2)  # others 0 and 5
     assert all(c >= 0 for c in grid.candidates)
     assert Q(0) not in grid.candidates
-
-
-def test_grid_resolution_adds_interior_points():
-    profile = BidProfile((Q(10), Q(5), Q(2)))
-    coarse = deviation_grid(profile, 0, resolution=1)
-    fine = deviation_grid(profile, 0, resolution=10)
-    assert set(coarse.candidates) < set(fine.candidates) or len(fine.candidates) > len(
-        coarse.candidates
-    )
 
 
 # --- report contract ---------------------------------------------------------
@@ -228,6 +220,12 @@ def test_strategyproofness_randomized(seed):
 
 
 def test_refinement_does_not_change_verdicts():
+    # the real engine holds on every grid; the corrupted ones each fail on
+    # some instance, so agreement there shows the coarse grid finds what the
+    # refined one finds
+    engines = {"none": run_expected}
+    engines.update((kind, corrupted_engine(kind)) for kind in CORRUPTION_KINDS)
+    failed = {kind: 0 for kind in engines}
     for seed in range(10):
         rng = random.Random(seed)
         n = rng.randint(3, 5)
@@ -235,16 +233,15 @@ def test_refinement_does_not_change_verdicts():
             InstanceSpec(n=n, m_bar=rng.randint(2, n - 1), seed=seed)
         )
         others = perturbed_profile(profile, rng)
-        coarse = check_strategyproofness(initial, profile, config, others_profile=others)
-        fine = check_strategyproofness(
-            initial,
-            profile,
-            config,
-            others_profile=others,
-            resolution=10,
-            delta_divisor=10_000,
-        )
-        assert coarse.holds == fine.holds
+        for kind, engine in engines.items():
+            coarse = check_strategyproofness(
+                initial, profile, config, others_profile=others, engine=engine
+            )
+            fine = refined_sp_holds(initial, profile, config, others, engine=engine)
+            assert coarse.holds == fine, (kind, seed)
+            failed[kind] += not fine
+    assert failed["none"] == 0
+    assert all(failed[kind] > 0 for kind in CORRUPTION_KINDS), failed
 
 
 # --- weak group strategyproofness ----------------------------------------------

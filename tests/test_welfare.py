@@ -231,10 +231,14 @@ def test_closed_form_affine_in_alpha_with_known_slope():
 
 
 def test_welfare_sweep_filters_invalid_alphas():
-    rows = welfare_sweep([10], alphas=[Q(1, 2), Q(1, 3)])
+    rows, skipped = welfare_sweep([10], alphas=[Q(1, 2), Q(1, 3)])
     assert len(rows) == 1 and rows[0].alpha == Q(1, 2)
-    rows = welfare_sweep([6])
+    assert [str(exc) for exc in skipped] == [
+        "alpha=1/3 with n=10: alpha * n is not an integer"
+    ]
+    rows, skipped = welfare_sweep([6])
     assert [r.m_bar for r in rows] == [2, 3, 4, 5]
+    assert skipped == []
 
 
 # --- arbitrarily small preservation ratio ----------------------------------------
