@@ -1,14 +1,16 @@
 """Cap-table ingestion.
 
-Files are UTF-8, comma-delimited, with a required header row. Two layouts:
+Files are UTF-8, comma-delimited, with a required header row; one leading
+byte-order mark is dropped. Two layouts:
 
     agent_id,share,bid      full instance, ready to run
     agent_id,share          table only (no bids)
 
 Share and bid numerals may be decimals ("0.3") or fractions ("3/10"); both
-parse exactly, decimals via exact powers of ten. Shares must sum to exactly
-1 unless the caller asks for normalization, which rescales by exact
-division.
+parse exactly, decimals via exact powers of ten. A numeral may be at most
+1,000 characters long, with a decimal exponent within ±1,000. Shares must
+sum to exactly 1 unless the caller asks for normalization, which rescales
+by exact division.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import io
 from dataclasses import dataclass
 
 from .core import Allocation, BidProfile, MbmConfig
-from .errors import DuplicateAgentId, ParseError, SharesDontSumToOne
+from .errors import DuplicateAgentId, NumeralOutOfBounds, ParseError, SharesDontSumToOne
 from .rational import Rational, rational
 
 _HEADERS = (("agent_id", "share", "bid"), ("agent_id", "share"))
@@ -36,6 +38,8 @@ class CapTableRecord:
 def _cell_rational(text: str, row: int, column: int) -> Rational:
     try:
         return rational(text)
+    except NumeralOutOfBounds as exc:
+        raise ParseError(str(exc), row=row, column=column) from exc
     except (ValueError, TypeError) as exc:
         raise ParseError(f"not a number: {text!r}", row=row, column=column) from exc
 
@@ -49,6 +53,8 @@ def parse_captable(source, normalize: bool = False) -> list:
     """
     if hasattr(source, "read"):
         source = source.read()
+    # spreadsheet "CSV UTF-8" exports start with a byte-order mark
+    source = source.removeprefix("\ufeff")
     reader = csv.reader(io.StringIO(source))
     rows = [[cell.strip() for cell in row] for row in reader if row]
     if not rows:

@@ -79,6 +79,14 @@ class ParseError(MbmError):
         super().__init__(where + message)
 
 
+class NumeralOutOfBounds(MbmError, ValueError):
+    """A numeral is too long, or its decimal exponent too large, to parse.
+
+    Refused before any integer is built, so hostile text cannot cost
+    unbounded time or memory.
+    """
+
+
 class SharesDontSumToOne(MbmError):
     """Cap-table shares must total exactly 1 (pass normalize to rescale)."""
 

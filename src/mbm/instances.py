@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .core import Allocation, BidProfile, MbmConfig
-from .errors import SpecInvalid
+from .errors import InvalidConfig, SpecInvalid
 from .rational import ONE, Rational
 
 SHARE_MODELS = ("equal", "random", "tiny-top")
@@ -64,12 +64,10 @@ def _tiny_top_shares(n: int, bids: tuple) -> tuple:
 
 def generate(spec: InstanceSpec):
     """Generate (Allocation, BidProfile, MbmConfig) from a spec, deterministically."""
-    if not isinstance(spec.n, int) or spec.n <= 2:
-        raise SpecInvalid(f"need more than 2 agents, got n={spec.n}")
-    if not isinstance(spec.m_bar, int) or not 1 < spec.m_bar < spec.n:
-        raise SpecInvalid(
-            f"m_bar must satisfy 1 < m_bar < n, got m_bar={spec.m_bar}, n={spec.n}"
-        )
+    try:
+        config = MbmConfig(n=spec.n, m_bar=spec.m_bar)
+    except InvalidConfig as exc:
+        raise SpecInvalid(str(exc)) from exc
     if spec.share_model not in SHARE_MODELS:
         raise SpecInvalid(
             f"unknown share model {spec.share_model!r}, pick from {SHARE_MODELS}"
@@ -93,11 +91,7 @@ def generate(spec: InstanceSpec):
     else:
         shares = _tiny_top_shares(spec.n, bids)
 
-    return (
-        Allocation.from_shares(shares).validate(),
-        BidProfile(bids),
-        MbmConfig(n=spec.n, m_bar=spec.m_bar),
-    )
+    return Allocation.from_shares(shares).validate(), BidProfile(bids), config
 
 
 def perturbed_profile(valuations: BidProfile, rng: random.Random) -> BidProfile:

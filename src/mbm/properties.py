@@ -29,6 +29,7 @@ equal verdicts.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, replace
 
@@ -44,7 +45,7 @@ from .core import (
     run_expected,
 )
 from .errors import SearchBudgetExceeded
-from .rational import ONE, ZERO, Rational
+from .rational import ONE, ZERO, Rational, rational_str
 
 DEFAULT_SEARCH_BUDGET = 10**6
 
@@ -124,8 +125,8 @@ def _violation(
 def describe_instance(
     initial: Allocation, profile: BidProfile, config: MbmConfig
 ) -> str:
-    shares = ",".join(str(s) for s in initial.shares)
-    bids = ",".join(str(b) for b in profile.bids)
+    shares = ",".join(map(rational_str, initial.shares))
+    bids = ",".join(map(rational_str, profile.bids))
     return f"n={config.n} m_bar={config.m_bar} shares=[{shares}] bids=[{bids}]"
 
 
@@ -229,9 +230,8 @@ def check_price_monotonicity(
     instance = describe_instance(initial, profile, config)
     rng = random.Random(seed)
     base_price = engine(initial, profile, config).high_branch.price
-    others_by_agent = [
-        {b for j, b in enumerate(profile.bids) if j != i} for i in range(config.n)
-    ]
+    # a candidate never equals the mover's own bid: one set serves every mover
+    taken = set(profile.bids)
     cases = 0
     for _ in range(trials):
         agent = rng.randrange(config.n)
@@ -244,7 +244,7 @@ def check_price_monotonicity(
                 cand = old * (ONE + r) if old > 0 else r
             else:
                 cand = old * r / (r + 1)  # strictly inside (0, old)
-            if cand not in others_by_agent[agent]:
+            if cand not in taken:
                 candidate = cand
                 break
         if candidate is None:
@@ -321,8 +321,10 @@ def check_weak_group_strategyproofness(
     Enumerates all coalitions of size >= 2 and searches the product of the
     members' deviation grids. Joint assignments that reintroduce ties are
     skipped (the grids avoid all truthful bids, but two members may draw the
-    same candidate). Raises SearchBudgetExceeded rather than subsampling
-    when the product search would exceed ``budget`` evaluations.
+    same candidate). Before building any coalition, raises SearchBudgetExceeded
+    rather than subsampling when ``prod(1 + |grid_j|) - 1 - sum(|grid_j|)``,
+    every subset's joint deviations less the empty and one-member ones,
+    exceeds ``budget``.
 
     Weak gains are expected and must not be flagged: a threshold agent can
     move the price in her neighbors' favor while staying at zero herself.
@@ -335,15 +337,7 @@ def check_weak_group_strategyproofness(
     )
     grids = [deviation_grid(valuations, j).candidates for j in range(n)]
 
-    required = 0
-    coalitions = []
-    for size in range(2, n + 1):
-        for coalition in itertools.combinations(range(n), size):
-            weight = 1
-            for j in coalition:
-                weight *= len(grids[j])
-            required += weight
-            coalitions.append(coalition)
+    required = math.prod(1 + len(grid) for grid in grids) - 1 - sum(map(len, grids))
     if required > budget:
         raise SearchBudgetExceeded(required, budget)
 
@@ -351,6 +345,7 @@ def check_weak_group_strategyproofness(
     values = sorted(set().union(*grids))
     position = {c: k for k, c in enumerate(values)}
     keyed = [tuple(map(position.__getitem__, grid)) for grid in grids]
+    coalitions = (c for k in range(2, n + 1) for c in itertools.combinations(range(n), k))
     cases = 0
     for coalition in coalitions:
         for keys in itertools.product(*(keyed[j] for j in coalition)):
@@ -385,20 +380,23 @@ def check_pp_expost_efficiency(
     """Remaining owners are the highest-valuing agents, in their initial proportions.
 
     Both conditions are checked in both branches under truthful bids:
-    (1) any two agents with positive final shares keep their initial share
-    ratio exactly (compared by cross-multiplication, which also covers
-    zero-share buyers), and (2) no agent cashed out values the asset
-    strictly more than any remaining owner.
+    (1) every remaining owner keeps the first owner's final:initial share ratio
+    exactly (by cross-multiplication, which covers zero-share buyers; all pairs
+    agree when all agree with one owner of positive final share), and (2) no
+    cashed-out agent outvalues the lowest-valuing owner: n - 1 comparisons.
     """
     name = "pp-expost-efficiency"
     instance = describe_instance(initial, valuations, config)
+    values = valuations.bids
     expected = engine(initial, valuations, config)
     cases = 0
     for branch in expected.branches:
         final = branch.final_allocation
         owners = [j for j in range(config.n) if final.shares[j] > 0]
-        out = [j for j in range(config.n) if final.shares[j] == 0]
-        for j, k in itertools.combinations(owners, 2):
+        if not owners:
+            continue
+        j = owners[0]
+        for k in owners[1:]:
             cases += 1
             if final.shares[j] * initial.shares[k] != final.shares[k] * initial.shares[j]:
                 return _violation(
@@ -408,22 +406,23 @@ def check_pp_expost_efficiency(
                     f"branch m={branch.realized_m}: owners {j},{k} moved from "
                     f"ratio {initial.shares[j]}:{initial.shares[k]} to "
                     f"{final.shares[j]}:{final.shares[k]}",
-                    bids=valuations.bids,
+                    bids=values,
                 )
-        for j in out:
-            for k in owners:
-                cases += 1
-                if valuations.bids[j] > valuations.bids[k]:
-                    return _violation(
-                        name,
-                        instance,
-                        cases,
-                        f"branch m={branch.realized_m}: seller {j} values the "
-                        f"asset at {valuations.bids[j]}, above owner {k}'s "
-                        f"{valuations.bids[k]}",
-                        agent=j,
-                        bids=valuations.bids,
-                    )
+        lowest = min(values[k] for k in owners)
+        for j in (i for i in range(config.n) if final.shares[i] == 0):
+            cases += 1
+            if values[j] > lowest:
+                # the witness names the first owner, by index, that she outvalues
+                k = next(k for k in owners if values[j] > values[k])
+                return _violation(
+                    name,
+                    instance,
+                    cases,
+                    f"branch m={branch.realized_m}: seller {j} values the "
+                    f"asset at {values[j]}, above owner {k}'s {values[k]}",
+                    agent=j,
+                    bids=values,
+                )
     return PropertyReport(name, instance, holds=True, cases=cases)
 
 

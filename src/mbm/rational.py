@@ -14,9 +14,12 @@ arithmetic that the rest of the package treats as exact.
 from __future__ import annotations
 
 import numbers
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from operator import attrgetter
+
+from .errors import NumeralOutOfBounds
 
 try:
     from gmpy2 import mpq as Rational
@@ -33,13 +36,20 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
 ZERO = Rational(0)
 ONE = Rational(1)
 
+# numeral text bounds, so that a parsed numeral has at most about 2,000 digits
+MAX_NUMERAL_CHARS = 1000
+MAX_EXPONENT = 1000
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\Z", re.IGNORECASE)
+
 
 def rational(value) -> Rational:
     """Coerce ``value`` to an exact rational.
 
     Accepts ints, rationals (Fraction/mpq), and strings in fraction
     ("3/10"), integer ("5"), or decimal ("0.3", "2.5e-3") notation; decimal
-    text converts exactly via powers of ten. Floats raise TypeError.
+    text converts exactly via powers of ten. Floats raise TypeError. Text
+    longer than ``MAX_NUMERAL_CHARS`` or with a decimal exponent beyond
+    ``MAX_EXPONENT`` raises NumeralOutOfBounds, a ValueError.
     """
     if isinstance(value, float):
         raise TypeError(
@@ -48,8 +58,16 @@ def rational(value) -> Rational:
     if isinstance(value, numbers.Rational):
         return Rational(value.numerator, value.denominator)
     if isinstance(value, str):
+        text = value.strip()
+        if len(text) > MAX_NUMERAL_CHARS:
+            raise NumeralOutOfBounds(f"numeral longer than {MAX_NUMERAL_CHARS} characters")
+        exponent = _EXPONENT.search(text)
+        if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
+            raise NumeralOutOfBounds(
+                f"exponent {exponent[1]} outside -{MAX_EXPONENT}..{MAX_EXPONENT}"
+            )
         try:
-            parsed = Fraction(value.strip())
+            parsed = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational literal: {value!r}") from exc
         return Rational(parsed.numerator, parsed.denominator)
@@ -57,8 +75,16 @@ def rational(value) -> Rational:
 
 
 def rational_str(value) -> str:
-    """Canonical lossless text form: "p/q", or "p" when q = 1."""
-    return str(value)
+    """Canonical lossless text form: "p/q", or "p" when q = 1.
+
+    ``str`` refuses integers past ``sys.int_max_str_digits``; their digits
+    then come from ``Decimal``, which converts an int exactly without it.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        p, q = (format(Decimal(int(x)), "f") for x in as_ratio(value))
+        return p if q == "1" else f"{p}/{q}"
 
 
 def decimal_approx(value, digits: int = 20) -> str:

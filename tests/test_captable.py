@@ -71,6 +71,27 @@ def test_parse_errors_carry_location():
     assert info.value.row == 2 and info.value.column == 2
 
 
+def test_numeral_bounds_are_parse_errors_with_location():
+    with pytest.raises(ParseError) as info:
+        parse_captable("agent_id,share,bid\na,1e-5000,3\nb,1,2\n", normalize=True)
+    assert (info.value.row, info.value.column) == (2, 2)
+    assert str(info.value) == "row 2, column 2: exponent -5000 outside -1000..1000"
+
+    long_bid = "1" * 1001
+    with pytest.raises(ParseError) as info:
+        parse_captable(f"agent_id,share,bid\na,1/2,10\nb,1/2,{long_bid}\n")
+    assert str(info.value) == "row 3, column 3: numeral longer than 1000 characters"
+
+
+def test_leading_byte_order_mark_is_dropped():
+    want = parse_captable(WORKED)
+    assert parse_captable("\ufeff" + WORKED) == want
+    assert parse_captable(io.StringIO("\ufeff" + WORKED)) == want
+    # only one: a second mark is part of the header
+    with pytest.raises(ParseError):
+        parse_captable("\ufeff\ufeff" + WORKED)
+
+
 def test_header_required():
     with pytest.raises(ParseError):
         parse_captable("a,0.5,10\nb,0.5,5\n")

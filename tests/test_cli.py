@@ -1,15 +1,22 @@
 """Command-line surface: golden output, exit codes, environment fallback."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
-from mbm import __version__
+from mbm import __version__, expected_adjusted_utilities, run_expected
 from mbm.cli import main
-from mbm.rational import BACKEND, rational
+from mbm.rational import BACKEND, rational, rational_str
+from strategies import instances
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 WORKED = os.path.join(DATA, "worked.csv")
@@ -107,6 +114,103 @@ def test_run_check_flag_includes_verdicts(capsys):
     assert all(c["holds"] for c in report["checks"])
 
 
+def test_run_check_efficiency_cases_are_linear_in_n(capsys, tmp_path):
+    # one comparison per agent but the reference owner, in each branch; the
+    # pairwise reference makes 84,075 on this table
+    n = 300
+    rows = "".join(f"a{k},{k}/{n * (n + 1) // 2},{k}/7\n" for k in range(1, n + 1))
+    path = tmp_path / "wide.csv"
+    path.write_text("agent_id,share,bid\n" + rows, encoding="utf-8")
+    code, out, _ = run_cli(
+        capsys, "run", "--captable", str(path), "--mbar", "225", "--expected",
+        "--check", "--format", "json",
+    )
+    assert code == 0
+    checks = {c["property"]: c for c in json.loads(out)["checks"]}
+    assert checks["pp-expost-efficiency"]["holds"]
+    assert checks["pp-expost-efficiency"]["cases"] == 2 * (n - 1)
+
+
+def exact(text):
+    """A ``p/q`` field as a Fraction, without int's string-length limit."""
+    p, _, q = text.partition("/")
+    return Fraction(int(Decimal(p)), int(Decimal(q or "1")))
+
+
+# shares 1/(10**900 + k) normalize to numerators and denominators of
+# thousands of digits, past int's default 4,300-digit string limit
+HUGE_ROWS = "".join(f"a{k},1/{10**900 + k},{k + 1}\n" for k in range(6))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("check", [False, True], ids=["expected", "expected-check"])
+def test_run_prints_values_past_the_int_string_limit(capsys, tmp_path, fmt, check):
+    path = tmp_path / "huge.csv"
+    path.write_text("agent_id,share,bid\n" + HUGE_ROWS, encoding="utf-8")
+    argv = ["run", "--captable", str(path), "--mbar", "3", "--normalize",
+            "--expected", "--format", fmt] + (["--check"] if check else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert max(len(token) for token in out.replace(",", " ").split()) > 4300
+    if fmt == "json":
+        report = json.loads(out)
+        for branch in report["branches"]:
+            agents = branch["agents"]
+            assert sum(exact(a["final_share"]) for a in agents) == 1
+            assert sum(exact(a["payment"]) for a in agents) == 0
+        assert all(c["holds"] for c in report.get("checks", []))
+    if fmt == "text" and check:
+        assert "check pp-expost-efficiency: holds [10 cases]" in out
+
+
+def test_run_accepts_a_byte_order_mark(capsys, tmp_path):
+    # the same file name in two directories: the report prints the name
+    plain, marked = tmp_path / "plain" / "table.csv", tmp_path / "marked" / "table.csv"
+    plain.parent.mkdir()
+    marked.parent.mkdir()
+    text = "agent_id,share,bid\na,1/2,10\nb,3/10,5\nc,1/5,2\n"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    want = run_cli(capsys, "run", "--captable", str(plain), "--mbar", "2", "--expected")
+    got = run_cli(capsys, "run", "--captable", str(marked), "--mbar", "2", "--expected")
+    assert want[0] == 0 and got[1:] == want[1:]
+
+
+@settings(max_examples=40)
+@given(instance=instances(max_n=8))
+def test_run_json_round_trips_a_random_cap_table(instance):
+    initial, profile, config = instance
+    rows = "".join(
+        f"a{j},{rational_str(s)},{rational_str(b)}\n"
+        for j, (s, b) in enumerate(zip(initial.shares, profile.bids))
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("agent_id,share,bid\n" + rows)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["run", "--captable", path, "--mbar", str(config.m_bar),
+                         "--expected", "--format", "json"])
+    assert code == 0
+    report = json.loads(out.getvalue())
+    expected = run_expected(initial, profile, config)
+    assert rational(report["price"]) == expected.high_branch.price
+    for section, branch in zip(report["branches"], expected.branches):
+        assert rational(section["probability"]) == branch.branch_probability
+        final = branch.final_allocation
+        for j, agent in enumerate(section["agents"]):
+            assert rational(agent["bid"]) == profile.bids[j]
+            assert rational(agent["initial_share"]) == initial.shares[j]
+            assert rational(agent["final_share"]) == final.shares[j]
+            assert rational(agent["payment"]) == final.money[j] - initial.money[j]
+    utilities = expected_adjusted_utilities(initial, profile, config, profile)
+    assert [rational(v) for v in report["expected_adjusted_utility"].values()] == list(
+        utilities
+    )
+
+
 def test_run_rejects_out_of_range_mbar(capsys):
     code, _, err = run_cli(capsys, "run", "--captable", WORKED, "--mbar", "1")
     assert code == 2
@@ -153,10 +257,16 @@ def test_run_shares_off_simplex_exit_2(capsys, tmp_path):
          "error: need more than 2 agents, got n_range 2..3"),
         (None, ["verify", "--suite", "budget", "--instances", "3", "--n-range", "2..3"],
          "error: need more than 2 agents, got n_range 2..3"),
+        ("a,1e-5000,3\nb,1/2,2\nc,1/4,1\n",
+         ["run", "--mbar", "2", "--normalize", "--expected", "--format", "json"],
+         "error: row 2, column 2: exponent -5000 outside -1000..1000"),
+        ("a,1/2,10\nb,3/10," + "9" * 1001 + "\nc,1/5,2\n", ["run", "--mbar", "2"],
+         "error: row 3, column 3: numeral longer than 1000 characters"),
     ],
     ids=[
         "malformed-cell", "duplicate-id", "tied-bids", "empty-n-range",
-        "n-range-below-3", "n-range-below-3-few-instances",
+        "n-range-below-3", "n-range-below-3-few-instances", "numeral-exponent",
+        "numeral-length",
     ],
 )
 def test_validation_errors_exit_2(capsys, tmp_path, rows, argv, message):
@@ -250,6 +360,19 @@ def test_verify_group_budget_exceeded_exits_4(capsys):
     )
     assert code == 4
     assert "budget" in err.lower()
+
+
+def test_verify_group_sp_refuses_forty_agents_before_enumerating(capsys):
+    # 2**40 coalitions: the refusal must come from the product formula alone
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "group-sp", "--instances", "1", "--n-range", "40..40",
+    )
+    assert (code, out) == (4, "")
+    assert err == (
+        "search budget exceeded: coalition search needs 533868712711247299184514523498"
+        "38784915966959389108721854556950052137037192645370560 evaluations, "
+        "cap is 1000000\n"
+    )
 
 
 # --- welfare -------------------------------------------------------------------

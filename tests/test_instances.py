@@ -52,11 +52,12 @@ def test_generated_shares_sit_exactly_on_simplex():
 
 
 def test_spec_validation():
-    with pytest.raises(SpecInvalid):
+    with pytest.raises(SpecInvalid, match=r"^need more than 2 agents, got n=2$"):
         generate(InstanceSpec(n=2, m_bar=1))
-    with pytest.raises(SpecInvalid):
+    message = r"^m_bar must satisfy 1 < m_bar < n, got m_bar=1, n=4$"
+    with pytest.raises(SpecInvalid, match=message):
         generate(InstanceSpec(n=4, m_bar=1))
-    with pytest.raises(SpecInvalid):
+    with pytest.raises(SpecInvalid, match=r"m_bar=4, n=4$"):
         generate(InstanceSpec(n=4, m_bar=4))
     with pytest.raises(SpecInvalid):
         generate(InstanceSpec(n=4, m_bar=2, share_model="zipf"))

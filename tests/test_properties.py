@@ -1,5 +1,7 @@
 """Oracles: verdicts on the worked instance, negative controls, grid behavior."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from mbm import (
     Allocation,
     BidProfile,
+    ExpectedOutcome,
     MbmConfig,
     SearchBudgetExceeded,
     check_budget_balance,
@@ -22,8 +25,9 @@ from mbm import (
 )
 from mbm.instances import InstanceSpec, generate, perturbed_profile
 from mbm.properties import CORRUPTION_KINDS, PropertyReport, Witness
-from mbm.rational import Rational as Q
+from mbm.rational import ONE, ZERO, Rational as Q
 from mbm.suites import SUITES, generate_suite, run_suite
+from references import enumerated_coalition_budget, pairwise_pp_efficiency
 from refinement import refined_sp_holds
 
 import random
@@ -307,6 +311,20 @@ def test_group_sp_budget_cap():
         check_weak_group_strategyproofness(initial, profile, config, budget=10)
 
 
+def test_group_sp_budget_equals_enumerated_count():
+    # one below the count every coalition adds up to must be refused, and the
+    # refusal must report that count
+    for n in range(3, 11):
+        for initial, profile, config in generate_suite(5, seed=n, n_range=(n, n)):
+            grids = [deviation_grid(profile, j).candidates for j in range(n)]
+            required = enumerated_coalition_budget(grids)
+            with pytest.raises(SearchBudgetExceeded) as info:
+                check_weak_group_strategyproofness(
+                    initial, profile, config, budget=required - 1
+                )
+            assert info.value.required == required
+
+
 # --- proportionality-preserving ex-post efficiency ------------------------------
 
 
@@ -333,6 +351,44 @@ def test_pp_efficiency_flags_skewed_scaling(worked):
     report = check_pp_expost_efficiency(*worked, engine=corrupted_engine("scale-skew"))
     assert not report.holds
     assert "ratio" in report.witness.detail
+
+
+def cash_out_second_bidder(initial, profile, config):
+    # the high branch cashes out only the second-highest bidder and keeps
+    # everyone else in their initial proportions: every ratio holds, so only
+    # the seller-against-owner comparison can catch it
+    expected = run_expected(initial, profile, config)
+    high = expected.high_branch
+    seller = high.ranking.order[1]
+    rest = ONE - initial.shares[seller]
+    shares = tuple(ZERO if j == seller else s / rest for j, s in enumerate(initial.shares))
+    final = Allocation._from_parts(shares, high.final_allocation.money)
+    return ExpectedOutcome(
+        high_branch=replace(high, final_allocation=final), low_branch=expected.low_branch
+    )
+
+
+def test_pp_efficiency_equals_pairwise_reference():
+    engines = {"none": run_expected, "cash-out-second": cash_out_second_bidder}
+    engines.update((kind, corrupted_engine(kind)) for kind in CORRUPTION_KINDS)
+    instances = generate_suite(60, seed=7, n_range=(3, 12))
+    instances += generate_suite(4, seed=9, n_range=(30, 60))
+    failed = dict.fromkeys(engines, 0)
+    for initial, profile, config in instances:
+        for kind, engine in engines.items():
+            report = check_pp_expost_efficiency(initial, profile, config, engine=engine)
+            reference = pairwise_pp_efficiency(initial, profile, config, engine=engine)
+            assert report.holds == reference.holds, kind
+            assert report.witness == reference.witness, kind
+            if report.holds:
+                # one comparison per agent but the reference owner, per branch
+                assert report.cases == 2 * (config.n - 1)
+            else:
+                failed[kind] += 1
+                assert report.cases <= reference.cases
+    assert failed["none"] == 0
+    assert failed["cash-out-second"] == len(instances)
+    assert failed["shares"] > 0 and failed["scale-skew"] > 0, failed
 
 
 # --- corruption kinds ------------------------------------------------------------

@@ -6,6 +6,7 @@ import textwrap
 
 import pytest
 
+from mbm import NumeralOutOfBounds
 from mbm.rational import ONE, ZERO, Rational as Q, rational
 
 
@@ -29,6 +30,16 @@ def test_rational_coercion_rejects_floats_and_junk():
         rational("1/0")
     with pytest.raises(TypeError):
         rational(None)
+
+
+def test_numeral_bounds():
+    assert rational("9" * 1000) == Q(10**1000 - 1)
+    assert rational("1e1000") == Q(10**1000)
+    assert rational(" 2.5E-1000 ") == Q(5, 2 * 10**1000)
+    for text in ("9" * 1001, "1e1001", "1e-1001", "2.5E+5000", "1e-1_001"):
+        with pytest.raises(NumeralOutOfBounds):
+            rational(text)
+    assert issubclass(NumeralOutOfBounds, ValueError)
 
 
 def test_canonical_form():

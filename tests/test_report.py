@@ -27,6 +27,15 @@ def test_rational_str_is_fraction_not_decimal():
     assert rational_str(Q(-5, 10)) == "-1/2"
 
 
+def test_rational_str_past_the_int_string_limit():
+    # str() refuses integers of more than 4,300 digits by default
+    big = 10**5000 + 1
+    assert rational_str(Q(-big, 3)) == "-1" + "0" * 4999 + "1/3"
+    assert rational_str(Q(big)) == "1" + "0" * 4999 + "1"
+    assert rational_str(Q(3, big)) == "3/1" + "0" * 4999 + "1"
+    assert decimal_approx(Q(big, 3)) == "3.3333333333333333333E+4999"
+
+
 def test_decimal_approx_20_significant_digits():
     assert decimal_approx(Q(1, 3)) == "0.33333333333333333333"
     assert decimal_approx(Q(0)) == "0"
