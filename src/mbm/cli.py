@@ -15,7 +15,13 @@ import os
 import sys
 
 from .captable import parse_captable, to_instance
-from .errors import DegenerateBuyerMass, MbmError, SearchBudgetExceeded
+from .errors import (
+    DegenerateBuyerMass,
+    InvalidArgument,
+    MbmError,
+    ParseError,
+    SearchBudgetExceeded,
+)
 from .properties import (
     CORRUPTION_KINDS,
     DEFAULT_SEARCH_BUDGET,
@@ -38,20 +44,27 @@ EXIT_DEGENERATE = 3
 EXIT_BUDGET = 4
 
 
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise InvalidArgument(str(exc)) from exc
+
+
 def _resolve_seed(value: int | None) -> int | None:
     if value is not None:
         return value
     env = os.environ.get("MBM_SEED")
-    return int(env) if env else None
+    return _parse_int(env) if env else None
 
 
 def _parse_range(text: str) -> tuple:
     lo, sep, hi = text.partition("..")
     if not sep:
-        raise ValueError(f"expected A..B, got {text!r}")
-    lo, hi = int(lo), int(hi)
+        raise InvalidArgument(f"expected A..B, got {text!r}")
+    lo, hi = _parse_int(lo), _parse_int(hi)
     if lo > hi:
-        raise ValueError(f"empty range {text!r}")
+        raise InvalidArgument(f"empty range {text!r}")
     return (lo, hi)
 
 
@@ -63,7 +76,7 @@ def _parse_int_list(text: str) -> list:
             lo, hi = _parse_range(token)
             values.extend(range(lo, hi + 1))
         else:
-            values.append(int(token))
+            values.append(_parse_int(token))
     return values
 
 
@@ -77,7 +90,11 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def cmd_run(args) -> int:
     with open(args.captable, "r", encoding="utf-8") as fh:
-        records = parse_captable(fh, normalize=args.normalize)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(str(exc)) from exc
+    records = parse_captable(text, normalize=args.normalize)
     initial, profile, config = to_instance(records, m_bar=args.mbar)
     seed = _resolve_seed(args.seed)
     mode = "realized" if (seed is not None and not args.expected) else "expected"
@@ -274,7 +291,7 @@ def main(argv=None) -> int:
     except SearchBudgetExceeded as exc:
         print(f"search budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (MbmError, ValueError, OSError) as exc:
+    except (MbmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -226,19 +226,17 @@ def _reject_ties(indexed) -> None:
         raise DuplicateBids(pairs)
 
 
-def _bid_order(bids: tuple) -> tuple:
-    """(order, w, E): agents by bid descending, with bid i = w[i] / E.
+def _bid_order(w) -> tuple:
+    """Agents by integer bid w descending.
 
-    Ranks on the integers w. Raises InvalidConfig below 3 bids and
-    DuplicateBids on any tie.
+    Raises InvalidConfig below 3 bids and DuplicateBids on any tie.
     """
-    n = len(bids)
+    n = len(w)
     if n < 3:
         raise InvalidConfig(f"need at least 3 bids, got {n}")
-    w, e = _over_lcm(bids)
     if len(set(w)) != n:
         _reject_ties(enumerate(w))
-    return tuple(sorted(range(n), key=w.__getitem__, reverse=True)), w, e
+    return tuple(sorted(range(n), key=w.__getitem__, reverse=True))
 
 
 def _ranking(order: tuple) -> Ranking:
@@ -250,7 +248,7 @@ def _ranking(order: tuple) -> Ranking:
 
 def rank_bids(profile: BidProfile) -> Ranking:
     """Rank agents by bid, descending; reject ties with DuplicateBids."""
-    return _ranking(_bid_order(profile.bids)[0])
+    return _ranking(_bid_order(_over_lcm(profile.bids)[0]))
 
 
 def threshold_price(profile: BidProfile, config: MbmConfig) -> Rational:
@@ -275,11 +273,18 @@ def branch_probabilities(
     return (Rational(high, d), Rational(d - high, d))
 
 
-def _check_buyer_mass(mass, m: int) -> None:
-    if mass == 0:
-        raise DegenerateBuyerMass(
-            f"all {m} prospective buyers hold zero initial shares"
-        )
+def _buyer_masses(order: tuple, a, m_bar: int) -> tuple:
+    """(H, L): the initial share numerators of the top m_bar and m_bar - 1 bidders.
+
+    Raises DegenerateBuyerMass for a branch whose buyers hold nothing, the
+    high branch first.
+    """
+    high = sum(map(a.__getitem__, order[:m_bar]))
+    low = high - a[order[m_bar - 1]]
+    if high == 0 or low == 0:
+        m = m_bar if high == 0 else m_bar - 1
+        raise DegenerateBuyerMass(f"all {m} prospective buyers hold zero initial shares")
+    return high, low
 
 
 def apply_branch(
@@ -306,6 +311,13 @@ def apply_branch(
     return expected.high_branch if m == config.m_bar else expected.low_branch
 
 
+def _share_numerators(initial: Allocation, profile: BidProfile, config: MbmConfig) -> tuple:
+    """(a, d) with share i = a[i] / d, once the sizes (allocation first) and the simplex check out."""
+    _check_sizes(initial.n, config, "allocation")
+    _check_sizes(profile.n, config, "bid profile")
+    return _simplex_numerators(initial.shares)
+
+
 def _branch_kernel(initial: Allocation, profile: BidProfile, config: MbmConfig) -> tuple:
     """Check one instance and compute both branches' integer numerators.
 
@@ -317,15 +329,11 @@ def _branch_kernel(initial: Allocation, profile: BidProfile, config: MbmConfig) 
     DuplicateBids on a tie, and DegenerateBuyerMass for a branch whose
     buyers hold nothing (high branch first).
     """
-    _check_sizes(initial.n, config, "allocation")
-    _check_sizes(profile.n, config, "bid profile")
-    a, d = _simplex_numerators(initial.shares)
-    order, w, e = _bid_order(profile.bids)
+    a, d = _share_numerators(initial, profile, config)
+    w, e = _over_lcm(profile.bids)
+    order = _bid_order(w)
     m_bar = config.m_bar
-    high = sum(map(a.__getitem__, order[:m_bar]))
-    low = high - a[order[m_bar - 1]]
-    _check_buyer_mass(high, m_bar)
-    _check_buyer_mass(low, m_bar - 1)
+    high, low = _buyer_masses(order, a, m_bar)
     return order, a, d, w, e, ((m_bar, high, high), (m_bar - 1, low, d - high))
 
 
@@ -379,6 +387,34 @@ def run_expected(
 _run_expected = run_expected
 
 
+def _utility_ratios(a, d: int, m_bar: int, w, values, agents) -> list:
+    """Each of ``agents``' expected adjusted utility times d * e, as (numerator, denominator).
+
+    Shares are a[i] / d, and bids w and true values are integers over one
+    common denominator e. With the price u = w of the agent ranked m_bar and
+    the buyer masses H (high branch) and L (low): the threshold agent gets
+    0, an agent bidding above u (a buyer in both branches)
+    a_j (d - H)(v_j - u) / L, and one bidding below u (a seller in both)
+    a_j (u - v_j) / 1. Initial money cancels out of every utility change.
+    Raises what ``run_expected`` raises once the shares check out, in the
+    same order: InvalidConfig below 3 bids, DuplicateBids on a tie, then
+    DegenerateBuyerMass (high branch first).
+    """
+    order = _bid_order(w)
+    high, low = _buyer_masses(order, a, m_bar)
+    u = w[order[m_bar - 1]]
+    rest = d - high
+    out = []
+    for j in agents:
+        if w[j] > u:
+            out.append((a[j] * rest * (values[j] - u), low))
+        elif w[j] < u:
+            out.append((a[j] * (u - values[j]), 1))
+        else:
+            out.append((0, 1))
+    return out
+
+
 def expected_adjusted_utilities(
     initial: Allocation, profile: BidProfile, config: MbmConfig, valuations: BidProfile
 ) -> tuple:
@@ -386,28 +422,16 @@ def expected_adjusted_utilities(
 
     Equals ``expected_adjusted_utility(initial, run_expected(initial,
     profile, config), valuations, j)`` for every agent j, and raises what
-    ``run_expected`` raises, but builds no outcome.
-    With price u / e, value p / q, buyer masses H (high branch) and L (low)
-    over d: the threshold agent gets 0, an agent ranked above m_bar (a
-    buyer in both branches) a_j (d - H)(p e - u q) / (d L q e), and one
-    ranked below m_bar (a seller in both) -a_j (p e - u q) / (d q e).
-    Initial money cancels out of every utility change.
+    ``run_expected`` raises, but builds no outcome: bids and valuations go
+    over one common denominator e, and ``_utility_ratios`` gives each
+    agent's utility times d * e.
     """
-    order, a, d, w, e, ((m_bar, high, _), (_, low, _)) = _branch_kernel(
-        initial, profile, config
-    )
-    u = w[order[m_bar - 1]]
-    out = [ZERO] * len(order)
-    for pos, j in enumerate(order):
-        if pos == m_bar - 1:
-            continue
-        p, q = as_ratio(valuations.bids[j])
-        gain = a[j] * (p * e - u * q)
-        if pos < m_bar:
-            out[j] = Rational(gain * (d - high), d * low * q * e)
-        else:
-            out[j] = Rational(-gain, d * q * e)
-    return tuple(out)
+    a, d = _share_numerators(initial, profile, config)
+    n = profile.n
+    scaled, e = _over_lcm(profile.bids + valuations.bids)
+    w = scaled[:n]
+    ratios = _utility_ratios(a, d, config.m_bar, w, scaled[n:], range(n))
+    return tuple(Rational(num, d * e * den) for num, den in ratios)
 
 
 def draw_branch(expected: ExpectedOutcome, seed: SeedLike) -> MechanismOutcome:

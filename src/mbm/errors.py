@@ -87,6 +87,14 @@ class NumeralOutOfBounds(MbmError, ValueError):
     """
 
 
+class InvalidNumeral(MbmError, ValueError):
+    """Text that is not a rational literal in fraction, integer or decimal notation."""
+
+
+class InvalidArgument(MbmError):
+    """A command-line value, or MBM_SEED, that does not parse."""
+
+
 class SharesDontSumToOne(MbmError):
     """Cap-table shares must total exactly 1 (pass normalize to rescale)."""
 

@@ -19,7 +19,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from operator import attrgetter
 
-from .errors import NumeralOutOfBounds
+from .errors import InvalidNumeral, NumeralOutOfBounds
 
 try:
     from gmpy2 import mpq as Rational
@@ -49,7 +49,8 @@ def rational(value) -> Rational:
     ("3/10"), integer ("5"), or decimal ("0.3", "2.5e-3") notation; decimal
     text converts exactly via powers of ten. Floats raise TypeError. Text
     longer than ``MAX_NUMERAL_CHARS`` or with a decimal exponent beyond
-    ``MAX_EXPONENT`` raises NumeralOutOfBounds, a ValueError.
+    ``MAX_EXPONENT`` raises NumeralOutOfBounds, and other text that is
+    not a rational literal InvalidNumeral; both are ValueErrors.
     """
     if isinstance(value, float):
         raise TypeError(
@@ -69,7 +70,7 @@ def rational(value) -> Rational:
         try:
             parsed = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational literal: {value!r}") from exc
+            raise InvalidNumeral(f"not a rational literal: {value!r}") from exc
         return Rational(parsed.numerator, parsed.denominator)
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 
 from mbm import __version__, expected_adjusted_utilities, run_expected
+from mbm import cli
 from mbm.cli import main
 from mbm.rational import BACKEND, rational, rational_str
 from strategies import instances
@@ -21,6 +22,7 @@ from strategies import instances
 DATA = os.path.join(os.path.dirname(__file__), "data")
 WORKED = os.path.join(DATA, "worked.csv")
 GOLDEN = os.path.join(DATA, "golden_run_expected.json")
+GOLDEN_VERIFY = os.path.join(DATA, "golden_verify.json")
 
 
 def run_cli(capsys, *argv):
@@ -262,11 +264,20 @@ def test_run_shares_off_simplex_exit_2(capsys, tmp_path):
          "error: row 2, column 2: exponent -5000 outside -1000..1000"),
         ("a,1/2,10\nb,3/10," + "9" * 1001 + "\nc,1/5,2\n", ["run", "--mbar", "2"],
          "error: row 3, column 3: numeral longer than 1000 characters"),
+        (None, ["verify", "--suite", "budget", "--n-range", "3..x"],
+         "error: invalid literal for int() with base 10: 'x'"),
+        (None, ["verify", "--suite", "budget", "--n-range", "3-5"],
+         "error: expected A..B, got '3-5'"),
+        (None, ["welfare", "--n-list", "4,five", "--alpha-list", "all"],
+         "error: invalid literal for int() with base 10: 'five'"),
+        (None, ["welfare", "--n-list", "4", "--alpha-list", "1/0"],
+         "error: not a rational literal: '1/0'"),
     ],
     ids=[
         "malformed-cell", "duplicate-id", "tied-bids", "empty-n-range",
         "n-range-below-3", "n-range-below-3-few-instances", "numeral-exponent",
-        "numeral-length",
+        "numeral-length", "n-range-not-int", "n-range-no-dots", "n-list-not-int",
+        "alpha-not-rational",
     ],
 )
 def test_validation_errors_exit_2(capsys, tmp_path, rows, argv, message):
@@ -275,6 +286,29 @@ def test_validation_errors_exit_2(capsys, tmp_path, rows, argv, message):
         path.write_text("agent_id,share,bid\n" + rows, encoding="utf-8")
         argv = argv + ["--captable", str(path)]
     assert run_cli(capsys, *argv) == (2, "", message + "\n")
+
+
+def test_bad_seed_variable_and_undecodable_table_exit_2(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"agent_id,share,bid\na,1/2,10\nb,3/10,5\nc,1/5,\xff\n")
+    assert run_cli(capsys, "run", "--captable", str(path), "--mbar", "2") == (
+        2, "", "error: 'utf-8' codec can't decode byte 0xff in position 43: "
+        "invalid start byte\n",
+    )
+    monkeypatch.setenv("MBM_SEED", "abc")
+    assert run_cli(capsys, "verify", "--suite", "budget", "--instances", "2") == (
+        2, "", "error: invalid literal for int() with base 10: 'abc'\n"
+    )
+
+
+def test_internal_value_error_is_not_a_validation_error(capsys, monkeypatch):
+    # a bug inside a command must surface, not exit 2 as if the input were bad
+    def broken(*args):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(cli, "welfare_sweep", broken)
+    with pytest.raises(ValueError, match="internal"):
+        main(["welfare", "--n-list", "4", "--alpha-list", "all"])
 
 
 def test_run_writes_output_file(tmp_path, capsys):
@@ -321,6 +355,19 @@ def test_verify_injected_defect_exits_1(capsys):
     assert any(not v["holds"] for v in verdicts)
     assert any(v["witness"] for v in verdicts)
     assert "violation" in err
+
+
+def test_verify_deviation_suites_match_golden_output(capsys):
+    # exit code, stdout and stderr of the sp and group-sp suites, frozen from
+    # the searches that ran every case on rationals: the integer searches must
+    # keep every verdict, cases count and witness byte for byte
+    with open(GOLDEN_VERIFY, "r", encoding="utf-8") as fh:
+        golden = json.load(fh)
+    assert {"sp", "group-sp"} == {case["argv"][2] for case in golden}
+    for case in golden:
+        assert run_cli(capsys, *case["argv"]) == (
+            case["exit"], case["stdout"], case["stderr"]
+        ), case["argv"]
 
 
 def test_verify_explicit_group_suite_holds_within_budget(capsys):

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from mbm import (
     Allocation,
     BidProfile,
+    DegenerateBuyerMass,
     ExpectedOutcome,
     MbmConfig,
+    MbmError,
     SearchBudgetExceeded,
     check_budget_balance,
     check_individual_rationality,
@@ -445,25 +447,66 @@ def reference_engine(initial, profile, config):
     return run_expected(initial, profile, config)
 
 
+def verdict(check, *args, **kwargs):
+    """The oracle's report, or the type and message of the error it raised."""
+    try:
+        return check(*args, **kwargs)
+    except MbmError as exc:
+        return type(exc), str(exc)
+
+
+# two zero-share agents: some deviation puts them on top, and the search
+# raises DegenerateBuyerMass partway through
+ZERO_STAKE_INSTANCES = [
+    (Allocation.from_shares(shares), BidProfile((Q(8), Q(6), Q(4), Q(2))), MbmConfig(4, m_bar))
+    for shares in (
+        (Q(1, 2), ZERO, ZERO, Q(1, 2)),
+        (Q(1, 2), Q(1, 2), ZERO, ZERO),
+        (ZERO, Q(1, 3), ZERO, Q(2, 3)),
+    )
+    for m_bar in (2, 3)
+]
+
+
 def test_sp_verdicts_equal_on_readout_and_reference_paths():
     rng = random.Random(41)
-    for initial, profile, config in generate_suite(40, seed=43, n_range=(3, 6)):
+    instances = generate_suite(40, seed=43, n_range=(3, 8)) + [weak_gain_instance()]
+    degenerate = 0
+    for initial, profile, config in instances + ZERO_STAKE_INSTANCES:
         for others in (None, perturbed_profile(profile, rng)):
-            fast = check_strategyproofness(initial, profile, config, others_profile=others)
-            slow = check_strategyproofness(
-                initial, profile, config, others_profile=others, engine=reference_engine
+            fast = verdict(
+                check_strategyproofness, initial, profile, config, others_profile=others
+            )
+            slow = verdict(
+                check_strategyproofness,
+                initial,
+                profile,
+                config,
+                others_profile=others,
+                engine=reference_engine,
             )
             assert fast == slow
+            degenerate += isinstance(fast, tuple) and fast[0] is DegenerateBuyerMass
+    assert degenerate == 10  # five of the six zero-stake instances, both others
 
 
 def test_group_sp_verdicts_equal_on_readout_and_reference_paths():
-    instances = generate_suite(6, seed=47, n_range=(3, 4)) + [weak_gain_instance()]
-    for initial, profile, config in instances:
-        fast = check_weak_group_strategyproofness(initial, profile, config)
-        slow = check_weak_group_strategyproofness(
-            initial, profile, config, engine=reference_engine
+    # n = 5 is compared with frozen output in test_cli: there the reference
+    # path needs about 25 s per instance (Python 3.11, fractions backend)
+    instances = generate_suite(30, seed=47, n_range=(3, 4)) + [weak_gain_instance()]
+    degenerate = 0
+    for initial, profile, config in instances + ZERO_STAKE_INSTANCES:
+        fast = verdict(check_weak_group_strategyproofness, initial, profile, config)
+        slow = verdict(
+            check_weak_group_strategyproofness,
+            initial,
+            profile,
+            config,
+            engine=reference_engine,
         )
         assert fast == slow
+        degenerate += isinstance(fast, tuple) and fast[0] is DegenerateBuyerMass
+    assert degenerate == len(ZERO_STAKE_INSTANCES)
 
 
 # the suites that catch each injected defect on one small seeded batch
