@@ -47,7 +47,8 @@ def _cell_rational(text: str, row: int, column: int) -> Rational:
 def parse_captable(source, normalize: bool = False) -> list:
     """Parse cap-table text (a string or a readable) into records.
 
-    Raises ParseError with 1-based row/column on malformed cells,
+    Raises ParseError with 1-based row/column on malformed cells (with the
+    row alone on text the csv reader refuses, such as an oversized field),
     DuplicateAgentId on repeated labels, and SharesDontSumToOne when the
     share column is off the simplex and ``normalize`` is false.
     """
@@ -56,7 +57,10 @@ def parse_captable(source, normalize: bool = False) -> list:
     # spreadsheet "CSV UTF-8" exports start with a byte-order mark
     source = source.removeprefix("\ufeff")
     reader = csv.reader(io.StringIO(source))
-    rows = [[cell.strip() for cell in row] for row in reader if row]
+    try:
+        rows = [[cell.strip() for cell in row] for row in reader if row]
+    except csv.Error as exc:  # a field past csv's size limit, say
+        raise ParseError(str(exc), row=reader.line_num) from exc
     if not rows:
         raise ParseError("empty cap table", row=1)
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .core import Allocation, BidProfile, MbmConfig
 from .errors import InvalidConfig, SpecInvalid
 from .rational import ONE, Rational
+from .welfare import _equal_shares_allocation, uniform_grid_valuations
 
 SHARE_MODELS = ("equal", "random", "tiny-top")
 VALUATION_MODELS = ("uniform-grid", "random")
@@ -37,17 +38,9 @@ class InstanceSpec:
     seed: int = 0
 
 
-def _uniform_grid_bids(n: int) -> tuple:
-    return tuple(Rational(n - i, n) for i in range(n))
-
-
 def _random_bids(n: int, rng: random.Random) -> tuple:
     numerators = rng.sample(range(1, 16 * _BID_GRAIN + 1), n)
     return tuple(Rational(k, _BID_GRAIN) for k in numerators)
-
-
-def _equal_shares(n: int) -> tuple:
-    return (Rational(1, n),) * n
 
 
 def _random_shares(n: int, rng: random.Random) -> tuple:
@@ -80,12 +73,12 @@ def generate(spec: InstanceSpec):
 
     rng = random.Random(spec.seed)
     if spec.valuation_model == "uniform-grid":
-        bids = _uniform_grid_bids(spec.n)
+        bids = uniform_grid_valuations(spec.n).bids
     else:
         bids = _random_bids(spec.n, rng)
 
     if spec.share_model == "equal":
-        shares = _equal_shares(spec.n)
+        shares = _equal_shares_allocation(spec.n).shares
     elif spec.share_model == "random":
         shares = _random_shares(spec.n, rng)
     else:

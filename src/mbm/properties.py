@@ -18,21 +18,21 @@ and the tests re-check verdicts on a 10x refined grid of their own.
 Every oracle accepts an ``engine`` hook (defaulting to the real mechanism)
 so deliberately corrupted variants can be run through the same verdict
 logic as negative controls; see ``corrupted_engine``. The two deviation
-searches evaluate one profile per case and need only expected utilities.
-With the real mechanism they run on integers built once per instance: the
-share numerators from one ``_simplex_numerators`` call, and every bid that
-can occur (valuations, the others' bids, the grid candidates) over one
-common denominator -- per instance for the coalition search, per deviating
-agent for the single-agent one. A case is then an integer bid list, and
-``core._utility_ratios``, the code ``expected_adjusted_utilities`` also
-reads, gives each member's utility as an integer numerator and
-denominator, compared with the truthful one by cross-multiplication. It
-ranks the bids and checks the buyer masses as ``run_expected`` does, so a
-degenerate case raises there too. A BidProfile and rationals are built
-only for a violation's witness. Any other engine, including a wrapper
-around the real one, takes the reference path: one validated profile per
-case, its outcome, then ``expected_adjusted_utility`` per agent. Both
-paths give equal reports, cases and witnesses included.
+searches are one loop each, for every engine. An instance is set up once:
+the share numerators a / d from one ``_simplex_numerators`` call, and every
+bid that can occur (valuations, the others' bids, the grid candidates) as
+an integer over one common denominator e -- per instance for the coalition
+search, per deviating agent for the single-agent one. A case is then an
+integer bid list, and the engine enters only through the instance's scorer
+(``_scorer``), which gives each member's utility times d * e as an integer
+ratio, compared with the truthful one by cross-multiplication. For the real
+mechanism the scorer is ``core._utility_ratios``, the formula
+``expected_adjusted_utilities`` also reads; it ranks the bids and checks
+the buyer masses as ``run_expected`` does, so a degenerate case raises
+there too. Any other engine, including a wrapper around the real one, is
+scored on the profile the integers stand for, through
+``expected_adjusted_utility`` per member. With the real mechanism, a
+BidProfile and rationals are built only for a violation's witness.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .core import (
     run_expected,
 )
 from .errors import SearchBudgetExceeded
-from .rational import ONE, ZERO, Rational, rational_str
+from .rational import ONE, ZERO, Rational, as_ratio, rational_str
 
 DEFAULT_SEARCH_BUDGET = 10**6
 
@@ -141,17 +141,35 @@ def describe_instance(
     return f"n={config.n} m_bar={config.m_bar} shares=[{shares}] bids=[{bids}]"
 
 
-def _utilities(engine, initial, profile, config, valuations, agents):
-    """The expected adjusted utilities of ``agents`` when ``engine`` runs ``profile``.
+def _scorer(engine, initial, valuations, config, a, d):
+    """The instance's ``score(w, e, values, agents)``, the searches' one engine seam.
 
-    The reference path: the engine's outcome goes through the reference
-    definition, one agent at a time as the caller consumes them. The
-    deviation searches take it for every engine but the real one, which
-    they evaluate on the instance's integers instead (``_sp_on_integers``,
-    ``_joint_gain_on_integers``).
+    Bids w and true values are integers over one common denominator e, and
+    shares are a[i] / d. The score yields each of ``agents``' expected
+    adjusted utility times d * e as (numerator, denominator), denominator
+    positive. The real engine is scored by ``_utility_ratios``; any other
+    runs the profile the integers stand for, and its outcome is read
+    through ``expected_adjusted_utility`` against ``valuations``, one agent
+    at a time as the caller consumes them.
     """
-    expected = engine(initial, profile, config)
-    return (expected_adjusted_utility(initial, expected, valuations, j) for j in agents)
+    if engine is run_expected:
+        m_bar = config.m_bar
+        return lambda w, e, values, agents: _utility_ratios(a, d, m_bar, w, values, agents)
+    memo = {}  # (x, e) -> x / e: the searches repeat a few bids many times
+
+    def score(w, e, values, agents):
+        bids = []
+        for x in w:
+            b = memo.get((x, e))
+            if b is None:
+                b = memo[x, e] = Rational(x, e)
+            bids.append(b)
+        expected = engine(initial, BidProfile(tuple(bids)), config)
+        scale = d * e
+        for j in agents:
+            yield as_ratio(expected_adjusted_utility(initial, expected, valuations, j) * scale)
+
+    return score
 
 
 def check_budget_balance(
@@ -295,69 +313,40 @@ def check_strategyproofness(
     if others_profile is None:
         others_profile = valuations
     instance = describe_instance(initial, others_profile, config)
-    if engine is run_expected:
-        search = _sp_on_integers(initial, valuations, config, others_profile)
-    else:
-        search = _sp_on_outcomes(engine, initial, valuations, config, others_profile)
-    cases = 0
-    for agent, cand, gain in search:
-        cases += 1
-        if gain is not None:
-            return _violation(
-                name,
-                instance,
-                cases,
-                f"agent {agent} (value {valuations.bids[agent]}) gains "
-                f"{gain} by bidding {cand}",
-                agent=agent,
-                bids=others_profile.replace_bid(agent, cand).bids,
-                utility_delta=gain,
-            )
-    return PropertyReport(name, instance, holds=True, cases=cases)
-
-
-def _sp_on_outcomes(engine, initial, valuations, config, others):
-    """(agent, candidate, gain) per case of the sp search, on ``engine``'s outcomes.
-
-    ``gain`` is the deviation's utility less the truthful one when that is
-    positive, else None.
-    """
-    for agent in range(config.n):
-        truthful = others.replace_bid(agent, valuations.bids[agent])
-        (truthful_eu,) = _utilities(
-            engine, initial, truthful, config, valuations, (agent,)
-        )
-        for cand in deviation_grid(others, agent).candidates:
-            deviant = others.replace_bid(agent, cand)
-            (eu,) = _utilities(engine, initial, deviant, config, valuations, (agent,))
-            yield agent, cand, eu - truthful_eu if eu > truthful_eu else None
-
-
-def _sp_on_integers(initial, valuations, config, others):
-    """``_sp_on_outcomes`` for the real engine, on the instance's integers.
-
-    Per deviating agent, the others' bids, the valuations and her grid go
-    over one common denominator; a case is then an integer bid list and
-    ``_utility_ratios``, compared with the truthful ratio by
-    cross-multiplication. Only a positive gain becomes a rational.
-    """
-    n, m_bar = config.n, config.m_bar
-    a, d = _share_numerators(initial, others, config)
-    fixed = others.bids + valuations.bids
+    n = config.n
+    a, d = _share_numerators(initial, others_profile, config)
+    score = _scorer(engine, initial, valuations, config, a, d)
+    # the truthful run goes first, on the fixed bids' own denominator, so its
+    # errors come before the grid's
+    fixed = others_profile.bids + valuations.bids
     base, base_e = _over_lcm(fixed)
+    cases = 0
     for agent in range(n):
         w = base[:n]
         w[agent] = base[n + agent]
-        ((t_num, t_den),) = _utility_ratios(a, d, m_bar, w, base[n:], (agent,))
-        grid = deviation_grid(others, agent).candidates
+        ((t_num, t_den),) = score(w, base_e, base[n:], (agent,))
+        grid = deviation_grid(others_profile, agent).candidates
         scaled, e = _over_lcm(fixed + grid)
         w, values = scaled[:n], scaled[n : 2 * n]
         t_num *= e // base_e
         for cand, bid in zip(grid, scaled[2 * n :]):
+            cases += 1
             w[agent] = bid
-            ((num, den),) = _utility_ratios(a, d, m_bar, w, values, (agent,))
+            ((num, den),) = score(w, e, values, (agent,))
             gain = num * t_den - t_num * den
-            yield agent, cand, Rational(gain, d * e * den * t_den) if gain > 0 else None
+            if gain > 0:
+                gain = Rational(gain, d * e * den * t_den)
+                return _violation(
+                    name,
+                    instance,
+                    cases,
+                    f"agent {agent} (value {valuations.bids[agent]}) gains "
+                    f"{gain} by bidding {cand}",
+                    agent=agent,
+                    bids=others_profile.replace_bid(agent, cand).bids,
+                    utility_delta=gain,
+                )
+    return PropertyReport(name, instance, holds=True, cases=cases)
 
 
 def check_weak_group_strategyproofness(
@@ -383,14 +372,10 @@ def check_weak_group_strategyproofness(
     name = "weak-group-strategyproofness"
     instance = describe_instance(initial, valuations, config)
     n = config.n
-    if engine is run_expected:
-        a, d = _share_numerators(initial, valuations, config)
-        base, base_e = _over_lcm(valuations.bids)
-        truthful = _utility_ratios(a, d, config.m_bar, base, base, range(n))
-    else:
-        truthful = tuple(
-            _utilities(engine, initial, valuations, config, valuations, range(n))
-        )
+    a, d = _share_numerators(initial, valuations, config)
+    score = _scorer(engine, initial, valuations, config, a, d)
+    base, base_e = _over_lcm(valuations.bids)
+    truthful = list(score(base, base_e, base, range(n)))
     grids = [deviation_grid(valuations, j).candidates for j in range(n)]
 
     required = math.prod(1 + len(grid) for grid in grids) - 1 - sum(map(len, grids))
@@ -401,10 +386,11 @@ def check_weak_group_strategyproofness(
     values = sorted(set().union(*grids))
     position = {c: k for k, c in enumerate(values)}
     keyed = [tuple(map(position.__getitem__, grid)) for grid in grids]
-    if engine is run_expected:
-        all_gain = _joint_gain_on_integers(a, d, config, valuations, base_e, truthful, values)
-    else:
-        all_gain = _joint_gain_on_outcomes(engine, initial, valuations, config, truthful, values)
+    # the valuations and every candidate over one denominator e
+    scaled, e = _over_lcm(valuations.bids + tuple(values))
+    base, bids = scaled[:n], scaled[n:]
+    up = e // base_e
+    truthful = [(num * up, den) for num, den in truthful]
     coalitions = (c for k in range(2, n + 1) for c in itertools.combinations(range(n), k))
     cases = 0
     for coalition in coalitions:
@@ -412,11 +398,18 @@ def check_weak_group_strategyproofness(
             cases += 1
             if len(set(keys)) < len(keys):
                 continue  # joint ties: outside the mechanism's domain
-            if all_gain(coalition, keys):
+            w = list(base)
+            for j, k in zip(coalition, keys):
+                w[j] = bids[k]
+            for j, (num, den) in zip(coalition, score(w, e, base, coalition)):
+                t_num, t_den = truthful[j]
+                if num * t_den <= t_num * den:
+                    break
+            else:
                 combo = tuple(map(values.__getitem__, keys))
-                bids = list(valuations.bids)
+                deviant = list(valuations.bids)
                 for j, bid in zip(coalition, combo):
-                    bids[j] = bid
+                    deviant[j] = bid
                 return _violation(
                     name,
                     instance,
@@ -424,56 +417,9 @@ def check_weak_group_strategyproofness(
                     f"coalition {coalition} all strictly gain by bidding "
                     f"{tuple(str(b) for b in combo)}",
                     coalition=coalition,
-                    bids=BidProfile(tuple(bids)).bids,
+                    bids=BidProfile(tuple(deviant)).bids,
                 )
     return PropertyReport(name, instance, holds=True, cases=cases)
-
-
-def _joint_gain_on_outcomes(engine, initial, valuations, config, truthful, values):
-    """The test ``all_gain(coalition, keys)``: does every member strictly gain?
-
-    The members bid ``values[k]`` for k in ``keys``, and everyone else bids
-    truthfully. Each joint deviation is a validated profile run through
-    ``engine``; ``truthful`` holds every agent's truthful utility.
-    """
-
-    def all_gain(coalition, keys):
-        bids = list(valuations.bids)
-        for j, k in zip(coalition, keys):
-            bids[j] = values[k]
-        deviant = BidProfile(tuple(bids))
-        gains = _utilities(engine, initial, deviant, config, valuations, coalition)
-        return all(eu > truthful[j] for j, eu in zip(coalition, gains))
-
-    return all_gain
-
-
-def _joint_gain_on_integers(a, d, config, valuations, base_e, truthful, values):
-    """``_joint_gain_on_outcomes`` for the real engine, on the instance's integers.
-
-    The valuations and every candidate go over one common denominator e,
-    and ``truthful`` holds the truthful ``_utility_ratios`` over the
-    valuations' own denominator ``base_e``. A joint deviation is then an
-    integer bid list, compared member by member by cross-multiplication.
-    """
-    n, m_bar = config.n, config.m_bar
-    scaled, e = _over_lcm(valuations.bids + tuple(values))
-    base, bids = scaled[:n], scaled[n:]
-    up = e // base_e
-    truthful = [(num * up, den) for num, den in truthful]
-
-    def all_gain(coalition, keys):
-        w = list(base)
-        for j, k in zip(coalition, keys):
-            w[j] = bids[k]
-        ratios = _utility_ratios(a, d, m_bar, w, base, coalition)
-        for j, (num, den) in zip(coalition, ratios):
-            t_num, t_den = truthful[j]
-            if num * t_den <= t_num * den:
-                return False
-        return True
-
-    return all_gain
 
 
 def check_pp_expost_efficiency(

@@ -264,6 +264,8 @@ def test_run_shares_off_simplex_exit_2(capsys, tmp_path):
          "error: row 2, column 2: exponent -5000 outside -1000..1000"),
         ("a,1/2,10\nb,3/10," + "9" * 1001 + "\nc,1/5,2\n", ["run", "--mbar", "2"],
          "error: row 3, column 3: numeral longer than 1000 characters"),
+        ("a,1/2,10\nb,3/10,5\nc,1/5," + "9" * 140_000 + "\n", ["run", "--mbar", "2"],
+         "error: row 4: field larger than field limit (131072)"),
         (None, ["verify", "--suite", "budget", "--n-range", "3..x"],
          "error: invalid literal for int() with base 10: 'x'"),
         (None, ["verify", "--suite", "budget", "--n-range", "3-5"],
@@ -276,7 +278,7 @@ def test_run_shares_off_simplex_exit_2(capsys, tmp_path):
     ids=[
         "malformed-cell", "duplicate-id", "tied-bids", "empty-n-range",
         "n-range-below-3", "n-range-below-3-few-instances", "numeral-exponent",
-        "numeral-length", "n-range-not-int", "n-range-no-dots", "n-list-not-int",
+        "numeral-length", "field-over-csv-limit", "n-range-not-int", "n-range-no-dots", "n-list-not-int",
         "alpha-not-rational",
     ],
 )
@@ -358,9 +360,9 @@ def test_verify_injected_defect_exits_1(capsys):
 
 
 def test_verify_deviation_suites_match_golden_output(capsys):
-    # exit code, stdout and stderr of the sp and group-sp suites, frozen from
-    # the searches that ran every case on rationals: the integer searches must
-    # keep every verdict, cases count and witness byte for byte
+    # exit code, stdout and stderr of the sp and group-sp suites, on the real
+    # engine and under every injected defect, frozen from earlier versions of
+    # both searches: every verdict, cases count and witness byte for byte
     with open(GOLDEN_VERIFY, "r", encoding="utf-8") as fh:
         golden = json.load(fh)
     assert {"sp", "group-sp"} == {case["argv"][2] for case in golden}

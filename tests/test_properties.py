@@ -532,3 +532,42 @@ def test_each_corruption_kind_is_caught_by_its_suites():
             )
         }
         assert caught == suites, kind
+
+
+def test_deviation_witnesses_replay_through_the_engine():
+    # a witness's bids, run again through the engine that produced them, give
+    # back the reported gain: sp's utility_delta is exactly the deviant
+    # utility less the truthful one, and every coalition member gains
+    instances = generate_suite(6, seed=31, n_range=(3, 4))
+    rng = random.Random(31)
+    replayed = set()
+    for kind in CORRUPTION_KINDS:
+        engine = corrupted_engine(kind)
+        for initial, profile, config in instances:
+
+            def utility(bids, agent):
+                expected = engine(initial, BidProfile(bids), config)
+                return expected_adjusted_utility(initial, expected, profile, agent)
+
+            for others in (profile, perturbed_profile(profile, rng)):
+                report = check_strategyproofness(
+                    initial, profile, config, others_profile=others, engine=engine
+                )
+                if not report.holds:
+                    j = report.witness.agent
+                    truthful = others.replace_bid(j, profile.bids[j]).bids
+                    gain = utility(report.witness.bids, j) - utility(truthful, j)
+                    assert report.witness.utility_delta == gain > 0, kind
+                    replayed.add((kind, "sp"))
+            report = check_weak_group_strategyproofness(
+                initial, profile, config, engine=engine
+            )
+            if not report.holds:
+                for j in report.witness.coalition:
+                    assert utility(report.witness.bids, j) > utility(profile.bids, j), kind
+                replayed.add((kind, "group-sp"))
+    assert replayed == {
+        (kind, suite)
+        for kind, suites in CAUGHT_BY.items()
+        for suite in suites & {"sp", "group-sp"}
+    }
