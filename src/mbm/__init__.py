@@ -15,16 +15,12 @@ from .core import (
     ExpectedOutcome,
     MbmConfig,
     MechanismOutcome,
-    Ranking,
     adjusted_utility,
-    apply_branch,
-    branch_probabilities,
     expected_adjusted_utilities,
     expected_adjusted_utility,
     rank_bids,
     realize,
     run_expected,
-    threshold_price,
 )
 from .errors import (
     DegenerateBuyerMass,
@@ -35,7 +31,6 @@ from .errors import (
     InvalidArgument,
     InvalidConfig,
     InvalidNumeral,
-    InvalidOwnerCount,
     MbmError,
     NumeralOutOfBounds,
     ParseError,
@@ -92,14 +87,12 @@ __all__ = [
     "InvalidArgument",
     "InvalidConfig",
     "InvalidNumeral",
-    "InvalidOwnerCount",
     "MbmConfig",
     "MbmError",
     "MechanismOutcome",
     "NumeralOutOfBounds",
     "ParseError",
     "PropertyReport",
-    "Ranking",
     "Rational",
     "SearchBudgetExceeded",
     "SharesDontSumToOne",
@@ -108,8 +101,6 @@ __all__ = [
     "WelfareReport",
     "Witness",
     "adjusted_utility",
-    "apply_branch",
-    "branch_probabilities",
     "check_budget_balance",
     "check_individual_rationality",
     "check_pp_expost_efficiency",
@@ -132,7 +123,6 @@ __all__ = [
     "run_expected",
     "social_welfare",
     "sweep_point",
-    "threshold_price",
     "to_instance",
     "uniform_grid_limit",
     "uniform_grid_prefix_sums",

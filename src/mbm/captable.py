@@ -58,44 +58,47 @@ def parse_captable(source, normalize: bool = False) -> list:
     source = source.removeprefix("\ufeff")
     reader = csv.reader(io.StringIO(source))
     try:
-        rows = [[cell.strip() for cell in row] for row in reader if row]
+        # each kept row with its physical line, so blank lines keep the count
+        rows = [([cell.strip() for cell in row], reader.line_num) for row in reader if row]
     except csv.Error as exc:  # a field past csv's size limit, say
         raise ParseError(str(exc), row=reader.line_num) from exc
     if not rows:
         raise ParseError("empty cap table", row=1)
 
-    header = tuple(cell.lower() for cell in rows[0])
+    (header_cells, header_line), *body = rows
+    header = tuple(cell.lower() for cell in header_cells)
     if header not in _HEADERS:
         raise ParseError(
-            f"header must be 'agent_id,share[,bid]', got {','.join(rows[0])!r}", row=1
+            f"header must be 'agent_id,share[,bid]', got {','.join(header_cells)!r}",
+            row=header_line,
         )
     has_bids = len(header) == 3
 
     records = []
     seen_ids = set()
-    for offset, row in enumerate(rows[1:], start=2):
+    for row, line in body:
         if len(row) != len(header):
             raise ParseError(
-                f"expected {len(header)} fields, got {len(row)}", row=offset
+                f"expected {len(header)} fields, got {len(row)}", row=line
             )
         agent_id = row[0]
         if not agent_id:
-            raise ParseError("empty agent_id", row=offset, column=1)
+            raise ParseError("empty agent_id", row=line, column=1)
         if agent_id in seen_ids:
             raise DuplicateAgentId(f"agent_id {agent_id!r} appears more than once")
         seen_ids.add(agent_id)
-        share = _cell_rational(row[1], row=offset, column=2)
+        share = _cell_rational(row[1], row=line, column=2)
         if share < 0:
-            raise ParseError(f"negative share {share}", row=offset, column=2)
+            raise ParseError(f"negative share {share}", row=line, column=2)
         bid = None
         if has_bids:
-            bid = _cell_rational(row[2], row=offset, column=3)
+            bid = _cell_rational(row[2], row=line, column=3)
             if bid < 0:
-                raise ParseError(f"negative bid {bid}", row=offset, column=3)
+                raise ParseError(f"negative bid {bid}", row=line, column=3)
         records.append(CapTableRecord(agent_id=agent_id, share=share, bid=bid))
 
     if not records:
-        raise ParseError("cap table has a header but no rows", row=2)
+        raise ParseError("cap table has a header but no rows", row=header_line + 1)
 
     total = sum((r.share for r in records), Rational(0))
     if normalize:

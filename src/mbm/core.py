@@ -13,10 +13,11 @@ gains at the asset price; each seller's full stake is cashed out at the
 asset price.
 
 All arithmetic is exact rational arithmetic; there is no rounding anywhere
-in this module. Every outcome comes from one computation, ``run_expected``,
-which works on integer numerators: shares and bids are scaled once per
-instance to integers over their least common denominators, and rationals
-are made only for the returned outcome.
+in this module. ``run_expected`` is the engine's one entry point: it ranks,
+prices, weights the lottery and runs the buyout in one computation on
+integer numerators. Shares and bids are scaled once per instance to
+integers over their least common denominators, and rationals are made only
+for the returned outcome.
 Every type is an immutable value and every operation is a pure function of
 its inputs, so results are safe to share across threads.
 ``draw_branch`` and ``realize`` are the only randomized entry points; each
@@ -31,13 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
-from .errors import (
-    DegenerateBuyerMass,
-    DuplicateBids,
-    InvalidAllocation,
-    InvalidConfig,
-    InvalidOwnerCount,
-)
+from .errors import DegenerateBuyerMass, DuplicateBids, InvalidAllocation, InvalidConfig
 from .rational import ZERO, Rational, as_ratio, rational
 
 _RATIONAL_TYPE = type(ZERO)
@@ -143,22 +138,6 @@ class BidProfile:
 
 
 @dataclass(frozen=True)
-class Ranking:
-    """Descending order of agents by bid.
-
-    ``order[k]`` is the agent holding rank k + 1 (rank 1 = highest bid);
-    ``rank_of[i]`` is agent i's 1-based rank. The two are mutual inverses.
-    """
-
-    order: tuple
-    rank_of: tuple
-
-    def agent_at(self, rank: int) -> int:
-        """Agent holding the given 1-based rank."""
-        return self.order[rank - 1]
-
-
-@dataclass(frozen=True)
 class MbmConfig:
     """Agent count n and threshold owner count m_bar, with n > 2 and 1 < m_bar < n."""
 
@@ -176,13 +155,13 @@ class MbmConfig:
 
 @dataclass(frozen=True)
 class MechanismOutcome:
-    """One realized branch: owner count, price, probability, final state."""
+    """One realized branch: owner count, price, probability, final state, bid order."""
 
     realized_m: int
     price: Rational
     branch_probability: Rational
     final_allocation: Allocation
-    ranking: Ranking
+    order: tuple  # agents by bid, descending: order[k] holds rank k + 1
 
 
 @dataclass(frozen=True)
@@ -239,38 +218,9 @@ def _bid_order(w) -> tuple:
     return tuple(sorted(range(n), key=w.__getitem__, reverse=True))
 
 
-def _ranking(order: tuple) -> Ranking:
-    rank_of = [0] * len(order)
-    for pos, agent in enumerate(order, 1):
-        rank_of[agent] = pos
-    return Ranking(order=order, rank_of=tuple(rank_of))
-
-
-def rank_bids(profile: BidProfile) -> Ranking:
-    """Rank agents by bid, descending; reject ties with DuplicateBids."""
-    return _ranking(_bid_order(_over_lcm(profile.bids)[0]))
-
-
-def threshold_price(profile: BidProfile, config: MbmConfig) -> Rational:
-    """The asset price: the m_bar-th highest bid."""
-    _check_sizes(profile.n, config, "bid profile")
-    ranking = rank_bids(profile)
-    return profile.bids[ranking.agent_at(config.m_bar)]
-
-
-def branch_probabilities(
-    initial: Allocation, ranking: Ranking, config: MbmConfig
-) -> tuple:
-    """(P(m = m_bar), P(m = m_bar - 1)).
-
-    The high branch gets the combined initial share of the m_bar highest
-    bidders -- bidders, not largest shareholders -- and the low branch the
-    rest, so the two sum to exactly 1.
-    """
-    _check_sizes(initial.n, config, "allocation")
-    a, d = _simplex_numerators(initial.shares)
-    high = sum(map(a.__getitem__, ranking.order[: config.m_bar]))
-    return (Rational(high, d), Rational(d - high, d))
+def rank_bids(profile: BidProfile) -> tuple:
+    """Agents by bid, descending; reject ties with DuplicateBids."""
+    return _bid_order(_over_lcm(profile.bids)[0])
 
 
 def _buyer_masses(order: tuple, a, m_bar: int) -> tuple:
@@ -285,30 +235,6 @@ def _buyer_masses(order: tuple, a, m_bar: int) -> tuple:
         m = m_bar if high == 0 else m_bar - 1
         raise DegenerateBuyerMass(f"all {m} prospective buyers hold zero initial shares")
     return high, low
-
-
-def apply_branch(
-    initial: Allocation, profile: BidProfile, config: MbmConfig, m: int
-) -> MechanismOutcome:
-    """One branch of the owner-count lottery: the m-branch of ``run_expected``.
-
-    Buyers (rank <= m) scale their stake by 1 + S_sell/S_buy and pay
-    stake * (S_sell/S_buy) * price; sellers (rank > m) drop to zero shares
-    and collect stake * price. The price is the m_bar-th highest bid in
-    both branches. Payments add to whatever money the initial allocation
-    carries; conservation is a statement about the deltas. Raises what
-    ``run_expected`` raises, so DegenerateBuyerMass if either branch's
-    buyers hold nothing, whichever m is asked for.
-    """
-    _check_sizes(initial.n, config, "allocation")
-    _check_sizes(profile.n, config, "bid profile")
-    if m not in (config.m_bar, config.m_bar - 1):
-        raise InvalidOwnerCount(
-            f"owner count {m} not in {{m_bar - 1, m_bar}} = "
-            f"{{{config.m_bar - 1}, {config.m_bar}}}"
-        )
-    expected = run_expected(initial, profile, config)
-    return expected.high_branch if m == config.m_bar else expected.low_branch
 
 
 def _share_numerators(initial: Allocation, profile: BidProfile, config: MbmConfig) -> tuple:
@@ -345,13 +271,11 @@ def run_expected(
     Computed from ``_branch_kernel``'s integer numerators: a buyer ends with
     a_i / A_B and pays a_i (d - A_B) w_t / (d A_B e), a seller collects
     a_i w_t / (d e), where w_t / e is the price. Rationals are made only
-    for the returned outcome; payments add to the initial money. Rankings
-    are recomputed from the given profile on every call, never reused
-    across profiles.
+    for the returned outcome; payments add to the initial money. Both
+    branches carry the bid order computed on this call.
     """
     order, a, d, w, e, branches = _branch_kernel(initial, profile, config)
     n = len(order)
-    ranking = _ranking(order)
     threshold = order[config.m_bar - 1]
     price = profile.bids[threshold]
     u = w[threshold]
@@ -377,7 +301,7 @@ def run_expected(
                 price=price,
                 branch_probability=Rational(prob, d),
                 final_allocation=Allocation._from_parts(tuple(shares), tuple(money)),
-                ranking=ranking,
+                order=order,
             )
         )
     return ExpectedOutcome(high_branch=outcomes[0], low_branch=outcomes[1])

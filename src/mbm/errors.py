@@ -29,10 +29,6 @@ class InvalidAllocation(MbmError):
     """Allocation violates its structural contract (negative share, off-simplex, length mismatch)."""
 
 
-class InvalidOwnerCount(MbmError):
-    """Realized owner count must be m_bar or m_bar - 1."""
-
-
 class DegenerateBuyerMass(MbmError):
     """Every prospective buyer in the branch holds a zero initial share.
 

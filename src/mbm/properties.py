@@ -66,16 +66,14 @@ class DeviationGrid:
     """Tie-free candidate bids for one deviating agent.
 
     The rule is fixed. Candidates are the midpoint of every gap between
-    consecutive other-bids and the points ``delta`` -- a thousandth of the
-    smallest such gap -- above and below each other-bid, plus half the
-    lowest other-bid when ``delta`` would reach below zero. Negative bids and
-    the other agents' own bids are dropped. Every rank the deviator can
-    attain is reachable through some candidate; a 10x refinement of this
-    grid lives in the tests as a cross-check.
+    consecutive other-bids and the points a thousandth of the smallest such
+    gap above and below each other-bid, plus half the lowest other-bid when
+    that step would reach below zero. Negative bids and the other agents'
+    own bids are dropped. Every rank the deviator can attain is reachable
+    through some candidate; a 10x refinement of this grid lives in the
+    tests as a cross-check.
     """
 
-    agent: int
-    delta: Rational
     candidates: tuple
 
 
@@ -96,7 +94,7 @@ def deviation_grid(profile: BidProfile, agent: int) -> DeviationGrid:
 
     taken = set(others)
     kept = tuple(sorted(c for c in candidates if c >= 0 and c not in taken))
-    return DeviationGrid(agent=agent, delta=delta, candidates=kept)
+    return DeviationGrid(candidates=kept)
 
 
 @dataclass(frozen=True)
@@ -508,7 +506,7 @@ def corrupted_engine(kind: str):
     def engine(initial, profile, config):
         expected = run_expected(initial, profile, config)
         high = expected.high_branch
-        order = high.ranking.order
+        order = high.order
         if kind in ("price-next", "price-dip"):
             bids = profile.bids
             if kind == "price-next":

@@ -240,7 +240,8 @@ def build_run_report(
     In realized mode the branch is drawn from ``expected`` with ``seed``.
     Utilities are taken at face value (bid = value).
     """
-    ranking = expected.high_branch.ranking
+    order = expected.high_branch.order
+    rank_of = {agent: rank for rank, agent in enumerate(order, 1)}
     agent_ids = tuple(r.agent_id for r in records)
 
     if mode == "realized":
@@ -257,7 +258,7 @@ def build_run_report(
             agents.append(
                 AgentBranchLine(
                     agent_id=agent_ids[agent],
-                    rank=ranking.rank_of[agent],
+                    rank=rank_of[agent],
                     bid=profile.bids[agent],
                     initial_share=initial.shares[agent],
                     final_share=final.shares[agent],
@@ -281,7 +282,7 @@ def build_run_report(
         mode=mode,
         seed=seed if mode == "realized" else None,
         agent_ids=agent_ids,
-        ranking_ids=tuple(agent_ids[a] for a in ranking.order),
+        ranking_ids=tuple(agent_ids[a] for a in order),
         price=expected.high_branch.price,
         p_high=expected.high_branch.branch_probability,
         p_low=expected.low_branch.branch_probability,

@@ -32,6 +32,8 @@ GROUP_SP_MAX_N = 4
 def generate_suite(count: int, seed: int, n_range=(3, 8)) -> list:
     """``count`` seeded instances with n drawn from ``n_range``, mixed models."""
     lo, hi = n_range
+    if count < 0:
+        raise InvalidConfig(f"instance count must not be negative, got {count}")
     if lo < 3:
         raise InvalidConfig(f"need more than 2 agents, got n_range {lo}..{hi}")
     rng = random.Random(seed)

@@ -94,7 +94,7 @@ def test_criterion_03_threshold_agent_zero_expected_utility(suite_1000):
         ok = True
         for initial, profile, config in suite_1000:
             expected = run_expected(initial, profile, config)
-            agent = expected.high_branch.ranking.agent_at(config.m_bar)
+            agent = expected.high_branch.order[config.m_bar - 1]
             if expected_adjusted_utility(initial, expected, profile, agent) != 0:
                 ok = False
                 break

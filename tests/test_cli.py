@@ -249,6 +249,10 @@ def test_run_shares_off_simplex_exit_2(capsys, tmp_path):
     [
         ("a,1/2,10\nb,zz,5\nc,1/5,2\n", ["run", "--mbar", "2"],
          "error: row 3, column 2: not a number: 'zz'"),
+        ("\na,1/2,10\n\nb,3/10,zz\nc,1/5,2\n", ["run", "--mbar", "2"],
+         "error: row 5, column 3: not a number: 'zz'"),
+        ("\na,1/2,10\n\nb,3/10,5\nc,1/5\n", ["run", "--mbar", "2"],
+         "error: row 6: expected 3 fields, got 2"),
         ("a,1/2,10\na,3/10,5\nc,1/5,2\n", ["run", "--mbar", "2"],
          "error: agent_id 'a' appears more than once"),
         ("a,1/2,5\nb,3/10,5\nc,1/5,2\n", ["run", "--mbar", "2"],
@@ -259,6 +263,8 @@ def test_run_shares_off_simplex_exit_2(capsys, tmp_path):
          "error: need more than 2 agents, got n_range 2..3"),
         (None, ["verify", "--suite", "budget", "--instances", "3", "--n-range", "2..3"],
          "error: need more than 2 agents, got n_range 2..3"),
+        (None, ["verify", "--suite", "budget", "--instances", "-3"],
+         "error: instance count must not be negative, got -3"),
         ("a,1e-5000,3\nb,1/2,2\nc,1/4,1\n",
          ["run", "--mbar", "2", "--normalize", "--expected", "--format", "json"],
          "error: row 2, column 2: exponent -5000 outside -1000..1000"),
@@ -276,8 +282,9 @@ def test_run_shares_off_simplex_exit_2(capsys, tmp_path):
          "error: not a rational literal: '1/0'"),
     ],
     ids=[
-        "malformed-cell", "duplicate-id", "tied-bids", "empty-n-range",
-        "n-range-below-3", "n-range-below-3-few-instances", "numeral-exponent",
+        "malformed-cell", "malformed-cell-after-blank-lines", "short-row-after-blank-lines",
+        "duplicate-id", "tied-bids", "empty-n-range", "n-range-below-3",
+        "n-range-below-3-few-instances", "negative-instance-count", "numeral-exponent",
         "numeral-length", "field-over-csv-limit", "n-range-not-int", "n-range-no-dots", "n-list-not-int",
         "alpha-not-rational",
     ],

@@ -1,4 +1,4 @@
-"""Core engine: types, ranking, pricing, branches, utilities.
+"""Core engine: types, bid order, ``run_expected``'s branches, utilities.
 
 Expected values for the worked instance are frozen from hand substitution
 into the buyout formulas; the hypothesis tests assert the exact invariants
@@ -19,17 +19,13 @@ from mbm import (
     DuplicateBids,
     InvalidAllocation,
     InvalidConfig,
-    InvalidOwnerCount,
     MbmConfig,
     adjusted_utility,
-    apply_branch,
-    branch_probabilities,
     expected_adjusted_utilities,
     expected_adjusted_utility,
     rank_bids,
     realize,
     run_expected,
-    threshold_price,
 )
 from mbm.instances import perturbed_profile
 from mbm.rational import ONE, ZERO, Rational as Q
@@ -88,19 +84,15 @@ def test_config_bounds():
         MbmConfig(n=4, m_bar=4)
 
 
-# --- ranking and price -------------------------------------------------------
+# --- bid order and price -----------------------------------------------------
 
 
 def test_rank_bids_already_sorted():
-    ranking = rank_bids(BidProfile((Q(10), Q(5), Q(2))))
-    assert ranking.order == (0, 1, 2)
-    assert ranking.rank_of == (1, 2, 3)
+    assert rank_bids(BidProfile((Q(10), Q(5), Q(2)))) == (0, 1, 2)
 
 
 def test_rank_bids_permutation():
-    ranking = rank_bids(BidProfile((Q(2), Q(10), Q(5))))
-    assert ranking.order == (1, 2, 0)
-    assert ranking.rank_of == (3, 1, 2)
+    assert rank_bids(BidProfile((Q(2), Q(10), Q(5)))) == (1, 2, 0)
 
 
 def test_rank_bids_ties_rejected():
@@ -109,51 +101,58 @@ def test_rank_bids_ties_rejected():
     assert info.value.pairs == [(0, 1)]
 
 
-def test_rank_bids_order_and_rank_of_are_inverses():
-    ranking = rank_bids(BidProfile((Q(3), Q(9), Q(1), Q(7))))
-    for agent, rank in enumerate(ranking.rank_of):
-        assert ranking.order[rank - 1] == agent
-    bids_in_order = [Q(3), Q(9), Q(1), Q(7)]
-    ordered = [bids_in_order[a] for a in ranking.order]
+def test_rank_bids_orders_bids_descending():
+    bids = [Q(3), Q(9), Q(1), Q(7)]
+    order = rank_bids(BidProfile(bids))
+    assert sorted(order) == [0, 1, 2, 3]
+    ordered = [bids[a] for a in order]
     assert all(a > b for a, b in zip(ordered, ordered[1:]))
+
+
+def _price(shares, bids, config):
+    return run_expected(Allocation.from_shares(shares), BidProfile(bids), config).high_branch.price
 
 
 def test_threshold_price_examples():
     config = MbmConfig(n=3, m_bar=2)
-    assert threshold_price(BidProfile((Q(10), Q(5), Q(2))), config) == 5
-    assert threshold_price(BidProfile((Q(1), Q(3), Q(7), Q(9))), MbmConfig(4, 3)) == 3
+    thirds = (Q(1, 3),) * 3
+    assert _price(thirds, (Q(10), Q(5), Q(2)), config) == 5
+    assert _price((Q(1, 4),) * 4, (Q(1), Q(3), Q(7), Q(9)), MbmConfig(4, 3)) == 3
     # re-evaluation after one agent raises her bid: price follows upward
-    assert threshold_price(BidProfile((Q(10), Q(5), Q(6))), config) == 6
+    assert _price(thirds, (Q(10), Q(5), Q(6)), config) == 6
 
 
 # --- branch probabilities ----------------------------------------------------
 
 
+def _probabilities(initial, profile, config):
+    expected = run_expected(initial, profile, config)
+    return tuple(branch.branch_probability for branch in expected.branches)
+
+
 def test_branch_probabilities_equal_shares():
     initial = Allocation.from_shares((Q(1, 3),) * 3)
     profile = BidProfile((Q(10), Q(5), Q(2)))
-    probs = branch_probabilities(initial, rank_bids(profile), MbmConfig(3, 2))
-    assert probs == (Q(2, 3), Q(1, 3))
+    assert _probabilities(initial, profile, MbmConfig(3, 2)) == (Q(2, 3), Q(1, 3))
 
 
 def test_branch_probabilities_worked(worked):
-    initial, profile, config = worked
-    assert branch_probabilities(initial, rank_bids(profile), config) == (Q(4, 5), Q(1, 5))
+    assert _probabilities(*worked) == (Q(4, 5), Q(1, 5))
 
 
 def test_branch_probabilities_follow_bidders_not_shareholders(worked):
     initial, _, config = worked
     # agent 2 now bids highest and agent 0 lowest: the top-2 bidders hold 1/2
-    ranking = rank_bids(BidProfile((Q(2), Q(5), Q(10))))
-    assert branch_probabilities(initial, ranking, config) == (Q(1, 2), Q(1, 2))
+    profile = BidProfile((Q(2), Q(5), Q(10)))
+    assert _probabilities(initial, profile, config) == (Q(1, 2), Q(1, 2))
 
 
-# --- apply_branch ------------------------------------------------------------
+# --- one branch at a time ----------------------------------------------------
 
 
 def test_apply_branch_high_worked(worked):
     initial, profile, config = worked
-    outcome = apply_branch(initial, profile, config, 2)
+    outcome = run_expected(initial, profile, config).high_branch
     assert outcome.price == 5
     assert outcome.realized_m == 2
     assert outcome.branch_probability == Q(4, 5)
@@ -167,7 +166,7 @@ def test_apply_branch_high_worked(worked):
 
 def test_apply_branch_low_worked(worked):
     initial, profile, config = worked
-    outcome = apply_branch(initial, profile, config, 1)
+    outcome = run_expected(initial, profile, config).low_branch
     assert outcome.price == 5  # same price in both branches
     assert outcome.final_allocation.shares == (ONE, ZERO, ZERO)
     deltas = tuple(
@@ -182,37 +181,16 @@ def test_apply_branch_equal_shares_scale_to_equal():
     initial = Allocation.from_shares((Q(1, n),) * n)
     profile = BidProfile(tuple(Q(k) for k in (9, 7, 5, 3, 1)))
     for m_bar in (2, 3, 4):
-        outcome = apply_branch(initial, profile, MbmConfig(n, m_bar), m_bar)
-        buyers = outcome.ranking.order[:m_bar]
+        outcome = run_expected(initial, profile, MbmConfig(n, m_bar)).high_branch
+        buyers = outcome.order[:m_bar]
         assert all(outcome.final_allocation.shares[a] == Q(1, m_bar) for a in buyers)
-
-
-def test_apply_branch_rejects_bad_owner_count(worked):
-    initial, profile, config = worked
-    for m in (0, 3, 5):
-        with pytest.raises(InvalidOwnerCount):
-            apply_branch(initial, profile, config, m)
 
 
 def test_apply_branch_degenerate_buyer_mass():
     initial = Allocation.from_shares((ZERO, ZERO, ONE))
     profile = BidProfile((Q(10), Q(5), Q(2)))
     with pytest.raises(DegenerateBuyerMass):
-        apply_branch(initial, profile, MbmConfig(3, 2), 2)
-
-
-def test_apply_branch_raises_when_the_other_branch_is_degenerate():
-    # the top two bidders hold nothing: the high branch alone is well
-    # defined, but apply_branch is a view of run_expected and raises what
-    # it raises
-    initial = Allocation.from_shares((ZERO, ZERO, Q(1, 2), Q(1, 2)))
-    profile = BidProfile((Q(10), Q(8), Q(5), Q(2)))
-    with pytest.raises(DegenerateBuyerMass, match="all 2 prospective buyers"):
-        apply_branch(initial, profile, MbmConfig(4, 3), 3)
-    # both branches degenerate: the high branch is reported for either m
-    nothing_on_top = Allocation.from_shares((ZERO, ZERO, ZERO, ONE))
-    with pytest.raises(DegenerateBuyerMass, match="all 3 prospective buyers"):
-        apply_branch(nothing_on_top, profile, MbmConfig(4, 3), 2)
+        run_expected(initial, profile, MbmConfig(3, 2))
 
 
 def test_apply_branch_adds_to_existing_money(worked):
@@ -220,7 +198,7 @@ def test_apply_branch_adds_to_existing_money(worked):
     initial = Allocation(
         shares=(Q(1, 2), Q(3, 10), Q(1, 5)), money=(Q(7), Q(-1), Q(4))
     )
-    outcome = apply_branch(initial, profile, config, 2)
+    outcome = run_expected(initial, profile, config).high_branch
     assert outcome.final_allocation.money == (Q(7) - Q(5, 8), Q(-1) - Q(3, 8), Q(5))
 
 
@@ -309,8 +287,6 @@ def test_run_expected_keeps_initial_money(worked):
     assert expected.low_branch.final_allocation == Allocation(
         (ONE, ZERO, ZERO), (Q(9, 2), Q(1, 2), Q(5))
     )
-    assert expected.high_branch == apply_branch(initial, profile, config, 2)
-    assert expected.low_branch == apply_branch(initial, profile, config, 1)
 
 
 # --- expected adjusted utilities read off the kernel ---------------------------
@@ -326,7 +302,7 @@ def _reference_utilities(initial, profile, config, valuations):
 def _without_two_stakes(initial, profile, config):
     # the threshold bidder and the lowest bidder hand their stakes to the top
     # bidder: both hold nothing, and both branches keep a positive buyer mass
-    order = rank_bids(profile).order
+    order = rank_bids(profile)
     shares = list(initial.shares)
     for j in (order[config.m_bar - 1], order[-1]):
         shares[order[0]] += shares[j]
@@ -445,17 +421,15 @@ def test_realize_draws_on_the_reduced_high_probability():
 
 def test_adjusted_utility_seller_worked(worked):
     initial, profile, config = worked
-    outcome = apply_branch(initial, profile, config, 2)
+    outcome = run_expected(initial, profile, config).high_branch
     # seller at v=2 cashes out 1/5 of the asset at price 5
     assert adjusted_utility(initial, outcome, profile, 2) == Q(3, 5)
 
 
 def test_adjusted_utility_threshold_agent_zero_per_branch(worked):
     initial, profile, config = worked
-    outcome = apply_branch(initial, profile, config, 2)
-    assert adjusted_utility(initial, outcome, profile, 1) == 0
-    outcome = apply_branch(initial, profile, config, 1)
-    assert adjusted_utility(initial, outcome, profile, 1) == 0
+    for outcome in run_expected(initial, profile, config).branches:
+        assert adjusted_utility(initial, outcome, profile, 1) == 0
 
 
 def test_adjusted_utility_identity_outcome_is_zero(worked):
@@ -467,7 +441,7 @@ def test_adjusted_utility_identity_outcome_is_zero(worked):
         price=Q(5),
         branch_probability=ONE,
         final_allocation=initial,
-        ranking=rank_bids(profile),
+        order=rank_bids(profile),
     )
     for agent in range(3):
         assert adjusted_utility(initial, identity, profile, agent) == 0
@@ -496,7 +470,7 @@ def test_threshold_agent_expected_utility_zero_for_any_value(inst, numerator):
     # terms whatever her true value is, not only at her bid
     initial, profile, config = inst
     expected = run_expected(initial, profile, config)
-    threshold_agent = expected.high_branch.ranking.agent_at(config.m_bar)
+    threshold_agent = expected.high_branch.order[config.m_bar - 1]
     arbitrary = Q(numerator, 89)
     bids = list(profile.bids)
     bids[threshold_agent] = arbitrary
@@ -523,8 +497,7 @@ def test_shares_and_money_conserved_exactly(inst):
 def test_price_identical_across_branches(inst):
     initial, profile, config = inst
     expected = run_expected(initial, profile, config)
-    ranking = rank_bids(profile)
-    m_bar_bid = profile.bids[ranking.agent_at(config.m_bar)]
+    m_bar_bid = sorted(profile.bids, reverse=True)[config.m_bar - 1]
     assert expected.high_branch.price == expected.low_branch.price == m_bar_bid
 
 
@@ -542,7 +515,7 @@ def test_buyer_scaling_factor_is_reciprocal_buyer_mass(inst):
     initial, profile, config = inst
     expected = run_expected(initial, profile, config)
     for branch in expected.branches:
-        buyers = branch.ranking.order[: branch.realized_m]
+        buyers = branch.order[: branch.realized_m]
         s_buy = sum((initial.shares[a] for a in buyers), ZERO)
         for a in buyers:
             assert branch.final_allocation.shares[a] == initial.shares[a] / s_buy
@@ -565,7 +538,7 @@ def test_branch_utilities_match_per_type_closed_forms(inst):
     initial, profile, config = inst
     expected = run_expected(initial, profile, config)
     for branch in expected.branches:
-        order = branch.ranking.order
+        order = branch.order
         m = branch.realized_m
         s_buy = sum((initial.shares[a] for a in order[:m]), ZERO)
         s_sell = sum((initial.shares[a] for a in order[m:]), ZERO)
@@ -583,7 +556,7 @@ def test_branch_utilities_match_per_type_closed_forms(inst):
 def test_stored_branch_probability_matches_top_share_sum(inst):
     initial, profile, config = inst
     expected = run_expected(initial, profile, config)
-    order = expected.high_branch.ranking.order
+    order = expected.high_branch.order
     top_mass = sum((initial.shares[a] for a in order[: config.m_bar]), ZERO)
     assert expected.high_branch.branch_probability == top_mass
     assert expected.low_branch.branch_probability == 1 - top_mass
@@ -593,7 +566,7 @@ def test_stored_branch_probability_matches_top_share_sum(inst):
 def test_threshold_agent_truthful_expected_utility_zero(inst):
     initial, profile, config = inst
     expected = run_expected(initial, profile, config)
-    threshold_agent = expected.high_branch.ranking.agent_at(config.m_bar)
+    threshold_agent = expected.high_branch.order[config.m_bar - 1]
     assert expected_adjusted_utility(initial, expected, profile, threshold_agent) == 0
 
 
@@ -602,11 +575,9 @@ def test_zero_share_instances_either_degenerate_cleanly_or_hold(inst):
     # zero stakes are allowed; a branch whose prospective buyers hold
     # nothing must fail loudly, anything else obeys the usual invariants
     initial, profile, config = inst
-    ranking = rank_bids(profile)
-    high_mass = sum((initial.shares[a] for a in ranking.order[: config.m_bar]), ZERO)
-    low_mass = sum(
-        (initial.shares[a] for a in ranking.order[: config.m_bar - 1]), ZERO
-    )
+    order = rank_bids(profile)
+    high_mass = sum((initial.shares[a] for a in order[: config.m_bar]), ZERO)
+    low_mass = sum((initial.shares[a] for a in order[: config.m_bar - 1]), ZERO)
     if high_mass == 0 or low_mass == 0:
         with pytest.raises(DegenerateBuyerMass):
             run_expected(initial, profile, config)
@@ -623,5 +594,5 @@ def test_zero_share_instances_either_degenerate_cleanly_or_hold(inst):
         assert sum(final.money, ZERO) == sum(initial.money, ZERO)
         for agent in range(config.n):
             assert adjusted_utility(initial, branch, profile, agent) >= 0
-    threshold_agent = ranking.agent_at(config.m_bar)
+    threshold_agent = order[config.m_bar - 1]
     assert expected_adjusted_utility(initial, expected, profile, threshold_agent) == 0

@@ -1,0 +1,53 @@
+"""The package surface: ``mbm.__all__`` and the README's library quickstart."""
+
+import re
+from pathlib import Path
+
+import mbm
+from mbm.rational import rational
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_public_names_resolve_once_in_sorted_order():
+    assert all(hasattr(mbm, name) for name in mbm.__all__)
+    assert len(set(mbm.__all__)) == len(mbm.__all__)
+    assert mbm.__all__ == sorted(mbm.__all__)
+
+
+def test_engine_pieces_outside_run_expected_are_not_exported():
+    gone = (
+        "Ranking",
+        "apply_branch",
+        "threshold_price",
+        "branch_probabilities",
+        "InvalidOwnerCount",
+    )
+    for name in gone:
+        assert name not in mbm.__all__
+        assert not hasattr(mbm, name)
+
+
+def _annotated_value(text):
+    # "5", "4/5" or a tuple such as "(5/8, 3/8, 0)"
+    if text.startswith("("):
+        return tuple(rational(part.strip()) for part in text[1:-1].split(","))
+    return rational(text)
+
+
+def test_readme_quickstart_runs_with_the_annotated_values():
+    section = README.read_text(encoding="utf-8").split("## Library quickstart", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace = {}
+    exec(code, namespace)
+    annotated = dict(
+        re.findall(r"^(\S[^#\n]*?)\s+#\s+(\([^)]*\)|\S+)", code, re.M)
+    )
+    assert annotated == {
+        "outcome.high_branch.price": "5",
+        "outcome.high_branch.branch_probability": "4/5",
+        "outcome.high_branch.final_allocation.shares": "(5/8, 3/8, 0)",
+        "welfare_report(initial, bids, config).expected_mbm_welfare": "17/2",
+    }
+    for expression, text in annotated.items():
+        assert eval(expression, namespace) == _annotated_value(text), expression

@@ -125,7 +125,7 @@ def test_branch_welfare_is_share_weighted_average_of_owner_values(inst):
     initial, profile, config = inst
     expected = run_expected(initial, profile, config)
     for branch in expected.branches:
-        order = branch.ranking.order[: branch.realized_m]
+        order = branch.order[: branch.realized_m]
         mass = sum((initial.shares[a] for a in order), ZERO)
         weighted = sum((initial.shares[a] * profile.bids[a] for a in order), ZERO)
         assert social_welfare(branch.final_allocation, profile) == weighted / mass
