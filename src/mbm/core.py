@@ -244,23 +244,29 @@ def _share_numerators(initial: Allocation, profile: BidProfile, config: MbmConfi
     return _simplex_numerators(initial.shares)
 
 
-def _branch_kernel(initial: Allocation, profile: BidProfile, config: MbmConfig) -> tuple:
-    """Check one instance and compute both branches' integer numerators.
+def _instance_kernel(initial: Allocation, profile: BidProfile, config: MbmConfig) -> tuple:
+    """(order, a, d, w, e): agents by bid descending, share i = a[i] / d, bid i = w[i] / e.
 
-    Returns (order, a, d, w, e, branches): agents by bid descending, share
-    i = a[i] / d, bid i = w[i] / e, and for m = m_bar and m = m_bar - 1 the
-    triple (m, buyer mass A_B, probability numerator), both over d.
-    Raises, in this order: InvalidConfig on a size mismatch (allocation
-    first), InvalidAllocation off the simplex, InvalidConfig below 3 bids,
-    DuplicateBids on a tie, and DegenerateBuyerMass for a branch whose
-    buyers hold nothing (high branch first).
+    Reads nothing of m_bar, so a caller varying only m_bar runs it once. Raises,
+    in this order: InvalidConfig on a size mismatch (allocation first),
+    InvalidAllocation off the simplex, InvalidConfig below 3 bids and
+    DuplicateBids on a tie.
     """
     a, d = _share_numerators(initial, profile, config)
     w, e = _over_lcm(profile.bids)
-    order = _bid_order(w)
-    m_bar = config.m_bar
+    return _bid_order(w), a, d, w, e
+
+
+def _branches(order: tuple, a, d: int, m_bar: int) -> tuple:
+    """``_buyer_masses`` as (m, buyer mass, probability numerator) for m = m_bar, m_bar - 1, over d."""
     high, low = _buyer_masses(order, a, m_bar)
-    return order, a, d, w, e, ((m_bar, high, high), (m_bar - 1, low, d - high))
+    return (m_bar, high, high), (m_bar - 1, low, d - high)
+
+
+def _branch_kernel(initial: Allocation, profile: BidProfile, config: MbmConfig) -> tuple:
+    """``_instance_kernel``'s (order, a, d, w, e), then ``_branches`` at config.m_bar."""
+    order, a, d, w, e = _instance_kernel(initial, profile, config)
+    return order, a, d, w, e, _branches(order, a, d, config.m_bar)
 
 
 def run_expected(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .core import Allocation, BidProfile, MbmConfig
 from .errors import InvalidConfig, SpecInvalid
 from .rational import ONE, Rational
-from .welfare import _equal_shares_allocation, uniform_grid_valuations
+from .welfare import uniform_grid_valuations
 
 SHARE_MODELS = ("equal", "random", "tiny-top")
 VALUATION_MODELS = ("uniform-grid", "random")
@@ -78,7 +78,7 @@ def generate(spec: InstanceSpec):
         bids = _random_bids(spec.n, rng)
 
     if spec.share_model == "equal":
-        shares = _equal_shares_allocation(spec.n).shares
+        shares = (Rational(1, spec.n),) * spec.n
     elif spec.share_model == "random":
         shares = _random_shares(spec.n, rng)
     else:

@@ -28,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import Allocation, BidProfile, MbmConfig, _branch_kernel, _over_lcm
+from .core import Allocation, BidProfile, MbmConfig
+from .core import _branch_kernel, _branches, _instance_kernel, _over_lcm
 from .errors import InvalidAlpha, InvalidConfig
 from .rational import ONE, ZERO, Rational, rational
 
@@ -57,19 +58,12 @@ def first_best(valuations: BidProfile) -> Rational:
     return valuations.bids[w.index(max(w))]
 
 
-def expected_mbm_welfare(
-    initial: Allocation, valuations: BidProfile, config: MbmConfig
-) -> Rational:
-    """Probability-weighted welfare over both branches, read from the engine's kernel.
+def _welfare(order: tuple, a, d: int, w, e: int, branches) -> Rational:
+    """Expected welfare off kernel numerators: shares a_i / d, valuations w_i / e.
 
-    ``_branch_kernel`` is the computation behind ``run_expected``, with the
-    same checks and errors. With shares a_i / d and valuations w_i / e,
-    buyers end with a_i / A_B of the asset and sellers with nothing, so a
-    branch's welfare is sum(a_i * w_i over its buyers) / (A_B * e) and its
-    probability P_B / d. Only the result is made a rational. Nothing is
-    memoized: sweeps evaluate each (instance, config) point exactly once.
+    A branch's buyers end with a_i / A_B of the asset and its sellers with
+    nothing: it adds P_B / d * sum(a_i * w_i over buyers) / (A_B * e).
     """
-    order, a, d, w, e, branches = _branch_kernel(initial, valuations, config)
     total = ZERO
     for m, mass, prob in branches:
         held = sum(a[i] * w[i] for i in order[:m])
@@ -77,11 +71,25 @@ def expected_mbm_welfare(
     return total
 
 
+def expected_mbm_welfare(
+    initial: Allocation, valuations: BidProfile, config: MbmConfig
+) -> Rational:
+    """Probability-weighted welfare over both branches, read from the engine's kernel.
+
+    ``_branch_kernel`` is the computation behind ``run_expected``, with the
+    same checks and errors. The welfare sweep runs its per-instance part
+    once per n and only ``_branches`` and ``_welfare`` once per alpha.
+    """
+    return _welfare(*_branch_kernel(initial, valuations, config))
+
+
 def welfare_report(
     initial: Allocation, valuations: BidProfile, config: MbmConfig
 ) -> WelfareReport:
-    best = first_best(valuations)
-    expected = expected_mbm_welfare(initial, valuations, config)
+    """Initial, expected and first-best welfare; first-best is the kernel's tie-free top bid."""
+    kernel = _branch_kernel(initial, valuations, config)
+    expected = _welfare(*kernel)
+    best = valuations.bids[kernel[0][0]]
     return WelfareReport(
         initial_welfare=social_welfare(initial, valuations),
         expected_mbm_welfare=expected,
@@ -99,14 +107,10 @@ def uniform_grid_valuations(n: int) -> BidProfile:
     return BidProfile(tuple(Rational(n - i, n) for i in range(n)))
 
 
-@lru_cache(maxsize=256)
-def _equal_shares_allocation(n: int) -> Allocation:
-    return Allocation.from_shares((Rational(1, n),) * n)
-
-
 def uniform_grid_instance(n: int, m_bar: int):
     """Equal shares with the uniform valuation grid, ready to run."""
-    return _equal_shares_allocation(n), uniform_grid_valuations(n), MbmConfig(n=n, m_bar=m_bar)
+    initial = Allocation.from_shares((Rational(1, n),) * n)
+    return initial, uniform_grid_valuations(n), MbmConfig(n=n, m_bar=m_bar)
 
 
 def _m_bar_from_alpha(n: int, alpha: Rational) -> int:
@@ -181,22 +185,35 @@ class SweepRow:
     limit_gap: Rational
 
 
+def _grid_point(n: int):
+    """``alpha -> SweepRow`` at n, on one engine kernel built at the first valid alpha.
+
+    An invalid alpha raises InvalidAlpha before any instance exists; each
+    valid one takes only its branch triples off the kernel.
+    """
+    kernel = None
+
+    def point(alpha) -> SweepRow:
+        nonlocal kernel
+        alpha = rational(alpha)
+        m_bar = _m_bar_from_alpha(n, alpha)
+        if kernel is None:
+            kernel = _instance_kernel(*uniform_grid_instance(n, m_bar))
+        order, a, d, _, _ = kernel
+        engine = _welfare(*kernel, _branches(order, a, d, m_bar))
+        closed = _closed_form(n, alpha)
+        return SweepRow(
+            n=n, alpha=alpha, m_bar=m_bar, closed_form=closed, engine=engine,
+            preservation_ratio=engine / uniform_grid_valuations(n).bids[order[0]],
+            limit_gap=closed - _limit(alpha),
+        )
+
+    return point
+
+
 def sweep_point(n: int, alpha) -> SweepRow:
     """Evaluate one (n, alpha) point along both routes, parsing and checking alpha once."""
-    alpha = rational(alpha)
-    m_bar = _m_bar_from_alpha(n, alpha)
-    closed = _closed_form(n, alpha)
-    initial, valuations, config = uniform_grid_instance(n, m_bar)
-    engine = expected_mbm_welfare(initial, valuations, config)
-    return SweepRow(
-        n=n,
-        alpha=alpha,
-        m_bar=m_bar,
-        closed_form=closed,
-        engine=engine,
-        preservation_ratio=engine / first_best(valuations),
-        limit_gap=closed - _limit(alpha),
-    )
+    return _grid_point(n)(alpha)
 
 
 def welfare_sweep(n_values, alphas=None) -> tuple:
@@ -209,9 +226,10 @@ def welfare_sweep(n_values, alphas=None) -> tuple:
     rows = []
     skipped = []
     for n in n_values:
+        point = _grid_point(n)
         for alpha in valid_alphas(n) if alphas is None else alphas:
             try:
-                rows.append(sweep_point(n, alpha))
+                rows.append(point(alpha))
             except InvalidAlpha as exc:
                 skipped.append(exc)
     return rows, skipped

@@ -23,6 +23,7 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 WORKED = os.path.join(DATA, "worked.csv")
 GOLDEN = os.path.join(DATA, "golden_run_expected.json")
 GOLDEN_VERIFY = os.path.join(DATA, "golden_verify.json")
+GOLDEN_WELFARE = os.path.join(DATA, "golden_welfare.json")
 
 
 def run_cli(capsys, *argv):
@@ -465,6 +466,18 @@ def test_welfare_engine_column_always_matches_closed_form(capsys):
     for row in rows:
         fields = row.split(",")
         assert fields[2] == fields[3]
+
+
+def test_welfare_matches_golden_output(capsys):
+    # exit code, stdout and stderr of full, filtered, repeated, large-n and
+    # rejected sweeps, frozen before the sweep shared one kernel per n
+    with open(GOLDEN_WELFARE, "r", encoding="utf-8") as fh:
+        golden = json.load(fh)
+    assert {case["argv"][0] for case in golden} == {"welfare"}
+    for case in golden:
+        assert run_cli(capsys, *case["argv"]) == (
+            case["exit"], case["stdout"], case["stderr"]
+        ), case["argv"]
 
 
 def test_welfare_large_n_limit_gap(capsys):

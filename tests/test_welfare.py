@@ -11,6 +11,7 @@ from mbm import (
     Allocation,
     BidProfile,
     InvalidAlpha,
+    InvalidConfig,
     MbmConfig,
     efficiency_loss_instance,
     expected_mbm_welfare,
@@ -239,6 +240,35 @@ def test_welfare_sweep_filters_invalid_alphas():
     rows, skipped = welfare_sweep([6])
     assert [r.m_bar for r in rows] == [2, 3, 4, 5]
     assert skipped == []
+
+
+def test_welfare_sweep_equals_general_engine_at_every_point():
+    # every row against the general engine on its own instance: the
+    # kernel-level welfare and the branch-weighted welfare of the outcomes
+    rows, skipped = welfare_sweep(range(3, 41))
+    assert skipped == [] and len(rows) == sum(n - 2 for n in range(3, 41))
+    for row in rows:
+        initial, valuations, config = uniform_grid_instance(row.n, row.m_bar)
+        expected = run_expected(initial, valuations, config)
+        outcomes = sum(
+            (b.branch_probability * social_welfare(b.final_allocation, valuations)
+             for b in expected.branches),
+            ZERO,
+        )
+        assert row.engine == expected_mbm_welfare(initial, valuations, config)
+        assert row.engine == outcomes == row.closed_form, (row.n, row.alpha)
+        assert row.preservation_ratio == row.engine / first_best(valuations)
+
+
+def test_welfare_sweep_error_and_skip_order():
+    with pytest.raises(InvalidConfig):
+        welfare_sweep([2])
+    rows, skipped = welfare_sweep([2, 4], ["1/2"])
+    assert [str(exc) for exc in skipped] == [
+        "alpha=1/2 with n=2: alpha must lie in {2/n, ..., (n-1)/n}"
+    ]
+    assert all(isinstance(exc, InvalidAlpha) for exc in skipped)
+    assert [(r.n, r.m_bar, r.engine) for r in rows] == [(4, 2, Q(15, 16))]
 
 
 # --- arbitrarily small preservation ratio ----------------------------------------
