@@ -19,20 +19,22 @@ Every oracle accepts an ``engine`` hook (defaulting to the real mechanism)
 so deliberately corrupted variants can be run through the same verdict
 logic as negative controls; see ``corrupted_engine``. The two deviation
 searches are one loop each, for every engine. An instance is set up once:
-the share numerators a / d from one ``_simplex_numerators`` call, and every
-bid that can occur (valuations, the others' bids, the grid candidates) as
-an integer over one common denominator e -- per instance for the coalition
-search, per deviating agent for the single-agent one. A case is then an
+the share numerators a / d from one ``_simplex_numerators`` call, and the
+fixed bids (valuations and the others' bids) as integers over one common
+denominator e. ``_grid`` builds every deviating agent's candidates on those
+integers, over 1000 * e, so every bid that can occur is an integer over
+that one denominator, per instance for both searches. A case is then an
 integer bid list, and the engine enters only through the instance's scorer
-(``_scorer``), which gives each member's utility times d * e as an integer
-ratio, compared with the truthful one by cross-multiplication. For the real
-mechanism the scorer is ``core._utility_ratios``, the formula
-``expected_adjusted_utilities`` also reads; it ranks the bids and checks
-the buyer masses as ``run_expected`` does, so a degenerate case raises
-there too. Any other engine, including a wrapper around the real one, is
-scored on the profile the integers stand for, through
-``expected_adjusted_utility`` per member. With the real mechanism, a
-BidProfile and rationals are built only for a violation's witness.
+(``_scorer``), which gives each member's utility times d and the bids'
+denominator as an integer ratio, compared with the truthful one by
+cross-multiplication. For the real mechanism the scorer is
+``core._utility_ratios``, the formula ``expected_adjusted_utilities`` also
+reads; it ranks the bids and checks the buyer masses as ``run_expected``
+does, so a degenerate case raises there too. Any other engine, including a
+wrapper around the real one, is scored on the profile the integers stand
+for, through ``expected_adjusted_utility`` per member. With the real
+mechanism, a BidProfile and rationals are built only for a violation's
+witness.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .core import (
     BidProfile,
     ExpectedOutcome,
     MbmConfig,
+    _check_sizes,
     _over_lcm,
     _reject_ties,
     _share_numerators,
@@ -63,38 +66,52 @@ DEFAULT_SEARCH_BUDGET = 10**6
 
 @dataclass(frozen=True)
 class DeviationGrid:
-    """Tie-free candidate bids for one deviating agent.
+    """Tie-free candidate bids for one deviating agent, as rationals.
 
-    The rule is fixed. Candidates are the midpoint of every gap between
-    consecutive other-bids and the points a thousandth of the smallest such
-    gap above and below each other-bid, plus half the lowest other-bid when
-    that step would reach below zero. Negative bids and the other agents'
-    own bids are dropped. Every rank the deviator can attain is reachable
-    through some candidate; a 10x refinement of this grid lives in the
-    tests as a cross-check.
+    ``_grid`` holds the one rule and builds the candidates on the instance's
+    integers, over 1000 times the bids' common denominator. Every rank the
+    deviator can attain is reachable through some candidate; a 10x
+    refinement of this grid lives in the tests as a cross-check.
     """
 
     candidates: tuple
 
 
-def deviation_grid(profile: BidProfile, agent: int) -> DeviationGrid:
-    """Build the deviation grid for ``agent`` against the other bids in ``profile``."""
-    indexed = [(j, b) for j, b in enumerate(profile.bids) if j != agent]
+def _others(w, agent: int) -> list:
+    """The bids w without ``agent``'s; DuplicateBids on a tie among them."""
+    indexed = [(j, b) for j, b in enumerate(w) if j != agent]
     _reject_ties(indexed)
-    others = sorted(b for _, b in indexed)
-    gaps = list(zip(others, others[1:]))
-    delta = min(hi - lo for lo, hi in gaps) / 1000
-    candidates = {(lo + hi) / 2 for lo, hi in gaps}
-    for b in others:
-        candidates.add(b - delta)
-        candidates.add(b + delta)
-    if others[0] - delta < 0 and others[0] > 0:
-        # keep the below-minimum piece reachable when delta would go negative
-        candidates.add(others[0] / 2)
+    return [b for _, b in indexed]
 
-    taken = set(others)
-    kept = tuple(sorted(c for c in candidates if c >= 0 and c not in taken))
-    return DeviationGrid(candidates=kept)
+
+def _grid(others) -> list:
+    """Sorted deviation candidates over 1000 * e against distinct integer bids over e.
+
+    With g the smallest gap between consecutive other-bids: each gap's
+    midpoint 500 (lo + hi), 1000 b - g and 1000 b + g for each other-bid b
+    (a thousandth of that gap either side), and half the lowest other-bid
+    o_1, 500 o_1, when o_1 > 0 but 1000 o_1 - g is negative. Negative
+    candidates and the other-bids' own 1000 b are dropped.
+    """
+    others = sorted(others)
+    gaps = list(zip(others, others[1:]))
+    g = min(hi - lo for lo, hi in gaps)
+    candidates = {500 * (lo + hi) for lo, hi in gaps}
+    for b in others:
+        candidates.add(1000 * b - g)
+        candidates.add(1000 * b + g)
+    low = others[0]
+    if 0 < 1000 * low < g:
+        # keep the below-minimum piece reachable when the step would go negative
+        candidates.add(500 * low)
+    candidates.difference_update(1000 * b for b in others)
+    return sorted(c for c in candidates if c >= 0)
+
+
+def deviation_grid(profile: BidProfile, agent: int) -> DeviationGrid:
+    """``_grid`` for ``agent`` against the other bids in ``profile``, as rationals."""
+    w, e = _over_lcm(profile.bids)
+    return DeviationGrid(tuple(Rational(c, 1000 * e) for c in _grid(_others(w, agent))))
 
 
 @dataclass(frozen=True)
@@ -313,27 +330,27 @@ def check_strategyproofness(
     instance = describe_instance(initial, others_profile, config)
     n = config.n
     a, d = _share_numerators(initial, others_profile, config)
+    _check_sizes(valuations.n, config, "valuations")
     score = _scorer(engine, initial, valuations, config, a, d)
-    # the truthful run goes first, on the fixed bids' own denominator, so its
-    # errors come before the grid's
-    fixed = others_profile.bids + valuations.bids
-    base, base_e = _over_lcm(fixed)
+    # every fixed bid over one denominator e, and over 1000 * e, the grid's
+    fixed, e = _over_lcm(others_profile.bids + valuations.bids)
+    scaled = [1000 * x for x in fixed]
+    values = scaled[n:]
+    e *= 1000
     cases = 0
     for agent in range(n):
-        w = base[:n]
-        w[agent] = base[n + agent]
-        ((t_num, t_den),) = score(w, base_e, base[n:], (agent,))
-        grid = deviation_grid(others_profile, agent).candidates
-        scaled, e = _over_lcm(fixed + grid)
-        w, values = scaled[:n], scaled[n : 2 * n]
-        t_num *= e // base_e
-        for cand, bid in zip(grid, scaled[2 * n :]):
+        w = scaled[:n]
+        w[agent] = values[agent]
+        # the truthful run goes first, so its errors come before the grid's
+        ((t_num, t_den),) = score(w, e, values, (agent,))
+        for bid in _grid(_others(fixed[:n], agent)):
             cases += 1
             w[agent] = bid
             ((num, den),) = score(w, e, values, (agent,))
             gain = num * t_den - t_num * den
             if gain > 0:
                 gain = Rational(gain, d * e * den * t_den)
+                cand = Rational(bid, e)
                 return _violation(
                     name,
                     instance,
@@ -372,23 +389,22 @@ def check_weak_group_strategyproofness(
     n = config.n
     a, d = _share_numerators(initial, valuations, config)
     score = _scorer(engine, initial, valuations, config, a, d)
-    base, base_e = _over_lcm(valuations.bids)
-    truthful = list(score(base, base_e, base, range(n)))
-    grids = [deviation_grid(valuations, j).candidates for j in range(n)]
+    # the valuations over one denominator e, then over the grid's 1000 * e
+    base, e = _over_lcm(valuations.bids)
+    truthful = list(score(base, e, base, range(n)))
+    grids = [_grid(_others(base, j)) for j in range(n)]
 
     required = math.prod(1 + len(grid) for grid in grids) - 1 - sum(map(len, grids))
     if required > budget:
         raise SearchBudgetExceeded(required, budget)
 
     # candidates by position in their sorted union: tie tests compare ints
-    values = sorted(set().union(*grids))
-    position = {c: k for k, c in enumerate(values)}
+    bids = sorted(set().union(*grids))
+    position = {c: k for k, c in enumerate(bids)}
     keyed = [tuple(map(position.__getitem__, grid)) for grid in grids]
-    # the valuations and every candidate over one denominator e
-    scaled, e = _over_lcm(valuations.bids + tuple(values))
-    base, bids = scaled[:n], scaled[n:]
-    up = e // base_e
-    truthful = [(num * up, den) for num, den in truthful]
+    base = [1000 * x for x in base]
+    e *= 1000
+    truthful = [(num * 1000, den) for num, den in truthful]
     coalitions = (c for k in range(2, n + 1) for c in itertools.combinations(range(n), k))
     cases = 0
     for coalition in coalitions:
@@ -404,7 +420,7 @@ def check_weak_group_strategyproofness(
                 if num * t_den <= t_num * den:
                     break
             else:
-                combo = tuple(map(values.__getitem__, keys))
+                combo = tuple(Rational(bids[k], e) for k in keys)
                 deviant = list(valuations.bids)
                 for j, bid in zip(coalition, combo):
                     deviant[j] = bid

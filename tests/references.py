@@ -1,16 +1,19 @@
-"""Enumerating definitions of two oracle shortcuts, kept as references.
+"""Long-hand definitions of three oracle shortcuts, kept as references.
 
 ``check_pp_expost_efficiency`` compares each owner with one reference owner
 and each cashed-out agent with the lowest-valuing owner, and
 ``check_weak_group_strategyproofness`` sizes its search with a product
-formula. These helpers spell both out the long way: every pair of agents,
-every coalition. The tests require equal verdicts, witnesses and counts.
+formula. The first two helpers spell both out the long way: every pair of
+agents, every coalition. The third states the deviation grid's rule in
+rationals, as the searches built it before they built it on integers. The
+tests require equal verdicts, witnesses, counts and candidates.
 """
 
 import itertools
 import math
 
 from mbm import run_expected
+from mbm.core import _reject_ties
 from mbm.properties import PropertyReport, Witness, describe_instance
 
 
@@ -62,3 +65,26 @@ def enumerated_coalition_budget(grids):
         for size in range(2, n + 1)
         for coalition in itertools.combinations(range(n), size)
     )
+
+
+def fraction_deviation_grid(profile, agent):
+    """The deviation candidates for ``agent``, built in rationals: a sorted tuple.
+
+    Midpoints of the gaps between consecutive other-bids, each other-bid
+    plus and minus a thousandth of the smallest gap, half the lowest
+    other-bid when that step would reach below zero; negatives and the
+    other-bids themselves dropped.
+    """
+    indexed = [(j, b) for j, b in enumerate(profile.bids) if j != agent]
+    _reject_ties(indexed)
+    others = sorted(b for _, b in indexed)
+    gaps = list(zip(others, others[1:]))
+    delta = min(hi - lo for lo, hi in gaps) / 1000
+    candidates = {(lo + hi) / 2 for lo, hi in gaps}
+    for b in others:
+        candidates.add(b - delta)
+        candidates.add(b + delta)
+    if others[0] - delta < 0 and others[0] > 0:
+        candidates.add(others[0] / 2)
+    taken = set(others)
+    return tuple(sorted(c for c in candidates if c >= 0 and c not in taken))

@@ -11,6 +11,7 @@ from mbm import (
     BidProfile,
     DegenerateBuyerMass,
     ExpectedOutcome,
+    InvalidConfig,
     MbmConfig,
     MbmError,
     SearchBudgetExceeded,
@@ -29,7 +30,11 @@ from mbm.instances import InstanceSpec, generate, perturbed_profile
 from mbm.properties import CORRUPTION_KINDS, PropertyReport, Witness
 from mbm.rational import ONE, ZERO, Rational as Q
 from mbm.suites import SUITES, generate_suite, run_suite
-from references import enumerated_coalition_budget, pairwise_pp_efficiency
+from references import (
+    enumerated_coalition_budget,
+    fraction_deviation_grid,
+    pairwise_pp_efficiency,
+)
 from refinement import refined_sp_holds
 
 import random
@@ -77,6 +82,61 @@ def test_grid_zero_minimum_bid_drops_negative_candidates():
     grid = deviation_grid(profile, 2)  # others 0 and 5
     assert all(c >= 0 for c in grid.candidates)
     assert Q(0) not in grid.candidates
+
+
+def _grid_profiles():
+    """Bid profiles for the grid's reference check: seeded suites at n = 3..20
+    with their perturbed twins, then zero bids, a lowest bid under a
+    thousandth of the smallest gap, and bids over coprime denominators."""
+    rng = random.Random(5)
+    for n in range(3, 21):
+        for _, profile, _ in generate_suite(6, seed=n, n_range=(n, n)):
+            yield profile
+            yield perturbed_profile(profile, rng)
+    for n in range(3, 9):
+        for _ in range(10):
+            rest = rng.sample(range(1, 10**4), n - 1)
+            yield BidProfile((ZERO,) + tuple(Q(x, 7) for x in rest))
+            # integer bids at least 1 apart, and a lowest one below 1/1000
+            tiny = Q(rng.randint(1, 999), 10**6)
+            yield BidProfile((tiny,) + tuple(Q(x) for x in rest))
+            # each bid in lowest terms over its own prime, so no two tie
+            primes = (3, 5, 7, 11, 13, 17, 19, 23)
+            yield BidProfile(tuple(Q(p * x + 1, p) for x, p in zip(rest + [0], primes)))
+
+
+def test_grid_equals_fraction_reference():
+    pairs = halves = zeros = 0
+    for profile in _grid_profiles():
+        for agent in range(profile.n):
+            expected = fraction_deviation_grid(profile, agent)
+            assert deviation_grid(profile, agent).candidates == expected, (profile, agent)
+            pairs += 1
+            others = [b for j, b in enumerate(profile.bids) if j != agent]
+            halves += min(others) / 2 in expected
+            zeros += ZERO in others
+    assert pairs >= 3000, pairs
+    assert halves > 0 and zeros > 0, (halves, zeros)
+
+
+def test_deviation_searches_walk_the_whole_grid():
+    # a holding verdict has scored every candidate: sp one per grid point of
+    # each agent, group-sp every joint deviation of every coalition
+    rng = random.Random(13)
+    for initial, profile, config in generate_suite(30, seed=13, n_range=(3, 8)):
+        for others in (profile, perturbed_profile(profile, rng)):
+            report = check_strategyproofness(
+                initial, profile, config, others_profile=others
+            )
+            assert report.holds
+            assert report.cases == sum(
+                len(fraction_deviation_grid(others, agent)) for agent in range(config.n)
+            )
+    for initial, profile, config in generate_suite(20, seed=13, n_range=(3, 4)):
+        report = check_weak_group_strategyproofness(initial, profile, config)
+        assert report.holds
+        grids = [fraction_deviation_grid(profile, j) for j in range(config.n)]
+        assert report.cases == enumerated_coalition_budget(grids)
 
 
 # --- report contract ---------------------------------------------------------
@@ -210,6 +270,15 @@ def test_strategyproofness_with_untruthful_others(worked):
         initial, profile, config, others_profile=others
     )
     assert report.holds
+
+
+def test_strategyproofness_rejects_missized_valuations(worked):
+    initial, profile, config = worked
+    for bids in (profile.bids + (Q(1),), profile.bids[:2]):
+        with pytest.raises(InvalidConfig, match="valuations has"):
+            check_strategyproofness(
+                initial, BidProfile(bids), config, others_profile=profile
+            )
 
 
 @given(seed=st.integers(0, 10**6))
