@@ -398,29 +398,25 @@ def check_weak_group_strategyproofness(
     if required > budget:
         raise SearchBudgetExceeded(required, budget)
 
-    # candidates by position in their sorted union: tie tests compare ints
-    bids = sorted(set().union(*grids))
-    position = {c: k for k, c in enumerate(bids)}
-    keyed = [tuple(map(position.__getitem__, grid)) for grid in grids]
     base = [1000 * x for x in base]
     e *= 1000
     truthful = [(num * 1000, den) for num, den in truthful]
     coalitions = (c for k in range(2, n + 1) for c in itertools.combinations(range(n), k))
     cases = 0
     for coalition in coalitions:
-        for keys in itertools.product(*(keyed[j] for j in coalition)):
+        for combo in itertools.product(*(grids[j] for j in coalition)):
             cases += 1
-            if len(set(keys)) < len(keys):
+            if len(set(combo)) < len(combo):
                 continue  # joint ties: outside the mechanism's domain
             w = list(base)
-            for j, k in zip(coalition, keys):
-                w[j] = bids[k]
+            for j, bid in zip(coalition, combo):
+                w[j] = bid
             for j, (num, den) in zip(coalition, score(w, e, base, coalition)):
                 t_num, t_den = truthful[j]
                 if num * t_den <= t_num * den:
                     break
             else:
-                combo = tuple(Rational(bids[k], e) for k in keys)
+                combo = tuple(Rational(bid, e) for bid in combo)
                 deviant = list(valuations.bids)
                 for j, bid in zip(coalition, combo):
                     deviant[j] = bid

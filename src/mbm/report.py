@@ -1,9 +1,11 @@
 """Run reports and their deterministic serialization.
 
-Reports serialize with a stable field order and rationals in lossless
-"p/q" text, each paired with a clearly-labeled 20-digit decimal
-approximation for human readers. Identical inputs produce byte-identical
-output, which golden-file tests rely on.
+A report holds the instance and the engine's ``ExpectedOutcome`` and renders
+json, csv and text straight from the outcomes it shows. Reports serialize
+with a stable field order and rationals in lossless "p/q" text, each paired
+with a clearly-labeled 20-digit decimal approximation for human readers.
+Identical inputs produce byte-identical output, which golden-file tests
+rely on.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .core import (
     BidProfile,
     ExpectedOutcome,
     MbmConfig,
+    MechanismOutcome,
     adjusted_utility,
     draw_branch,
     expected_adjusted_utilities,
@@ -29,71 +32,72 @@ APPROX_DIGITS = 20
 
 
 @dataclass(frozen=True)
-class AgentBranchLine:
-    agent_id: str
-    rank: int
-    bid: object
-    initial_share: object
-    final_share: object
-    payment: object
-    adjusted_utility: object
-
-
-@dataclass(frozen=True)
-class BranchSection:
-    label: str
-    owner_count: int
-    probability: object
-    agents: tuple
-
-
-@dataclass(frozen=True)
 class RunReport:
-    """Everything one mechanism run reports; field order is the wire order."""
+    """One mechanism run: the instance, the engine's outcome and the branches shown.
+
+    The renderers read the prices, probabilities and final allocations off
+    ``expected`` and ``branches`` (both ``ExpectedOutcome`` branches, or the
+    one drawn in realized mode); nothing is copied out of them first.
+    """
 
     captable: str
-    n: int
-    m_bar: int
+    agent_ids: tuple
+    initial: Allocation
+    profile: BidProfile
+    config: MbmConfig
+    expected: ExpectedOutcome
     mode: str
     seed: int | None
-    agent_ids: tuple
-    ranking_ids: tuple
-    price: object
-    p_high: object
-    p_low: object
     branches: tuple
     expected_utilities: tuple
     welfare: WelfareReport
     checks: tuple = ()
 
+    def _label(self, outcome: MechanismOutcome) -> str:
+        return "high" if outcome.realized_m == self.config.m_bar else "low"
+
+    def _rows(self, outcome: MechanismOutcome):
+        """Per agent in table order: id, rank, bid, initial share, final share,
+        payment and adjusted utility (at face value, bid = value)."""
+        rank_of = {agent: rank for rank, agent in enumerate(outcome.order, 1)}
+        initial, final = self.initial, outcome.final_allocation
+        for agent, agent_id in enumerate(self.agent_ids):
+            yield (
+                agent_id,
+                rank_of[agent],
+                self.profile.bids[agent],
+                initial.shares[agent],
+                final.shares[agent],
+                final.money[agent] - initial.money[agent],
+                adjusted_utility(initial, outcome, self.profile, agent),
+            )
+
     def to_dict(self) -> dict:
+        high, low = self.expected.branches
         out: dict = {
             "captable": self.captable,
-            "n": self.n,
-            "m_bar": self.m_bar,
+            "n": self.config.n,
+            "m_bar": self.config.m_bar,
             "mode": self.mode,
             "seed": self.seed,
             "agents": list(self.agent_ids),
-            "ranking": list(self.ranking_ids),
+            "ranking": [self.agent_ids[a] for a in high.order],
         }
-        _put(out, "price", self.price)
-        _put(out, "p_high", self.p_high)
-        _put(out, "p_low", self.p_low)
+        _put(out, "price", high.price)
+        _put(out, "p_high", high.branch_probability)
+        _put(out, "p_low", low.branch_probability)
         out["branches"] = []
-        for branch in self.branches:
-            b: dict = {
-                "branch": branch.label,
-                "owner_count": branch.owner_count,
-            }
-            _put(b, "probability", branch.probability)
+        for outcome in self.branches:
+            b: dict = {"branch": self._label(outcome), "owner_count": outcome.realized_m}
+            _put(b, "probability", outcome.branch_probability)
             b["agents"] = []
-            for line in branch.agents:
-                a: dict = {"agent_id": line.agent_id, "rank": line.rank}
-                _put(a, "bid", line.bid)
-                _put(a, "initial_share", line.initial_share)
-                _put(a, "final_share", line.final_share)
-                _put(a, "payment", line.payment)
-                _put(a, "adjusted_utility", line.adjusted_utility)
+            for agent_id, rank, bid, share, final, payment, utility in self._rows(outcome):
+                a: dict = {"agent_id": agent_id, "rank": rank}
+                _put(a, "bid", bid)
+                _put(a, "initial_share", share)
+                _put(a, "final_share", final)
+                _put(a, "payment", payment)
+                _put(a, "adjusted_utility", utility)
                 b["agents"].append(a)
             out["branches"].append(b)
         eu: dict = {}
@@ -122,14 +126,16 @@ class RunReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
     def to_csv(self) -> str:
+        high, low = self.expected.branches
         buf = io.StringIO()
         buf.write(
-            f"# captable={self.captable} n={self.n} m_bar={self.m_bar} "
+            f"# captable={self.captable} n={self.config.n} m_bar={self.config.m_bar} "
             f"mode={self.mode} seed={self.seed}\n"
         )
         buf.write(
-            f"# price={rational_str(self.price)} p_high={rational_str(self.p_high)} "
-            f"p_low={rational_str(self.p_low)}\n"
+            f"# price={rational_str(high.price)} "
+            f"p_high={rational_str(high.branch_probability)} "
+            f"p_low={rational_str(low.branch_probability)}\n"
         )
         w = self.welfare
         buf.write(
@@ -139,66 +145,53 @@ class RunReport:
             f"preservation_ratio={rational_str(w.preservation_ratio)}\n"
         )
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            [
-                "branch",
-                "owner_count",
-                "probability",
-                "agent_id",
-                "rank",
-                "bid",
-                "initial_share",
-                "final_share",
-                "final_share_approx",
-                "payment",
-                "payment_approx",
-                "adjusted_utility",
-                "expected_adjusted_utility",
-            ]
-        )
-        eu_by_id = dict(zip(self.agent_ids, self.expected_utilities))
-        for branch in self.branches:
-            for line in branch.agents:
+        writer.writerow(_CSV_HEADER)
+        for outcome in self.branches:
+            probability = rational_str(outcome.branch_probability)
+            head = [self._label(outcome), outcome.realized_m, probability]
+            for (agent_id, rank, bid, share, final, payment, utility), eu in zip(
+                self._rows(outcome), self.expected_utilities
+            ):
                 writer.writerow(
-                    [
-                        branch.label,
-                        branch.owner_count,
-                        rational_str(branch.probability),
-                        line.agent_id,
-                        line.rank,
-                        rational_str(line.bid),
-                        rational_str(line.initial_share),
-                        rational_str(line.final_share),
-                        decimal_approx(line.final_share, APPROX_DIGITS),
-                        rational_str(line.payment),
-                        decimal_approx(line.payment, APPROX_DIGITS),
-                        rational_str(line.adjusted_utility),
-                        rational_str(eu_by_id[line.agent_id]),
+                    head
+                    + [
+                        agent_id,
+                        rank,
+                        rational_str(bid),
+                        rational_str(share),
+                        rational_str(final),
+                        decimal_approx(final, APPROX_DIGITS),
+                        rational_str(payment),
+                        decimal_approx(payment, APPROX_DIGITS),
+                        rational_str(utility),
+                        rational_str(eu),
                     ]
                 )
         return buf.getvalue()
 
     def to_text(self) -> str:
+        high, low = self.expected.branches
+        m_bar = self.config.m_bar
         lines = [
             f"captable: {self.captable}",
-            f"agents: n={self.n}, m_bar={self.m_bar}, mode={self.mode}"
+            f"agents: n={self.config.n}, m_bar={m_bar}, mode={self.mode}"
             + (f", seed={self.seed}" if self.seed is not None else ""),
-            "ranking: " + " > ".join(self.ranking_ids),
-            f"price: {rational_str(self.price)}",
-            f"P[m={self.m_bar}] = {rational_str(self.p_high)}, "
-            f"P[m={self.m_bar - 1}] = {rational_str(self.p_low)}",
+            "ranking: " + " > ".join(self.agent_ids[a] for a in high.order),
+            f"price: {rational_str(high.price)}",
+            f"P[m={m_bar}] = {rational_str(high.branch_probability)}, "
+            f"P[m={m_bar - 1}] = {rational_str(low.branch_probability)}",
         ]
-        for branch in self.branches:
+        for outcome in self.branches:
             lines.append(
-                f"branch {branch.label}: m={branch.owner_count}, "
-                f"probability {rational_str(branch.probability)}"
+                f"branch {self._label(outcome)}: m={outcome.realized_m}, "
+                f"probability {rational_str(outcome.branch_probability)}"
             )
-            for a in branch.agents:
+            for agent_id, rank, bid, share, final, payment, utility in self._rows(outcome):
                 lines.append(
-                    f"  {a.agent_id} (rank {a.rank}, bid {rational_str(a.bid)}): "
-                    f"share {rational_str(a.initial_share)} -> {rational_str(a.final_share)}, "
-                    f"payment {rational_str(a.payment)}, "
-                    f"utility {rational_str(a.adjusted_utility)}"
+                    f"  {agent_id} (rank {rank}, bid {rational_str(bid)}): "
+                    f"share {rational_str(share)} -> {rational_str(final)}, "
+                    f"payment {rational_str(payment)}, "
+                    f"utility {rational_str(utility)}"
                 )
         eu = ", ".join(
             f"{agent_id}={rational_str(v)}"
@@ -219,6 +212,13 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
+_CSV_HEADER = (
+    "branch", "owner_count", "probability", "agent_id", "rank", "bid",
+    "initial_share", "final_share", "final_share_approx", "payment",
+    "payment_approx", "adjusted_utility", "expected_adjusted_utility",
+)
+
+
 def _put(out: dict, key: str, value) -> None:
     out[key] = rational_str(value)
     out[key + "_approx"] = decimal_approx(value, APPROX_DIGITS)
@@ -235,58 +235,23 @@ def build_run_report(
     captable_name: str,
     checks=(),
 ) -> RunReport:
-    """Assemble a RunReport from the instance's ``run_expected`` outcome.
+    """A RunReport over the instance's ``run_expected`` outcome.
 
-    In realized mode the branch is drawn from ``expected`` with ``seed``.
+    In realized mode the branch shown is drawn from ``expected`` with ``seed``;
+    in expected mode both branches are shown and the seed is dropped.
     Utilities are taken at face value (bid = value).
     """
-    order = expected.high_branch.order
-    rank_of = {agent: rank for rank, agent in enumerate(order, 1)}
-    agent_ids = tuple(r.agent_id for r in records)
-
-    if mode == "realized":
-        outcomes = (draw_branch(expected, seed),)
-    else:
-        outcomes = expected.branches
-
-    sections = []
-    for outcome in outcomes:
-        label = "high" if outcome.realized_m == config.m_bar else "low"
-        agents = []
-        for agent in range(config.n):
-            final = outcome.final_allocation
-            agents.append(
-                AgentBranchLine(
-                    agent_id=agent_ids[agent],
-                    rank=rank_of[agent],
-                    bid=profile.bids[agent],
-                    initial_share=initial.shares[agent],
-                    final_share=final.shares[agent],
-                    payment=final.money[agent] - initial.money[agent],
-                    adjusted_utility=adjusted_utility(initial, outcome, profile, agent),
-                )
-            )
-        sections.append(
-            BranchSection(
-                label=label,
-                owner_count=outcome.realized_m,
-                probability=outcome.branch_probability,
-                agents=tuple(agents),
-            )
-        )
-
+    realized = mode == "realized"
     return RunReport(
         captable=captable_name,
-        n=config.n,
-        m_bar=config.m_bar,
+        agent_ids=tuple(r.agent_id for r in records),
+        initial=initial,
+        profile=profile,
+        config=config,
+        expected=expected,
         mode=mode,
-        seed=seed if mode == "realized" else None,
-        agent_ids=agent_ids,
-        ranking_ids=tuple(agent_ids[a] for a in order),
-        price=expected.high_branch.price,
-        p_high=expected.high_branch.branch_probability,
-        p_low=expected.low_branch.branch_probability,
-        branches=tuple(sections),
+        seed=seed if realized else None,
+        branches=(draw_branch(expected, seed),) if realized else expected.branches,
         expected_utilities=expected_adjusted_utilities(initial, profile, config, profile),
         welfare=welfare_report(initial, profile, config),
         checks=tuple(checks),

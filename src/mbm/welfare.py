@@ -26,7 +26,6 @@ can safely run in parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .core import Allocation, BidProfile, MbmConfig
 from .core import _branch_kernel, _branches, _instance_kernel, _over_lcm
@@ -45,7 +44,14 @@ class WelfareReport:
 
 
 def social_welfare(allocation: Allocation, valuations: BidProfile) -> Rational:
-    """Share-weighted valuation sum; money balances are excluded."""
+    """Share-weighted valuation sum; money balances are excluded.
+
+    Raises InvalidConfig when the allocation and the valuations differ in size.
+    """
+    if allocation.n != valuations.n:
+        raise InvalidConfig(
+            f"allocation has {allocation.n} shares, valuations have {valuations.n} entries"
+        )
     total = ZERO
     for s, v in zip(allocation.shares, valuations.bids):
         total += s * v
@@ -101,7 +107,6 @@ def welfare_report(
 # --- equal shares, uniform valuation grid ----------------------------------
 
 
-@lru_cache(maxsize=256)
 def uniform_grid_valuations(n: int) -> BidProfile:
     """The valuation grid 1, (n-1)/n, ..., 1/n (agent 0 highest)."""
     return BidProfile(tuple(Rational(n - i, n) for i in range(n)))
@@ -191,20 +196,22 @@ def _grid_point(n: int):
     An invalid alpha raises InvalidAlpha before any instance exists; each
     valid one takes only its branch triples off the kernel.
     """
-    kernel = None
+    kernel = best = None
 
     def point(alpha) -> SweepRow:
-        nonlocal kernel
+        nonlocal kernel, best
         alpha = rational(alpha)
         m_bar = _m_bar_from_alpha(n, alpha)
         if kernel is None:
             kernel = _instance_kernel(*uniform_grid_instance(n, m_bar))
+            order, _, _, w, e = kernel
+            best = Rational(w[order[0]], e)  # first-best: the top valuation
         order, a, d, _, _ = kernel
         engine = _welfare(*kernel, _branches(order, a, d, m_bar))
         closed = _closed_form(n, alpha)
         return SweepRow(
             n=n, alpha=alpha, m_bar=m_bar, closed_form=closed, engine=engine,
-            preservation_ratio=engine / uniform_grid_valuations(n).bids[order[0]],
+            preservation_ratio=engine / best,
             limit_gap=closed - _limit(alpha),
         )
 

@@ -22,6 +22,7 @@ from strategies import instances
 DATA = os.path.join(os.path.dirname(__file__), "data")
 WORKED = os.path.join(DATA, "worked.csv")
 GOLDEN = os.path.join(DATA, "golden_run_expected.json")
+GOLDEN_RUN = os.path.join(DATA, "golden_run.json")
 GOLDEN_VERIFY = os.path.join(DATA, "golden_verify.json")
 GOLDEN_WELFARE = os.path.join(DATA, "golden_welfare.json")
 
@@ -100,6 +101,21 @@ def test_run_csv_and_text_formats(capsys):
     )
     assert code == 0
     assert "price: 5" in out
+
+
+def test_run_matches_golden_output(capsys, monkeypatch):
+    # exit code, stdout and stderr of json, csv and text reports, expected and
+    # realized, with and without --check, on worked.csv and on decimal.csv
+    # (decimal numerals, a zero share, --normalize), frozen before the report
+    # rendered straight from the engine's outcome
+    with open(GOLDEN_RUN, "r", encoding="utf-8") as fh:
+        golden = json.load(fh)
+    assert {case["argv"][-1] for case in golden} == {"json", "csv", "text"}
+    monkeypatch.chdir(DATA)
+    for case in golden:
+        assert run_cli(capsys, *case["argv"]) == (
+            case["exit"], case["stdout"], case["stderr"]
+        ), case["argv"]
 
 
 def test_run_check_flag_includes_verdicts(capsys):

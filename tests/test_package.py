@@ -1,9 +1,13 @@
-"""The package surface: ``mbm.__all__`` and the README's library quickstart."""
+"""The package surface: ``mbm.__all__``, its caches and the README's library quickstart."""
 
+import importlib
+import pkgutil
 import re
+import sys
 from pathlib import Path
 
 import mbm
+from mbm import core
 from mbm.rational import rational
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -26,6 +30,19 @@ def test_engine_pieces_outside_run_expected_are_not_exported():
     for name in gone:
         assert name not in mbm.__all__
         assert not hasattr(mbm, name)
+
+
+def test_realize_memo_is_the_only_cache():
+    # every module loaded, then every object with a cache_clear, once each
+    for info in pkgutil.iter_modules(mbm.__path__):
+        importlib.import_module(f"mbm.{info.name}")
+    caches = {}
+    for name, module in list(sys.modules.items()):
+        if name == "mbm" or name.startswith("mbm."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    caches[id(value)] = value
+    assert list(caches.values()) == [core._realize_expected]
 
 
 def _annotated_value(text):

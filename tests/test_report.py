@@ -95,9 +95,11 @@ def test_realized_report_lists_the_drawn_branch():
                 records, initial, profile, config, expected,
                 mode="realized", seed=seed, captable_name="drawn.csv",
             )
-            (section,) = report.branches
-            assert section.owner_count == drawn.realized_m
-            assert section.label == ("high" if hit_high else "low")
-            assert [a.final_share for a in section.agents] == list(
+            (shown,) = report.branches
+            assert shown is drawn
+            (section,) = report.to_dict()["branches"]
+            assert section["owner_count"] == drawn.realized_m
+            assert section["branch"] == ("high" if hit_high else "low")
+            assert [rational(a["final_share"]) for a in section["agents"]] == list(
                 drawn.final_allocation.shares
             )

@@ -41,6 +41,14 @@ def test_social_welfare_worked_dot_product(worked):
     assert social_welfare(initial, profile) == Q(69, 10)
 
 
+def test_social_welfare_rejects_missized_valuations(worked):
+    # zip would drop the extra valuation, or the share without one
+    initial, profile, _ = worked
+    for bids, size in ((profile.bids + (Q(1),), 4), (profile.bids[:2], 2)):
+        with pytest.raises(InvalidConfig, match=f"3 shares, valuations have {size}"):
+            social_welfare(initial, BidProfile(bids))
+
+
 def test_social_welfare_whole_asset_to_top_is_first_best(worked):
     _, profile, _ = worked
     top_only = Allocation.from_shares((ONE, ZERO, ZERO))
