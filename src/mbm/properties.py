@@ -2,8 +2,9 @@
 
 Each oracle re-derives one property from first principles on a concrete
 instance -- exact summation, exhaustive single-agent deviation search,
-coalition enumeration -- and returns a PropertyReport instead of raising:
-a violated verdict always carries a reproducible witness.
+coalition enumeration over rank patterns or grids -- and returns a
+PropertyReport instead of raising: a violated verdict always carries a
+reproducible witness.
 
 Deviation search rests on one structural fact. Fixing everyone else's bids,
 an agent's expected adjusted utility as a function of her own bid is
@@ -17,24 +18,39 @@ and the tests re-check verdicts on a 10x refined grid of their own.
 
 Every oracle accepts an ``engine`` hook (defaulting to the real mechanism)
 so deliberately corrupted variants can be run through the same verdict
-logic as negative controls; see ``corrupted_engine``. The two deviation
-searches are one loop each, for every engine. An instance is set up once:
-the share numerators a / d from one ``_simplex_numerators`` call, and the
-fixed bids (valuations and the others' bids) as integers over one common
-denominator e. ``_grid`` builds every deviating agent's candidates on those
-integers, over 1000 * e, so every bid that can occur is an integer over
-that one denominator, per instance for both searches. A case is then an
-integer bid list, and the engine enters only through the instance's scorer
-(``_scorer``), which gives each member's utility times d and the bids'
-denominator as an integer ratio, compared with the truthful one by
-cross-multiplication. For the real mechanism the scorer is
-``core._utility_ratios``, the formula ``expected_adjusted_utilities`` also
-reads; it ranks the bids and checks the buyer masses as ``run_expected``
-does, so a degenerate case raises there too. Any other engine, including a
-wrapper around the real one, is scored on the profile the integers stand
-for, through ``expected_adjusted_utility`` per member. With the real
-mechanism, a BidProfile and rationals are built only for a violation's
-witness.
+logic as negative controls; see ``corrupted_engine``. The sp search is
+one loop for every engine; the group-sp search decides a coalition on its
+rank patterns where it can (below) and walks its grid product otherwise.
+An instance is set up once: the share numerators a / d from one
+``_simplex_numerators`` call, and the fixed bids (valuations and the
+others' bids) as integers over one common denominator e. ``_grid`` builds
+every deviating agent's candidates on those integers, over 1000 * e, so
+every bid that can occur is an integer over that one denominator, per
+instance for both searches. A case is then an integer bid list, and the
+engine enters only through the instance's scorer (``_scorer``), which
+gives each member's utility times d and the bids' denominator as an
+integer ratio, compared with the truthful one by cross-multiplication.
+For the real mechanism the scorer is ``core._utility_ratios``, the
+formula ``expected_adjusted_utilities`` also reads; it ranks the bids and
+checks the buyer masses as ``run_expected`` does, so a degenerate case
+raises there too. Any other engine, including a wrapper around the real
+one, is scored on the profile the integers stand for, through
+``expected_adjusted_utility`` per member. With the real mechanism, a
+BidProfile and rationals are built only for a violation's witness.
+
+Coalitions have a sharper fact for the real mechanism. With the
+non-members' bids fixed, every member's utility depends only on the rank
+pattern, the order of all n bids: the member at rank m_bar gets 0, and
+otherwise the price is a non-member's fixed bid while H, L and each
+member's side follow from the order. So when every share is positive,
+group-sp scores one point per pattern, n! / (n - k)! of them for a
+coalition of k, instead of every grid combination; a coalition with a
+member whose truthful utility is negative, any other engine, and
+instances with a zero share (whose DegenerateBuyerMass comes from a
+particular grid case) keep the grid walk. Either way a holding verdict's
+``cases`` counts the grid deviations covered. Before any coalition, the
+real mechanism's scorer is checked against ``run_expected`` at the
+truthful bids, so the patterns are read off the engine's formula.
 """
 
 from __future__ import annotations
@@ -364,6 +380,75 @@ def check_strategyproofness(
     return PropertyReport(name, instance, holds=True, cases=cases)
 
 
+def _all_gain(ratios, coalition, truthful) -> bool:
+    """Whether each member's (numerator, denominator) in ``ratios`` beats her truthful one."""
+    return all(
+        num * truthful[j][1] > truthful[j][0] * den
+        for j, (num, den) in zip(coalition, ratios)
+    )
+
+
+def _grid_all_gain(score, base, e, truthful, grids, coalition):
+    """(w, cases) for the first tie-free joint grid deviation of ``coalition``
+    in which every member strictly gains: the full bid list and the grid
+    cases walked, ties included. None if there is none."""
+    product = itertools.product(*(grids[j] for j in coalition))
+    for cases, combo in enumerate(product, 1):
+        if len(set(combo)) < len(combo):
+            continue  # joint ties: outside the mechanism's domain
+        w = list(base)
+        for j, bid in zip(coalition, combo):
+            w[j] = bid
+        if _all_gain(score(w, e, base, coalition), coalition, truthful):
+            return w, cases
+    return None
+
+
+def _pattern_all_gain(a, d: int, m_bar: int, values, truthful, coalition):
+    """(w, walked) for the first rank pattern of ``coalition`` in which every
+    member strictly gains: one tie-free bid list on it and the patterns
+    walked. None if there is none.
+
+    ``values`` are the true values as distinct integers, each a multiple of
+    n + 1, and ``truthful`` the utility ratios at them. A pattern places the
+    members at distinct ranks and the non-members in their truthful order
+    around them. On a pattern whose rank m_bar is a member, she gets 0, no
+    more than her truthful utility (the caller makes sure that is not
+    negative). Otherwise the price is that non-member's value, and H, L and
+    each member's side follow from the order, so one point decides the
+    pattern: the non-members at their values and each member one above the
+    bid below her (0 at the bottom). A pattern that needs a member below a
+    zero bid has no point and is skipped.
+    """
+    n = len(values)
+    members = set(coalition)
+    fixed = sorted(
+        (j for j in range(n) if j not in members), key=values.__getitem__, reverse=True
+    )
+    patterns = itertools.permutations(range(n), len(coalition))
+    for walked, ranks in enumerate(patterns, 1):
+        if m_bar - 1 in ranks:
+            continue
+        order = list(fixed)
+        for rank, j in sorted(zip(ranks, coalition)):
+            order.insert(rank, j)
+        w = list(values)
+        below = -1
+        for j in reversed(order):
+            if j in members:
+                below += 1
+                w[j] = below
+            elif values[j] > below:
+                below = values[j]
+            else:
+                break  # a member below a zero bid
+        else:
+            ratios = _utility_ratios(a, d, m_bar, w, values, coalition)
+            if _all_gain(ratios, coalition, truthful):
+                return w, walked
+    return None
+
+
 def check_weak_group_strategyproofness(
     initial: Allocation,
     valuations: BidProfile,
@@ -373,13 +458,22 @@ def check_weak_group_strategyproofness(
 ) -> PropertyReport:
     """No coalition deviation makes every member strictly better off.
 
-    Enumerates all coalitions of size >= 2 and searches the product of the
-    members' deviation grids. Joint assignments that reintroduce ties are
-    skipped (the grids avoid all truthful bids, but two members may draw the
-    same candidate). Before building any coalition, raises SearchBudgetExceeded
+    Covers all coalitions of size >= 2 and the product of the members'
+    deviation grids. Joint assignments that reintroduce ties are skipped
+    (the grids avoid all truthful bids, but two members may draw the same
+    candidate). Before building any coalition, raises SearchBudgetExceeded
     rather than subsampling when ``prod(1 + |grid_j|) - 1 - sum(|grid_j|)``,
     every subset's joint deviations less the empty and one-member ones,
-    exceeds ``budget``.
+    exceeds ``budget``. A holding verdict's ``cases`` is that count: the
+    grid deviations covered.
+
+    For the real engine, each agent's truthful ``_utility_ratios`` value is
+    first compared with ``run_expected``'s; a mismatch is a violation at
+    the truthful bids. Then, when every share is positive, a coalition whose
+    members' truthful utilities are all non-negative is decided on its rank
+    patterns (``_pattern_all_gain``), which cover the grid and every other
+    tie-free deviation; a violation found there counts the patterns walked.
+    Every other coalition, engine and instance walks the grid product.
 
     Weak gains are expected and must not be flagged: a threshold agent can
     move the price in her neighbors' favor while staying at zero herself.
@@ -389,46 +483,61 @@ def check_weak_group_strategyproofness(
     n = config.n
     a, d = _share_numerators(initial, valuations, config)
     score = _scorer(engine, initial, valuations, config, a, d)
-    # the valuations over one denominator e, then over the grid's 1000 * e
+    # the valuations over one denominator e
     base, e = _over_lcm(valuations.bids)
     truthful = list(score(base, e, base, range(n)))
+    if engine is run_expected:
+        # tie the scorer to the engine at the truthful profile
+        expected = run_expected(initial, valuations, config)
+        for j, (num, den) in enumerate(truthful):
+            fast = Rational(num, d * e * den)
+            slow = expected_adjusted_utility(initial, expected, valuations, j)
+            if fast != slow:
+                return _violation(
+                    name,
+                    instance,
+                    j + 1,
+                    f"agent {j}: the scorer gives {fast} at the truthful bids, "
+                    f"the engine {slow}",
+                    agent=j,
+                    bids=valuations.bids,
+                )
     grids = [_grid(_others(base, j)) for j in range(n)]
 
     required = math.prod(1 + len(grid) for grid in grids) - 1 - sum(map(len, grids))
     if required > budget:
         raise SearchBudgetExceeded(required, budget)
 
-    base = [1000 * x for x in base]
-    e *= 1000
-    truthful = [(num * 1000, den) for num, den in truthful]
+    patterns = engine is run_expected and min(a) > 0
     coalitions = (c for k in range(2, n + 1) for c in itertools.combinations(range(n), k))
     cases = 0
     for coalition in coalitions:
-        for combo in itertools.product(*(grids[j] for j in coalition)):
-            cases += 1
-            if len(set(combo)) < len(combo):
-                continue  # joint ties: outside the mechanism's domain
-            w = list(base)
-            for j, bid in zip(coalition, combo):
-                w[j] = bid
-            for j, (num, den) in zip(coalition, score(w, e, base, coalition)):
-                t_num, t_den = truthful[j]
-                if num * t_den <= t_num * den:
-                    break
-            else:
-                combo = tuple(Rational(bid, e) for bid in combo)
-                deviant = list(valuations.bids)
-                for j, bid in zip(coalition, combo):
-                    deviant[j] = bid
-                return _violation(
-                    name,
-                    instance,
-                    cases,
-                    f"coalition {coalition} all strictly gain by bidding "
-                    f"{tuple(str(b) for b in combo)}",
-                    coalition=coalition,
-                    bids=BidProfile(tuple(deviant)).bids,
-                )
+        by_pattern = patterns and min(truthful[j][0] for j in coalition) >= 0
+        # pattern points are integers over (n + 1) * e, grid deviations over 1000 * e
+        scale = n + 1 if by_pattern else 1000
+        values = [scale * x for x in base]
+        truth = [(num * scale, den) for num, den in truthful]
+        if by_pattern:
+            found = _pattern_all_gain(a, d, config.m_bar, values, truth, coalition)
+        else:
+            found = _grid_all_gain(score, values, scale * e, truth, grids, coalition)
+        if found is None:
+            cases += math.prod(len(grids[j]) for j in coalition)
+            continue
+        w, walked = found
+        combo = tuple(Rational(w[j], scale * e) for j in coalition)
+        deviant = list(valuations.bids)
+        for j, bid in zip(coalition, combo):
+            deviant[j] = bid
+        return _violation(
+            name,
+            instance,
+            cases + walked,
+            f"coalition {coalition} all strictly gain by bidding "
+            f"{tuple(str(b) for b in combo)}",
+            coalition=coalition,
+            bids=BidProfile(tuple(deviant)).bids,
+        )
     return PropertyReport(name, instance, holds=True, cases=cases)
 
 

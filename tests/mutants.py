@@ -1,0 +1,37 @@
+"""One-line mutants of the engine that the group-sp verify suite must kill.
+
+Each entry is (label, file under ``src/mbm``, old line, new line); ``old``
+occurs exactly once in its file. Before the group-sp oracle tied its scorer
+to ``run_expected``, all three passed every ``mbm verify`` suite: each
+changes the engine and the scorer ``core._utility_ratios`` apart.
+"""
+
+MUTANTS = (
+    (
+        "P(high) is the low branch's buyer mass",
+        "core.py",
+        "    return (m_bar, high, high), (m_bar - 1, low, d - high)",
+        "    return (m_bar, high, low), (m_bar - 1, low, d - low)",
+    ),
+    (
+        "_utility_ratios divides the buyer term by H",
+        "core.py",
+        "            out.append((a[j] * rest * (values[j] - u), low))",
+        "            out.append((a[j] * rest * (values[j] - u), high))",
+    ),
+    (
+        "_utility_ratios prices at rank m_bar - 1",
+        "core.py",
+        "    u = w[order[m_bar - 1]]",
+        "    u = w[order[m_bar - 2]]",
+    ),
+)
+
+
+def apply(package_dir, mutant) -> None:
+    """Rewrite the mutant's file in ``package_dir`` (a copy of ``src/mbm``)."""
+    _, name, old, new = mutant
+    path = package_dir / name
+    text = path.read_text(encoding="utf-8")
+    assert text.count(old + "\n") == 1, mutant
+    path.write_text(text.replace(old + "\n", new + "\n"), encoding="utf-8")

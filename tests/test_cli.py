@@ -4,9 +4,11 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -17,6 +19,8 @@ from mbm import __version__, expected_adjusted_utilities, run_expected
 from mbm import cli
 from mbm.cli import main
 from mbm.rational import BACKEND, rational, rational_str
+import mutants
+from conftest import SRC
 from strategies import instances
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -282,6 +286,9 @@ def test_run_shares_off_simplex_exit_2(capsys, tmp_path):
          "error: need more than 2 agents, got n_range 2..3"),
         (None, ["verify", "--suite", "budget", "--instances", "-3"],
          "error: instance count must not be negative, got -3"),
+        (None, ["verify", "--suite", "group-sp", "--instances", "1", "--n-range", "3..3",
+                "--budget", "-1"],
+         "error: search budget must not be negative, got -1"),
         ("a,1e-5000,3\nb,1/2,2\nc,1/4,1\n",
          ["run", "--mbar", "2", "--normalize", "--expected", "--format", "json"],
          "error: row 2, column 2: exponent -5000 outside -1000..1000"),
@@ -301,9 +308,9 @@ def test_run_shares_off_simplex_exit_2(capsys, tmp_path):
     ids=[
         "malformed-cell", "malformed-cell-after-blank-lines", "short-row-after-blank-lines",
         "duplicate-id", "tied-bids", "empty-n-range", "n-range-below-3",
-        "n-range-below-3-few-instances", "negative-instance-count", "numeral-exponent",
-        "numeral-length", "field-over-csv-limit", "n-range-not-int", "n-range-no-dots", "n-list-not-int",
-        "alpha-not-rational",
+        "n-range-below-3-few-instances", "negative-instance-count", "negative-budget",
+        "numeral-exponent", "numeral-length", "field-over-csv-limit", "n-range-not-int",
+        "n-range-no-dots", "n-list-not-int", "alpha-not-rational",
     ],
 )
 def test_validation_errors_exit_2(capsys, tmp_path, rows, argv, message):
@@ -446,6 +453,29 @@ def test_verify_group_sp_refuses_forty_agents_before_enumerating(capsys):
         "38784915966959389108721854556950052137037192645370560 evaluations, "
         "cap is 1000000\n"
     )
+
+
+def test_group_sp_suite_kills_the_engine_mutants(tmp_path, subprocess_env):
+    # each mutant changes run_expected and the scorer apart; the suite ties the
+    # two together on every instance, so it must exit 1, and all three runs
+    # together stay within a few seconds
+    argv = ["verify", "--suite", "group-sp", "--instances", "20", "--seed", "7",
+            "--n-range", "3..4"]
+    elapsed = 0.0
+    for k, mutant in enumerate(mutants.MUTANTS):
+        package = tmp_path / str(k) / "mbm"
+        shutil.copytree(os.path.join(SRC, "mbm"), package)
+        mutants.apply(package, mutant)
+        env = dict(subprocess_env)
+        env["PYTHONPATH"] = os.pathsep.join((str(package.parent), env["PYTHONPATH"]))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "mbm", *argv], capture_output=True, text=True, env=env
+        )
+        elapsed += time.perf_counter() - start
+        assert proc.returncode == 1, (mutant[0], proc.stderr)
+        assert proc.stderr == "20 violation(s) found\n", mutant[0]
+    assert elapsed < 5.0, elapsed
 
 
 # --- welfare -------------------------------------------------------------------

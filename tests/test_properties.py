@@ -26,6 +26,8 @@ from mbm import (
     expected_adjusted_utility,
     run_expected,
 )
+from mbm import properties
+from mbm.core import _over_lcm, _simplex_numerators
 from mbm.instances import InstanceSpec, generate, perturbed_profile
 from mbm.properties import CORRUPTION_KINDS, PropertyReport, Witness
 from mbm.rational import ONE, ZERO, Rational as Q
@@ -374,6 +376,48 @@ def test_group_sp_flags_corrupted_price(worked):
     )
     assert not report.holds
     assert len(report.witness.coalition) >= 2
+
+
+def test_group_sp_sees_a_gain_the_grid_only_reaches_as_a_tie(monkeypatch):
+    # a scorer that also pays members 2 and 3 once 3 outbids 2 and both
+    # outbid agent 0's 8; at m_bar 3 agent 0 then holds the threshold, so
+    # the pattern is scored (at m_bar 2 a member would, and get 0). Both
+    # members' top grid candidate is 8 + 1/500, a tie, so no joint grid
+    # deviation puts both above 8: only the rank patterns see the gain
+    initial, profile, _ = weak_gain_instance()
+    config = MbmConfig(4, 3)
+    real = properties._utility_ratios
+
+    def gaining(a, d, m_bar, w, values, agents):
+        agents = list(agents)
+        out = real(a, d, m_bar, w, values, agents)
+        if w[3] > w[2] > values[0]:
+            # ten times the highest value: above any truthful utility
+            return [
+                (10 * d * max(values), 1) if j in (2, 3) else ratio
+                for j, ratio in zip(agents, out)
+            ]
+        return out
+
+    monkeypatch.setattr(properties, "_utility_ratios", gaining)
+    report = check_weak_group_strategyproofness(initial, profile, config)
+    assert not report.holds
+    assert report.witness.coalition == (2, 3)
+    bids = report.witness.bids
+    assert bids[3] > bids[2] > profile.bids[0]
+    a, d = _simplex_numerators(initial.shares)
+    scaled, _ = _over_lcm(bids + profile.bids)
+    w, values = scaled[:4], scaled[4:]
+    deviant = gaining(a, d, config.m_bar, w, values, (2, 3))
+    truthful = gaining(a, d, config.m_bar, values, values, (2, 3))
+    for (num, den), (t_num, t_den) in zip(deviant, truthful):
+        assert num * t_den > t_num * den
+
+    grids = [deviation_grid(profile, j).candidates for j in (2, 3)]
+    assert max(grids[0]) == max(grids[1]) == Q(8002, 1000)
+    assert not any(
+        x != y and min(x, y) > profile.bids[0] for x in grids[0] for y in grids[1]
+    )
 
 
 def test_group_sp_budget_cap():
