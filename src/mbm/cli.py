@@ -134,8 +134,6 @@ def cmd_verify(args) -> int:
     if seed is None:
         seed = 0
     n_range = _parse_range(args.n_range)
-    if args.budget < 0:
-        raise InvalidArgument(f"search budget must not be negative, got {args.budget}")
     engine = run_expected
     if args.inject_defect:
         engine = corrupted_engine(args.inject_defect)

@@ -88,7 +88,7 @@ class InvalidNumeral(MbmError, ValueError):
 
 
 class InvalidArgument(MbmError):
-    """A command-line value, or MBM_SEED, that does not parse."""
+    """A command-line value or MBM_SEED that does not parse, or a negative search budget."""
 
 
 class SharesDontSumToOne(MbmError):

@@ -51,13 +51,17 @@ particular grid case) keep the grid walk. Either way a holding verdict's
 ``cases`` counts the grid deviations covered. Before any coalition, the
 real mechanism's scorer is checked against ``run_expected`` at the
 truthful bids, so the patterns are read off the engine's formula.
+
+Price monotonicity is decided on the same pieces: between consecutive
+other bids the real engine's price is constant or the mover's bid, and the
+``price-*`` controls' prices are affine, so three points per piece and the
+limits at its ends decide the lemma.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass, replace
 
 from .core import (
@@ -65,19 +69,28 @@ from .core import (
     BidProfile,
     ExpectedOutcome,
     MbmConfig,
+    _bid_order,
+    _buyer_masses,
     _check_sizes,
     _over_lcm,
     _reject_ties,
     _share_numerators,
+    _simplex_numerators,
     _utility_ratios,
     adjusted_utility,
     expected_adjusted_utility,
     run_expected,
 )
-from .errors import SearchBudgetExceeded
-from .rational import ONE, ZERO, Rational, as_ratio, rational_str
+from .errors import InvalidArgument, SearchBudgetExceeded
+from .rational import ZERO, Rational, as_ratio, rational_str
 
 DEFAULT_SEARCH_BUDGET = 10**6
+
+
+def _check_budget(budget: int) -> None:
+    """Raise InvalidArgument for a negative search budget."""
+    if budget < 0:
+        raise InvalidArgument(f"search budget must not be negative, got {budget}")
 
 
 @dataclass(frozen=True)
@@ -268,61 +281,122 @@ def check_individual_rationality(
     return PropertyReport(name, instance, holds=True, cases=cases)
 
 
-def _random_rational(rng: random.Random):
-    return Rational(rng.randint(1, 2**14), 2**12)
+def _pricer(engine, initial, config):
+    """The instance's ``price(w, e)``: the high branch's price at bids w / e, times e.
+
+    The real engine's is the bid ranked m_bar on the integer list w, with the
+    buyer masses checked as ``run_expected`` checks them when a share is
+    zero; any other engine runs the profile w / e.
+    """
+    if engine is run_expected:
+        a, _ = _simplex_numerators(initial.shares)
+        m_bar = config.m_bar
+        if min(a) > 0:
+            return lambda w, e: w[_bid_order(w)[m_bar - 1]]
+
+        def readout(w, e):
+            order = _bid_order(w)
+            _buyer_masses(order, a, m_bar)
+            return w[order[m_bar - 1]]
+
+        return readout
+
+    def price(w, e):
+        bids = BidProfile(tuple(Rational(x, e) for x in w))
+        return engine(initial, bids, config).high_branch.price * e
+
+    return price
 
 
 def check_price_monotonicity(
     initial: Allocation,
     profile: BidProfile,
     config: MbmConfig,
-    trials: int,
-    seed: int = 0,
     engine=run_expected,
 ) -> PropertyReport:
     """Raising one bid never lowers the price; lowering one never raises it.
 
-    Perturbations are random but tie-avoiding, drawn from a generator seeded
-    by ``seed`` so the oracle is deterministic.
+    Decided on pieces: with the others' bids fixed, an agent's pieces are
+    [0, o_1) when o_1 > 0, each gap between other bids, and (o, 2 o) above
+    the highest, o. With the bids over 4 e, e their common denominator, a
+    piece's quarter points x_1 < x_2 < x_3 are integers; with p_k the price
+    at x_k, the piece must be affine (p_1 + p_3 == 2 p_2), not fall
+    (p_2 >= p_1), and start (2 p_1 - p_2) no lower than the previous piece
+    ends (2 p_3 - p_2); anything else is a violation, never a pass.
+    ``cases`` counts the prices taken.
+
+    The real engine's readout is first tied to ``run_expected`` at the
+    truthful bids, a mismatch being a violation there. A witness names the
+    agent and the profile at her highest offending bid, and its detail
+    lists those bids with their prices; a jump is shown by two bids either
+    side of the boundary.
     """
     name = "price-monotonicity"
     instance = describe_instance(initial, profile, config)
-    rng = random.Random(seed)
-    base_price = engine(initial, profile, config).high_branch.price
-    # a candidate never equals the mover's own bid: one set serves every mover
-    taken = set(profile.bids)
+    # the truthful run goes first, so its errors come before the pieces'
+    truthful = engine(initial, profile, config).high_branch.price
+    price = _pricer(engine, initial, config)
+    fixed, e = _over_lcm(profile.bids)
+    if engine is run_expected and price(fixed, e) != truthful * e:
+        return _violation(
+            name,
+            instance,
+            1,
+            f"the readout gives price {Rational(price(fixed, e), e)} at the "
+            f"truthful bids, the engine {truthful}",
+            bids=profile.bids,
+        )
+
+    def violation(cases, agent, e, points, reason):
+        # points: the agent's bids over e, ascending, each with its price times e
+        bids = ", ".join(str(Rational(x, e)) for x, _ in points)
+        prices = ", ".join(str(Rational(p) / e) for _, p in points)
+        return _violation(
+            name,
+            instance,
+            cases,
+            f"agent {agent} bids {bids} get prices {prices}: {reason}",
+            agent=agent,
+            bids=profile.replace_bid(agent, Rational(points[-1][0], e)).bids,
+        )
+
+    e *= 4
     cases = 0
-    for _ in range(trials):
-        agent = rng.randrange(config.n)
-        old = profile.bids[agent]
-        raise_bid = rng.random() < 0.5 or old == 0
-        candidate = None
-        for _attempt in range(100):
-            r = _random_rational(rng)
-            if raise_bid:
-                cand = old * (ONE + r) if old > 0 else r
-            else:
-                cand = old * r / (r + 1)  # strictly inside (0, old)
-            if cand not in taken:
-                candidate = cand
-                break
-        if candidate is None:
-            continue
-        perturbed = profile.replace_bid(agent, candidate)
-        new_price = engine(initial, perturbed, config).high_branch.price
-        cases += 1
-        ok = new_price >= base_price if raise_bid else new_price <= base_price
-        if not ok:
-            direction = "raised" if raise_bid else "lowered"
-            return _violation(
-                name,
-                instance,
-                cases,
-                f"agent {agent} {direction} bid {old} -> {candidate}; "
-                f"price moved {base_price} -> {new_price}",
-                agent=agent,
-                bids=perturbed.bids,
-            )
+    for agent in range(config.n):
+        others = _others(fixed, agent)
+        w = [4 * x for x in fixed]
+        bounds = sorted({0, *others}) + [2 * max(others)]
+        before = None  # the previous piece's quarter step, rise per step, right limit
+        for lo, hi in zip(bounds, bounds[1:]):
+            h = hi - lo
+            points = []
+            for x in (4 * lo + h, 4 * lo + 2 * h, 4 * lo + 3 * h):
+                w[agent] = x
+                points.append((x, price(w, e)))
+            cases += 3
+            p1, p2, p3 = (p for _, p in points)
+            if p1 + p3 != 2 * p2:
+                return violation(cases, agent, e, points, "not affine on one piece")
+            if p2 < p1:
+                return violation(cases, agent, e, points[:2], "the price falls")
+            left = 2 * p1 - p2
+            if before is not None and left < before[2]:
+                # a jump down at lo: bids m / 2^k either side, k the least at
+                # which both pieces' lines show the drop
+                h_left, rise_left, right = before
+                m = min(h, h_left)
+                climb = ((p2 - p1) * h_left + rise_left * h) * m
+                drop = (right - left) * h * h_left
+                k = 0
+                while climb >= drop * 2**k:
+                    k += 1
+                w = [x << k for x in w]
+                near = []
+                for x in ((4 * lo << k) - m, (4 * lo << k) + m):
+                    w[agent] = x
+                    near.append((x, price(w, e << k)))
+                return violation(cases, agent, e << k, near, "the price falls")
+            before = (h, p3 - p2, 2 * p3 - p2)
     return PropertyReport(name, instance, holds=True, cases=cases)
 
 
@@ -461,7 +535,8 @@ def check_weak_group_strategyproofness(
     Covers all coalitions of size >= 2 and the product of the members'
     deviation grids. Joint assignments that reintroduce ties are skipped
     (the grids avoid all truthful bids, but two members may draw the same
-    candidate). Before building any coalition, raises SearchBudgetExceeded
+    candidate). A negative ``budget`` raises InvalidArgument before any
+    work. Before building any coalition, raises SearchBudgetExceeded
     rather than subsampling when ``prod(1 + |grid_j|) - 1 - sum(|grid_j|)``,
     every subset's joint deviations less the empty and one-member ones,
     exceeds ``budget``. A holding verdict's ``cases`` is that count: the
@@ -478,6 +553,7 @@ def check_weak_group_strategyproofness(
     Weak gains are expected and must not be flagged: a threshold agent can
     move the price in her neighbors' favor while staying at zero herself.
     """
+    _check_budget(budget)
     name = "weak-group-strategyproofness"
     instance = describe_instance(initial, valuations, config)
     n = config.n

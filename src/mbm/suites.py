@@ -14,6 +14,7 @@ from .errors import InvalidConfig
 from .instances import InstanceSpec, generate, perturbed_profile
 from .properties import (
     DEFAULT_SEARCH_BUDGET,
+    _check_budget,
     check_budget_balance,
     check_individual_rationality,
     check_pp_expost_efficiency,
@@ -65,9 +66,14 @@ def run_suite(
     budget: int = DEFAULT_SEARCH_BUDGET,
     group_max_n: int | None = None,
 ) -> list:
-    """Run one named oracle suite over the instances; returns PropertyReports."""
+    """Run one named oracle suite over the instances; returns PropertyReports.
+
+    ``seed`` draws the sp suite's perturbed others; a negative ``budget``
+    raises InvalidArgument before any work, whatever the suite.
+    """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}, pick from {SUITES}")
+    _check_budget(budget)
     rng = random.Random(seed)
     reports = []
     for initial, profile, config in instances:
@@ -76,14 +82,7 @@ def run_suite(
         elif suite == "ir":
             report = check_individual_rationality(initial, profile, config, engine=engine)
         elif suite == "monotone":
-            report = check_price_monotonicity(
-                initial,
-                profile,
-                config,
-                trials=20,
-                seed=rng.randrange(2**32),
-                engine=engine,
-            )
+            report = check_price_monotonicity(initial, profile, config, engine=engine)
         elif suite == "sp":
             others = perturbed_profile(profile, rng)
             report = check_strategyproofness(

@@ -1,31 +1,43 @@
-"""One-line mutants of the engine that the group-sp verify suite must kill.
+"""One-line mutants that a named ``mbm verify`` suite must kill.
 
-Each entry is (label, file under ``src/mbm``, old line, new line); ``old``
-occurs exactly once in its file. Before the group-sp oracle tied its scorer
-to ``run_expected``, all three passed every ``mbm verify`` suite: each
-changes the engine and the scorer ``core._utility_ratios`` apart.
+``MUTANTS`` maps a suite to its mutants, each (label, file under
+``src/mbm``, old line, new line); ``old`` occurs exactly once in its file.
+Before the group-sp oracle tied its scorer to ``run_expected``, its three
+passed every ``mbm verify`` suite: each changes the engine and the scorer
+``core._utility_ratios`` apart. The monotone one moves the price readout
+of ``properties._pricer`` off the engine's.
 """
 
-MUTANTS = (
-    (
-        "P(high) is the low branch's buyer mass",
-        "core.py",
-        "    return (m_bar, high, high), (m_bar - 1, low, d - high)",
-        "    return (m_bar, high, low), (m_bar - 1, low, d - low)",
+MUTANTS = {
+    "group-sp": (
+        (
+            "P(high) is the low branch's buyer mass",
+            "core.py",
+            "    return (m_bar, high, high), (m_bar - 1, low, d - high)",
+            "    return (m_bar, high, low), (m_bar - 1, low, d - low)",
+        ),
+        (
+            "_utility_ratios divides the buyer term by H",
+            "core.py",
+            "            out.append((a[j] * rest * (values[j] - u), low))",
+            "            out.append((a[j] * rest * (values[j] - u), high))",
+        ),
+        (
+            "_utility_ratios prices at rank m_bar - 1",
+            "core.py",
+            "    u = w[order[m_bar - 1]]",
+            "    u = w[order[m_bar - 2]]",
+        ),
     ),
-    (
-        "_utility_ratios divides the buyer term by H",
-        "core.py",
-        "            out.append((a[j] * rest * (values[j] - u), low))",
-        "            out.append((a[j] * rest * (values[j] - u), high))",
+    "monotone": (
+        (
+            "the price readout takes rank m_bar + 1",
+            "properties.py",
+            "            return lambda w, e: w[_bid_order(w)[m_bar - 1]]",
+            "            return lambda w, e: w[_bid_order(w)[m_bar]]",
+        ),
     ),
-    (
-        "_utility_ratios prices at rank m_bar - 1",
-        "core.py",
-        "    u = w[order[m_bar - 1]]",
-        "    u = w[order[m_bar - 2]]",
-    ),
-)
+}
 
 
 def apply(package_dir, mutant) -> None:

@@ -159,19 +159,17 @@ def test_criterion_05_weak_group_strategyproofness():
 
 
 def test_criterion_06_price_monotonicity():
-    with Timer(6, "price monotone under single-bid perturbations", 10) as t:
+    with Timer(6, "price monotone on every piece of every bid", 10) as t:
         instances = generate_suite(205, seed=SUITE_SEED + 4, n_range=(3, 8))
-        perturbations = 0
+        prices = 0
         ok = True
-        for idx, (initial, profile, config) in enumerate(instances):
-            report = check_price_monotonicity(
-                initial, profile, config, trials=50, seed=SUITE_SEED + idx
-            )
-            perturbations += report.cases
+        for initial, profile, config in instances:
+            report = check_price_monotonicity(initial, profile, config)
+            prices += report.cases
             if not report.holds:
                 ok = False
                 break
-        t.finish(ok and perturbations >= 10_000, f"{perturbations} perturbations")
+        t.finish(ok and prices >= 10_000, f"{prices} price evaluations")
 
 
 def test_criterion_07_pp_expost_efficiency(suite_1000):

@@ -455,14 +455,13 @@ def test_verify_group_sp_refuses_forty_agents_before_enumerating(capsys):
     )
 
 
-def test_group_sp_suite_kills_the_engine_mutants(tmp_path, subprocess_env):
-    # each mutant changes run_expected and the scorer apart; the suite ties the
-    # two together on every instance, so it must exit 1, and all three runs
-    # together stay within a few seconds
-    argv = ["verify", "--suite", "group-sp", "--instances", "20", "--seed", "7",
+def verify_on_mutants(tmp_path, subprocess_env, suite):
+    """Seconds that ``verify --suite suite`` took over the suite's mutants, one
+    copy of the package each; every run must exit 1 with every instance violated."""
+    argv = ["verify", "--suite", suite, "--instances", "20", "--seed", "7",
             "--n-range", "3..4"]
     elapsed = 0.0
-    for k, mutant in enumerate(mutants.MUTANTS):
+    for k, mutant in enumerate(mutants.MUTANTS[suite]):
         package = tmp_path / str(k) / "mbm"
         shutil.copytree(os.path.join(SRC, "mbm"), package)
         mutants.apply(package, mutant)
@@ -475,7 +474,22 @@ def test_group_sp_suite_kills_the_engine_mutants(tmp_path, subprocess_env):
         elapsed += time.perf_counter() - start
         assert proc.returncode == 1, (mutant[0], proc.stderr)
         assert proc.stderr == "20 violation(s) found\n", mutant[0]
+    return elapsed
+
+
+def test_group_sp_suite_kills_the_engine_mutants(tmp_path, subprocess_env):
+    # each mutant changes run_expected and the scorer apart; the suite ties the
+    # two together on every instance, and all three runs together stay within
+    # a few seconds
+    elapsed = verify_on_mutants(tmp_path, subprocess_env, "group-sp")
     assert elapsed < 5.0, elapsed
+
+
+def test_monotone_suite_kills_the_readout_mutant(tmp_path, subprocess_env):
+    # the mutant reads the price one rank down; the suite ties the readout to
+    # run_expected at the truthful bids of every instance
+    elapsed = verify_on_mutants(tmp_path, subprocess_env, "monotone")
+    assert elapsed < 3.0, elapsed
 
 
 # --- welfare -------------------------------------------------------------------

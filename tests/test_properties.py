@@ -11,6 +11,7 @@ from mbm import (
     BidProfile,
     DegenerateBuyerMass,
     ExpectedOutcome,
+    InvalidArgument,
     InvalidConfig,
     MbmConfig,
     MbmError,
@@ -30,7 +31,7 @@ from mbm import properties
 from mbm.core import _over_lcm, _simplex_numerators
 from mbm.instances import InstanceSpec, generate, perturbed_profile
 from mbm.properties import CORRUPTION_KINDS, PropertyReport, Witness
-from mbm.rational import ONE, ZERO, Rational as Q
+from mbm.rational import ONE, ZERO, Rational as Q, rational
 from mbm.suites import SUITES, generate_suite, run_suite
 from references import (
     enumerated_coalition_budget,
@@ -40,6 +41,7 @@ from references import (
 from refinement import refined_sp_holds
 
 import random
+import re
 
 
 # --- deviation grid ----------------------------------------------------------
@@ -210,25 +212,123 @@ def test_price_monotonicity_named_cases(worked):
 
 def test_price_monotonicity_oracle_holds(worked):
     initial, profile, config = worked
-    report = check_price_monotonicity(initial, profile, config, trials=500, seed=11)
+    report = check_price_monotonicity(initial, profile, config)
     assert report.holds
-    assert report.cases > 0
+    # three pieces per agent, three prices per piece
+    assert report.cases == 27
 
 
 def test_price_monotonicity_flags_nonmonotone_rule(worked):
     initial, profile, config = worked
     report = check_price_monotonicity(
-        initial, profile, config, trials=500, seed=11, engine=corrupted_engine("price-dip")
+        initial, profile, config, engine=corrupted_engine("price-dip")
     )
     assert not report.holds
+    # agent 0 alone below the others: the price 2 - b/2 falls on her bottom piece
+    assert report.cases == 3
+    assert report.witness.detail == "agent 0 bids 1/2, 1 get prices 7/4, 3/2: the price falls"
+    assert report.witness.agent == 0
+    assert report.witness.bids == (Q(1), Q(5), Q(2))
 
 
 def test_oracles_deterministic_given_seed(worked):
     initial, profile, config = worked
-    first = check_price_monotonicity(initial, profile, config, trials=100, seed=21)
-    second = check_price_monotonicity(initial, profile, config, trials=100, seed=21)
+    first = check_price_monotonicity(initial, profile, config)
+    second = check_price_monotonicity(initial, profile, config)
     assert first == second
     assert check_strategyproofness(*worked) == check_strategyproofness(*worked)
+
+
+def _repriced_high(expected, price):
+    high = replace(expected.high_branch, price=price)
+    return ExpectedOutcome(high_branch=high, low_branch=expected.low_branch)
+
+
+def jump_at_other_bid(initial, profile, config):
+    # the true price plus agent 0's bid, less 1/100 while she outbids agent 1:
+    # it never falls inside a piece, and drops only as agent 0's bid passes
+    # agent 1's
+    expected = run_expected(initial, profile, config)
+    bids = profile.bids
+    price = expected.high_branch.price + bids[0] - (Q(1, 100) if bids[0] > bids[1] else 0)
+    return _repriced_high(expected, price)
+
+
+def dip_in_narrow_band(initial, profile, config):
+    # the true price less 1 while agent 0 bids within 1/100 of 7/2, the middle
+    # of her piece (2, 5) on the worked instance; elsewhere the true price
+    expected = run_expected(initial, profile, config)
+    price = expected.high_branch.price
+    if abs(profile.bids[0] - Q(7, 2)) < Q(1, 100):
+        price -= 1
+    return _repriced_high(expected, price)
+
+
+def test_price_monotonicity_flags_a_jump_at_another_bid(worked):
+    # the closest sampled prices either side of agent 1's bid 5 still rise
+    # (17/2 at 17/4, 1124/100 at 25/4); the limits 10 and 999/100 show the
+    # jump, and the witness steps 3/1024 either side of 5
+    initial, profile, config = worked
+    report = check_price_monotonicity(initial, profile, config, engine=jump_at_other_bid)
+    assert not report.holds
+    assert report.cases == 9
+    assert report.witness.detail == (
+        "agent 0 bids 5117/1024, 5123/1024 get prices 5117/512, 255819/25600: "
+        "the price falls"
+    )
+
+
+def test_price_monotonicity_flags_a_dip_inside_a_narrow_band(worked):
+    initial, profile, config = worked
+    report = check_price_monotonicity(initial, profile, config, engine=dip_in_narrow_band)
+    assert not report.holds
+    assert report.witness.detail == (
+        "agent 0 bids 11/4, 7/2, 17/4 get prices 11/4, 5/2, 17/4: not affine on one piece"
+    )
+
+
+_MONOTONE_DETAIL = re.compile(r"agent (\d+) bids (.+) get prices (.+): (.+)\Z")
+
+
+def test_monotonicity_witnesses_replay_through_the_engine(worked):
+    # each witness's bids, run again through the engine that produced them,
+    # give the prices its detail names, and those prices break the lemma
+    generated = generate_suite(6, seed=31, n_range=(3, 4))
+    runs = [(kind, corrupted_engine(kind), generated) for kind in CORRUPTION_KINDS]
+    runs += [
+        ("jump", jump_at_other_bid, [worked]),
+        ("band", dip_in_narrow_band, [worked]),
+    ]
+    replayed = set()
+    for label, engine, instances in runs:
+        for initial, profile, config in instances:
+            report = check_price_monotonicity(initial, profile, config, engine=engine)
+            if report.holds:
+                continue
+            agent, bids, prices, reason = _MONOTONE_DETAIL.match(
+                report.witness.detail
+            ).groups()
+            agent = int(agent)
+            bids = [rational(b) for b in bids.split(", ")]
+            prices = [rational(p) for p in prices.split(", ")]
+            assert report.witness.agent == agent
+            assert report.witness.bids == profile.replace_bid(agent, bids[-1]).bids
+            assert bids == sorted(set(bids))
+            assert prices == [
+                engine(initial, profile.replace_bid(agent, b), config).high_branch.price
+                for b in bids
+            ], label
+            if reason == "the price falls":
+                assert len(prices) == 2 and prices[1] < prices[0], label
+            else:
+                assert reason == "not affine on one piece", label
+                assert len(prices) == 3 and prices[0] + prices[2] != 2 * prices[1], label
+            replayed.add((label, reason))
+    assert replayed == {
+        ("price-dip", "the price falls"),
+        ("jump", "the price falls"),
+        ("band", "not affine on one piece"),
+    }
 
 
 # --- strategyproofness ---------------------------------------------------------
@@ -420,6 +520,20 @@ def test_group_sp_sees_a_gain_the_grid_only_reaches_as_a_tie(monkeypatch):
     )
 
 
+def test_negative_budget_refused_before_any_work(worked):
+    message = "search budget must not be negative, got -1"
+    with pytest.raises(InvalidArgument, match=message):
+        check_weak_group_strategyproofness(*worked, budget=-1)
+
+    def untouched():
+        raise AssertionError("instances read")
+        yield
+
+    for suite in SUITES:
+        with pytest.raises(InvalidArgument, match=message):
+            run_suite(suite, untouched(), budget=-1)
+
+
 def test_group_sp_budget_cap():
     initial, profile, config = weak_gain_instance()
     with pytest.raises(SearchBudgetExceeded):
@@ -521,9 +635,7 @@ def test_every_corruption_kind_trips_some_oracle(worked):
         lambda e: check_individual_rationality(initial, profile, config, engine=e),
         lambda e: check_pp_expost_efficiency(initial, profile, config, engine=e),
         lambda e: check_strategyproofness(initial, profile, config, engine=e),
-        lambda e: check_price_monotonicity(
-            initial, profile, config, trials=300, seed=5, engine=e
-        ),
+        lambda e: check_price_monotonicity(initial, profile, config, engine=e),
     )
     for kind in CORRUPTION_KINDS:
         engine = corrupted_engine(kind)
@@ -620,6 +732,21 @@ def test_group_sp_verdicts_equal_on_readout_and_reference_paths():
         assert fast == slow
         degenerate += isinstance(fast, tuple) and fast[0] is DegenerateBuyerMass
     assert degenerate == len(ZERO_STAKE_INSTANCES)
+
+
+def test_monotone_verdicts_equal_on_readout_and_reference_paths():
+    # the readout raises DegenerateBuyerMass at the same piece point as the
+    # engine does
+    instances = generate_suite(40, seed=43, n_range=(3, 8))
+    degenerate = 0
+    for initial, profile, config in instances + ZERO_STAKE_INSTANCES:
+        fast = verdict(check_price_monotonicity, initial, profile, config)
+        slow = verdict(
+            check_price_monotonicity, initial, profile, config, engine=reference_engine
+        )
+        assert fast == slow
+        degenerate += isinstance(fast, tuple) and fast[0] is DegenerateBuyerMass
+    assert degenerate == 5  # five of the six zero-stake instances
 
 
 # the suites that catch each injected defect on one small seeded batch
