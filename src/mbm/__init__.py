@@ -62,8 +62,6 @@ from .welfare import (
     first_best,
     social_welfare,
     sweep_point,
-    uniform_grid_limit,
-    uniform_grid_prefix_sums,
     uniform_grid_welfare,
     valid_alphas,
     welfare_report,
@@ -124,8 +122,6 @@ __all__ = [
     "social_welfare",
     "sweep_point",
     "to_instance",
-    "uniform_grid_limit",
-    "uniform_grid_prefix_sums",
     "uniform_grid_welfare",
     "valid_alphas",
     "welfare_report",

@@ -1,56 +1,41 @@
 """Brute-force oracles for the mechanism's strategic and accounting claims.
 
 Each oracle re-derives one property from first principles on a concrete
-instance -- exact summation, exhaustive single-agent deviation search,
-coalition enumeration over rank patterns or grids -- and returns a
-PropertyReport instead of raising: a violated verdict always carries a
-reproducible witness.
+instance and returns a PropertyReport instead of raising: a violated
+verdict always carries a reproducible witness. Every oracle accepts an
+``engine`` hook (defaulting to the real mechanism) so deliberately
+corrupted variants run through the same verdict logic as negative
+controls; see ``corrupted_engine``.
 
-Deviation search rests on one structural fact. Fixing everyone else's bids,
-an agent's expected adjusted utility as a function of her own bid is
-piecewise constant with breakpoints only at the other agents' bids: between
-breakpoints neither her rank nor any order statistic of the full profile
-changes, and on the piece where she holds rank m_bar the branch weighting
-cancels the price dependence identically. One tie-free sample per piece
-therefore decides the whole piece, so the grid has one fixed rule (see
-``DeviationGrid``): near-breakpoint samples guard the piece boundaries,
-and the tests re-check verdicts on a 10x refined grid of their own.
+Both incentive claims are one search, ``_deviation_search``: does some
+deviation make every member of a coalition strictly better off?
+Strategyproofness asks it of the coalitions of one against fixed others,
+weak group strategyproofness of every coalition of two or more against the
+valuations. An instance is set up once: shares as a / d, the fixed bids
+and the true values as integers over one common denominator e. The engine
+enters only through the instance's scorer (``_scorer``), which gives each
+member's utility times d and the bids' denominator as an integer ratio,
+compared with the truthful one by cross-multiplication. For the real
+mechanism that is ``core._utility_ratios``, tied to ``run_expected`` at the
+first truthful profile before any deviation; any other engine, including
+a wrapper around the real one, is scored on the profile the integers stand
+for.
 
-Every oracle accepts an ``engine`` hook (defaulting to the real mechanism)
-so deliberately corrupted variants can be run through the same verdict
-logic as negative controls; see ``corrupted_engine``. The sp search is
-one loop for every engine; the group-sp search decides a coalition on its
-rank patterns where it can (below) and walks its grid product otherwise.
-An instance is set up once: the share numerators a / d from one
-``_simplex_numerators`` call, and the fixed bids (valuations and the
-others' bids) as integers over one common denominator e. ``_grid`` builds
-every deviating agent's candidates on those integers, over 1000 * e, so
-every bid that can occur is an integer over that one denominator, per
-instance for both searches. A case is then an integer bid list, and the
-engine enters only through the instance's scorer (``_scorer``), which
-gives each member's utility times d and the bids' denominator as an
-integer ratio, compared with the truthful one by cross-multiplication.
-For the real mechanism the scorer is ``core._utility_ratios``, the
-formula ``expected_adjusted_utilities`` also reads; it ranks the bids and
-checks the buyer masses as ``run_expected`` does, so a degenerate case
-raises there too. Any other engine, including a wrapper around the real
-one, is scored on the profile the integers stand for, through
-``expected_adjusted_utility`` per member. With the real mechanism, a
-BidProfile and rationals are built only for a violation's witness.
-
-Coalitions have a sharper fact for the real mechanism. With the
-non-members' bids fixed, every member's utility depends only on the rank
-pattern, the order of all n bids: the member at rank m_bar gets 0, and
-otherwise the price is a non-member's fixed bid while H, L and each
-member's side follow from the order. So when every share is positive,
-group-sp scores one point per pattern, n! / (n - k)! of them for a
-coalition of k, instead of every grid combination; a coalition with a
-member whose truthful utility is negative, any other engine, and
-instances with a zero share (whose DegenerateBuyerMass comes from a
-particular grid case) keep the grid walk. Either way a holding verdict's
-``cases`` counts the grid deviations covered. Before any coalition, the
-real mechanism's scorer is checked against ``run_expected`` at the
-truthful bids, so the patterns are read off the engine's formula.
+A coalition is decided on one of two paths. With the non-members' bids
+fixed, the real mechanism's utilities depend only on the rank pattern, the
+order of all n bids: the member at rank m_bar gets 0, and otherwise the
+price is a non-member's fixed bid while H, L and each member's side follow
+from the order. So when every share is positive one point per pattern
+decides it, n! / (n - k)! patterns for k members; a lone deviator's are
+her ranks, which make her the paper's definite buyer, definite seller or
+threshold agent. Any
+other engine, a zero share (whose DegenerateBuyerMass comes from a
+particular grid case) or a member with a negative truthful utility walks
+the grid instead. With the others' bids fixed, the mechanism's utility is
+piecewise constant in an agent's own bid, breaking only at the other bids,
+so ``_grid`` samples every piece tie-free, over 1000 * e, and the tests
+re-check verdicts on a 10x refined grid. Either way a holding verdict's
+``cases`` counts the grid deviations covered.
 
 Price monotonicity is decided on the same pieces: between consecutive
 other bids the real engine's price is constant or the mover's bid, and the
@@ -186,7 +171,7 @@ def describe_instance(
 
 
 def _scorer(engine, initial, valuations, config, a, d):
-    """The instance's ``score(w, e, values, agents)``, the searches' one engine seam.
+    """The instance's ``score(w, e, values, agents)``, the deviation search's engine seam.
 
     Bids w and true values are integers over one common denominator e, and
     shares are a[i] / d. The score yields each of ``agents``' expected
@@ -400,6 +385,166 @@ def check_price_monotonicity(
     return PropertyReport(name, instance, holds=True, cases=cases)
 
 
+def _grid_points(base, grids, coalition):
+    """(walked, w) for each tie-free joint grid deviation of ``coalition``:
+    the full bid list, the members' bids taken from ``grids``, and the grid
+    cases walked so far, joint ties included."""
+    product = itertools.product(*(grids[j] for j in coalition))
+    for walked, combo in enumerate(product, 1):
+        if len(set(combo)) < len(combo):
+            continue  # joint ties: outside the mechanism's domain
+        w = list(base)
+        for j, bid in zip(coalition, combo):
+            w[j] = bid
+        yield walked, w
+
+
+def _pattern_points(m_bar: int, base, coalition):
+    """(walked, w) for each rank pattern of ``coalition`` that leaves rank
+    m_bar to a non-member: one tie-free bid list on it, and the patterns
+    walked so far.
+
+    ``base`` holds the fixed bids as distinct integers, each a multiple of
+    n + 1. A pattern places the members at distinct ranks and the
+    non-members in their fixed order around them; its point keeps the
+    non-members' bids and puts each member one above the bid below her (0
+    at the bottom). A pattern that needs a member below a zero bid has no
+    point and is skipped.
+    """
+    n, k = len(base), len(coalition)
+    # the non-members' bids, descending, over -1 for the bottom
+    fixed = sorted((base[j] for j in range(n) if j not in coalition), reverse=True) + [-1]
+    for walked, ranks in enumerate(itertools.permutations(range(n), k), 1):
+        if m_bar - 1 in ranks:
+            continue  # that member gets 0, no more than her truthful utility
+        placed = sorted(zip(ranks, coalition))
+        w = list(base)
+        slot = None
+        # from the lowest member up: the i-th from the top sits above fixed[rank - i]
+        for i in range(k - 1, -1, -1):
+            rank, j = placed[i]
+            if rank - i != slot:
+                slot = rank - i
+                bid = fixed[slot]
+            bid += 1
+            if slot and bid >= fixed[slot - 1]:
+                break  # a member below a zero bid
+            w[j] = bid
+        else:
+            yield walked, w
+
+
+def _deviation_search(
+    name, initial, valuations, config, others, coalitions, engine, budget=None
+) -> PropertyReport:
+    """The first of ``coalitions`` with a deviation that makes every member
+    strictly better off, as a violated report; else a holding one.
+
+    The non-members bid as in ``others``; a member's truthful utility is her
+    true value bid against the same others. Before any grid, every agent is
+    scored where agent 0 bids her value against the fixed bids: the first
+    coalition's truthful profile, and every coalition's when ``others`` are
+    the valuations; otherwise each coalition's truthful bids are scored
+    again just before its deviations, so errors come in the order of the
+    profiles met. For the real engine one agent of each type in that first
+    profile (definite buyer, threshold agent, definite seller) is tied to
+    ``run_expected``, a mismatch being a violation there.
+
+    A coalition is decided on its rank patterns (``_pattern_points``) when
+    the engine is the real one, every share is positive and no member's
+    truthful utility is negative, and on its members' grid product
+    (``_grid_points``) otherwise. A holding verdict's ``cases`` counts the
+    grid deviations covered; a violation counts those of the earlier
+    coalitions plus the points walked in its own. With a ``budget``, the
+    search raises SearchBudgetExceeded before any coalition when the grid
+    deviations of every coalition of two or more exceed it.
+    """
+    instance = describe_instance(initial, others, config)
+    n = config.n
+    a, d = _share_numerators(initial, others, config)
+    _check_sizes(valuations.n, config, "valuations")
+    score = _scorer(engine, initial, valuations, config, a, d)
+    real = engine is run_expected
+    # the fixed bids and the true values over one denominator e
+    fixed, e = _over_lcm(others.bids + valuations.bids)
+    bids, values = fixed[:n], fixed[n:]
+    # the first coalition's truthful profile: agent 0 bids her value
+    w = list(bids)
+    w[0] = values[0]
+    truthful = list(score(w, e, values, range(n)))
+    if real:
+        # the scorer's three formulas tied to run_expected there: the top
+        # bidder buys, the agent ranked m_bar is the threshold agent and the
+        # bottom bidder sells
+        profile = others.replace_bid(0, valuations.bids[0])
+        expected = run_expected(initial, profile, config)
+        order = expected.high_branch.order
+        types = (order[0], order[config.m_bar - 1], order[-1])
+        for cases, j in enumerate(sorted(types), 1):
+            num, den = truthful[j]
+            fast = Rational(num, d * e * den)
+            slow = expected_adjusted_utility(initial, expected, valuations, j)
+            if fast != slow:
+                return _violation(
+                    name,
+                    instance,
+                    cases,
+                    f"agent {j}: the scorer gives {fast} at the witness bids, "
+                    f"the engine {slow}",
+                    agent=j,
+                    bids=profile.bids,
+                )
+    grids = [_grid(_others(bids, j)) for j in range(n)]
+    if budget is not None:
+        required = math.prod(1 + len(grid) for grid in grids) - 1 - sum(map(len, grids))
+        if required > budget:
+            raise SearchBudgetExceeded(required, budget)
+
+    patterns = real and min(a) > 0
+    shared = bids == values
+    cases = 0
+    for coalition in coalitions:
+        if not shared:
+            # the members bid truthfully against the others' fixed bids
+            w = list(bids)
+            for j in coalition:
+                w[j] = values[j]
+            for j, ratio in zip(coalition, score(w, e, values, coalition)):
+                truthful[j] = ratio
+        by_pattern = patterns and min(truthful[j][0] for j in coalition) >= 0
+        # pattern points are integers over (n + 1) * e, grid deviations over 1000 * e
+        scale = n + 1 if by_pattern else 1000
+        base, scaled = [scale * x for x in bids], [scale * x for x in values]
+        if by_pattern:
+            points = _pattern_points(config.m_bar, base, coalition)
+        else:
+            points = _grid_points(base, grids, coalition)
+        for walked, w in points:
+            for j, (num, den) in zip(coalition, score(w, scale * e, scaled, coalition)):
+                t_num, t_den = truthful[j]
+                if num * t_den <= scale * t_num * den:
+                    break
+            else:
+                deviant = tuple(Rational(x, scale * e) for x in w)
+                if len(coalition) > 1:
+                    combo = tuple(str(deviant[j]) for j in coalition)
+                    detail = f"coalition {coalition} all strictly gain by bidding {combo}"
+                    fields = {"coalition": coalition}
+                else:
+                    gain = num * t_den - scale * t_num * den
+                    gain = Rational(gain, d * scale * e * den * t_den)
+                    detail = (
+                        f"agent {j} (value {valuations.bids[j]}) gains {gain} "
+                        f"by bidding {deviant[j]}"
+                    )
+                    fields = {"agent": j, "utility_delta": gain}
+                return _violation(
+                    name, instance, cases + walked, detail, bids=deviant, **fields
+                )
+        cases += math.prod(len(grids[j]) for j in coalition)
+    return PropertyReport(name, instance, holds=True, cases=cases)
+
+
 def check_strategyproofness(
     initial: Allocation,
     valuations: BidProfile,
@@ -410,117 +555,19 @@ def check_strategyproofness(
     """No agent gains by deviating from her true value, against any fixed others.
 
     ``others_profile`` supplies the (not necessarily truthful) bids of the
-    non-deviators; it defaults to the truthful profile. For every agent and
-    every candidate bid in her deviation grid, the deviation's expected
-    adjusted utility must not exceed the truthful bid's, exactly.
+    non-deviators; it defaults to the truthful profile. The search is
+    ``_deviation_search`` over the coalitions of one: each agent's
+    deviations, on her rank patterns or her grid, must not give her more
+    expected adjusted utility than bidding her true value, exactly. A
+    holding verdict's ``cases`` is the grid candidates covered, one per
+    candidate of each agent.
     """
-    name = "strategyproofness"
     if others_profile is None:
         others_profile = valuations
-    instance = describe_instance(initial, others_profile, config)
-    n = config.n
-    a, d = _share_numerators(initial, others_profile, config)
-    _check_sizes(valuations.n, config, "valuations")
-    score = _scorer(engine, initial, valuations, config, a, d)
-    # every fixed bid over one denominator e, and over 1000 * e, the grid's
-    fixed, e = _over_lcm(others_profile.bids + valuations.bids)
-    scaled = [1000 * x for x in fixed]
-    values = scaled[n:]
-    e *= 1000
-    cases = 0
-    for agent in range(n):
-        w = scaled[:n]
-        w[agent] = values[agent]
-        # the truthful run goes first, so its errors come before the grid's
-        ((t_num, t_den),) = score(w, e, values, (agent,))
-        for bid in _grid(_others(fixed[:n], agent)):
-            cases += 1
-            w[agent] = bid
-            ((num, den),) = score(w, e, values, (agent,))
-            gain = num * t_den - t_num * den
-            if gain > 0:
-                gain = Rational(gain, d * e * den * t_den)
-                cand = Rational(bid, e)
-                return _violation(
-                    name,
-                    instance,
-                    cases,
-                    f"agent {agent} (value {valuations.bids[agent]}) gains "
-                    f"{gain} by bidding {cand}",
-                    agent=agent,
-                    bids=others_profile.replace_bid(agent, cand).bids,
-                    utility_delta=gain,
-                )
-    return PropertyReport(name, instance, holds=True, cases=cases)
-
-
-def _all_gain(ratios, coalition, truthful) -> bool:
-    """Whether each member's (numerator, denominator) in ``ratios`` beats her truthful one."""
-    return all(
-        num * truthful[j][1] > truthful[j][0] * den
-        for j, (num, den) in zip(coalition, ratios)
+    singles = ((j,) for j in range(config.n))
+    return _deviation_search(
+        "strategyproofness", initial, valuations, config, others_profile, singles, engine
     )
-
-
-def _grid_all_gain(score, base, e, truthful, grids, coalition):
-    """(w, cases) for the first tie-free joint grid deviation of ``coalition``
-    in which every member strictly gains: the full bid list and the grid
-    cases walked, ties included. None if there is none."""
-    product = itertools.product(*(grids[j] for j in coalition))
-    for cases, combo in enumerate(product, 1):
-        if len(set(combo)) < len(combo):
-            continue  # joint ties: outside the mechanism's domain
-        w = list(base)
-        for j, bid in zip(coalition, combo):
-            w[j] = bid
-        if _all_gain(score(w, e, base, coalition), coalition, truthful):
-            return w, cases
-    return None
-
-
-def _pattern_all_gain(a, d: int, m_bar: int, values, truthful, coalition):
-    """(w, walked) for the first rank pattern of ``coalition`` in which every
-    member strictly gains: one tie-free bid list on it and the patterns
-    walked. None if there is none.
-
-    ``values`` are the true values as distinct integers, each a multiple of
-    n + 1, and ``truthful`` the utility ratios at them. A pattern places the
-    members at distinct ranks and the non-members in their truthful order
-    around them. On a pattern whose rank m_bar is a member, she gets 0, no
-    more than her truthful utility (the caller makes sure that is not
-    negative). Otherwise the price is that non-member's value, and H, L and
-    each member's side follow from the order, so one point decides the
-    pattern: the non-members at their values and each member one above the
-    bid below her (0 at the bottom). A pattern that needs a member below a
-    zero bid has no point and is skipped.
-    """
-    n = len(values)
-    members = set(coalition)
-    fixed = sorted(
-        (j for j in range(n) if j not in members), key=values.__getitem__, reverse=True
-    )
-    patterns = itertools.permutations(range(n), len(coalition))
-    for walked, ranks in enumerate(patterns, 1):
-        if m_bar - 1 in ranks:
-            continue
-        order = list(fixed)
-        for rank, j in sorted(zip(ranks, coalition)):
-            order.insert(rank, j)
-        w = list(values)
-        below = -1
-        for j in reversed(order):
-            if j in members:
-                below += 1
-                w[j] = below
-            elif values[j] > below:
-                below = values[j]
-            else:
-                break  # a member below a zero bid
-        else:
-            ratios = _utility_ratios(a, d, m_bar, w, values, coalition)
-            if _all_gain(ratios, coalition, truthful):
-                return w, walked
-    return None
 
 
 def check_weak_group_strategyproofness(
@@ -532,89 +579,25 @@ def check_weak_group_strategyproofness(
 ) -> PropertyReport:
     """No coalition deviation makes every member strictly better off.
 
-    Covers all coalitions of size >= 2 and the product of the members'
-    deviation grids. Joint assignments that reintroduce ties are skipped
-    (the grids avoid all truthful bids, but two members may draw the same
-    candidate). A negative ``budget`` raises InvalidArgument before any
-    work. Before building any coalition, raises SearchBudgetExceeded
+    ``_deviation_search`` over all coalitions of size >= 2, against the
+    truthful profile. Joint grid assignments that reintroduce ties are
+    skipped (the grids avoid all truthful bids, but two members may draw
+    the same candidate). A negative ``budget`` raises InvalidArgument before
+    any work. Before building any coalition, raises SearchBudgetExceeded
     rather than subsampling when ``prod(1 + |grid_j|) - 1 - sum(|grid_j|)``,
     every subset's joint deviations less the empty and one-member ones,
-    exceeds ``budget``. A holding verdict's ``cases`` is that count: the
-    grid deviations covered.
-
-    For the real engine, each agent's truthful ``_utility_ratios`` value is
-    first compared with ``run_expected``'s; a mismatch is a violation at
-    the truthful bids. Then, when every share is positive, a coalition whose
-    members' truthful utilities are all non-negative is decided on its rank
-    patterns (``_pattern_all_gain``), which cover the grid and every other
-    tie-free deviation; a violation found there counts the patterns walked.
-    Every other coalition, engine and instance walks the grid product.
+    exceeds ``budget``. A holding verdict's ``cases`` is that count.
 
     Weak gains are expected and must not be flagged: a threshold agent can
     move the price in her neighbors' favor while staying at zero herself.
     """
     _check_budget(budget)
-    name = "weak-group-strategyproofness"
-    instance = describe_instance(initial, valuations, config)
     n = config.n
-    a, d = _share_numerators(initial, valuations, config)
-    score = _scorer(engine, initial, valuations, config, a, d)
-    # the valuations over one denominator e
-    base, e = _over_lcm(valuations.bids)
-    truthful = list(score(base, e, base, range(n)))
-    if engine is run_expected:
-        # tie the scorer to the engine at the truthful profile
-        expected = run_expected(initial, valuations, config)
-        for j, (num, den) in enumerate(truthful):
-            fast = Rational(num, d * e * den)
-            slow = expected_adjusted_utility(initial, expected, valuations, j)
-            if fast != slow:
-                return _violation(
-                    name,
-                    instance,
-                    j + 1,
-                    f"agent {j}: the scorer gives {fast} at the truthful bids, "
-                    f"the engine {slow}",
-                    agent=j,
-                    bids=valuations.bids,
-                )
-    grids = [_grid(_others(base, j)) for j in range(n)]
-
-    required = math.prod(1 + len(grid) for grid in grids) - 1 - sum(map(len, grids))
-    if required > budget:
-        raise SearchBudgetExceeded(required, budget)
-
-    patterns = engine is run_expected and min(a) > 0
     coalitions = (c for k in range(2, n + 1) for c in itertools.combinations(range(n), k))
-    cases = 0
-    for coalition in coalitions:
-        by_pattern = patterns and min(truthful[j][0] for j in coalition) >= 0
-        # pattern points are integers over (n + 1) * e, grid deviations over 1000 * e
-        scale = n + 1 if by_pattern else 1000
-        values = [scale * x for x in base]
-        truth = [(num * scale, den) for num, den in truthful]
-        if by_pattern:
-            found = _pattern_all_gain(a, d, config.m_bar, values, truth, coalition)
-        else:
-            found = _grid_all_gain(score, values, scale * e, truth, grids, coalition)
-        if found is None:
-            cases += math.prod(len(grids[j]) for j in coalition)
-            continue
-        w, walked = found
-        combo = tuple(Rational(w[j], scale * e) for j in coalition)
-        deviant = list(valuations.bids)
-        for j, bid in zip(coalition, combo):
-            deviant[j] = bid
-        return _violation(
-            name,
-            instance,
-            cases + walked,
-            f"coalition {coalition} all strictly gain by bidding "
-            f"{tuple(str(b) for b in combo)}",
-            coalition=coalition,
-            bids=BidProfile(tuple(deviant)).bids,
-        )
-    return PropertyReport(name, instance, holds=True, cases=cases)
+    return _deviation_search(
+        "weak-group-strategyproofness", initial, valuations, config, valuations,
+        coalitions, engine, budget,
+    )
 
 
 def check_pp_expost_efficiency(

@@ -149,11 +149,6 @@ def uniform_grid_welfare(n: int, alpha) -> Rational:
     return _closed_form(n, alpha)
 
 
-def uniform_grid_limit(alpha) -> Rational:
-    """Large-n limit of the closed form: (2 - alpha)/2, inside (1/2, 1)."""
-    return _limit(rational(alpha))
-
-
 # the closed forms on a parsed, checked alpha
 def _closed_form(n: int, alpha: Rational) -> Rational:
     return (2 - alpha) / 2 + (2 - alpha) / (2 * n)
@@ -161,20 +156,6 @@ def _closed_form(n: int, alpha: Rational) -> Rational:
 
 def _limit(alpha: Rational) -> Rational:
     return (2 - alpha) / 2
-
-
-def uniform_grid_prefix_sums(n: int, m_bar: int) -> tuple:
-    """(sum of the top m_bar grid valuations, sum of the top m_bar - 1).
-
-    Closed forms m_bar/n * (2n - m_bar + 1)/2 and
-    (m_bar - 1)/n * (2n - m_bar + 2)/2; must agree with term-by-term
-    summation exactly.
-    """
-    if not 1 < m_bar < n:
-        raise InvalidConfig(f"need 1 < m_bar < n, got m_bar={m_bar}, n={n}")
-    top = Rational(m_bar, n) * Rational(2 * n - m_bar + 1, 2)
-    almost = Rational(m_bar - 1, n) * Rational(2 * n - m_bar + 2, 2)
-    return (top, almost)
 
 
 @dataclass(frozen=True)

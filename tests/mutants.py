@@ -2,33 +2,37 @@
 
 ``MUTANTS`` maps a suite to its mutants, each (label, file under
 ``src/mbm``, old line, new line); ``old`` occurs exactly once in its file.
-Before the group-sp oracle tied its scorer to ``run_expected``, its three
-passed every ``mbm verify`` suite: each changes the engine and the scorer
-``core._utility_ratios`` apart. The monotone one moves the price readout
-of ``properties._pricer`` off the engine's.
+Before the deviation search tied its scorer to ``run_expected``, the three
+engine mutants passed every ``mbm verify`` suite: each changes the engine
+and the scorer ``core._utility_ratios`` apart, and both sp and group-sp
+must kill them. The monotone one moves the price readout of
+``properties._pricer`` off the engine's.
 """
 
-MUTANTS = {
-    "group-sp": (
-        (
-            "P(high) is the low branch's buyer mass",
-            "core.py",
-            "    return (m_bar, high, high), (m_bar - 1, low, d - high)",
-            "    return (m_bar, high, low), (m_bar - 1, low, d - low)",
-        ),
-        (
-            "_utility_ratios divides the buyer term by H",
-            "core.py",
-            "            out.append((a[j] * rest * (values[j] - u), low))",
-            "            out.append((a[j] * rest * (values[j] - u), high))",
-        ),
-        (
-            "_utility_ratios prices at rank m_bar - 1",
-            "core.py",
-            "    u = w[order[m_bar - 1]]",
-            "    u = w[order[m_bar - 2]]",
-        ),
+ENGINE_MUTANTS = (
+    (
+        "P(high) is the low branch's buyer mass",
+        "core.py",
+        "    return (m_bar, high, high), (m_bar - 1, low, d - high)",
+        "    return (m_bar, high, low), (m_bar - 1, low, d - low)",
     ),
+    (
+        "_utility_ratios divides the buyer term by H",
+        "core.py",
+        "            out.append((a[j] * rest * (values[j] - u), low))",
+        "            out.append((a[j] * rest * (values[j] - u), high))",
+    ),
+    (
+        "_utility_ratios prices at rank m_bar - 1",
+        "core.py",
+        "    u = w[order[m_bar - 1]]",
+        "    u = w[order[m_bar - 2]]",
+    ),
+)
+
+MUTANTS = {
+    "sp": ENGINE_MUTANTS,
+    "group-sp": ENGINE_MUTANTS,
     "monotone": (
         (
             "the price readout takes rank m_bar + 1",

@@ -485,6 +485,13 @@ def test_group_sp_suite_kills_the_engine_mutants(tmp_path, subprocess_env):
     assert elapsed < 5.0, elapsed
 
 
+def test_sp_suite_kills_the_engine_mutants(tmp_path, subprocess_env):
+    # the same three mutants: before any agent deviates, sp ties the scorer
+    # to run_expected where agent 0 bids her value against the fixed others
+    elapsed = verify_on_mutants(tmp_path, subprocess_env, "sp")
+    assert elapsed < 5.0, elapsed
+
+
 def test_monotone_suite_kills_the_readout_mutant(tmp_path, subprocess_env):
     # the mutant reads the price one rank down; the suite ties the readout to
     # run_expected at the truthful bids of every instance

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import mbm
-from mbm import core
+from mbm import core, welfare
 from mbm.rational import rational
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -30,6 +30,14 @@ def test_engine_pieces_outside_run_expected_are_not_exported():
     for name in gone:
         assert name not in mbm.__all__
         assert not hasattr(mbm, name)
+
+
+def test_deleted_welfare_helpers_are_not_exported():
+    # test_welfare checks their identities against formulas written out there
+    for name in ("uniform_grid_limit", "uniform_grid_prefix_sums"):
+        assert name not in mbm.__all__
+        assert not hasattr(mbm, name)
+        assert not hasattr(welfare, name)
 
 
 def test_realize_memo_is_the_only_cache():

@@ -421,6 +421,39 @@ def test_refinement_does_not_change_verdicts():
     assert all(failed[kind] > 0 for kind in CORRUPTION_KINDS), failed
 
 
+def test_sp_sees_a_gain_on_the_rank_patterns_of_one_agent(monkeypatch):
+    # a scorer that also pays agent 3 (value 2) ten times the highest value
+    # once she is ranked third. At m_bar 2 her patterns are rank 1, rank 2
+    # (the threshold: skipped, but walked) and rank 3, where she gains
+    initial, profile, config = weak_gain_instance()
+    real = properties._utility_ratios
+
+    def paying(a, d, m_bar, w, values, agents):
+        agents = list(agents)
+        out = real(a, d, m_bar, w, values, agents)
+        if sorted(w, reverse=True).index(w[3]) == 2:
+            return [(10 * d * max(values), 1) if j == 3 else r for j, r in zip(agents, out)]
+        return out
+
+    monkeypatch.setattr(properties, "_utility_ratios", paying)
+    report = check_strategyproofness(initial, profile, config)
+    assert not report.holds
+    assert report.witness.agent == 3
+    # paid 80 against her truthful 1: she sells 1/4 at the price 6
+    assert report.witness.utility_delta == 79
+    grids = [deviation_grid(profile, j).candidates for j in range(3)]
+    assert report.cases == sum(map(len, grids)) + 3
+
+    bids = report.witness.bids
+    assert bids[:3] == profile.bids[:3] and 4 < bids[3] < 6
+    a, d = _simplex_numerators(initial.shares)
+    scaled, e = _over_lcm(bids + profile.bids)
+    w, values = scaled[:4], scaled[4:]
+    ((num, den),) = paying(a, d, config.m_bar, w, values, (3,))
+    ((t_num, t_den),) = paying(a, d, config.m_bar, values, values, (3,))
+    assert Q(num, den) - Q(t_num, t_den) == report.witness.utility_delta * d * e
+
+
 # --- weak group strategyproofness ----------------------------------------------
 
 

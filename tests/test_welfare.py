@@ -19,8 +19,6 @@ from mbm import (
     run_expected,
     social_welfare,
     sweep_point,
-    uniform_grid_limit,
-    uniform_grid_prefix_sums,
     uniform_grid_welfare,
     valid_alphas,
     welfare_report,
@@ -156,6 +154,20 @@ def test_uniform_grid_instance_matches_grid():
     assert initial.shares == (Q(1, 4),) * 4
     assert valuations.bids == (ONE, Q(3, 4), Q(1, 2), Q(1, 4))
     assert config.m_bar == 2
+
+
+def uniform_grid_prefix_sums(n, m_bar):
+    """The closed forms of the top m_bar and top m_bar - 1 grid valuations'
+    sums: m_bar/n * (2n - m_bar + 1)/2 and (m_bar - 1)/n * (2n - m_bar + 2)/2."""
+    return (
+        Q(m_bar, n) * Q(2 * n - m_bar + 1, 2),
+        Q(m_bar - 1, n) * Q(2 * n - m_bar + 2, 2),
+    )
+
+
+def uniform_grid_limit(alpha):
+    """The closed form's large-n limit, (2 - alpha)/2."""
+    return (2 - alpha) / 2
 
 
 def test_prefix_sums_match_term_by_term_summation():
