@@ -28,14 +28,13 @@ price is a non-member's fixed bid while H, L and each member's side follow
 from the order. So when every share is positive one point per pattern
 decides it, n! / (n - k)! patterns for k members; a lone deviator's are
 her ranks, which make her the paper's definite buyer, definite seller or
-threshold agent. Any
-other engine, a zero share (whose DegenerateBuyerMass comes from a
-particular grid case) or a member with a negative truthful utility walks
-the grid instead. With the others' bids fixed, the mechanism's utility is
-piecewise constant in an agent's own bid, breaking only at the other bids,
-so ``_grid`` samples every piece tie-free, over 1000 * e, and the tests
-re-check verdicts on a 10x refined grid. Either way a holding verdict's
-``cases`` counts the grid deviations covered.
+threshold agent. Any other engine, a zero share (whose DegenerateBuyerMass
+comes from a particular grid case) or a member with a negative truthful
+utility walks the grid instead. With the others' bids fixed, the
+mechanism's utility is piecewise constant in an agent's own bid, breaking
+only at the other bids, so ``_grid`` samples every piece tie-free, over
+1000 * e, and the tests re-check verdicts on a 10x refined grid. Either
+way a holding verdict's ``cases`` counts the grid deviations covered.
 
 Price monotonicity is decided on the same pieces: between consecutive
 other bids the real engine's price is constant or the mover's bid, and the
@@ -592,11 +591,11 @@ def check_weak_group_strategyproofness(
     move the price in her neighbors' favor while staying at zero herself.
     """
     _check_budget(budget)
+    name = "weak-group-strategyproofness"
     n = config.n
     coalitions = (c for k in range(2, n + 1) for c in itertools.combinations(range(n), k))
     return _deviation_search(
-        "weak-group-strategyproofness", initial, valuations, config, valuations,
-        coalitions, engine, budget,
+        name, initial, valuations, config, valuations, coalitions, engine, budget
     )
 
 
