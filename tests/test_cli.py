@@ -111,7 +111,10 @@ def test_run_matches_golden_output(capsys, monkeypatch):
     # exit code, stdout and stderr of json, csv and text reports, expected and
     # realized, with and without --check, on worked.csv and on decimal.csv
     # (decimal numerals, a zero share, --normalize), frozen before the report
-    # rendered straight from the engine's outcome
+    # rendered straight from the engine's outcome; and with --check on
+    # large_fraction.csv (300 rows) and large_decimal.csv (120 rows, a zero
+    # share, --normalize), frozen before the report and the oracles read the
+    # outcome over common denominators
     with open(GOLDEN_RUN, "r", encoding="utf-8") as fh:
         golden = json.load(fh)
     assert {case["argv"][-1] for case in golden} == {"json", "csv", "text"}
