@@ -19,7 +19,7 @@ import csv
 import io
 from dataclasses import dataclass
 
-from .core import Allocation, BidProfile, MbmConfig
+from .core import Allocation, BidProfile, MbmConfig, _over_lcm
 from .errors import DuplicateAgentId, NumeralOutOfBounds, ParseError, SharesDontSumToOne
 from .rational import Rational, rational
 
@@ -100,15 +100,18 @@ def parse_captable(source, normalize: bool = False) -> list:
     if not records:
         raise ParseError("cap table has a header but no rows", row=header_line + 1)
 
-    total = sum((r.share for r in records), Rational(0))
+    # the shares as integers over their lcm: share i is a[i] / lcm
+    a, lcm = _over_lcm([r.share for r in records])
+    total = sum(a)
     if normalize:
         if total == 0:
-            raise SharesDontSumToOne(total)
+            raise SharesDontSumToOne(Rational(total, lcm))
         records = [
-            CapTableRecord(r.agent_id, r.share / total, r.bid) for r in records
+            CapTableRecord(r.agent_id, Rational(x, total), r.bid)
+            for r, x in zip(records, a)
         ]
-    elif total != 1:
-        raise SharesDontSumToOne(total)
+    elif total != lcm:
+        raise SharesDontSumToOne(Rational(total, lcm))
     return records
 
 

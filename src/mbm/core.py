@@ -413,6 +413,31 @@ def adjusted_utility(
     )
 
 
+def _utility_numerators(
+    initial: Allocation, outcome: MechanismOutcome, valuations: BidProfile
+) -> tuple:
+    """(nums, den): every agent's ``adjusted_utility`` in ``outcome`` is nums[i] / den.
+
+    Reads the outcome as it stands: initial and final shares (s0 / L0,
+    s1 / L1), initial and final money (x0 / X0, x1 / X1) and values (v / e)
+    each go over their own least common denominator, and agent i gets
+    (s1 L0 - s0 L1) v X0 X1 + (x1 X0 - x0 X1) L0 L1 e over L0 L1 e X0 X1,
+    which is positive and not reduced.
+    """
+    final = outcome.final_allocation
+    s0, l0 = _over_lcm(initial.shares)
+    s1, l1 = _over_lcm(final.shares)
+    x0, m0 = _over_lcm(initial.money)
+    x1, m1 = _over_lcm(final.money)
+    v, e = _over_lcm(valuations.bids)
+    by_share, by_money = m0 * m1, l0 * l1 * e
+    nums = [
+        (b1 * l0 - b0 * l1) * vi * by_share + (y1 * m0 - y0 * m1) * by_money
+        for b0, b1, y0, y1, vi in zip(s0, s1, x0, x1, v)
+    ]
+    return nums, by_share * by_money
+
+
 def expected_adjusted_utility(
     initial: Allocation,
     expected: ExpectedOutcome,

@@ -5,7 +5,9 @@ instance and returns a PropertyReport instead of raising: a violated
 verdict always carries a reproducible witness. Every oracle accepts an
 ``engine`` hook (defaulting to the real mechanism) so deliberately
 corrupted variants run through the same verdict logic as negative
-controls; see ``corrupted_engine``.
+controls; see ``corrupted_engine``. The accounting oracles read the
+outcome as integers over common denominators (utilities through
+``core._utility_numerators``) and make rationals only for a witness.
 
 Both incentive claims are one search, ``_deviation_search``: does some
 deviation make every member of a coalition strictly better off?
@@ -60,13 +62,13 @@ from .core import (
     _reject_ties,
     _share_numerators,
     _simplex_numerators,
+    _utility_numerators,
     _utility_ratios,
-    adjusted_utility,
     expected_adjusted_utility,
     run_expected,
 )
 from .errors import InvalidArgument, SearchBudgetExceeded
-from .rational import ZERO, Rational, as_ratio, rational_str
+from .rational import Rational, as_ratio, rational_str
 
 DEFAULT_SEARCH_BUDGET = 10**6
 
@@ -210,28 +212,32 @@ def check_budget_balance(
     name = "budget-balance"
     instance = describe_instance(initial, profile, config)
     expected = engine(initial, profile, config)
-    share_total = sum(initial.shares, ZERO)
+    a, d = _over_lcm(initial.shares)
+    x, c = _over_lcm(initial.money)
+    share_total, money_total = sum(a), sum(x)
     cases = 0
     for branch in expected.branches:
         final = branch.final_allocation
         cases += 2
-        final_shares = sum(final.shares, ZERO)
-        if final_shares != share_total:
+        a, d1 = _over_lcm(final.shares)
+        if sum(a) * d != share_total * d1:
             return _violation(
                 name,
                 instance,
                 cases,
                 f"branch m={branch.realized_m}: final shares total "
-                f"{final_shares}, initial total {share_total}",
+                f"{Rational(sum(a), d1)}, initial total {Rational(share_total, d)}",
                 bids=profile.bids,
             )
-        delta_total = sum(final.money, ZERO) - sum(initial.money, ZERO)
+        x, c1 = _over_lcm(final.money)
+        delta_total = sum(x) * c - money_total * c1
         if delta_total != 0:
             return _violation(
                 name,
                 instance,
                 cases,
-                f"branch m={branch.realized_m}: payments sum to {delta_total}, expected 0",
+                f"branch m={branch.realized_m}: payments sum to "
+                f"{Rational(delta_total, c * c1)}, expected 0",
                 bids=profile.bids,
             )
     return PropertyReport(name, instance, holds=True, cases=cases)
@@ -249,10 +255,11 @@ def check_individual_rationality(
     expected = engine(initial, valuations, config)
     cases = 0
     for branch in expected.branches:
+        nums, den = _utility_numerators(initial, branch, valuations)
         for agent in range(config.n):
             cases += 1
-            gain = adjusted_utility(initial, branch, valuations, agent)
-            if gain < 0:
+            if nums[agent] < 0:
+                gain = Rational(nums[agent], den)
                 return _violation(
                     name,
                     instance,
@@ -479,11 +486,16 @@ def _deviation_search(
         expected = run_expected(initial, profile, config)
         order = expected.high_branch.order
         types = (order[0], order[config.m_bar - 1], order[-1])
+        # P(high) = p / q, P(low) = r / s; j's utilities g[j] / k and h[j] / m
+        (p, q), (r, s) = (as_ratio(b.branch_probability) for b in expected.branches)
+        (g, k), (h, m) = (_utility_numerators(initial, b, valuations) for b in expected.branches)
+        ps, rq, over = p * s * m, r * q * k, q * s * k * m
         for cases, j in enumerate(sorted(types), 1):
             num, den = truthful[j]
-            fast = Rational(num, d * e * den)
-            slow = expected_adjusted_utility(initial, expected, valuations, j)
-            if fast != slow:
+            slow = ps * g[j] + rq * h[j]
+            if num * over != slow * d * e * den:
+                fast = Rational(num, d * e * den)
+                slow = Rational(slow, over)
                 return _violation(
                     name,
                     instance,
@@ -617,16 +629,19 @@ def check_pp_expost_efficiency(
     instance = describe_instance(initial, valuations, config)
     values = valuations.bids
     expected = engine(initial, valuations, config)
+    a, _ = _over_lcm(initial.shares)
+    v, _ = _over_lcm(values)
     cases = 0
     for branch in expected.branches:
         final = branch.final_allocation
-        owners = [j for j in range(config.n) if final.shares[j] > 0]
+        b, _ = _over_lcm(final.shares)
+        owners = [j for j in range(config.n) if b[j] > 0]
         if not owners:
             continue
         j = owners[0]
         for k in owners[1:]:
             cases += 1
-            if final.shares[j] * initial.shares[k] != final.shares[k] * initial.shares[j]:
+            if b[j] * a[k] != b[k] * a[j]:
                 return _violation(
                     name,
                     instance,
@@ -636,12 +651,12 @@ def check_pp_expost_efficiency(
                     f"{final.shares[j]}:{final.shares[k]}",
                     bids=values,
                 )
-        lowest = min(values[k] for k in owners)
-        for j in (i for i in range(config.n) if final.shares[i] == 0):
+        lowest = min(v[k] for k in owners)
+        for j in (i for i in range(config.n) if b[i] == 0):
             cases += 1
-            if values[j] > lowest:
+            if v[j] > lowest:
                 # the witness names the first owner, by index, that she outvalues
-                k = next(k for k in owners if values[j] > values[k])
+                k = next(k for k in owners if v[j] > v[k])
                 return _violation(
                     name,
                     instance,

@@ -71,6 +71,8 @@ def rational(value) -> Rational:
             parsed = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidNumeral(f"not a rational literal: {value!r}") from exc
+        if Rational is Fraction:
+            return parsed
         return Rational(parsed.numerator, parsed.denominator)
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 

@@ -21,11 +21,11 @@ from .core import (
     ExpectedOutcome,
     MbmConfig,
     MechanismOutcome,
-    adjusted_utility,
+    _utility_numerators,
     draw_branch,
     expected_adjusted_utilities,
 )
-from .rational import decimal_approx, rational_str
+from .rational import Rational, decimal_approx, rational_str
 from .welfare import WelfareReport, welfare_report
 
 APPROX_DIGITS = 20
@@ -58,9 +58,14 @@ class RunReport:
 
     def _rows(self, outcome: MechanismOutcome):
         """Per agent in table order: id, rank, bid, initial share, final share,
-        payment and adjusted utility (at face value, bid = value)."""
+        payment and adjusted utility (at face value, bid = value), the utility
+        read off ``core._utility_numerators``."""
         rank_of = {agent: rank for rank, agent in enumerate(outcome.order, 1)}
         initial, final = self.initial, outcome.final_allocation
+        payments = final.money
+        if any(initial.money):
+            payments = [x - y for x, y in zip(final.money, initial.money)]
+        nums, den = _utility_numerators(initial, outcome, self.profile)
         for agent, agent_id in enumerate(self.agent_ids):
             yield (
                 agent_id,
@@ -68,8 +73,8 @@ class RunReport:
                 self.profile.bids[agent],
                 initial.shares[agent],
                 final.shares[agent],
-                final.money[agent] - initial.money[agent],
-                adjusted_utility(initial, outcome, self.profile, agent),
+                payments[agent],
+                Rational(nums[agent], den),
             )
 
     def to_dict(self) -> dict:

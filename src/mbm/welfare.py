@@ -92,12 +92,17 @@ def expected_mbm_welfare(
 def welfare_report(
     initial: Allocation, valuations: BidProfile, config: MbmConfig
 ) -> WelfareReport:
-    """Initial, expected and first-best welfare; first-best is the kernel's tie-free top bid."""
+    """Initial, expected and first-best welfare, all off one kernel.
+
+    The initial welfare is sum(a_i * w_i) / (d * e) and first-best the
+    kernel's tie-free top bid.
+    """
     kernel = _branch_kernel(initial, valuations, config)
+    order, a, d, w, e, _ = kernel
     expected = _welfare(*kernel)
-    best = valuations.bids[kernel[0][0]]
+    best = valuations.bids[order[0]]
     return WelfareReport(
-        initial_welfare=social_welfare(initial, valuations),
+        initial_welfare=Rational(sum(x * y for x, y in zip(a, w)), d * e),
         expected_mbm_welfare=expected,
         first_best=best,
         preservation_ratio=expected / best,

@@ -1,20 +1,24 @@
-"""Long-hand definitions of three oracle shortcuts, kept as references.
+"""Long-hand definitions of five oracle shortcuts, kept as references.
 
 ``check_pp_expost_efficiency`` compares each owner with one reference owner
 and each cashed-out agent with the lowest-valuing owner, and
 ``check_weak_group_strategyproofness`` sizes its search with a product
 formula. The first two helpers spell both out the long way: every pair of
 agents, every coalition. The third states the deviation grid's rule in
-rationals, as the searches built it before they built it on integers. The
-tests require equal verdicts, witnesses, counts and candidates.
+rationals, as the searches built it before they built it on integers.
+The last two are budget balance and individual rationality as sums and
+utilities of rationals, as the oracles computed them before they read the
+outcome over common denominators. The tests require equal verdicts,
+witnesses, counts and candidates.
 """
 
 import itertools
 import math
 
-from mbm import run_expected
+from mbm import adjusted_utility, run_expected
 from mbm.core import _reject_ties
-from mbm.properties import PropertyReport, Witness, describe_instance
+from mbm.properties import PropertyReport, Witness, _violation, describe_instance
+from mbm.rational import ZERO
 
 
 def pairwise_pp_efficiency(initial, valuations, config, engine=run_expected):
@@ -88,3 +92,58 @@ def fraction_deviation_grid(profile, agent):
         candidates.add(others[0] / 2)
     taken = set(others)
     return tuple(sorted(c for c in candidates if c >= 0 and c not in taken))
+
+
+def fraction_budget_balance(initial, profile, config, engine=run_expected):
+    """Budget balance on sums of rationals: shares and money totals per branch."""
+    name = "budget-balance"
+    instance = describe_instance(initial, profile, config)
+    expected = engine(initial, profile, config)
+    share_total = sum(initial.shares, ZERO)
+    cases = 0
+    for branch in expected.branches:
+        final = branch.final_allocation
+        cases += 2
+        final_shares = sum(final.shares, ZERO)
+        if final_shares != share_total:
+            return _violation(
+                name,
+                instance,
+                cases,
+                f"branch m={branch.realized_m}: final shares total "
+                f"{final_shares}, initial total {share_total}",
+                bids=profile.bids,
+            )
+        delta_total = sum(final.money, ZERO) - sum(initial.money, ZERO)
+        if delta_total != 0:
+            return _violation(
+                name,
+                instance,
+                cases,
+                f"branch m={branch.realized_m}: payments sum to {delta_total}, expected 0",
+                bids=profile.bids,
+            )
+    return PropertyReport(name, instance, holds=True, cases=cases)
+
+
+def fraction_individual_rationality(initial, valuations, config, engine=run_expected):
+    """Individual rationality on ``adjusted_utility``, agent by agent, branch by branch."""
+    name = "individual-rationality"
+    instance = describe_instance(initial, valuations, config)
+    expected = engine(initial, valuations, config)
+    cases = 0
+    for branch in expected.branches:
+        for agent in range(config.n):
+            cases += 1
+            gain = adjusted_utility(initial, branch, valuations, agent)
+            if gain < 0:
+                return _violation(
+                    name,
+                    instance,
+                    cases,
+                    f"agent {agent} loses {-gain} in branch m={branch.realized_m}",
+                    agent=agent,
+                    bids=valuations.bids,
+                    utility_delta=gain,
+                )
+    return PropertyReport(name, instance, holds=True, cases=cases)

@@ -278,3 +278,25 @@ def test_criterion_12_cli_golden_run(capsys):
             and payments_zero
         )
         t.finish(ok, "byte-stable across runs and against the golden file")
+
+
+def test_criterion_13_run_check_on_a_300_row_table(capsys):
+    # the golden entries are read before the clock starts
+    with open(os.path.join(DATA, "golden_run.json"), encoding="utf-8") as fh:
+        golden = {
+            case["argv"][-1]: case["stdout"]
+            for case in json.load(fh)
+            if case["argv"][2] == "large_fraction.csv" and "--expected" in case["argv"]
+        }
+    table = os.path.join(DATA, "large_fraction.csv")
+    with Timer(13, "cmd run --check on 300 rows in json, csv and text", 1) as t:
+        results = {}
+        for fmt in ("json", "csv", "text"):
+            argv = ["run", "--captable", table, "--mbar", "200", "--expected", "--check",
+                    "--format", fmt]
+            code = main(argv)
+            results[fmt] = (code, capsys.readouterr().out)
+        ok = sorted(golden) == sorted(results) and all(
+            results[fmt] == (0, golden[fmt]) for fmt in golden
+        )
+        t.finish(ok, "each format equal to its golden entry, every check holding")

@@ -16,6 +16,7 @@ from mbm import (
     MbmConfig,
     MbmError,
     SearchBudgetExceeded,
+    adjusted_utility,
     check_budget_balance,
     check_individual_rationality,
     check_pp_expost_efficiency,
@@ -33,9 +34,13 @@ from mbm.instances import InstanceSpec, generate, perturbed_profile
 from mbm.properties import CORRUPTION_KINDS, PropertyReport, Witness
 from mbm.rational import ONE, ZERO, Rational as Q, rational
 from mbm.suites import SUITES, generate_suite, run_suite
+from mbm.captable import CapTableRecord
+from mbm.report import build_run_report
 from references import (
     enumerated_coalition_budget,
+    fraction_budget_balance,
     fraction_deviation_grid,
+    fraction_individual_rationality,
     pairwise_pp_efficiency,
 )
 from refinement import refined_sp_holds
@@ -651,6 +656,94 @@ def test_pp_efficiency_equals_pairwise_reference():
     assert failed["none"] == 0
     assert failed["cash-out-second"] == len(instances)
     assert failed["shares"] > 0 and failed["scale-skew"] > 0, failed
+
+
+def reference_cases():
+    """(instances, engines): ``generate_suite(200, seed=7)`` and the same
+    instances holding nonzero initial money; the real engine, every
+    corruption kind and ``cash_out_second_bidder``."""
+    instances = generate_suite(200, seed=7)
+    rng = random.Random(7)
+    funded = [
+        (
+            Allocation(
+                initial.shares,
+                tuple(Q(rng.randint(-9, 9) or 1, rng.randint(1, 6)) for _ in initial.shares),
+            ),
+            profile,
+            config,
+        )
+        for initial, profile, config in instances
+    ]
+    engines = {"none": run_expected, "cash-out-second": cash_out_second_bidder}
+    engines.update((kind, corrupted_engine(kind)) for kind in CORRUPTION_KINDS)
+    return instances + funded, engines
+
+
+def test_budget_balance_and_ir_equal_fraction_references():
+    # the oracles read the outcome over common denominators; the references
+    # sum and subtract its rationals. Verdicts, cases and every witness field
+    # (detail, agent, bids, utility_delta) must agree.
+    instances, engines = reference_cases()
+    pairs = (
+        (check_budget_balance, fraction_budget_balance),
+        (check_individual_rationality, fraction_individual_rationality),
+    )
+    failed = {kind: [0, 0] for kind in engines}
+    for initial, profile, config in instances:
+        for kind, engine in engines.items():
+            for i, (oracle, reference) in enumerate(pairs):
+                report = oracle(initial, profile, config, engine=engine)
+                assert report == reference(initial, profile, config, engine=engine), kind
+                failed[kind][i] += not report.holds
+    everywhere = len(instances)
+    assert failed["none"] == [0, 0]
+    assert failed["payment"][0] == failed["shares"][0] == everywhere, failed
+    assert failed["price-next"][1] > 0 and failed["price-dip"][1] > 0, failed
+
+
+def test_report_rows_equal_adjusted_utility():
+    instances, engines = reference_cases()
+    for initial, profile, config in instances:
+        records = [CapTableRecord(f"a{j}", share) for j, share in enumerate(initial.shares)]
+        for kind, engine in engines.items():
+            expected = engine(initial, profile, config)
+            report = build_run_report(
+                records, initial, profile, config, expected,
+                mode="expected", seed=None, captable_name="t.csv",
+            )
+            for outcome, branch in zip(expected.branches, report.to_dict()["branches"]):
+                final = outcome.final_allocation
+                for agent, row in enumerate(branch["agents"]):
+                    payment = final.money[agent] - initial.money[agent]
+                    utility = adjusted_utility(initial, outcome, profile, agent)
+                    assert row["payment"] == str(payment), kind
+                    assert row["adjusted_utility"] == str(utility), kind
+
+
+def test_scorer_tie_witness_reads_the_engine(monkeypatch):
+    # a scorer one unit over d * e too high fails the tie at the first type
+    # agent, with the witness text the rational utilities print
+    real = properties._utility_ratios
+    monkeypatch.setattr(
+        properties, "_utility_ratios",
+        lambda *args: [(num + den, den) for num, den in real(*args)],
+    )
+    for initial, profile, config in generate_suite(20, seed=7):
+        report = check_strategyproofness(initial, profile, config)
+        assert (report.holds, report.cases) == (False, 1)
+        order = run_expected(initial, profile, config).high_branch.order
+        j = min(order[0], order[config.m_bar - 1], order[-1])
+        slow = expected_adjusted_utility(
+            initial, run_expected(initial, profile, config), profile, j
+        )
+        _, d = _simplex_numerators(initial.shares)
+        _, e = _over_lcm(profile.bids)
+        fast = slow + Q(1, d * e)
+        assert report.witness.agent == j
+        assert report.witness.detail == (
+            f"agent {j}: the scorer gives {fast} at the witness bids, the engine {slow}"
+        )
 
 
 # --- corruption kinds ------------------------------------------------------------
