@@ -29,13 +29,13 @@ from mbm import (
     run_expected,
 )
 from mbm import properties
+from mbm.captable import CapTableRecord
 from mbm.core import _over_lcm, _simplex_numerators
 from mbm.instances import InstanceSpec, generate, perturbed_profile
 from mbm.properties import CORRUPTION_KINDS, PropertyReport, Witness
 from mbm.rational import ONE, ZERO, Rational as Q, rational
-from mbm.suites import SUITES, generate_suite, run_suite
-from mbm.captable import CapTableRecord
 from mbm.report import build_run_report
+from mbm.suites import SUITES, generate_suite, run_suite
 from references import (
     enumerated_coalition_budget,
     fraction_budget_balance,
@@ -732,11 +732,10 @@ def test_scorer_tie_witness_reads_the_engine(monkeypatch):
     for initial, profile, config in generate_suite(20, seed=7):
         report = check_strategyproofness(initial, profile, config)
         assert (report.holds, report.cases) == (False, 1)
-        order = run_expected(initial, profile, config).high_branch.order
+        expected = run_expected(initial, profile, config)
+        order = expected.high_branch.order
         j = min(order[0], order[config.m_bar - 1], order[-1])
-        slow = expected_adjusted_utility(
-            initial, run_expected(initial, profile, config), profile, j
-        )
+        slow = expected_adjusted_utility(initial, expected, profile, j)
         _, d = _simplex_numerators(initial.shares)
         _, e = _over_lcm(profile.bids)
         fast = slow + Q(1, d * e)
