@@ -1,6 +1,7 @@
 """Command-line interface: run, verify, welfare.
 
-Exit codes: 0 success, 1 property violation, 2 validation error,
+Exit codes: 0 success, 1 property violation (for welfare, a row where the
+closed form and the engine differ), 2 validation error,
 3 degenerate instance (zero combined buyer share), 4 search budget
 exceeded. MBM_SEED serves as a fallback wherever --seed is accepted.
 """
@@ -207,6 +208,10 @@ def cmd_welfare(args) -> int:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerows(buf_rows)
     _emit(buf.getvalue(), args.out)
+    differ = sum(1 for row in rows if row.closed_form != row.engine)
+    if differ:
+        print(f"{differ} row(s) where the closed form differs from the engine", file=sys.stderr)
+        return EXIT_VIOLATION
     return EXIT_OK
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numbers
 import re
-from decimal import Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from operator import attrgetter
 
@@ -50,8 +50,11 @@ def rational(value) -> Rational:
     text converts exactly via powers of ten. Floats raise TypeError. Text
     longer than ``MAX_NUMERAL_CHARS`` or with a decimal exponent beyond
     ``MAX_EXPONENT`` raises NumeralOutOfBounds, and other text that is
-    not a rational literal InvalidNumeral; both are ValueErrors.
+    not a rational literal InvalidNumeral; both are ValueErrors. A value
+    that is already a ``Rational`` comes back as it is.
     """
+    if type(value) is Rational:
+        return value
     if isinstance(value, float):
         raise TypeError(
             f"refusing float {value!r}: floats are inexact, pass a string or rational"
@@ -93,8 +96,10 @@ def rational_str(value) -> str:
 def decimal_approx(value, digits: int = 20) -> str:
     """Decimal approximation to ``digits`` significant digits.
 
-    For human eyes only; the "p/q" form is the value of record.
+    For human eyes only; the "p/q" form is the value of record. The division
+    rounds half to even in a context of its own, so the caller's decimal
+    context (its rounding, precision or traps) cannot change the digits.
     """
-    with localcontext() as ctx:
-        ctx.prec = digits
-        return str(Decimal(int(value.numerator)) / Decimal(int(value.denominator)))
+    ctx = Context(prec=digits, rounding=ROUND_HALF_EVEN)
+    quotient = ctx.divide(Decimal(int(value.numerator)), Decimal(int(value.denominator)))
+    return ctx.to_sci_string(quotient)

@@ -18,6 +18,14 @@ above one half everywhere, decaying linearly in alpha, and approaching
 arbitrarily close to zero; ``efficiency_loss_instance`` constructs the
 offending instances.
 
+Welfare is read off the engine's integer numerators. Prefix sums of
+a_i * w_i along the bid order (``_held``) give every branch's buyer welfare
+by lookup, and both branches share one denominator, so the expected welfare
+is a single rational. A sweep builds the kernel and its prefix sums once per
+n; at alpha = k/n the closed form is (2n - k)(n + 1) / 2n^2 on integers, so
+each row adds one rational per printed value and no sum over the buyers
+beyond the engine's own buyer masses.
+
 Everything here assumes truthful bidding, where the mechanism's welfare
 statement lives; all functions are pure, and sweeps over (n, alpha) grids
 can safely run in parallel.
@@ -26,11 +34,12 @@ can safely run in parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .core import Allocation, BidProfile, MbmConfig
 from .core import _branch_kernel, _branches, _instance_kernel, _over_lcm
 from .errors import InvalidAlpha, InvalidConfig
-from .rational import ONE, ZERO, Rational, rational
+from .rational import ONE, ZERO, Rational, as_ratio, rational
 
 
 @dataclass(frozen=True)
@@ -64,17 +73,22 @@ def first_best(valuations: BidProfile) -> Rational:
     return valuations.bids[w.index(max(w))]
 
 
-def _welfare(order: tuple, a, d: int, w, e: int, branches) -> Rational:
+def _held(order: tuple, a, w) -> list:
+    """Prefix sums of a_i * w_i along the bid order: ``held[m]`` sums the top m bidders."""
+    return list(accumulate((a[i] * w[i] for i in order), initial=0))
+
+
+def _welfare(held, d: int, e: int, branches) -> Rational:
     """Expected welfare off kernel numerators: shares a_i / d, valuations w_i / e.
 
-    A branch's buyers end with a_i / A_B of the asset and its sellers with
-    nothing: it adds P_B / d * sum(a_i * w_i over buyers) / (A_B * e).
+    A branch's m buyers end with a_i / A_B of the asset and its sellers with
+    nothing: it adds P_B / d * held[m] / (A_B * e). The two branches, high
+    (buyer mass H) and low (L), go over one denominator d * H * L * e.
     """
-    total = ZERO
-    for m, mass, prob in branches:
-        held = sum(a[i] * w[i] for i in order[:m])
-        total += Rational(prob * held, d * mass * e)
-    return total
+    (m_high, high, p_high), (m_low, low, p_low) = branches
+    return Rational(
+        p_high * held[m_high] * low + p_low * held[m_low] * high, d * high * low * e
+    )
 
 
 def expected_mbm_welfare(
@@ -83,10 +97,12 @@ def expected_mbm_welfare(
     """Probability-weighted welfare over both branches, read from the engine's kernel.
 
     ``_branch_kernel`` is the computation behind ``run_expected``, with the
-    same checks and errors. The welfare sweep runs its per-instance part
-    once per n and only ``_branches`` and ``_welfare`` once per alpha.
+    same checks and errors; the buyers' a_i * w_i come from one pass of
+    prefix sums along the bid order (``_held``). The welfare sweep builds
+    those once per n and runs only ``_branches`` and ``_welfare`` per alpha.
     """
-    return _welfare(*_branch_kernel(initial, valuations, config))
+    order, a, d, w, e, branches = _branch_kernel(initial, valuations, config)
+    return _welfare(_held(order, a, w), d, e, branches)
 
 
 def welfare_report(
@@ -94,15 +110,16 @@ def welfare_report(
 ) -> WelfareReport:
     """Initial, expected and first-best welfare, all off one kernel.
 
-    The initial welfare is sum(a_i * w_i) / (d * e) and first-best the
-    kernel's tie-free top bid.
+    One pass of prefix sums (``_held``) serves both welfares: the initial
+    welfare is held[n] / (d * e), its sum over every agent. First-best is
+    the kernel's tie-free top bid.
     """
-    kernel = _branch_kernel(initial, valuations, config)
-    order, a, d, w, e, _ = kernel
-    expected = _welfare(*kernel)
+    order, a, d, w, e, branches = _branch_kernel(initial, valuations, config)
+    held = _held(order, a, w)
+    expected = _welfare(held, d, e, branches)
     best = valuations.bids[order[0]]
     return WelfareReport(
-        initial_welfare=Rational(sum(x * y for x, y in zip(a, w)), d * e),
+        initial_welfare=Rational(held[-1], d * e),
         expected_mbm_welfare=expected,
         first_best=best,
         preservation_ratio=expected / best,
@@ -125,10 +142,10 @@ def uniform_grid_instance(n: int, m_bar: int):
 
 def _m_bar_from_alpha(n: int, alpha: Rational) -> int:
     """m_bar = alpha * n for an already parsed alpha; InvalidAlpha unless in 2..n-1."""
-    m_bar = alpha * n
-    if m_bar.denominator != 1:
+    p, q = as_ratio(alpha)
+    if n * p % q:
         raise InvalidAlpha(f"alpha={alpha} with n={n}: alpha * n is not an integer")
-    m_bar = int(m_bar)
+    m_bar = n * p // q
     if not 2 <= m_bar <= n - 1:
         raise InvalidAlpha(
             f"alpha={alpha} with n={n}: alpha must lie in {{2/n, ..., (n-1)/n}}"
@@ -149,18 +166,17 @@ def uniform_grid_welfare(n: int, alpha) -> Rational:
     Equals (2 - alpha)/2 + (2 - alpha)/(2n) with alpha = m_bar/n. First-best
     welfare is 1 on this family, so this is also the preserved fraction.
     """
-    alpha = rational(alpha)
-    _m_bar_from_alpha(n, alpha)
-    return _closed_form(n, alpha)
+    return _closed_form(n, _m_bar_from_alpha(n, rational(alpha)))
 
 
-# the closed forms on a parsed, checked alpha
-def _closed_form(n: int, alpha: Rational) -> Rational:
-    return (2 - alpha) / 2 + (2 - alpha) / (2 * n)
+# the closed forms at alpha = k/n on integers: (2n - k)(n + 1) / 2n^2, and the
+# gap (2n - k) / 2n^2 above the limit (2 - alpha)/2
+def _closed_form(n: int, k: int) -> Rational:
+    return Rational((2 * n - k) * (n + 1), 2 * n * n)
 
 
-def _limit(alpha: Rational) -> Rational:
-    return (2 - alpha) / 2
+def _limit_gap(n: int, k: int) -> Rational:
+    return Rational(2 * n - k, 2 * n * n)
 
 
 @dataclass(frozen=True)
@@ -179,26 +195,29 @@ class SweepRow:
 def _grid_point(n: int):
     """``alpha -> SweepRow`` at n, on one engine kernel built at the first valid alpha.
 
-    An invalid alpha raises InvalidAlpha before any instance exists; each
-    valid one takes only its branch triples off the kernel.
+    An invalid alpha raises InvalidAlpha before any instance exists. The
+    kernel's prefix sums (``_held``) are built with it, so each valid alpha
+    takes only its branch triples off the kernel and a row costs a fixed
+    number of integer operations and one rational per value.
     """
-    kernel = best = None
+    kernel = None
 
     def point(alpha) -> SweepRow:
-        nonlocal kernel, best
+        nonlocal kernel
         alpha = rational(alpha)
         m_bar = _m_bar_from_alpha(n, alpha)
         if kernel is None:
-            kernel = _instance_kernel(*uniform_grid_instance(n, m_bar))
-            order, _, _, w, e = kernel
-            best = Rational(w[order[0]], e)  # first-best: the top valuation
-        order, a, d, _, _ = kernel
-        engine = _welfare(*kernel, _branches(order, a, d, m_bar))
-        closed = _closed_form(n, alpha)
+            order, a, d, w, e = _instance_kernel(*uniform_grid_instance(n, m_bar))
+            kernel = order, a, d, w, e, _held(order, a, w)
+        order, a, d, w, e, held = kernel
+        engine = _welfare(held, d, e, _branches(order, a, d, m_bar))
+        p, q = as_ratio(engine)
         return SweepRow(
-            n=n, alpha=alpha, m_bar=m_bar, closed_form=closed, engine=engine,
-            preservation_ratio=engine / best,
-            limit_gap=closed - _limit(alpha),
+            n=n, alpha=alpha, m_bar=m_bar, closed_form=_closed_form(n, m_bar),
+            engine=engine,
+            # over first-best, the top valuation w_top / e
+            preservation_ratio=Rational(p * e, q * w[order[0]]),
+            limit_gap=_limit_gap(n, m_bar),
         )
 
     return point

@@ -1,4 +1,4 @@
-"""Long-hand definitions of five oracle shortcuts, kept as references.
+"""Long-hand definitions of oracle and welfare shortcuts, kept as references.
 
 ``check_pp_expost_efficiency`` compares each owner with one reference owner
 and each cashed-out agent with the lowest-valuing owner, and
@@ -10,12 +10,23 @@ The last two are budget balance and individual rationality as sums and
 utilities of rationals, as the oracles computed them before they read the
 outcome over common denominators. The tests require equal verdicts,
 witnesses, counts and candidates.
+
+The welfare pair states expected welfare and a sweep row in ``Fraction``s,
+as the welfare module computed them before it read them off prefix sums
+and integer closed forms; the tests require equal values and errors.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
-from mbm import adjusted_utility, run_expected
+from mbm import (
+    DegenerateBuyerMass,
+    InvalidAlpha,
+    SweepRow,
+    adjusted_utility,
+    run_expected,
+)
 from mbm.core import _reject_ties
 from mbm.properties import PropertyReport, Witness, _violation, describe_instance
 from mbm.rational import ZERO
@@ -147,3 +158,59 @@ def fraction_individual_rationality(initial, valuations, config, engine=run_expe
                     utility_delta=gain,
                 )
     return PropertyReport(name, instance, holds=True, cases=cases)
+
+
+def fraction_expected_welfare(initial, valuations, config):
+    """Expected welfare branch by branch, in rationals: P(high) = H and
+    P(low) = 1 - H, where H and L are the initial shares of the top m_bar and
+    m_bar - 1 bidders, and a branch's buyers hold share_i / mass of the asset.
+
+    Raises DegenerateBuyerMass for a branch whose buyers hold nothing, the
+    high branch first.
+    """
+    order = sorted(range(config.n), key=valuations.bids.__getitem__, reverse=True)
+    return _branch_welfare(initial.shares, valuations.bids, order, config.m_bar)
+
+
+def _branch_welfare(shares, values, order, m_bar):
+    """P(high) times the top m_bar buyers' welfare plus P(low) times the top m_bar - 1's."""
+    mass = held = Fraction(0)
+    for i in order[: m_bar - 1]:
+        mass += shares[i]
+        held += shares[i] * values[i]
+    low, low_held = mass, held
+    top = order[m_bar - 1]
+    high = low + shares[top]
+    high_held = low_held + shares[top] * values[top]
+    for m, buyers in ((m_bar, high), (m_bar - 1, low)):
+        if buyers == 0:
+            raise DegenerateBuyerMass(f"all {m} prospective buyers hold zero initial shares")
+    return high * high_held / high + (1 - high) * low_held / low
+
+
+def fraction_sweep_row(n, alpha):
+    """One sweep row in rationals on equal shares 1/n and valuations (n - i)/n:
+    the two-branch sum, (2 - alpha)/2 + (2 - alpha)/(2n), engine over first-best
+    and the closed form minus (2 - alpha)/2.
+
+    Raises InvalidAlpha, with ``welfare_sweep``'s messages, unless alpha * n
+    is an integer in 2..n-1.
+    """
+    alpha = Fraction(alpha)
+    m_bar = alpha * n
+    if m_bar.denominator != 1:
+        raise InvalidAlpha(f"alpha={alpha} with n={n}: alpha * n is not an integer")
+    m_bar = int(m_bar)
+    if not 2 <= m_bar <= n - 1:
+        raise InvalidAlpha(
+            f"alpha={alpha} with n={n}: alpha must lie in {{2/n, ..., (n-1)/n}}"
+        )
+    # agent i values the asset at (n - i)/n, so the bid order is 0, 1, ..., n - 1
+    values = [Fraction(n - i, n) for i in range(n)]
+    engine = _branch_welfare([Fraction(1, n)] * n, values, range(n), m_bar)
+    limit = (2 - alpha) / 2
+    closed = limit + (2 - alpha) / (2 * n)
+    return SweepRow(
+        n=n, alpha=alpha, m_bar=m_bar, closed_form=closed, engine=engine,
+        preservation_ratio=engine / max(values), limit_gap=closed - limit,
+    )

@@ -9,7 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from decimal import Decimal
+from decimal import ROUND_DOWN, Decimal, Inexact, localcontext
 from fractions import Fraction
 
 import pytest
@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from mbm import __version__, expected_adjusted_utilities, run_expected
 from mbm import cli
 from mbm.cli import main
-from mbm.rational import BACKEND, rational, rational_str
+from mbm.rational import BACKEND, decimal_approx, rational, rational_str
 import mutants
 from conftest import SRC
 from strategies import instances
@@ -123,6 +123,29 @@ def test_run_matches_golden_output(capsys, monkeypatch):
         assert run_cli(capsys, *case["argv"]) == (
             case["exit"], case["stdout"], case["stderr"]
         ), case["argv"]
+
+
+def test_approximations_ignore_the_callers_decimal_context(capsys, monkeypatch):
+    # rounding down would print ...66 for 2/3, and a trapped Inexact would
+    # raise on the first approximation
+    cases = []
+    for path, argv in (
+        (GOLDEN_RUN, ["run", "--captable", "decimal.csv", "--mbar", "2", "--normalize",
+                      "--expected", "--format", "json"]),
+        (GOLDEN_WELFARE, ["welfare", "--n-list", "3..12", "--alpha-list", "all"]),
+    ):
+        with open(path, "r", encoding="utf-8") as fh:
+            cases += [case for case in json.load(fh) if case["argv"] == argv]
+    assert len(cases) == 2
+    monkeypatch.chdir(DATA)
+    with localcontext() as ctx:
+        ctx.rounding = ROUND_DOWN
+        ctx.traps[Inexact] = True
+        assert decimal_approx(Fraction(2, 3)) == "0.66666666666666666667"
+        for case in cases:
+            assert run_cli(capsys, *case["argv"]) == (
+                case["exit"], case["stdout"], case["stderr"]
+            ), case["argv"]
 
 
 def test_run_check_flag_includes_verdicts(capsys):
@@ -554,6 +577,26 @@ def test_welfare_large_n_limit_gap(capsys):
     _, out, _ = run_cli(capsys, "welfare", "--n-list", "1000", "--alpha-list", "1/2")
     fields = out.strip().splitlines()[1].split(",")
     assert fields[5] == "3/4000"  # closed form minus (2 - alpha)/2
+
+
+def test_welfare_kills_the_branch_mutant(tmp_path, subprocess_env):
+    # P(high) read as the low branch's buyer mass moves the engine column off
+    # the closed form on every row, and the sweep says so by its exit code
+    package = tmp_path / "mbm"
+    shutil.copytree(os.path.join(SRC, "mbm"), package)
+    mutants.apply(package, mutants.ENGINE_MUTANTS[0])
+    env = dict(subprocess_env)
+    env["PYTHONPATH"] = os.pathsep.join((str(tmp_path), env["PYTHONPATH"]))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "mbm", "welfare", "--n-list", "4..12", "--alpha-list", "all"],
+        capture_output=True, text=True, env=env,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == "54 row(s) where the closed form differs from the engine\n"
+    assert len(proc.stdout.splitlines()) == 1 + 54
+    assert elapsed < 5.0, elapsed
 
 
 # --- version -------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import given
 from mbm import (
     Allocation,
     BidProfile,
+    DegenerateBuyerMass,
     InvalidAlpha,
     InvalidConfig,
     MbmConfig,
@@ -26,8 +27,9 @@ from mbm import (
 )
 from mbm.rational import ONE, ZERO, Rational as Q
 from mbm.suites import generate_suite
-from mbm.welfare import uniform_grid_instance, uniform_grid_valuations
+from mbm.welfare import WelfareReport, uniform_grid_instance, uniform_grid_valuations
 
+from references import fraction_expected_welfare, fraction_sweep_row
 from strategies import instances
 
 
@@ -289,6 +291,70 @@ def test_welfare_sweep_error_and_skip_order():
     ]
     assert all(isinstance(exc, InvalidAlpha) for exc in skipped)
     assert [(r.n, r.m_bar, r.engine) for r in rows] == [(4, 2, Q(15, 16))]
+
+
+def fraction_sweep(n_values, alphas):
+    """(rows, skipped messages) of ``fraction_sweep_row`` in sweep order."""
+    rows, skipped = [], []
+    for n in n_values:
+        for alpha in valid_alphas(n) if alphas is None else alphas:
+            try:
+                rows.append(fraction_sweep_row(n, alpha))
+            except InvalidAlpha as exc:
+                skipped.append(str(exc))
+    return rows, skipped
+
+
+def test_sweep_rows_equal_the_fraction_reference():
+    # prefix sums and integer closed forms against each row summed in
+    # rationals, every field of every row
+    rows, skipped = welfare_sweep(range(3, 121))
+    assert skipped == []
+    assert rows == fraction_sweep(range(3, 121), None)[0]
+
+
+def test_explicit_alpha_sweep_equals_the_fraction_reference():
+    alphas = ["1/2", "1/3", Q(2, 5), "3/4", "0.5", "1/7", "2/3", Q(9, 10), "1", "0"]
+    rows, skipped = welfare_sweep(range(2, 41), alphas)
+    reference_rows, reference_skipped = fraction_sweep(range(2, 41), alphas)
+    assert rows == reference_rows
+    assert [str(exc) for exc in skipped] == reference_skipped
+    assert (len(rows), len(skipped)) == (89, 301)
+
+
+def with_money(initial):
+    # nonzero initial balances, which welfare must ignore
+    money = tuple(Q(7 * i - 5, 3) for i in range(initial.n))
+    return Allocation(initial.shares, money)
+
+
+def test_expected_welfare_and_report_equal_the_fraction_reference():
+    for initial, valuations, config in generate_suite(200, seed=7):
+        for start in (initial, with_money(initial)):
+            expected = fraction_expected_welfare(start, valuations, config)
+            best = max(valuations.bids)
+            assert expected_mbm_welfare(start, valuations, config) == expected
+            assert welfare_report(start, valuations, config) == WelfareReport(
+                initial_welfare=social_welfare(start, valuations),
+                expected_mbm_welfare=expected,
+                first_best=best,
+                preservation_ratio=expected / best,
+            )
+
+
+def test_zero_buyer_mass_raises_the_fraction_reference_message():
+    bids = BidProfile((Q(4), Q(3), Q(2), Q(1)))
+    config = MbmConfig(n=4, m_bar=2)
+    high_empty = (ZERO, ZERO, Q(1, 2), Q(1, 2))  # both top bidders hold nothing
+    low_empty = (ZERO, Q(1, 2), Q(1, 4), Q(1, 4))  # only the top bidder does
+    for shares in (high_empty, low_empty):
+        initial = Allocation.from_shares(shares)
+        with pytest.raises(DegenerateBuyerMass) as reference:
+            fraction_expected_welfare(initial, bids, config)
+        for fn in (expected_mbm_welfare, welfare_report):
+            with pytest.raises(DegenerateBuyerMass) as info:
+                fn(initial, bids, config)
+            assert str(info.value) == str(reference.value)
 
 
 # --- arbitrarily small preservation ratio ----------------------------------------
