@@ -145,7 +145,8 @@ def _m_bar_from_alpha(n: int, alpha: Rational) -> int:
     p, q = as_ratio(alpha)
     if n * p % q:
         raise InvalidAlpha(f"alpha={alpha} with n={n}: alpha * n is not an integer")
-    m_bar = n * p // q
+    # int(): on gmpy2 the ratio's parts are mpz, and MbmConfig takes only int
+    m_bar = int(n * p // q)
     if not 2 <= m_bar <= n - 1:
         raise InvalidAlpha(
             f"alpha={alpha} with n={n}: alpha must lie in {{2/n, ..., (n-1)/n}}"

@@ -26,6 +26,7 @@ from mbm import (
     welfare_sweep,
 )
 from mbm.rational import ONE, ZERO, Rational as Q
+from mbm import welfare
 from mbm.suites import generate_suite
 from mbm.welfare import WelfareReport, uniform_grid_instance, uniform_grid_valuations
 
@@ -311,6 +312,7 @@ def test_sweep_rows_equal_the_fraction_reference():
     rows, skipped = welfare_sweep(range(3, 121))
     assert skipped == []
     assert rows == fraction_sweep(range(3, 121), None)[0]
+    assert all(type(row.m_bar) is int for row in rows)
 
 
 def test_explicit_alpha_sweep_equals_the_fraction_reference():
@@ -320,6 +322,50 @@ def test_explicit_alpha_sweep_equals_the_fraction_reference():
     assert rows == reference_rows
     assert [str(exc) for exc in skipped] == reference_skipped
     assert (len(rows), len(skipped)) == (89, 301)
+    assert all(type(row.m_bar) is int for row in rows)
+
+
+class NotInt:
+    """An integer that is not an ``int``, as gmpy2's ``mpz`` is not."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __rmul__(self, other):
+        return NotInt(other * self.value)
+
+    def __mod__(self, other):
+        return NotInt(self.value % other.value)
+
+    def __floordiv__(self, other):
+        return NotInt(self.value // other.value)
+
+    def __le__(self, other):
+        return self.value <= other
+
+    def __ge__(self, other):
+        return self.value >= other
+
+    def __bool__(self):
+        return bool(self.value)
+
+    def __index__(self):
+        return self.value
+
+
+def test_m_bar_is_an_int_when_the_ratio_parts_are_not(monkeypatch):
+    # on gmpy2, as_ratio gives mpz parts, and MbmConfig takes m_bar only as int
+    monkeypatch.setattr(
+        welfare, "as_ratio", lambda value: tuple(map(NotInt, Q.as_integer_ratio(value)))
+    )
+    m_bar = welfare._m_bar_from_alpha(10, Q(3, 10))
+    assert (type(m_bar), m_bar) == (int, 3)
+    assert uniform_grid_instance(10, m_bar)[2] == MbmConfig(n=10, m_bar=3)
+    assert uniform_grid_welfare(10, "3/10") == Q(187, 200)
+    with pytest.raises(InvalidAlpha, match=r"alpha \* n is not an integer"):
+        welfare._m_bar_from_alpha(10, Q(1, 3))
+    with pytest.raises(InvalidAlpha, match=r"alpha must lie in"):
+        welfare._m_bar_from_alpha(10, Q(1, 10))
 
 
 def with_money(initial):
