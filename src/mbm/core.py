@@ -15,9 +15,10 @@ asset price.
 All arithmetic is exact rational arithmetic; there is no rounding anywhere
 in this module. ``run_expected`` is the engine's one entry point: it ranks,
 prices, weights the lottery and runs the buyout in one computation on
-integer numerators. Shares and bids are scaled once per instance to
-integers over their least common denominators, and rationals are made only
-for the returned outcome.
+integer numerators. ``_kernel`` scales shares and bids once per instance
+to integers over their least common denominators, ranks the bids and sums
+the shares along that order; ``_branches`` reads both branches' buyer
+masses off those sums. Rationals are made only for the returned outcome.
 Every type is an immutable value and every operation is a pure function of
 its inputs, so results are safe to share across threads.
 ``draw_branch`` and ``realize`` are the only randomized entry points; each
@@ -30,19 +31,15 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, Sequence, Union
 
 from .errors import DegenerateBuyerMass, DuplicateBids, InvalidAllocation, InvalidConfig
 from .rational import ZERO, Rational, as_ratio, rational
 
-_RATIONAL_TYPE = type(ZERO)
-
 
 def _freeze(values: Iterable) -> tuple:
-    # fast path: leave already-coerced rationals untouched
-    return tuple(
-        v if type(v) is _RATIONAL_TYPE else rational(v) for v in values
-    )
+    return tuple(map(rational, values))
 
 
 def _over_lcm(values) -> tuple:
@@ -223,20 +220,6 @@ def rank_bids(profile: BidProfile) -> tuple:
     return _bid_order(_over_lcm(profile.bids)[0])
 
 
-def _buyer_masses(order: tuple, a, m_bar: int) -> tuple:
-    """(H, L): the initial share numerators of the top m_bar and m_bar - 1 bidders.
-
-    Raises DegenerateBuyerMass for a branch whose buyers hold nothing, the
-    high branch first.
-    """
-    high = sum(map(a.__getitem__, order[:m_bar]))
-    low = high - a[order[m_bar - 1]]
-    if high == 0 or low == 0:
-        m = m_bar if high == 0 else m_bar - 1
-        raise DegenerateBuyerMass(f"all {m} prospective buyers hold zero initial shares")
-    return high, low
-
-
 def _share_numerators(initial: Allocation, profile: BidProfile, config: MbmConfig) -> tuple:
     """(a, d) with share i = a[i] / d, once the sizes (allocation first) and the simplex check out."""
     _check_sizes(initial.n, config, "allocation")
@@ -244,29 +227,36 @@ def _share_numerators(initial: Allocation, profile: BidProfile, config: MbmConfi
     return _simplex_numerators(initial.shares)
 
 
-def _instance_kernel(initial: Allocation, profile: BidProfile, config: MbmConfig) -> tuple:
-    """(order, a, d, w, e): agents by bid descending, share i = a[i] / d, bid i = w[i] / e.
+def _masses(order: tuple, a) -> list:
+    """Prefix sums of the share numerators a along ``order``: ``mass[k]`` is the top k bidders'."""
+    return list(accumulate(map(a.__getitem__, order), initial=0))
 
-    Reads nothing of m_bar, so a caller varying only m_bar runs it once. Raises,
-    in this order: InvalidConfig on a size mismatch (allocation first),
-    InvalidAllocation off the simplex, InvalidConfig below 3 bids and
-    DuplicateBids on a tie.
+
+def _kernel(initial: Allocation, profile: BidProfile, config: MbmConfig) -> tuple:
+    """(order, mass, a, d, w, e): the instance on integers, ranked.
+
+    Agents by bid descending, their ``_masses``, shares a[i] / d and bids
+    w[i] / e; m_bar is not read. Raises, in this order: InvalidConfig on a
+    size mismatch (allocation first), InvalidAllocation off the simplex,
+    InvalidConfig below 3 bids and DuplicateBids on a tie.
     """
     a, d = _share_numerators(initial, profile, config)
     w, e = _over_lcm(profile.bids)
-    return _bid_order(w), a, d, w, e
+    order = _bid_order(w)
+    return order, _masses(order, a), a, d, w, e
 
 
-def _branches(order: tuple, a, d: int, m_bar: int) -> tuple:
-    """``_buyer_masses`` as (m, buyer mass, probability numerator) for m = m_bar, m_bar - 1, over d."""
-    high, low = _buyer_masses(order, a, m_bar)
+def _branches(mass, d: int, m_bar: int) -> tuple:
+    """(m, buyer mass, probability numerator) for m = m_bar, m_bar - 1, over d.
+
+    The buyer masses are H = mass[m_bar] and L = mass[m_bar - 1]. Raises
+    DegenerateBuyerMass for a branch whose buyers hold nothing, high first.
+    """
+    high, low = mass[m_bar], mass[m_bar - 1]
+    if high == 0 or low == 0:
+        m = m_bar if high == 0 else m_bar - 1
+        raise DegenerateBuyerMass(f"all {m} prospective buyers hold zero initial shares")
     return (m_bar, high, high), (m_bar - 1, low, d - high)
-
-
-def _branch_kernel(initial: Allocation, profile: BidProfile, config: MbmConfig) -> tuple:
-    """``_instance_kernel``'s (order, a, d, w, e), then ``_branches`` at config.m_bar."""
-    order, a, d, w, e = _instance_kernel(initial, profile, config)
-    return order, a, d, w, e, _branches(order, a, d, config.m_bar)
 
 
 def run_expected(
@@ -274,13 +264,13 @@ def run_expected(
 ) -> ExpectedOutcome:
     """Both branches with their probabilities; consumes no randomness.
 
-    Computed from ``_branch_kernel``'s integer numerators: a buyer ends with
-    a_i / A_B and pays a_i (d - A_B) w_t / (d A_B e), a seller collects
-    a_i w_t / (d e), where w_t / e is the price. Rationals are made only
-    for the returned outcome; payments add to the initial money. Both
+    Computed from the integer numerators of ``_kernel`` and ``_branches``: a
+    buyer ends with a_i / A_B and pays a_i (d - A_B) w_t / (d A_B e), a seller
+    collects a_i w_t / (d e), where w_t / e is the price. Rationals are made
+    only for the returned outcome; payments add to the initial money. Both
     branches carry the bid order computed on this call.
     """
-    order, a, d, w, e, branches = _branch_kernel(initial, profile, config)
+    order, mass, a, d, w, e = _kernel(initial, profile, config)
     n = len(order)
     threshold = order[config.m_bar - 1]
     price = profile.bids[threshold]
@@ -290,12 +280,12 @@ def run_expected(
     proceeds = {i: Rational(a[i] * u, d * e) for i in order[config.m_bar - 1 :]}
     base = initial.money if any(initial.money) else None
     outcomes = []
-    for m, mass, prob in branches:
+    for m, buyers, prob in _branches(mass, d, config.m_bar):
         shares = [ZERO] * n
         money = [ZERO] * n
-        cost, per = (d - mass) * u, d * mass * e
+        cost, per = (d - buyers) * u, d * buyers * e
         for i in order[:m]:
-            shares[i] = Rational(a[i], mass)
+            shares[i] = Rational(a[i], buyers)
             money[i] = Rational(-a[i] * cost, per)
         for i in order[m:]:
             money[i] = proceeds[i]
@@ -325,13 +315,13 @@ def _utility_ratios(a, d: int, m_bar: int, w, values, agents) -> list:
     the buyer masses H (high branch) and L (low): the threshold agent gets
     0, an agent bidding above u (a buyer in both branches)
     a_j (d - H)(v_j - u) / L, and one bidding below u (a seller in both)
-    a_j (u - v_j) / 1. Initial money cancels out of every utility change.
-    Raises what ``run_expected`` raises once the shares check out, in the
+    a_j (u - v_j) / 1, with H and L from ``_branches`` on this order's
+    ``_masses``. Initial money cancels out of every utility change. Raises what ``run_expected`` raises once the shares check out, in the
     same order: InvalidConfig below 3 bids, DuplicateBids on a tie, then
     DegenerateBuyerMass (high branch first).
     """
     order = _bid_order(w)
-    high, low = _buyer_masses(order, a, m_bar)
+    (_, high, _), (_, low, _) = _branches(_masses(order, a), d, m_bar)
     u = w[order[m_bar - 1]]
     rest = d - high
     out = []

@@ -56,8 +56,9 @@ from .core import (
     ExpectedOutcome,
     MbmConfig,
     _bid_order,
-    _buyer_masses,
+    _branches,
     _check_sizes,
+    _masses,
     _over_lcm,
     _reject_ties,
     _share_numerators,
@@ -275,19 +276,19 @@ def check_individual_rationality(
 def _pricer(engine, initial, config):
     """The instance's ``price(w, e)``: the high branch's price at bids w / e, times e.
 
-    The real engine's is the bid ranked m_bar on the integer list w, with the
-    buyer masses checked as ``run_expected`` checks them when a share is
-    zero; any other engine runs the profile w / e.
+    The real engine's is the bid ranked m_bar on the integer list w. When a
+    share is zero, ``_branches`` checks the ``_masses`` of that order as
+    ``run_expected`` checks them; any other engine runs the profile w / e.
     """
     if engine is run_expected:
-        a, _ = _simplex_numerators(initial.shares)
+        a, d = _simplex_numerators(initial.shares)
         m_bar = config.m_bar
         if min(a) > 0:
             return lambda w, e: w[_bid_order(w)[m_bar - 1]]
 
         def readout(w, e):
             order = _bid_order(w)
-            _buyer_masses(order, a, m_bar)
+            _branches(_masses(order, a), d, m_bar)
             return w[order[m_bar - 1]]
 
         return readout

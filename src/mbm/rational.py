@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import numbers
 import re
-from decimal import ROUND_HALF_EVEN, Context, Decimal
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
+from decimal import DivisionByZero, InvalidOperation, Overflow
 from fractions import Fraction
 from operator import attrgetter
 
@@ -93,13 +94,21 @@ def rational_str(value) -> str:
         return p if q == "1" else f"{p}/{q}"
 
 
+_APPROX_CONTEXT = Context(
+    prec=20, rounding=ROUND_HALF_EVEN, Emin=MIN_EMIN, Emax=MAX_EMAX, capitals=1, clamp=0,
+    traps=[InvalidOperation, DivisionByZero, Overflow], flags=[],
+)
+
+
 def decimal_approx(value, digits: int = 20) -> str:
     """Decimal approximation to ``digits`` significant digits.
 
     For human eyes only; the "p/q" form is the value of record. The division
-    rounds half to even in a context of its own, so the caller's decimal
-    context (its rounding, precision or traps) cannot change the digits.
+    rounds half to even in a copy of a context with every field set, so
+    neither the caller's context nor ``decimal.DefaultContext`` can change
+    the digits or raise.
     """
-    ctx = Context(prec=digits, rounding=ROUND_HALF_EVEN)
+    ctx = _APPROX_CONTEXT.copy()
+    ctx.prec = digits
     quotient = ctx.divide(Decimal(int(value.numerator)), Decimal(int(value.denominator)))
     return ctx.to_sci_string(quotient)

@@ -18,13 +18,13 @@ above one half everywhere, decaying linearly in alpha, and approaching
 arbitrarily close to zero; ``efficiency_loss_instance`` constructs the
 offending instances.
 
-Welfare is read off the engine's integer numerators. Prefix sums of
-a_i * w_i along the bid order (``_held``) give every branch's buyer welfare
-by lookup, and both branches share one denominator, so the expected welfare
-is a single rational. A sweep builds the kernel and its prefix sums once per
-n; at alpha = k/n the closed form is (2n - k)(n + 1) / 2n^2 on integers, so
-each row adds one rational per printed value and no sum over the buyers
-beyond the engine's own buyer masses.
+Welfare is read off the engine's integer kernel (``core._kernel``). Its
+prefix share masses give every branch's buyer mass, and prefix sums of
+a_i * w_i along the same bid order (``_held``) its buyer welfare, both by
+lookup; both branches share one denominator, so the expected welfare is a
+single rational. A sweep builds the kernel and its prefix sums once per n;
+at alpha = k/n the closed form is (2n - k)(n + 1) / 2n^2 on integers, so
+each row adds one rational per printed value and no sum over the buyers.
 
 Everything here assumes truthful bidding, where the mechanism's welfare
 statement lives; all functions are pure, and sweeps over (n, alpha) grids
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .core import Allocation, BidProfile, MbmConfig
-from .core import _branch_kernel, _branches, _instance_kernel, _over_lcm
+from .core import _branches, _kernel
 from .errors import InvalidAlpha, InvalidConfig
 from .rational import ONE, ZERO, Rational, as_ratio, rational
 
@@ -69,8 +69,7 @@ def social_welfare(allocation: Allocation, valuations: BidProfile) -> Rational:
 
 def first_best(valuations: BidProfile) -> Rational:
     """Welfare of handing the whole asset to the highest-valuing agent."""
-    w, _ = _over_lcm(valuations.bids)
-    return valuations.bids[w.index(max(w))]
+    return max(valuations.bids)
 
 
 def _held(order: tuple, a, w) -> list:
@@ -96,13 +95,13 @@ def expected_mbm_welfare(
 ) -> Rational:
     """Probability-weighted welfare over both branches, read from the engine's kernel.
 
-    ``_branch_kernel`` is the computation behind ``run_expected``, with the
-    same checks and errors; the buyers' a_i * w_i come from one pass of
+    ``_kernel`` and ``_branches`` are ``run_expected``'s computation, with
+    the same checks and errors; the buyers' a_i * w_i come from one pass of
     prefix sums along the bid order (``_held``). The welfare sweep builds
     those once per n and runs only ``_branches`` and ``_welfare`` per alpha.
     """
-    order, a, d, w, e, branches = _branch_kernel(initial, valuations, config)
-    return _welfare(_held(order, a, w), d, e, branches)
+    order, mass, a, d, w, e = _kernel(initial, valuations, config)
+    return _welfare(_held(order, a, w), d, e, _branches(mass, d, config.m_bar))
 
 
 def welfare_report(
@@ -114,9 +113,9 @@ def welfare_report(
     welfare is held[n] / (d * e), its sum over every agent. First-best is
     the kernel's tie-free top bid.
     """
-    order, a, d, w, e, branches = _branch_kernel(initial, valuations, config)
+    order, mass, a, d, w, e = _kernel(initial, valuations, config)
     held = _held(order, a, w)
-    expected = _welfare(held, d, e, branches)
+    expected = _welfare(held, d, e, _branches(mass, d, config.m_bar))
     best = valuations.bids[order[0]]
     return WelfareReport(
         initial_welfare=Rational(held[-1], d * e),
@@ -197,9 +196,9 @@ def _grid_point(n: int):
     """``alpha -> SweepRow`` at n, on one engine kernel built at the first valid alpha.
 
     An invalid alpha raises InvalidAlpha before any instance exists. The
-    kernel's prefix sums (``_held``) are built with it, so each valid alpha
-    takes only its branch triples off the kernel and a row costs a fixed
-    number of integer operations and one rational per value.
+    prefix sums (``_held``) are built with the kernel, so each valid alpha
+    reads its branch triples off the kernel's share masses and a row costs
+    a fixed number of integer operations and one rational per value.
     """
     kernel = None
 
@@ -208,16 +207,16 @@ def _grid_point(n: int):
         alpha = rational(alpha)
         m_bar = _m_bar_from_alpha(n, alpha)
         if kernel is None:
-            order, a, d, w, e = _instance_kernel(*uniform_grid_instance(n, m_bar))
-            kernel = order, a, d, w, e, _held(order, a, w)
-        order, a, d, w, e, held = kernel
-        engine = _welfare(held, d, e, _branches(order, a, d, m_bar))
+            order, mass, a, d, w, e = _kernel(*uniform_grid_instance(n, m_bar))
+            kernel = mass, d, e, _held(order, a, w), w[order[0]]
+        mass, d, e, held, top = kernel
+        engine = _welfare(held, d, e, _branches(mass, d, m_bar))
         p, q = as_ratio(engine)
         return SweepRow(
             n=n, alpha=alpha, m_bar=m_bar, closed_form=_closed_form(n, m_bar),
             engine=engine,
-            # over first-best, the top valuation w_top / e
-            preservation_ratio=Rational(p * e, q * w[order[0]]),
+            # over first-best, the top valuation top / e
+            preservation_ratio=Rational(p * e, q * top),
             limit_gap=_limit_gap(n, m_bar),
         )
 

@@ -6,7 +6,10 @@ Before the deviation search tied its scorer to ``run_expected``, the three
 engine mutants passed every ``mbm verify`` suite: each changes the engine
 and the scorer ``core._utility_ratios`` apart, and both sp and group-sp
 must kill them. The monotone one moves the price readout of
-``properties._pricer`` off the engine's.
+``properties._pricer`` off the engine's. The budget one shifts the prefix
+share masses (``core._masses``) by one rank; the engine, the scorer and the
+readout all read them, so only the conservation check and the welfare
+sweep's closed form can tell.
 """
 
 ENGINE_MUTANTS = (
@@ -30,7 +33,15 @@ ENGINE_MUTANTS = (
     ),
 )
 
+MASS_MUTANT = (
+    "the prefix share masses lose their leading 0",
+    "core.py",
+    "    return list(accumulate(map(a.__getitem__, order), initial=0))",
+    "    return list(accumulate(map(a.__getitem__, order)))",
+)
+
 MUTANTS = {
+    "budget": (MASS_MUTANT,),
     "sp": ENGINE_MUTANTS,
     "group-sp": ENGINE_MUTANTS,
     "monotone": (

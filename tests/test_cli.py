@@ -1,6 +1,7 @@
 """Command-line surface: golden output, exit codes, environment fallback."""
 
 import contextlib
+import decimal
 import io
 import json
 import os
@@ -146,6 +147,12 @@ def test_approximations_ignore_the_callers_decimal_context(capsys, monkeypatch):
             assert run_cli(capsys, *case["argv"]) == (
                 case["exit"], case["stdout"], case["stderr"]
             ), case["argv"]
+    # nor do decimal.DefaultContext's exponent limits and traps, which a
+    # context built from prec and rounding alone would copy
+    monkeypatch.setattr(decimal.DefaultContext, "Emax", 100)
+    assert decimal_approx(Fraction(10**5000, 3)) == "3.3333333333333333333E+4999"
+    monkeypatch.setitem(decimal.DefaultContext.traps, Inexact, True)
+    assert decimal_approx(Fraction(2, 3)) == "0.66666666666666666667"
 
 
 def test_run_check_flag_includes_verdicts(capsys):
@@ -525,6 +532,16 @@ def test_monotone_suite_kills_the_readout_mutant(tmp_path, subprocess_env):
     assert elapsed < 3.0, elapsed
 
 
+def test_budget_suite_kills_the_mass_mutant(tmp_path, subprocess_env):
+    # buyer masses one rank too deep: the engine's buyer shares no longer sum
+    # to 1, and the welfare sweep's engine column leaves the closed form; the
+    # scorer and the readout share the masses, so sp, group-sp and monotone
+    # cannot see it
+    elapsed = verify_on_mutants(tmp_path, subprocess_env, "budget")
+    elapsed += welfare_on_mutant(tmp_path / "welfare", subprocess_env, mutants.MASS_MUTANT)
+    assert elapsed < 5.0, elapsed
+
+
 # --- welfare -------------------------------------------------------------------
 
 
@@ -579,12 +596,12 @@ def test_welfare_large_n_limit_gap(capsys):
     assert fields[5] == "3/4000"  # closed form minus (2 - alpha)/2
 
 
-def test_welfare_kills_the_branch_mutant(tmp_path, subprocess_env):
-    # P(high) read as the low branch's buyer mass moves the engine column off
-    # the closed form on every row, and the sweep says so by its exit code
+def welfare_on_mutant(tmp_path, subprocess_env, mutant):
+    """Seconds that ``welfare --n-list 4..12`` took on a copy of the package
+    with ``mutant`` applied; it must exit 1 with all 54 rows disagreeing."""
     package = tmp_path / "mbm"
     shutil.copytree(os.path.join(SRC, "mbm"), package)
-    mutants.apply(package, mutants.ENGINE_MUTANTS[0])
+    mutants.apply(package, mutant)
     env = dict(subprocess_env)
     env["PYTHONPATH"] = os.pathsep.join((str(tmp_path), env["PYTHONPATH"]))
     start = time.perf_counter()
@@ -593,9 +610,16 @@ def test_welfare_kills_the_branch_mutant(tmp_path, subprocess_env):
         capture_output=True, text=True, env=env,
     )
     elapsed = time.perf_counter() - start
-    assert proc.returncode == 1, proc.stderr
+    assert proc.returncode == 1, (mutant[0], proc.stderr)
     assert proc.stderr == "54 row(s) where the closed form differs from the engine\n"
     assert len(proc.stdout.splitlines()) == 1 + 54
+    return elapsed
+
+
+def test_welfare_kills_the_branch_mutant(tmp_path, subprocess_env):
+    # P(high) read as the low branch's buyer mass moves the engine column off
+    # the closed form on every row, and the sweep says so by its exit code
+    elapsed = welfare_on_mutant(tmp_path, subprocess_env, mutants.ENGINE_MUTANTS[0])
     assert elapsed < 5.0, elapsed
 
 

@@ -27,6 +27,7 @@ from mbm import (
     realize,
     run_expected,
 )
+from mbm.core import _branches, _kernel
 from mbm.instances import perturbed_profile
 from mbm.rational import ONE, ZERO, Rational as Q
 from mbm.suites import generate_suite
@@ -273,6 +274,41 @@ def test_run_expected_low_branch_with_zero_buyer_mass_raises():
     profile = BidProfile((Q(10), Q(8), Q(5), Q(2)))
     with pytest.raises(DegenerateBuyerMass, match="all 2 prospective buyers"):
         run_expected(initial, profile, MbmConfig(4, 3))
+
+
+def _top_shares_zeroed(initial, profile, k):
+    """``initial`` with the k highest bidders' shares set to zero and the rest
+    renormalized; None when nothing would be left."""
+    top = set(rank_bids(profile)[:k])
+    kept = [ZERO if i in top else s for i, s in enumerate(initial.shares)]
+    total = sum(kept, ZERO)
+    return Allocation.from_shares([s / total for s in kept]) if total else None
+
+
+def test_branches_read_every_m_bar_off_one_kernel():
+    # the welfare sweep builds _kernel once per n and runs _branches at every
+    # m_bar: each must give the long-hand sums over the top m and m - 1
+    # bidders, or raise the long-hand rule's DegenerateBuyerMass, high first
+    agreed = raised = 0
+    for initial, profile, config in generate_suite(200, seed=7):
+        for k in (0, 1, 2):
+            shares = _top_shares_zeroed(initial, profile, k)
+            if shares is None:
+                continue
+            order, mass, a, d, _, _ = _kernel(shares, profile, config)
+            for m in range(2, config.n):
+                high = sum(a[i] for i in order[:m])
+                low = sum(a[i] for i in order[: m - 1])
+                if high == 0 or low == 0:
+                    empty = m if high == 0 else m - 1
+                    message = f"^all {empty} prospective buyers hold zero initial shares$"
+                    with pytest.raises(DegenerateBuyerMass, match=message):
+                        _branches(mass, d, m)
+                    raised += 1
+                else:
+                    assert _branches(mass, d, m) == ((m, high, high), (m - 1, low, d - high))
+                    agreed += 1
+    assert agreed > 0 and raised > 0
 
 
 def test_run_expected_keeps_initial_money(worked):
