@@ -4,6 +4,9 @@ Exit codes: 0 success, 1 property violation (for welfare, a row where the
 closed form and the engine differ), 2 validation error,
 3 degenerate instance (zero combined buyer share), 4 search budget
 exceeded. MBM_SEED serves as a fallback wherever --seed is accepted.
+A request naming a command is parsed by that command's parser alone; the
+full parser tree is built only when that parser leaves arguments over or
+no known command comes first, so its help, version and error texts hold.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import os
 import sys
 
@@ -34,7 +36,7 @@ from .properties import (
 )
 from . import __version__
 from .rational import BACKEND, decimal_approx, rational_str
-from .report import build_run_report
+from .report import build_run_report, dumps_indented
 from .suites import GROUP_SP_MAX_N, SUITES, generate_suite, run_suite
 from .welfare import welfare_sweep
 
@@ -163,7 +165,7 @@ def cmd_verify(args) -> int:
                     "witness": None if report.witness is None else report.witness.detail,
                 }
             )
-    _emit(json.dumps(verdicts, indent=2) + "\n", args.out)
+    _emit(dumps_indented(verdicts) + "\n", args.out)
     violations = sum(1 for v in verdicts if not v["holds"])
     if violations:
         print(f"{violations} violation(s) found", file=sys.stderr)
@@ -215,6 +217,67 @@ def cmd_welfare(args) -> int:
     return EXIT_OK
 
 
+def _run_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--captable", required=True, help="CSV: agent_id,share,bid")
+    parser.add_argument("--mbar", required=True, type=int, help="threshold owner count")
+    parser.add_argument("--seed", type=int, default=None, help="realize one branch")
+    parser.add_argument(
+        "--expected", action="store_true", help="report both branches and expectations"
+    )
+    parser.add_argument(
+        "--normalize", action="store_true", help="rescale shares to sum to 1"
+    )
+    parser.add_argument(
+        "--check", action="store_true", help="include property-check verdicts"
+    )
+    parser.add_argument(
+        "--format", choices=("json", "csv", "text"), default="text", dest="format"
+    )
+    parser.add_argument("--out", default=None, help="output path (default stdout)")
+    parser.set_defaults(func=cmd_run)
+
+
+def _verify_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--suite", required=True, choices=SUITES + ("all",), help="which oracle suite"
+    )
+    parser.add_argument("--instances", type=int, default=100)
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--n-range", default="3..6", help="agent count range A..B")
+    parser.add_argument(
+        "--budget",
+        type=int,
+        default=DEFAULT_SEARCH_BUDGET,
+        help="coalition search evaluation cap",
+    )
+    parser.add_argument(
+        "--inject-defect", choices=CORRUPTION_KINDS, default=None, help=argparse.SUPPRESS
+    )
+    parser.add_argument("--out", default=None)
+    parser.set_defaults(func=cmd_verify)
+
+
+def _welfare_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--n-list", required=True, help="comma list of n values; A..B ranges allowed"
+    )
+    parser.add_argument(
+        "--alpha-list",
+        required=True,
+        help="comma list of retained-owner fractions, or 'all'",
+    )
+    parser.add_argument("--out", default=None, help="CSV path (default stdout)")
+    parser.set_defaults(func=cmd_welfare)
+
+
+# name -> (help line, the function that adds the command's arguments)
+_COMMANDS = {
+    "run": ("run the mechanism on a cap-table file", _run_arguments),
+    "verify": ("run oracle suites on generated instances", _verify_arguments),
+    "welfare": ("tabulate closed-form vs engine welfare as CSV", _welfare_arguments),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mbm",
@@ -229,65 +292,25 @@ def _build_parser() -> argparse.ArgumentParser:
         version=f"mbm {__version__} ({BACKEND} rational backend)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="run the mechanism on a cap-table file")
-    run.add_argument("--captable", required=True, help="CSV: agent_id,share,bid")
-    run.add_argument("--mbar", required=True, type=int, help="threshold owner count")
-    run.add_argument("--seed", type=int, default=None, help="realize one branch")
-    run.add_argument(
-        "--expected", action="store_true", help="report both branches and expectations"
-    )
-    run.add_argument(
-        "--normalize", action="store_true", help="rescale shares to sum to 1"
-    )
-    run.add_argument(
-        "--check", action="store_true", help="include property-check verdicts"
-    )
-    run.add_argument(
-        "--format", choices=("json", "csv", "text"), default="text", dest="format"
-    )
-    run.add_argument("--out", default=None, help="output path (default stdout)")
-    run.set_defaults(func=cmd_run)
-
-    verify = sub.add_parser("verify", help="run oracle suites on generated instances")
-    verify.add_argument(
-        "--suite", required=True, choices=SUITES + ("all",), help="which oracle suite"
-    )
-    verify.add_argument("--instances", type=int, default=100)
-    verify.add_argument("--seed", type=int, default=None)
-    verify.add_argument("--n-range", default="3..6", help="agent count range A..B")
-    verify.add_argument(
-        "--budget",
-        type=int,
-        default=DEFAULT_SEARCH_BUDGET,
-        help="coalition search evaluation cap",
-    )
-    verify.add_argument(
-        "--inject-defect", choices=CORRUPTION_KINDS, default=None, help=argparse.SUPPRESS
-    )
-    verify.add_argument("--out", default=None)
-    verify.set_defaults(func=cmd_verify)
-
-    welfare = sub.add_parser(
-        "welfare", help="tabulate closed-form vs engine welfare as CSV"
-    )
-    welfare.add_argument(
-        "--n-list", required=True, help="comma list of n values; A..B ranges allowed"
-    )
-    welfare.add_argument(
-        "--alpha-list",
-        required=True,
-        help="comma list of retained-owner fractions, or 'all'",
-    )
-    welfare.add_argument("--out", default=None, help="CSV path (default stdout)")
-    welfare.set_defaults(func=cmd_welfare)
-
+    for name, (help_line, add_arguments) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
+def _parse_args(argv: list) -> argparse.Namespace:
+    """The command's own parser when ``argv[0]`` names one and it takes every
+    argument; else the full tree, for its help, version and error texts."""
+    if argv and argv[0] in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"mbm {argv[0]}")
+        _COMMANDS[argv[0]][1](parser)
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return _build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except DegenerateBuyerMass as exc:

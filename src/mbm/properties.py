@@ -448,14 +448,16 @@ def _deviation_search(
     strictly better off, as a violated report; else a holding one.
 
     The non-members bid as in ``others``; a member's truthful utility is her
-    true value bid against the same others. Before any grid, every agent is
-    scored where agent 0 bids her value against the fixed bids: the first
-    coalition's truthful profile, and every coalition's when ``others`` are
-    the valuations; otherwise each coalition's truthful bids are scored
-    again just before its deviations, so errors come in the order of the
-    profiles met. For the real engine one agent of each type in that first
-    profile (definite buyer, threshold agent, definite seller) is tied to
-    ``run_expected``, a mismatch being a violation there.
+    true value bid against the same others. Before any grid, the profile
+    where agent 0 bids her value against the fixed bids is scored. It is
+    the first coalition's truthful profile, and every coalition's when
+    ``others`` are the valuations; then every agent is scored there, as for
+    the real engine. Otherwise agent 0 alone is scored there, and each
+    coalition's truthful bids are scored again just before its deviations,
+    so errors come in the order of the profiles met. For the real engine
+    one agent of each type in that first profile (definite buyer, threshold
+    agent, definite seller) is tied to ``run_expected``, a mismatch being a
+    violation there.
 
     A coalition is decided on its rank patterns (``_pattern_points``) when
     the engine is the real one, every share is positive and no member's
@@ -475,10 +477,12 @@ def _deviation_search(
     # the fixed bids and the true values over one denominator e
     fixed, e = _over_lcm(others.bids + valuations.bids)
     bids, values = fixed[:n], fixed[n:]
+    shared = bids == values
     # the first coalition's truthful profile: agent 0 bids her value
     w = list(bids)
     w[0] = values[0]
-    truthful = list(score(w, e, values, range(n)))
+    scored = range(n) if real or shared else (0,)
+    truthful = dict(zip(scored, score(w, e, values, scored)))
     if real:
         # the scorer's three formulas tied to run_expected there: the top
         # bidder buys, the agent ranked m_bar is the threshold agent and the
@@ -513,7 +517,6 @@ def _deviation_search(
             raise SearchBudgetExceeded(required, budget)
 
     patterns = real and min(a) > 0
-    shared = bids == values
     cases = 0
     for coalition in coalitions:
         if not shared:

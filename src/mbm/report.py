@@ -14,6 +14,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _escape
 
 from .core import (
     Allocation,
@@ -128,7 +129,7 @@ class RunReport:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return dumps_indented(self.to_dict()) + "\n"
 
     def to_csv(self) -> str:
         high, low = self.expected.branches
@@ -227,6 +228,49 @@ _CSV_HEADER = (
 def _put(out: dict, key: str, value) -> None:
     out[key] = rational_str(value)
     out[key + "_approx"] = decimal_approx(value, APPROX_DIGITS)
+
+
+def dumps_indented(value) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, without the pure-Python
+    encoder that any ``indent`` selects.
+
+    Strings and keys go through the C escaper, ints through ``int.__repr__``
+    as in ``json``, other scalars through ``json.dumps``; tuples are lists.
+    """
+    out: list = []
+    _write(value, "\n", out)
+    return "".join(out)
+
+
+def _write(value, newline: str, out: list) -> None:
+    if isinstance(value, str):
+        out.append(_escape(value))
+    elif type(value) is int:
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            out.append(sep + _escape(key) + ": ")
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        out.append(json.dumps(value))
 
 
 def build_run_report(

@@ -1,5 +1,6 @@
 """Command-line surface: golden output, exit codes, environment fallback."""
 
+import argparse
 import contextlib
 import decimal
 import io
@@ -30,6 +31,7 @@ GOLDEN = os.path.join(DATA, "golden_run_expected.json")
 GOLDEN_RUN = os.path.join(DATA, "golden_run.json")
 GOLDEN_VERIFY = os.path.join(DATA, "golden_verify.json")
 GOLDEN_WELFARE = os.path.join(DATA, "golden_welfare.json")
+GOLDEN_CLI_TEXT = os.path.join(DATA, "golden_cli_text.json")
 
 
 def run_cli(capsys, *argv):
@@ -621,6 +623,68 @@ def test_welfare_kills_the_branch_mutant(tmp_path, subprocess_env):
     # the closed form on every row, and the sweep says so by its exit code
     elapsed = welfare_on_mutant(tmp_path, subprocess_env, mutants.ENGINE_MUTANTS[0])
     assert elapsed < 5.0, elapsed
+
+
+# --- parsing -------------------------------------------------------------------
+
+
+def run_or_exit(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def load_cli_golden(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(DATA)
+    with open(GOLDEN_CLI_TEXT, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_help_usage_and_error_texts_match_golden(capsys, monkeypatch):
+    # exit code, stdout and stderr of the root and per-command help, usage
+    # errors (missing, mistyped and unknown values, abbreviations, an
+    # ambiguous prefix), stray arguments, "--" and a stray --version, frozen
+    # while every request was parsed by the full parser tree
+    for case in load_cli_golden(monkeypatch):
+        assert run_or_exit(capsys, case["argv"]) == (
+            case["exit"], case["stdout"], case["stderr"]
+        ), case["argv"]
+
+
+def test_valid_requests_never_build_the_full_parser(capsys, monkeypatch):
+    def refuse():
+        raise AssertionError("the full parser tree was built")
+
+    monkeypatch.setattr(cli, "_build_parser", refuse)
+    assert run_cli(capsys, "run", "--captable", WORKED, "--mbar", "2")[0] == 0
+    assert run_cli(capsys, "verify", "--suite", "sp", "--instances", "2")[0] == 0
+    assert run_cli(capsys, "welfare", "--n-list", "4", "--alpha-list", "all")[0] == 0
+    assert not any(isinstance(v, argparse.ArgumentParser) for v in vars(cli).values())
+
+
+def test_help_unknown_commands_and_stray_arguments_take_the_full_parser(
+    capsys, monkeypatch
+):
+    golden = {tuple(case["argv"]): case for case in load_cli_golden(monkeypatch)}
+    build, built = cli._build_parser, []
+
+    def counting():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_build_parser", counting)
+    run = ("run", "--captable", "worked.csv", "--mbar", "2")
+    for argv in [(), ("--help",), ("bogus",), run + ("extra",), ("--foo",) + run]:
+        case = golden[argv]
+        assert run_or_exit(capsys, argv) == (
+            case["exit"], case["stdout"], case["stderr"]
+        ), argv
+        assert len(built) == 1, argv
+        built.clear()
 
 
 # --- version -------------------------------------------------------------------

@@ -379,6 +379,28 @@ def test_strategyproofness_with_untruthful_others(worked):
     assert report.holds
 
 
+def test_sp_scores_only_agent_zero_at_the_first_profile_of_another_engine(monkeypatch):
+    # untruthful others, a corrupted engine: the first truthful profile is
+    # scored for agent 0 alone, then each agent once at her own truthful bid
+    # and once per grid point walked
+    [(initial, profile, config)] = generate_suite(1, seed=3, n_range=(5, 5))
+    others = perturbed_profile(profile, random.Random(0))
+    calls = []
+
+    def counting(*args):
+        calls.append(args[-1])
+        return expected_adjusted_utility(*args)
+
+    monkeypatch.setattr(properties, "expected_adjusted_utility", counting)
+    report = check_strategyproofness(
+        initial, profile, config, others_profile=others,
+        engine=corrupted_engine("price-next"),
+    )
+    assert (config.n, report.holds, report.cases, report.witness.agent) == (5, False, 12, 1)
+    assert calls[:2] == [0, 0]
+    assert len(calls) == 1 + (report.witness.agent + 1) + report.cases == 15
+
+
 def test_strategyproofness_rejects_missized_valuations(worked):
     initial, profile, config = worked
     for bids in (profile.bids + (Q(1),), profile.bids[:2]):

@@ -1,7 +1,9 @@
 """Rational serialization round-trips and report structure."""
 
 import json
+import os
 import random
+import sys
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,10 +11,12 @@ from hypothesis import strategies as st
 from mbm import Allocation, BidProfile, MbmConfig, run_expected
 from mbm.captable import CapTableRecord, parse_captable, to_instance
 from mbm.rational import Rational as Q, decimal_approx, rational, rational_str
-from mbm.report import build_run_report
+from mbm.cli import main
+from mbm.report import build_run_report, dumps_indented
 from mbm.suites import generate_suite
 
 WORKED = "agent_id,share,bid\na,0.5,10\nb,0.3,5\nc,0.2,2\n"
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 @given(num=st.integers(-(10**12), 10**12), den=st.integers(1, 10**12))
@@ -103,3 +107,50 @@ def test_realized_report_lists_the_drawn_branch():
             assert [rational(a["final_share"]) for a in section["agents"]] == list(
                 drawn.final_allocation.shares
             )
+
+
+# --- indented JSON ------------------------------------------------------------
+
+_TEXT = st.text() | st.sampled_from(
+    ['"', "\\", "\x00", "\x1f", "\x7f", "\n\t", "é", "\u2028", "\ud800", "😀", "a\"b\\c"]
+)
+# past the default 4,300-digit limit, where both writers must refuse
+_HUGE = st.builds(lambda k, sign: sign * 10**k, st.integers(4295, 4305), st.sampled_from((1, -1)))
+_SCALARS = st.none() | st.booleans() | st.integers() | _HUGE | st.floats() | _TEXT
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+def _written(dumps, value):
+    try:
+        return dumps(value)
+    except ValueError as exc:
+        return type(exc)
+
+
+@given(_JSON)
+def test_indented_writer_equals_json_dumps(value):
+    assert _written(dumps_indented, value) == _written(
+        lambda v: json.dumps(v, indent=2), value
+    )
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert dumps_indented(value) == json.dumps(value, indent=2)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_indented_writer_equals_json_dumps_on_the_largest_report(capsys):
+    argv = ["run", "--captable", os.path.join(DATA, "large_fraction.csv"), "--mbar", "200",
+            "--expected", "--check", "--format", "json"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert len(report["branches"][0]["agents"]) == 300 and len(report["checks"]) == 3
+    assert out == json.dumps(report, indent=2) + "\n"
