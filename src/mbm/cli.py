@@ -4,9 +4,11 @@ Exit codes: 0 success, 1 property violation (for welfare, a row where the
 closed form and the engine differ), 2 validation error,
 3 degenerate instance (zero combined buyer share), 4 search budget
 exceeded. MBM_SEED serves as a fallback wherever --seed is accepted.
-A request naming a command is parsed by that command's parser alone; the
-full parser tree is built only when that parser leaves arguments over or
-no known command comes first, so its help, version and error texts hold.
+Each command's options are one table, ``_COMMANDS``: a plain request (the
+command, then whole flags of its table, each once, with their values) is
+read straight off that table by ``_read``, and the full argparse tree built
+from the same table parses everything else, so every help, version, usage
+and error text comes from argparse.
 """
 
 from __future__ import annotations
@@ -47,39 +49,39 @@ EXIT_DEGENERATE = 3
 EXIT_BUDGET = 4
 
 
-def _parse_int(text: str) -> int:
+def _parse_int(text: str, source: str) -> int:
     try:
         return int(text)
     except ValueError as exc:
-        raise InvalidArgument(str(exc)) from exc
+        raise InvalidArgument(f"{source}: {exc}") from exc
 
 
 def _resolve_seed(value: int | None) -> int | None:
     if value is not None:
         return value
     env = os.environ.get("MBM_SEED")
-    return _parse_int(env) if env else None
+    return _parse_int(env, "MBM_SEED") if env else None
 
 
-def _parse_range(text: str) -> tuple:
+def _parse_range(text: str, source: str) -> tuple:
     lo, sep, hi = text.partition("..")
     if not sep:
-        raise InvalidArgument(f"expected A..B, got {text!r}")
-    lo, hi = _parse_int(lo), _parse_int(hi)
+        raise InvalidArgument(f"{source}: expected A..B, got {text!r}")
+    lo, hi = _parse_int(lo, source), _parse_int(hi, source)
     if lo > hi:
-        raise InvalidArgument(f"empty range {text!r}")
+        raise InvalidArgument(f"{source}: empty range {text!r}")
     return (lo, hi)
 
 
-def _parse_int_list(text: str) -> list:
+def _parse_int_list(text: str, source: str) -> list:
     values = []
     for token in text.split(","):
         token = token.strip()
         if ".." in token:
-            lo, hi = _parse_range(token)
+            lo, hi = _parse_range(token, source)
             values.extend(range(lo, hi + 1))
         else:
-            values.append(_parse_int(token))
+            values.append(_parse_int(token, source))
     return values
 
 
@@ -136,7 +138,7 @@ def cmd_verify(args) -> int:
     seed = _resolve_seed(args.seed)
     if seed is None:
         seed = 0
-    n_range = _parse_range(args.n_range)
+    n_range = _parse_range(args.n_range, "--n-range")
     engine = run_expected
     if args.inject_defect:
         engine = corrupted_engine(args.inject_defect)
@@ -174,7 +176,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_welfare(args) -> int:
-    n_values = _parse_int_list(args.n_list)
+    n_values = _parse_int_list(args.n_list, "--n-list")
     explicit_alphas = None if args.alpha_list == "all" else [
         token.strip() for token in args.alpha_list.split(",")
     ]
@@ -217,64 +219,37 @@ def cmd_welfare(args) -> int:
     return EXIT_OK
 
 
-def _run_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--captable", required=True, help="CSV: agent_id,share,bid")
-    parser.add_argument("--mbar", required=True, type=int, help="threshold owner count")
-    parser.add_argument("--seed", type=int, default=None, help="realize one branch")
-    parser.add_argument(
-        "--expected", action="store_true", help="report both branches and expectations"
-    )
-    parser.add_argument(
-        "--normalize", action="store_true", help="rescale shares to sum to 1"
-    )
-    parser.add_argument(
-        "--check", action="store_true", help="include property-check verdicts"
-    )
-    parser.add_argument(
-        "--format", choices=("json", "csv", "text"), default="text", dest="format"
-    )
-    parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.set_defaults(func=cmd_run)
-
-
-def _verify_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--suite", required=True, choices=SUITES + ("all",), help="which oracle suite"
-    )
-    parser.add_argument("--instances", type=int, default=100)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--n-range", default="3..6", help="agent count range A..B")
-    parser.add_argument(
-        "--budget",
-        type=int,
-        default=DEFAULT_SEARCH_BUDGET,
-        help="coalition search evaluation cap",
-    )
-    parser.add_argument(
-        "--inject-defect", choices=CORRUPTION_KINDS, default=None, help=argparse.SUPPRESS
-    )
-    parser.add_argument("--out", default=None)
-    parser.set_defaults(func=cmd_verify)
-
-
-def _welfare_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--n-list", required=True, help="comma list of n values; A..B ranges allowed"
-    )
-    parser.add_argument(
-        "--alpha-list",
-        required=True,
-        help="comma list of retained-owner fractions, or 'all'",
-    )
-    parser.add_argument("--out", default=None, help="CSV path (default stdout)")
-    parser.set_defaults(func=cmd_welfare)
-
-
-# name -> (help line, the function that adds the command's arguments)
+# name -> (help line, handler, options); each option is (flag, the keyword
+# arguments of its add_argument call)
 _COMMANDS = {
-    "run": ("run the mechanism on a cap-table file", _run_arguments),
-    "verify": ("run oracle suites on generated instances", _verify_arguments),
-    "welfare": ("tabulate closed-form vs engine welfare as CSV", _welfare_arguments),
+    "run": ("run the mechanism on a cap-table file", cmd_run, (
+        ("--captable", dict(required=True, help="CSV: agent_id,share,bid")),
+        ("--mbar", dict(required=True, type=int, help="threshold owner count")),
+        ("--seed", dict(type=int, default=None, help="realize one branch")),
+        ("--expected", dict(action="store_true", help="report both branches and expectations")),
+        ("--normalize", dict(action="store_true", help="rescale shares to sum to 1")),
+        ("--check", dict(action="store_true", help="include property-check verdicts")),
+        ("--format", dict(choices=("json", "csv", "text"), default="text")),
+        ("--out", dict(default=None, help="output path (default stdout)")),
+    )),
+    "verify": ("run oracle suites on generated instances", cmd_verify, (
+        ("--suite", dict(required=True, choices=SUITES + ("all",), help="which oracle suite")),
+        ("--instances", dict(type=int, default=100)),
+        ("--seed", dict(type=int, default=None)),
+        ("--n-range", dict(default="3..6", help="agent count range A..B")),
+        ("--budget", dict(
+            type=int, default=DEFAULT_SEARCH_BUDGET, help="coalition search evaluation cap"
+        )),
+        ("--inject-defect", dict(choices=CORRUPTION_KINDS, default=None, help=argparse.SUPPRESS)),
+        ("--out", dict(default=None)),
+    )),
+    "welfare": ("tabulate closed-form vs engine welfare as CSV", cmd_welfare, (
+        ("--n-list", dict(required=True, help="comma list of n values; A..B ranges allowed")),
+        ("--alpha-list", dict(
+            required=True, help="comma list of retained-owner fractions, or 'all'"
+        )),
+        ("--out", dict(default=None, help="CSV path (default stdout)")),
+    )),
 }
 
 
@@ -292,21 +267,58 @@ def _build_parser() -> argparse.ArgumentParser:
         version=f"mbm {__version__} ({BACKEND} rational backend)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_arguments) in _COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_line))
+    for name, (help_line, handler, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        for flag, kwargs in options:
+            command.add_argument(flag, **kwargs)
+        command.set_defaults(func=handler)
     return parser
 
 
+def _read(argv: list) -> argparse.Namespace | None:
+    """What the full tree parses ``argv`` to, read off the command's options
+    when ``argv`` is plain: the command, then whole flags of its table, each
+    once, each but a ``store_true`` one followed by a value that does not start
+    with ``-``, converts and lies in its choices; every required flag given.
+    Anything else (abbreviations, ``=`` forms, help, stray tokens) gives None."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, handler, options = _COMMANDS[argv[0]]
+    table = dict(options)
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        kwargs = table.get(flag)
+        if kwargs is None or flag in given:
+            return None
+        if kwargs.get("action") == "store_true":
+            given[flag] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        try:
+            value = kwargs.get("type", str)(value)
+        except ValueError:
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        given[flag] = value
+    args = argparse.Namespace(command=argv[0], func=handler)
+    for flag, kwargs in options:
+        if flag in given:
+            value = given[flag]
+        elif kwargs.get("required"):
+            return None
+        else:
+            value = kwargs.get("default", False if kwargs.get("action") == "store_true" else None)
+        setattr(args, flag[2:].replace("-", "_"), value)
+    return args
+
+
 def _parse_args(argv: list) -> argparse.Namespace:
-    """The command's own parser when ``argv[0]`` names one and it takes every
-    argument; else the full tree, for its help, version and error texts."""
-    if argv and argv[0] in _COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"mbm {argv[0]}")
-        _COMMANDS[argv[0]][1](parser)
-        args, extra = parser.parse_known_args(argv[1:])
-        if not extra:
-            return args
-    return _build_parser().parse_args(argv)
+    args = _read(argv)
+    return _build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

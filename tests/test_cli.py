@@ -16,11 +16,14 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mbm import __version__, expected_adjusted_utilities, run_expected
 from mbm import cli
 from mbm.cli import main
+from mbm.properties import CORRUPTION_KINDS
 from mbm.rational import BACKEND, decimal_approx, rational, rational_str
+from mbm.suites import SUITES
 import mutants
 from conftest import SRC
 from strategies import instances
@@ -314,7 +317,7 @@ def test_run_shares_off_simplex_exit_2(capsys, tmp_path):
         ("a,1/2,5\nb,3/10,5\nc,1/5,2\n", ["run", "--mbar", "2"],
          "error: tied bids between agent pairs: (0, 1)"),
         (None, ["verify", "--suite", "budget", "--n-range", "5..3"],
-         "error: empty range '5..3'"),
+         "error: --n-range: empty range '5..3'"),
         (None, ["verify", "--suite", "budget", "--instances", "20", "--n-range", "2..3"],
          "error: need more than 2 agents, got n_range 2..3"),
         (None, ["verify", "--suite", "budget", "--instances", "3", "--n-range", "2..3"],
@@ -332,11 +335,11 @@ def test_run_shares_off_simplex_exit_2(capsys, tmp_path):
         ("a,1/2,10\nb,3/10,5\nc,1/5," + "9" * 140_000 + "\n", ["run", "--mbar", "2"],
          "error: row 4: field larger than field limit (131072)"),
         (None, ["verify", "--suite", "budget", "--n-range", "3..x"],
-         "error: invalid literal for int() with base 10: 'x'"),
+         "error: --n-range: invalid literal for int() with base 10: 'x'"),
         (None, ["verify", "--suite", "budget", "--n-range", "3-5"],
-         "error: expected A..B, got '3-5'"),
+         "error: --n-range: expected A..B, got '3-5'"),
         (None, ["welfare", "--n-list", "4,five", "--alpha-list", "all"],
-         "error: invalid literal for int() with base 10: 'five'"),
+         "error: --n-list: invalid literal for int() with base 10: 'five'"),
         (None, ["welfare", "--n-list", "4", "--alpha-list", "1/0"],
          "error: not a rational literal: '1/0'"),
     ],
@@ -365,7 +368,7 @@ def test_bad_seed_variable_and_undecodable_table_exit_2(capsys, tmp_path, monkey
     )
     monkeypatch.setenv("MBM_SEED", "abc")
     assert run_cli(capsys, "verify", "--suite", "budget", "--instances", "2") == (
-        2, "", "error: invalid literal for int() with base 10: 'abc'\n"
+        2, "", "error: MBM_SEED: invalid literal for int() with base 10: 'abc'\n"
     )
 
 
@@ -655,15 +658,93 @@ def test_help_usage_and_error_texts_match_golden(capsys, monkeypatch):
         ), case["argv"]
 
 
-def test_valid_requests_never_build_the_full_parser(capsys, monkeypatch):
-    def refuse():
-        raise AssertionError("the full parser tree was built")
+def full_tree(argv):
+    """The namespace ``_build_parser().parse_args(argv)`` returns, or None
+    where it exits with help, version or an error."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli._build_parser().parse_args(argv)
+        except SystemExit:
+            return None
 
-    monkeypatch.setattr(cli, "_build_parser", refuse)
+
+def workload_requests():
+    """One argv of every form the benchmark sends: each run format and mode,
+    with and without --normalize, each verify suite with and without each
+    injected defect, and welfare."""
+    for fmt in ("json", "csv", "text"):
+        for mode in (["--expected"], ["--seed", "1234567"], ["--expected", "--check"]):
+            for normalize in ([], ["--normalize"]):
+                yield ["run", "--captable", WORKED, "--mbar", "2", "--format", fmt,
+                       *normalize, *mode]
+    for suite in SUITES:
+        for defect in (None,) + CORRUPTION_KINDS:
+            yield ["verify", "--suite", suite, "--instances", "1", "--seed", "2063472",
+                   "--n-range", "3..4"] + (["--inject-defect", defect] if defect else [])
+    yield ["welfare", "--n-list", "4", "--alpha-list", "all"]
+
+
+def test_valid_requests_never_build_the_full_parser(capsys, monkeypatch):
+    forms = [(argv, full_tree(argv)) for argv in workload_requests()]
+    assert all(namespace is not None for _, namespace in forms)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an ArgumentParser was built")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
     assert run_cli(capsys, "run", "--captable", WORKED, "--mbar", "2")[0] == 0
     assert run_cli(capsys, "verify", "--suite", "sp", "--instances", "2")[0] == 0
     assert run_cli(capsys, "welfare", "--n-list", "4", "--alpha-list", "all")[0] == 0
+    for argv, namespace in forms:
+        assert cli._read(argv) == namespace, argv
     assert not any(isinstance(v, argparse.ArgumentParser) for v in vars(cli).values())
+
+
+# values a flag may meet besides well-formed ones: negative numbers, a lone
+# "-", flags, an empty string, and text that int() takes although it is no
+# plain numeral (a leading space, a sign, an underscore, an Arabic-Indic three)
+ODD_VALUES = ("-3", "-", "--", "-h", "--out", "", " 7", "+5", "5_0", "\u0663", "bogus", "1e3")
+STRAY_TOKENS = ("--", "-h", "--help", "--version", "extra", "run", "--bogus", "--n")
+
+
+@st.composite
+def command_lines(draw):
+    """A command, its options in any order, each with an ordinary or odd value
+    and spelled whole, abbreviated or as ``--flag=value``, some left out, and
+    stray tokens, repeats and other commands' flags put in anywhere."""
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    options = cli._COMMANDS[name][2]
+    argv = []
+    for flag, kwargs in draw(st.permutations(options)):
+        if draw(st.booleans()) and (not kwargs.get("required") or draw(st.booleans())):
+            continue
+        spelling = draw(st.sampled_from(("whole",) * 6 + ("prefix", "equals")))
+        if kwargs.get("action") == "store_true":
+            argv.append(flag if spelling == "whole" else flag[: draw(st.integers(3, len(flag)))])
+            continue
+        ordinary = kwargs.get("choices") or (
+            ("3", "0", "12") if "type" in kwargs else ("worked.csv", "3..4", "all")
+        )
+        value = draw(st.one_of(st.sampled_from(ordinary), st.sampled_from(ODD_VALUES)))
+        if spelling == "equals":
+            argv.append(f"{flag}={value}")
+        else:
+            if spelling == "prefix":
+                flag = flag[: draw(st.integers(3, len(flag)))]
+            argv += [flag, value]
+    others = [flag for _, _, opts in cli._COMMANDS.values() for flag, _ in opts]
+    for token in draw(st.lists(st.sampled_from(STRAY_TOKENS + tuple(others)), max_size=2)):
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    return [name] + argv
+
+
+@settings(max_examples=500)
+@given(argv=command_lines())
+def test_reading_a_request_off_the_table_equals_the_full_tree(argv):
+    read = cli._read(argv)
+    if read is not None:
+        full = full_tree(argv)
+        assert full is not None and vars(read) == vars(full)
 
 
 def test_help_unknown_commands_and_stray_arguments_take_the_full_parser(
@@ -678,7 +759,15 @@ def test_help_unknown_commands_and_stray_arguments_take_the_full_parser(
 
     monkeypatch.setattr(cli, "_build_parser", counting)
     run = ("run", "--captable", "worked.csv", "--mbar", "2")
-    for argv in [(), ("--help",), ("bogus",), run + ("extra",), ("--foo",) + run]:
+    for argv in [
+        (),
+        ("--help",),
+        ("bogus",),
+        run[:3],
+        run + ("--format", "xml"),
+        run + ("extra",),
+        ("--foo",) + run,
+    ]:
         case = golden[argv]
         assert run_or_exit(capsys, argv) == (
             case["exit"], case["stdout"], case["stderr"]
