@@ -37,7 +37,7 @@ from .properties import (
     run_expected,
 )
 from . import __version__
-from .rational import BACKEND, decimal_approx, rational_str
+from .rational import BACKEND, decimal_approx, rational, rational_str
 from .report import build_run_report, dumps_indented
 from .suites import GROUP_SP_MAX_N, SUITES, generate_suite, run_suite
 from .welfare import welfare_sweep
@@ -177,9 +177,12 @@ def cmd_verify(args) -> int:
 
 def cmd_welfare(args) -> int:
     n_values = _parse_int_list(args.n_list, "--n-list")
-    explicit_alphas = None if args.alpha_list == "all" else [
-        token.strip() for token in args.alpha_list.split(",")
-    ]
+    explicit_alphas = None
+    if args.alpha_list != "all":
+        try:
+            explicit_alphas = [rational(token.strip()) for token in args.alpha_list.split(",")]
+        except ValueError as exc:
+            raise InvalidArgument(f"--alpha-list: {exc}") from exc
 
     rows, skipped = welfare_sweep(n_values, explicit_alphas)
     for exc in skipped:

@@ -20,8 +20,9 @@ member's utility times d and the bids' denominator as an integer ratio,
 compared with the truthful one by cross-multiplication. For the real
 mechanism that is ``core._utility_ratios``, tied to ``run_expected`` at the
 first truthful profile before any deviation; any other engine, including
-a wrapper around the real one, is scored on the profile the integers stand
-for.
+a wrapper around the real one, runs the profile the integers stand for,
+and each member's two branches are read off its outcome as one integer
+ratio, with no rational made.
 
 A coalition is decided on one of two paths. With the non-members' bids
 fixed, the real mechanism's utilities depend only on the rank pattern, the
@@ -55,6 +56,7 @@ from .core import (
     BidProfile,
     ExpectedOutcome,
     MbmConfig,
+    MechanismOutcome,
     _bid_order,
     _branches,
     _check_sizes,
@@ -65,7 +67,6 @@ from .core import (
     _simplex_numerators,
     _utility_numerators,
     _utility_ratios,
-    expected_adjusted_utility,
     run_expected,
 )
 from .errors import InvalidArgument, SearchBudgetExceeded
@@ -172,21 +173,33 @@ def describe_instance(
     return f"n={config.n} m_bar={config.m_bar} shares=[{shares}] bids=[{bids}]"
 
 
-def _scorer(engine, initial, valuations, config, a, d):
+def _scorer(engine, initial, config, a, d):
     """The instance's ``score(w, e, values, agents)``, the deviation search's engine seam.
 
     Bids w and true values are integers over one common denominator e, and
     shares are a[i] / d. The score yields each of ``agents``' expected
     adjusted utility times d * e as (numerator, denominator), denominator
     positive. The real engine is scored by ``_utility_ratios``; any other
-    runs the profile the integers stand for, and its outcome is read
-    through ``expected_adjusted_utility`` against ``valuations``, one agent
-    at a time as the caller consumes them.
+    runs the profile the integers stand for once per call, and its outcome
+    is read one agent at a time as the caller consumes them. With j's
+    initial money x_j / c (c the initial money's lcm) and value v_j / e, a
+    branch of probability p / q leaving her share s / t and money y / z
+    gives ((s d - a_j t) v_j z c + (y c - x_j z) d e t) p over t z c q; the
+    two branches add by cross-multiplication, unreduced.
     """
     if engine is run_expected:
         m_bar = config.m_bar
         return lambda w, e, values, agents: _utility_ratios(a, d, m_bar, w, values, agents)
     memo = {}  # (x, e) -> x / e: the searches repeat a few bids many times
+    money, c = _over_lcm(initial.money)
+
+    def term(j, v, de, probability, final):
+        # j's utility times d * e in one branch, times its probability
+        p, q = probability
+        s, t = as_ratio(final.shares[j])
+        y, z = as_ratio(final.money[j])
+        num = ((s * d - a[j] * t) * v * z * c + (y * c - money[j] * z) * de * t) * p
+        return num, t * z * c * q
 
     def score(w, e, values, agents):
         bids = []
@@ -196,9 +209,11 @@ def _scorer(engine, initial, valuations, config, a, d):
                 b = memo[x, e] = Rational(x, e)
             bids.append(b)
         expected = engine(initial, BidProfile(tuple(bids)), config)
-        scale = d * e
+        branches = [(as_ratio(b.branch_probability), b.final_allocation) for b in expected.branches]
+        de = d * e
         for j in agents:
-            yield as_ratio(expected_adjusted_utility(initial, expected, valuations, j) * scale)
+            (n1, d1), (n2, d2) = (term(j, values[j], de, *branch) for branch in branches)
+            yield n1 * d2 + n2 * d1, d1 * d2
 
     return score
 
@@ -472,7 +487,7 @@ def _deviation_search(
     n = config.n
     a, d = _share_numerators(initial, others, config)
     _check_sizes(valuations.n, config, "valuations")
-    score = _scorer(engine, initial, valuations, config, a, d)
+    score = _scorer(engine, initial, config, a, d)
     real = engine is run_expected
     # the fixed bids and the true values over one denominator e
     fixed, e = _over_lcm(others.bids + valuations.bids)
@@ -678,22 +693,40 @@ def check_pp_expost_efficiency(
 # Each variant breaks exactly one property so the oracles can be shown to
 # catch real defects. Every one post-processes the true outcome: payment,
 # shares and scale-skew edit the high branch, and the price-* variants
-# reprice both branches. They are never part of the mechanism API.
+# reprice both branches on integers over common denominators, one rational
+# per agent and branch (``_repriced``). They are never part of the
+# mechanism API.
 
 CORRUPTION_KINDS = ("payment", "shares", "scale-skew", "price-next", "price-dip")
 
 
-def _repriced(initial: Allocation, branch, price):
-    # the branch's trades settled at ``price``: each agent pays for the share
-    # mass she gains, or collects for the mass she gives up, at that price
-    final = branch.final_allocation
-    money = tuple(
-        x + (s0 - s1) * price
-        for x, s0, s1 in zip(initial.money, initial.shares, final.shares)
-    )
-    return replace(
-        branch, price=price, final_allocation=Allocation._from_parts(final.shares, money)
-    )
+def _repriced(initial: Allocation, expected: ExpectedOutcome, price) -> ExpectedOutcome:
+    # both branches' trades settled at ``price``: each agent pays for the share
+    # mass she gains, or collects for the mass she gives up, at that price.
+    # With shares s0 / D0 to s1 / D1, money x / C0 and price p / q, agent i
+    # ends with (x D0 D1 q + (s0 D1 - s1 D0) p C0) / (C0 D0 D1 q)
+    s0, d0 = _over_lcm(initial.shares)
+    x, c0 = _over_lcm(initial.money)
+    p, q = as_ratio(price)
+    branches = []
+    for branch in expected.branches:
+        shares = branch.final_allocation.shares
+        s1, d1 = _over_lcm(shares)
+        by_money, by_share, den = d0 * d1 * q, p * c0, c0 * d0 * d1 * q
+        money = tuple(
+            Rational(xi * by_money + (a * d1 - b * d0) * by_share, den)
+            for xi, a, b in zip(x, s0, s1)
+        )
+        branches.append(
+            MechanismOutcome(
+                realized_m=branch.realized_m,
+                price=price,
+                branch_probability=branch.branch_probability,
+                final_allocation=Allocation._from_parts(shares, money),
+                order=branch.order,
+            )
+        )
+    return ExpectedOutcome(*branches)
 
 
 def corrupted_engine(kind: str):
@@ -713,10 +746,7 @@ def corrupted_engine(kind: str):
                 # subtracting part of the lowest bid makes the price fall
                 # when that bid rises: breaks monotonicity
                 price = bids[order[config.m_bar - 1]] - bids[order[-1]] / 2
-            return ExpectedOutcome(
-                high_branch=_repriced(initial, high, price),
-                low_branch=_repriced(initial, expected.low_branch, price),
-            )
+            return _repriced(initial, expected, price)
         shares = list(high.final_allocation.shares)
         money = list(high.final_allocation.money)
         if kind == "payment":

@@ -341,7 +341,7 @@ def test_run_shares_off_simplex_exit_2(capsys, tmp_path):
         (None, ["welfare", "--n-list", "4,five", "--alpha-list", "all"],
          "error: --n-list: invalid literal for int() with base 10: 'five'"),
         (None, ["welfare", "--n-list", "4", "--alpha-list", "1/0"],
-         "error: not a rational literal: '1/0'"),
+         "error: --alpha-list: not a rational literal: '1/0'"),
     ],
     ids=[
         "malformed-cell", "malformed-cell-after-blank-lines", "short-row-after-blank-lines",

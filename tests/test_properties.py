@@ -382,23 +382,36 @@ def test_strategyproofness_with_untruthful_others(worked):
 def test_sp_scores_only_agent_zero_at_the_first_profile_of_another_engine(monkeypatch):
     # untruthful others, a corrupted engine: the first truthful profile is
     # scored for agent 0 alone, then each agent once at her own truthful bid
-    # and once per grid point walked
+    # and once per grid point walked, one engine call per profile
     [(initial, profile, config)] = generate_suite(1, seed=3, n_range=(5, 5))
     others = perturbed_profile(profile, random.Random(0))
-    calls = []
+    control = corrupted_engine("price-next")
+    profiles, scored = [], []
 
-    def counting(*args):
-        calls.append(args[-1])
-        return expected_adjusted_utility(*args)
+    def engine(*args):
+        profiles.append(args[1])
+        return control(*args)
 
-    monkeypatch.setattr(properties, "expected_adjusted_utility", counting)
+    real_scorer = properties._scorer
+
+    def counting_scorer(*args):
+        score = real_scorer(*args)
+
+        def counted(w, e, values, agents):
+            for j, ratio in zip(agents, score(w, e, values, agents)):
+                scored.append(j)
+                yield ratio
+
+        return counted
+
+    monkeypatch.setattr(properties, "_scorer", counting_scorer)
     report = check_strategyproofness(
-        initial, profile, config, others_profile=others,
-        engine=corrupted_engine("price-next"),
+        initial, profile, config, others_profile=others, engine=engine
     )
     assert (config.n, report.holds, report.cases, report.witness.agent) == (5, False, 12, 1)
-    assert calls[:2] == [0, 0]
-    assert len(calls) == 1 + (report.witness.agent + 1) + report.cases == 15
+    assert scored[:2] == [0, 0]
+    assert len(scored) == 1 + (report.witness.agent + 1) + report.cases == 15
+    assert len(profiles) == len(scored)
 
 
 def test_strategyproofness_rejects_missized_valuations(worked):
@@ -810,12 +823,72 @@ def test_price_controls_reprice_both_branches(worked, kind, price, high_money, l
         assert branch.branch_probability == truth.branch_probability
 
 
+def with_money(initial, rng):
+    # the same shares with negative money over assorted denominators
+    money = [Q(-rng.randint(1, 50), rng.choice((1, 3, 4, 7, 10))) for _ in initial.shares]
+    return Allocation(initial.shares, money)
+
+
+def test_scorer_reads_another_engine_exactly_with_money():
+    # every non-real engine, the real one behind a wrapper included, is
+    # scored on integers equal to expected_adjusted_utility times d * e,
+    # at the valuations and at perturbed bids, with and without money
+    engines = [corrupted_engine(kind) for kind in CORRUPTION_KINDS]
+    engines.append(lambda *args: run_expected(*args))
+    rng = random.Random(53)
+    for base, profile, config in generate_suite(20, seed=53, n_range=(3, 8)):
+        others = perturbed_profile(profile, rng)
+        for initial in (base, with_money(base, rng)):
+            a, d = _simplex_numerators(initial.shares)
+            for engine in engines:
+                score = properties._scorer(engine, initial, config, a, d)
+                for bids in (profile, others):
+                    scaled, e = _over_lcm(bids.bids + profile.bids)
+                    w, values = scaled[: config.n], scaled[config.n :]
+                    expected = engine(initial, bids, config)
+                    ratios = list(score(w, e, values, range(config.n)))
+                    assert len(ratios) == config.n
+                    for j, (num, den) in enumerate(ratios):
+                        slow = expected_adjusted_utility(initial, expected, profile, j)
+                        assert den > 0
+                        assert Q(num, den) == slow * d * e
+
+
+@pytest.mark.parametrize("kind", ["price-next", "price-dip"])
+def test_price_controls_reprice_exactly_with_money(kind):
+    # both branches settle the true trades at the control's price, money
+    # x + (s0 - s1) price in Fractions; the probabilities, shares and order
+    # are the true outcome's
+    rng = random.Random(59)
+    for base, profile, config in generate_suite(12, seed=59, n_range=(3, 7)):
+        initial = with_money(base, rng)
+        truth = run_expected(initial, profile, config)
+        repriced = corrupted_engine(kind)(initial, profile, config)
+        bids, order = profile.bids, truth.high_branch.order
+        if kind == "price-next":
+            price = bids[order[config.m_bar]]
+        else:
+            price = bids[order[config.m_bar - 1]] - bids[order[-1]] / 2
+        references = (
+            _repriced_high(truth, price).high_branch,
+            replace(truth.low_branch, price=price),
+        )
+        for branch, reference in zip(repriced.branches, references):
+            shares = reference.final_allocation.shares
+            money = tuple(
+                x + (s0 - s1) * price
+                for x, s0, s1 in zip(initial.money, initial.shares, shares)
+            )
+            assert branch == replace(reference, final_allocation=Allocation(shares, money))
+
+
 # --- kernel readout against the reference path -----------------------------------
 
 
 def reference_engine(initial, profile, config):
     # not the real engine by identity, so oracles take the reference path:
-    # the outcome, then expected_adjusted_utility per agent
+    # the outcome, read per agent as test_scorer_reads_another_engine_exactly_with_money
+    # holds it to expected_adjusted_utility
     return run_expected(initial, profile, config)
 
 
