@@ -16,7 +16,6 @@ from .core import (
     MbmConfig,
     MechanismOutcome,
     adjusted_utility,
-    expected_adjusted_utilities,
     expected_adjusted_utility,
     rank_bids,
     realize,
@@ -108,7 +107,6 @@ __all__ = [
     "corrupted_engine",
     "deviation_grid",
     "efficiency_loss_instance",
-    "expected_adjusted_utilities",
     "expected_adjusted_utility",
     "expected_mbm_welfare",
     "first_best",

@@ -13,12 +13,15 @@ gains at the asset price; each seller's full stake is cashed out at the
 asset price.
 
 All arithmetic is exact rational arithmetic; there is no rounding anywhere
-in this module. ``run_expected`` is the engine's one entry point: it ranks,
-prices, weights the lottery and runs the buyout in one computation on
-integer numerators. ``_kernel`` scales shares and bids once per instance
+in this module. ``run_expected`` is the engine's one entry point, on
+integer numerators: ``_kernel`` scales shares and bids once per instance
 to integers over their least common denominators, ranks the bids and sums
 the shares along that order; ``_branches`` reads both branches' buyer
-masses off those sums. Rationals are made only for the returned outcome.
+masses off those sums; and ``_settle``, the one settlement, weights the
+lottery and runs the buyout at a given price (the engine's is the bid
+ranked m_bar). Rationals are made only for the returned outcome.
+``_utilities`` is the one integer reader of agents' adjusted utilities off
+an outcome, in one branch or in expectation.
 Every type is an immutable value and every operation is a pure function of
 its inputs, so results are safe to share across threads.
 ``draw_branch`` and ``realize`` are the only randomized entry points; each
@@ -259,31 +262,28 @@ def _branches(mass, d: int, m_bar: int) -> tuple:
     return (m_bar, high, high), (m_bar - 1, low, d - high)
 
 
-def run_expected(
-    initial: Allocation, profile: BidProfile, config: MbmConfig
-) -> ExpectedOutcome:
-    """Both branches with their probabilities; consumes no randomness.
+def _settle(initial: Allocation, kernel: tuple, m_bar: int, price) -> ExpectedOutcome:
+    """Both branches of the ranked instance, every trade settled at ``price``.
 
-    Computed from the integer numerators of ``_kernel`` and ``_branches``: a
-    buyer ends with a_i / A_B and pays a_i (d - A_B) w_t / (d A_B e), a seller
-    collects a_i w_t / (d e), where w_t / e is the price. Rationals are made
-    only for the returned outcome; payments add to the initial money. Both
-    branches carry the bid order computed on this call.
+    ``kernel`` is ``_kernel``'s, and ``_branches`` checks its masses first.
+    With the price p / q and the buyer mass A_B, a buyer ends with a_i / A_B
+    and pays a_i (d - A_B) p / (d A_B q) for the share mass she gains, and a
+    seller collects a_i p / (d q) for her stake. Payments add to the initial
+    money; both branches carry the kernel's order and ``price``.
     """
-    order, mass, a, d, w, e = _kernel(initial, profile, config)
+    order, mass, a, d, _, _ = kernel
+    branches = _branches(mass, d, m_bar)
     n = len(order)
-    threshold = order[config.m_bar - 1]
-    price = profile.bids[threshold]
-    u = w[threshold]
+    p, q = as_ratio(price)
     # agents ranked m_bar or lower sell in the low branch, the same stake at
     # the same price as in the high branch
-    proceeds = {i: Rational(a[i] * u, d * e) for i in order[config.m_bar - 1 :]}
+    proceeds = {i: Rational(a[i] * p, d * q) for i in order[m_bar - 1 :]}
     base = initial.money if any(initial.money) else None
     outcomes = []
-    for m, buyers, prob in _branches(mass, d, config.m_bar):
+    for m, buyers, prob in branches:
         shares = [ZERO] * n
         money = [ZERO] * n
-        cost, per = (d - buyers) * u, d * buyers * e
+        cost, per = (d - buyers) * p, d * buyers * q
         for i in order[:m]:
             shares[i] = Rational(a[i], buyers)
             money[i] = Rational(-a[i] * cost, per)
@@ -303,6 +303,19 @@ def run_expected(
     return ExpectedOutcome(high_branch=outcomes[0], low_branch=outcomes[1])
 
 
+def run_expected(
+    initial: Allocation, profile: BidProfile, config: MbmConfig
+) -> ExpectedOutcome:
+    """Both branches with their probabilities; consumes no randomness.
+
+    ``_kernel`` ranks the instance on integers and ``_settle`` settles it at
+    the bid ranked m_bar; rationals are made only for the returned outcome.
+    """
+    kernel = _kernel(initial, profile, config)
+    threshold = kernel[0][config.m_bar - 1]
+    return _settle(initial, kernel, config.m_bar, profile.bids[threshold])
+
+
 # the name under which benchmarks/spans.py traces the engine
 _run_expected = run_expected
 
@@ -316,8 +329,9 @@ def _utility_ratios(a, d: int, m_bar: int, w, values, agents) -> list:
     0, an agent bidding above u (a buyer in both branches)
     a_j (d - H)(v_j - u) / L, and one bidding below u (a seller in both)
     a_j (u - v_j) / 1, with H and L from ``_branches`` on this order's
-    ``_masses``. Initial money cancels out of every utility change. Raises what ``run_expected`` raises once the shares check out, in the
-    same order: InvalidConfig below 3 bids, DuplicateBids on a tie, then
+    ``_masses``. Initial money cancels out of every utility change. Raises
+    what ``run_expected`` raises once the shares check out, in the same
+    order: InvalidConfig below 3 bids, DuplicateBids on a tie, then
     DegenerateBuyerMass (high branch first).
     """
     order = _bid_order(w)
@@ -333,25 +347,6 @@ def _utility_ratios(a, d: int, m_bar: int, w, values, agents) -> list:
         else:
             out.append((0, 1))
     return out
-
-
-def expected_adjusted_utilities(
-    initial: Allocation, profile: BidProfile, config: MbmConfig, valuations: BidProfile
-) -> tuple:
-    """Every agent's expected adjusted utility, read off the integer kernel.
-
-    Equals ``expected_adjusted_utility(initial, run_expected(initial,
-    profile, config), valuations, j)`` for every agent j, and raises what
-    ``run_expected`` raises, but builds no outcome: bids and valuations go
-    over one common denominator e, and ``_utility_ratios`` gives each
-    agent's utility times d * e.
-    """
-    a, d = _share_numerators(initial, profile, config)
-    n = profile.n
-    scaled, e = _over_lcm(profile.bids + valuations.bids)
-    w = scaled[:n]
-    ratios = _utility_ratios(a, d, config.m_bar, w, scaled[n:], range(n))
-    return tuple(Rational(num, d * e * den) for num, den in ratios)
 
 
 def draw_branch(expected: ExpectedOutcome, seed: SeedLike) -> MechanismOutcome:
@@ -403,29 +398,38 @@ def adjusted_utility(
     )
 
 
-def _utility_numerators(
-    initial: Allocation, outcome: MechanismOutcome, valuations: BidProfile
-) -> tuple:
-    """(nums, den): every agent's ``adjusted_utility`` in ``outcome`` is nums[i] / den.
+def _holdings(initial: Allocation) -> tuple:
+    """(a, d, x, c): the initial shares a / d and money x / c over their lcms."""
+    return (*_over_lcm(initial.shares), *_over_lcm(initial.money))
 
-    Reads the outcome as it stands: initial and final shares (s0 / L0,
-    s1 / L1), initial and final money (x0 / X0, x1 / X1) and values (v / e)
-    each go over their own least common denominator, and agent i gets
-    (s1 L0 - s0 L1) v X0 X1 + (x1 X0 - x0 X1) L0 L1 e over L0 L1 e X0 X1,
-    which is positive and not reduced.
+
+def _weighted(expected: ExpectedOutcome) -> list:
+    """Both branches as (p, q, final allocation), p / q the branch probability."""
+    return [(*as_ratio(b.branch_probability), b.final_allocation) for b in expected.branches]
+
+
+def _utilities(holdings: tuple, branches, agents, values, e: int):
+    """Yield each of ``agents``' ``adjusted_utility`` times d * e, summed over
+    ``branches``, as (num, den).
+
+    ``holdings`` is ``_holdings(initial)``, and agent j's value is
+    values[j] / e. Each branch is (p, q, final): a final allocation leaving
+    j share s / t and money y / z adds ((s d - a_j t) v_j z c + (y c - x_j z)
+    d e t) p over t z c q. Weights 1 / 1 read one branch, ``_weighted`` an
+    outcome's expected utility; the terms add by cross-multiplication,
+    unreduced, with den positive.
     """
-    final = outcome.final_allocation
-    s0, l0 = _over_lcm(initial.shares)
-    s1, l1 = _over_lcm(final.shares)
-    x0, m0 = _over_lcm(initial.money)
-    x1, m1 = _over_lcm(final.money)
-    v, e = _over_lcm(valuations.bids)
-    by_share, by_money = m0 * m1, l0 * l1 * e
-    nums = [
-        (b1 * l0 - b0 * l1) * vi * by_share + (y1 * m0 - y0 * m1) * by_money
-        for b0, b1, y0, y1, vi in zip(s0, s1, x0, x1, v)
-    ]
-    return nums, by_share * by_money
+    a, d, x, c = holdings
+    de = d * e
+    for j in agents:
+        v, num, den = values[j], 0, 1
+        for p, q, final in branches:
+            s, t = as_ratio(final.shares[j])
+            y, z = as_ratio(final.money[j])
+            term = ((s * d - a[j] * t) * v * z * c + (y * c - x[j] * z) * de * t) * p
+            over = t * z * c * q
+            num, den = num * over + term * den, den * over
+        yield num, den
 
 
 def expected_adjusted_utility(

@@ -7,7 +7,7 @@ verdict always carries a reproducible witness. Every oracle accepts an
 corrupted variants run through the same verdict logic as negative
 controls; see ``corrupted_engine``. The accounting oracles read the
 outcome as integers over common denominators (utilities through
-``core._utility_numerators``) and make rationals only for a witness.
+``core._utilities``) and make rationals only for a witness.
 
 Both incentive claims are one search, ``_deviation_search``: does some
 deviation make every member of a coalition strictly better off?
@@ -19,10 +19,12 @@ enters only through the instance's scorer (``_scorer``), which gives each
 member's utility times d and the bids' denominator as an integer ratio,
 compared with the truthful one by cross-multiplication. For the real
 mechanism that is ``core._utility_ratios``, tied to ``run_expected`` at the
-first truthful profile before any deviation; any other engine, including
-a wrapper around the real one, runs the profile the integers stand for,
-and each member's two branches are read off its outcome as one integer
-ratio, with no rational made.
+first truthful profile before any deviation, read off that one outcome by
+``core._utilities`` at the true values and again with every value moved off
+its bid; any other engine, including a wrapper around the real one, runs
+the profile the integers stand for, and ``core._utilities`` reads each
+member's two branches off its outcome as one integer ratio, with no
+rational made.
 
 A coalition is decided on one of two paths. With the non-members' bids
 fixed, the real mechanism's utilities depend only on the rank pattern, the
@@ -56,21 +58,24 @@ from .core import (
     BidProfile,
     ExpectedOutcome,
     MbmConfig,
-    MechanismOutcome,
     _bid_order,
     _branches,
     _check_sizes,
+    _holdings,
+    _kernel,
     _masses,
     _over_lcm,
     _reject_ties,
+    _settle,
     _share_numerators,
     _simplex_numerators,
-    _utility_numerators,
+    _utilities,
     _utility_ratios,
+    _weighted,
     run_expected,
 )
 from .errors import InvalidArgument, SearchBudgetExceeded
-from .rational import Rational, as_ratio, rational_str
+from .rational import Rational, rational_str
 
 DEFAULT_SEARCH_BUDGET = 10**6
 
@@ -181,25 +186,15 @@ def _scorer(engine, initial, config, a, d):
     adjusted utility times d * e as (numerator, denominator), denominator
     positive. The real engine is scored by ``_utility_ratios``; any other
     runs the profile the integers stand for once per call, and its outcome
-    is read one agent at a time as the caller consumes them. With j's
-    initial money x_j / c (c the initial money's lcm) and value v_j / e, a
-    branch of probability p / q leaving her share s / t and money y / z
-    gives ((s d - a_j t) v_j z c + (y c - x_j z) d e t) p over t z c q; the
-    two branches add by cross-multiplication, unreduced.
+    is read by ``core._utilities``, one agent at a time as the caller
+    consumes them, with the initial holdings over their lcms once per
+    instance.
     """
     if engine is run_expected:
         m_bar = config.m_bar
         return lambda w, e, values, agents: _utility_ratios(a, d, m_bar, w, values, agents)
     memo = {}  # (x, e) -> x / e: the searches repeat a few bids many times
-    money, c = _over_lcm(initial.money)
-
-    def term(j, v, de, probability, final):
-        # j's utility times d * e in one branch, times its probability
-        p, q = probability
-        s, t = as_ratio(final.shares[j])
-        y, z = as_ratio(final.money[j])
-        num = ((s * d - a[j] * t) * v * z * c + (y * c - money[j] * z) * de * t) * p
-        return num, t * z * c * q
+    holdings = _holdings(initial)
 
     def score(w, e, values, agents):
         bids = []
@@ -208,12 +203,8 @@ def _scorer(engine, initial, config, a, d):
             if b is None:
                 b = memo[x, e] = Rational(x, e)
             bids.append(b)
-        expected = engine(initial, BidProfile(tuple(bids)), config)
-        branches = [(as_ratio(b.branch_probability), b.final_allocation) for b in expected.branches]
-        de = d * e
-        for j in agents:
-            (n1, d1), (n2, d2) = (term(j, values[j], de, *branch) for branch in branches)
-            yield n1 * d2 + n2 * d1, d1 * d2
+        branches = _weighted(engine(initial, BidProfile(tuple(bids)), config))
+        yield from _utilities(holdings, branches, agents, values, e)
 
     return score
 
@@ -269,13 +260,16 @@ def check_individual_rationality(
     name = "individual-rationality"
     instance = describe_instance(initial, valuations, config)
     expected = engine(initial, valuations, config)
+    holdings = _holdings(initial)
+    v, e = _over_lcm(valuations.bids)
+    de = holdings[1] * e
     cases = 0
     for branch in expected.branches:
-        nums, den = _utility_numerators(initial, branch, valuations)
-        for agent in range(config.n):
+        one = ((1, 1, branch.final_allocation),)
+        for agent, (num, den) in enumerate(_utilities(holdings, one, range(config.n), v, e)):
             cases += 1
-            if nums[agent] < 0:
-                gain = Rational(nums[agent], den)
+            if num < 0:
+                gain = Rational(num, de * den)
                 return _violation(
                     name,
                     instance,
@@ -471,8 +465,9 @@ def _deviation_search(
     coalition's truthful bids are scored again just before its deviations,
     so errors come in the order of the profiles met. For the real engine
     one agent of each type in that first profile (definite buyer, threshold
-    agent, definite seller) is tied to ``run_expected``, a mismatch being a
-    violation there.
+    agent, definite seller) is tied to ``run_expected``, at the true values
+    and again with every value 1 / e above its bid, a mismatch being a
+    violation there whose witness names the values.
 
     A coalition is decided on its rank patterns (``_pattern_points``) when
     the engine is the real one, every share is positive and no member's
@@ -501,30 +496,35 @@ def _deviation_search(
     if real:
         # the scorer's three formulas tied to run_expected there: the top
         # bidder buys, the agent ranked m_bar is the threshold agent and the
-        # bottom bidder sells
+        # bottom bidder sells. The outcome does not depend on the values, so
+        # it is read again with each value 1 / e above its bid, where the
+        # threshold agent must still get 0
         profile = others.replace_bid(0, valuations.bids[0])
         expected = run_expected(initial, profile, config)
         order = expected.high_branch.order
-        types = (order[0], order[config.m_bar - 1], order[-1])
-        # P(high) = p / q, P(low) = r / s; j's utilities g[j] / k and h[j] / m
-        (p, q), (r, s) = (as_ratio(b.branch_probability) for b in expected.branches)
-        (g, k), (h, m) = (_utility_numerators(initial, b, valuations) for b in expected.branches)
-        ps, rq, over = p * s * m, r * q * k, q * s * k * m
-        for cases, j in enumerate(sorted(types), 1):
-            num, den = truthful[j]
-            slow = ps * g[j] + rq * h[j]
-            if num * over != slow * d * e * den:
-                fast = Rational(num, d * e * den)
-                slow = Rational(slow, over)
-                return _violation(
-                    name,
-                    instance,
-                    cases,
-                    f"agent {j}: the scorer gives {fast} at the witness bids, "
-                    f"the engine {slow}",
-                    agent=j,
-                    bids=profile.bids,
-                )
+        types = sorted((order[0], order[config.m_bar - 1], order[-1]))
+        holdings, branches = _holdings(initial), _weighted(expected)
+        moved = [x + 1 for x in w]
+        ties = ((values, truthful), (moved, dict(zip(types, score(w, e, moved, types)))))
+        cases = 0
+        for vals, by_scorer in ties:
+            for j, (slow, slow_den) in zip(types, _utilities(holdings, branches, types, vals, e)):
+                cases += 1
+                num, den = by_scorer[j]
+                if num * slow_den != slow * den:
+                    fast = Rational(num, d * e * den)
+                    slow = Rational(slow, d * e * slow_den)
+                    at = "at the witness bids"
+                    if vals is moved:
+                        at += f" with values ({', '.join(str(Rational(x, e)) for x in vals)})"
+                    return _violation(
+                        name,
+                        instance,
+                        cases,
+                        f"agent {j}: the scorer gives {fast} {at}, the engine {slow}",
+                        agent=j,
+                        bids=profile.bids,
+                    )
     grids = [_grid(_others(bids, j)) for j in range(n)]
     if budget is not None:
         required = math.prod(1 + len(grid) for grid in grids) - 1 - sum(map(len, grids))
@@ -691,42 +691,13 @@ def check_pp_expost_efficiency(
 # --- corrupted mechanism variants (negative controls) -----------------------
 #
 # Each variant breaks exactly one property so the oracles can be shown to
-# catch real defects. Every one post-processes the true outcome: payment,
-# shares and scale-skew edit the high branch, and the price-* variants
-# reprice both branches on integers over common denominators, one rational
-# per agent and branch (``_repriced``). They are never part of the
+# catch real defects. payment, shares and scale-skew edit the true
+# outcome's high branch; the price-* variants rank the instance with
+# ``core._kernel`` and settle its true trades at their own price with
+# ``core._settle``, the engine's own settlement. They are never part of the
 # mechanism API.
 
 CORRUPTION_KINDS = ("payment", "shares", "scale-skew", "price-next", "price-dip")
-
-
-def _repriced(initial: Allocation, expected: ExpectedOutcome, price) -> ExpectedOutcome:
-    # both branches' trades settled at ``price``: each agent pays for the share
-    # mass she gains, or collects for the mass she gives up, at that price.
-    # With shares s0 / D0 to s1 / D1, money x / C0 and price p / q, agent i
-    # ends with (x D0 D1 q + (s0 D1 - s1 D0) p C0) / (C0 D0 D1 q)
-    s0, d0 = _over_lcm(initial.shares)
-    x, c0 = _over_lcm(initial.money)
-    p, q = as_ratio(price)
-    branches = []
-    for branch in expected.branches:
-        shares = branch.final_allocation.shares
-        s1, d1 = _over_lcm(shares)
-        by_money, by_share, den = d0 * d1 * q, p * c0, c0 * d0 * d1 * q
-        money = tuple(
-            Rational(xi * by_money + (a * d1 - b * d0) * by_share, den)
-            for xi, a, b in zip(x, s0, s1)
-        )
-        branches.append(
-            MechanismOutcome(
-                realized_m=branch.realized_m,
-                price=price,
-                branch_probability=branch.branch_probability,
-                final_allocation=Allocation._from_parts(shares, money),
-                order=branch.order,
-            )
-        )
-    return ExpectedOutcome(*branches)
 
 
 def corrupted_engine(kind: str):
@@ -735,18 +706,19 @@ def corrupted_engine(kind: str):
         raise ValueError(f"unknown corruption kind {kind!r}; pick from {CORRUPTION_KINDS}")
 
     def engine(initial, profile, config):
-        expected = run_expected(initial, profile, config)
-        high = expected.high_branch
-        order = high.order
         if kind in ("price-next", "price-dip"):
-            bids = profile.bids
+            kernel = _kernel(initial, profile, config)
+            order, bids, m_bar = kernel[0], profile.bids, config.m_bar
             if kind == "price-next":
-                price = bids[order[config.m_bar]]
+                price = bids[order[m_bar]]
             else:
                 # subtracting part of the lowest bid makes the price fall
                 # when that bid rises: breaks monotonicity
-                price = bids[order[config.m_bar - 1]] - bids[order[-1]] / 2
-            return _repriced(initial, expected, price)
+                price = bids[order[m_bar - 1]] - bids[order[-1]] / 2
+            return _settle(initial, kernel, m_bar, price)
+        expected = run_expected(initial, profile, config)
+        high = expected.high_branch
+        order = high.order
         shares = list(high.final_allocation.shares)
         money = list(high.final_allocation.money)
         if kind == "payment":

@@ -22,9 +22,11 @@ from .core import (
     ExpectedOutcome,
     MbmConfig,
     MechanismOutcome,
-    _utility_numerators,
+    _holdings,
+    _over_lcm,
+    _utilities,
+    _weighted,
     draw_branch,
-    expected_adjusted_utilities,
 )
 from .rational import Rational, decimal_approx, rational_str
 from .welfare import WelfareReport, welfare_report
@@ -39,6 +41,8 @@ class RunReport:
     The renderers read the prices, probabilities and final allocations off
     ``expected`` and ``branches`` (both ``ExpectedOutcome`` branches, or the
     one drawn in realized mode); nothing is copied out of them first.
+    ``utilities`` holds each shown branch's adjusted utilities and
+    ``expected_utilities`` the expected ones, per agent at face value.
     """
 
     captable: str
@@ -50,6 +54,7 @@ class RunReport:
     mode: str
     seed: int | None
     branches: tuple
+    utilities: tuple
     expected_utilities: tuple
     welfare: WelfareReport
     checks: tuple = ()
@@ -57,16 +62,14 @@ class RunReport:
     def _label(self, outcome: MechanismOutcome) -> str:
         return "high" if outcome.realized_m == self.config.m_bar else "low"
 
-    def _rows(self, outcome: MechanismOutcome):
+    def _rows(self, outcome: MechanismOutcome, utilities: tuple):
         """Per agent in table order: id, rank, bid, initial share, final share,
-        payment and adjusted utility (at face value, bid = value), the utility
-        read off ``core._utility_numerators``."""
+        payment and adjusted utility, the last from ``utilities``."""
         rank_of = {agent: rank for rank, agent in enumerate(outcome.order, 1)}
         initial, final = self.initial, outcome.final_allocation
         payments = final.money
         if any(initial.money):
             payments = [x - y for x, y in zip(final.money, initial.money)]
-        nums, den = _utility_numerators(initial, outcome, self.profile)
         for agent, agent_id in enumerate(self.agent_ids):
             yield (
                 agent_id,
@@ -75,7 +78,7 @@ class RunReport:
                 initial.shares[agent],
                 final.shares[agent],
                 payments[agent],
-                Rational(nums[agent], den),
+                utilities[agent],
             )
 
     def to_dict(self) -> dict:
@@ -93,11 +96,12 @@ class RunReport:
         _put(out, "p_high", high.branch_probability)
         _put(out, "p_low", low.branch_probability)
         out["branches"] = []
-        for outcome in self.branches:
+        for outcome, utilities in zip(self.branches, self.utilities):
             b: dict = {"branch": self._label(outcome), "owner_count": outcome.realized_m}
             _put(b, "probability", outcome.branch_probability)
             b["agents"] = []
-            for agent_id, rank, bid, share, final, payment, utility in self._rows(outcome):
+            rows = self._rows(outcome, utilities)
+            for agent_id, rank, bid, share, final, payment, utility in rows:
                 a: dict = {"agent_id": agent_id, "rank": rank}
                 _put(a, "bid", bid)
                 _put(a, "initial_share", share)
@@ -152,11 +156,11 @@ class RunReport:
         )
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(_CSV_HEADER)
-        for outcome in self.branches:
+        for outcome, utilities in zip(self.branches, self.utilities):
             probability = rational_str(outcome.branch_probability)
             head = [self._label(outcome), outcome.realized_m, probability]
             for (agent_id, rank, bid, share, final, payment, utility), eu in zip(
-                self._rows(outcome), self.expected_utilities
+                self._rows(outcome, utilities), self.expected_utilities
             ):
                 writer.writerow(
                     head
@@ -187,12 +191,13 @@ class RunReport:
             f"P[m={m_bar}] = {rational_str(high.branch_probability)}, "
             f"P[m={m_bar - 1}] = {rational_str(low.branch_probability)}",
         ]
-        for outcome in self.branches:
+        for outcome, utilities in zip(self.branches, self.utilities):
             lines.append(
                 f"branch {self._label(outcome)}: m={outcome.realized_m}, "
                 f"probability {rational_str(outcome.branch_probability)}"
             )
-            for agent_id, rank, bid, share, final, payment, utility in self._rows(outcome):
+            rows = self._rows(outcome, utilities)
+            for agent_id, rank, bid, share, final, payment, utility in rows:
                 lines.append(
                     f"  {agent_id} (rank {rank}, bid {rational_str(bid)}): "
                     f"share {rational_str(share)} -> {rational_str(final)}, "
@@ -288,9 +293,19 @@ def build_run_report(
 
     In realized mode the branch shown is drawn from ``expected`` with ``seed``;
     in expected mode both branches are shown and the seed is dropped.
-    Utilities are taken at face value (bid = value).
+    Utilities are taken at face value (bid = value) and read off ``expected``
+    by ``core._utilities``, with the holdings and bids over their lcms once.
     """
     realized = mode == "realized"
+    shown = (draw_branch(expected, seed),) if realized else expected.branches
+    holdings = _holdings(initial)
+    v, e = _over_lcm(profile.bids)
+    de = holdings[1] * e
+
+    def read(branches) -> tuple:
+        ratios = _utilities(holdings, branches, range(config.n), v, e)
+        return tuple(Rational(num, de * den) for num, den in ratios)
+
     return RunReport(
         captable=captable_name,
         agent_ids=tuple(r.agent_id for r in records),
@@ -300,8 +315,9 @@ def build_run_report(
         expected=expected,
         mode=mode,
         seed=seed if realized else None,
-        branches=(draw_branch(expected, seed),) if realized else expected.branches,
-        expected_utilities=expected_adjusted_utilities(initial, profile, config, profile),
+        branches=shown,
+        utilities=tuple(read(((1, 1, b.final_allocation),)) for b in shown),
+        expected_utilities=read(_weighted(expected)),
         welfare=welfare_report(initial, profile, config),
         checks=tuple(checks),
     )

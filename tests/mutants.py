@@ -2,14 +2,17 @@
 
 ``MUTANTS`` maps a suite to its mutants, each (label, file under
 ``src/mbm``, old line, new line); ``old`` occurs exactly once in its file.
-Before the deviation search tied its scorer to ``run_expected``, the three
-engine mutants passed every ``mbm verify`` suite: each changes the engine
-and the scorer ``core._utility_ratios`` apart, and both sp and group-sp
-must kill them. The monotone one moves the price readout of
-``properties._pricer`` off the engine's. The budget one shifts the prefix
-share masses (``core._masses``) by one rank; the engine, the scorer and the
-readout all read them, so only the conservation check and the welfare
-sweep's closed form can tell.
+Before the deviation search tied its scorer to ``run_expected``, the first
+three engine mutants passed every ``mbm verify`` suite: each changes the
+engine and the scorer ``core._utility_ratios`` apart, and both sp and
+group-sp must kill them. The fourth scores the threshold agent as a buyer,
+which shows only where her value differs from her bid, so the tie reads
+the type agents again with every value moved off its bid. The fifth breaks
+``core._utilities``, the reader that gives the tie its engine side. The
+monotone one moves the price readout of ``properties._pricer`` off the
+engine's. The budget one shifts the prefix share masses (``core._masses``)
+by one rank; the engine, the scorer and the readout all read them, so only
+the conservation check and the welfare sweep's closed form can tell.
 """
 
 ENGINE_MUTANTS = (
@@ -30,6 +33,18 @@ ENGINE_MUTANTS = (
         "core.py",
         "    u = w[order[m_bar - 1]]",
         "    u = w[order[m_bar - 2]]",
+    ),
+    (
+        "_utility_ratios scores the threshold agent as a buyer",
+        "core.py",
+        "        if w[j] > u:",
+        "        if w[j] >= u:",
+    ),
+    (
+        "_utilities flips the sign of the money term",
+        "core.py",
+        "            term = ((s * d - a[j] * t) * v * z * c + (y * c - x[j] * z) * de * t) * p",
+        "            term = ((s * d - a[j] * t) * v * z * c + (x[j] * z - y * c) * de * t) * p",
     ),
 )
 

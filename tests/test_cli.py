@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbm import __version__, expected_adjusted_utilities, run_expected
+from mbm import __version__, expected_adjusted_utility, run_expected
 from mbm import cli
 from mbm.cli import main
 from mbm.properties import CORRUPTION_KINDS
@@ -266,10 +266,10 @@ def test_run_json_round_trips_a_random_cap_table(instance):
             assert rational(agent["initial_share"]) == initial.shares[j]
             assert rational(agent["final_share"]) == final.shares[j]
             assert rational(agent["payment"]) == final.money[j] - initial.money[j]
-    utilities = expected_adjusted_utilities(initial, profile, config, profile)
-    assert [rational(v) for v in report["expected_adjusted_utility"].values()] == list(
-        utilities
-    )
+    utilities = [
+        expected_adjusted_utility(initial, expected, profile, j) for j in range(config.n)
+    ]
+    assert [rational(v) for v in report["expected_adjusted_utility"].values()] == utilities
 
 
 def test_run_rejects_out_of_range_mbar(capsys):
@@ -516,16 +516,19 @@ def verify_on_mutants(tmp_path, subprocess_env, suite):
 
 
 def test_group_sp_suite_kills_the_engine_mutants(tmp_path, subprocess_env):
-    # each mutant changes run_expected and the scorer apart; the suite ties the
-    # two together on every instance, and all three runs together stay within
-    # a few seconds
+    # each mutant moves the scorer and the engine's side of the tie apart (the
+    # engine, or core._utilities reading it); the suite ties the two on every
+    # instance, at the true values and at values moved off the bids, where a
+    # threshold agent scored as a buyer shows. All five runs together stay
+    # within a few seconds
     elapsed = verify_on_mutants(tmp_path, subprocess_env, "group-sp")
     assert elapsed < 5.0, elapsed
 
 
 def test_sp_suite_kills_the_engine_mutants(tmp_path, subprocess_env):
-    # the same three mutants: before any agent deviates, sp ties the scorer
-    # to run_expected where agent 0 bids her value against the fixed others
+    # the same five mutants: before any agent deviates, sp ties the scorer to
+    # run_expected where agent 0 bids her value against the fixed others,
+    # read at the true values and again at values moved off the bids
     elapsed = verify_on_mutants(tmp_path, subprocess_env, "sp")
     assert elapsed < 5.0, elapsed
 

@@ -21,13 +21,21 @@ from mbm import (
     InvalidConfig,
     MbmConfig,
     adjusted_utility,
-    expected_adjusted_utilities,
     expected_adjusted_utility,
     rank_bids,
     realize,
     run_expected,
 )
-from mbm.core import _branches, _kernel
+from mbm.core import (
+    _branches,
+    _holdings,
+    _kernel,
+    _over_lcm,
+    _share_numerators,
+    _utilities,
+    _utility_ratios,
+    _weighted,
+)
 from mbm.instances import perturbed_profile
 from mbm.rational import ONE, ZERO, Rational as Q
 from mbm.suites import generate_suite
@@ -325,7 +333,26 @@ def test_run_expected_keeps_initial_money(worked):
     )
 
 
-# --- expected adjusted utilities read off the kernel ---------------------------
+# --- expected adjusted utilities: the real scorer and the outcome reader --------
+
+
+def _scorer_utilities(initial, profile, config, valuations):
+    # the deviation search's path for the real engine: the shares checked,
+    # bids and values over one denominator e, then _utility_ratios
+    a, d = _share_numerators(initial, profile, config)
+    n = profile.n
+    scaled, e = _over_lcm(profile.bids + valuations.bids)
+    ratios = _utility_ratios(a, d, config.m_bar, scaled[:n], scaled[n:], range(n))
+    return tuple(Q(num, d * e * den) for num, den in ratios)
+
+
+def _reader_utilities(initial, expected, valuations):
+    # core._utilities over both weighted branches of the outcome
+    holdings, branches = _holdings(initial), _weighted(expected)
+    v, e = _over_lcm(valuations.bids)
+    d = holdings[1]
+    ratios = _utilities(holdings, branches, range(len(v)), v, e)
+    return tuple(Q(num, d * e * den) for num, den in ratios)
 
 
 def _reference_utilities(initial, profile, config, valuations):
@@ -360,9 +387,11 @@ def test_expected_adjusted_utilities_equal_reference_definition():
                 _without_two_stakes(initial, profile, config),
             )
             for start in starts:
+                expected = run_expected(start, profile, config)
                 for values in (profile, valuations):
-                    got = expected_adjusted_utilities(start, profile, config, values)
-                    assert got == _reference_utilities(start, profile, config, values)
+                    reference = _reference_utilities(start, profile, config, values)
+                    assert _scorer_utilities(start, profile, config, values) == reference
+                    assert _reader_utilities(start, expected, values) == reference
                     checked += 1
     assert checked > 500
 
@@ -383,7 +412,7 @@ def test_expected_adjusted_utilities_raise_what_the_engine_raises():
         with pytest.raises(Exception) as engine:
             run_expected(initial, profile, config)
         with pytest.raises(Exception) as readout:
-            expected_adjusted_utilities(initial, profile, config, profile)
+            _scorer_utilities(initial, profile, config, profile)
         assert type(readout.value) is type(engine.value)
         assert str(readout.value) == str(engine.value)
 
@@ -489,8 +518,10 @@ def test_expected_adjusted_utility_worked(worked):
     assert expected_adjusted_utility(initial, expected, profile, 0) == 1
     assert expected_adjusted_utility(initial, expected, profile, 1) == 0
     assert expected_adjusted_utility(initial, expected, profile, 2) == Q(3, 5)
-    readout = expected_adjusted_utilities(initial, profile, config, profile)
-    assert readout == (ONE, ZERO, Q(3, 5))
+    readout = _reader_utilities(initial, expected, profile)
+    assert readout == tuple(
+        expected_adjusted_utility(initial, expected, profile, j) for j in range(3)
+    )
 
 
 def test_definite_buyer_above_price_gains_in_both_branches(worked):

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import mbm
-from mbm import core, welfare
+from mbm import core, properties, welfare
 from mbm.rational import rational
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -38,6 +38,23 @@ def test_deleted_welfare_helpers_are_not_exported():
         assert name not in mbm.__all__
         assert not hasattr(mbm, name)
         assert not hasattr(welfare, name)
+
+
+def test_deleted_utility_readers_and_repricer_are_gone():
+    # one reader (core._utilities) and one settlement (core._settle) replace them
+    assert "expected_adjusted_utilities" not in mbm.__all__
+    for owner, name in (
+        (mbm, "expected_adjusted_utilities"),
+        (core, "expected_adjusted_utilities"),
+        (core, "_utility_numerators"),
+        (properties, "_repriced"),
+    ):
+        assert not hasattr(owner, name), name
+    # names the benchmark's tracer resolves stay
+    for name in ("rank_bids", "_run_expected", "expected_adjusted_utility"):
+        assert hasattr(core, name), name
+    assert hasattr(properties, "deviation_grid")
+    assert hasattr(welfare, "sweep_point")
 
 
 def test_realize_memo_is_the_only_cache():
