@@ -88,12 +88,12 @@ def parse_captable(source, normalize: bool = False) -> list:
             raise DuplicateAgentId(f"agent_id {agent_id!r} appears more than once")
         seen_ids.add(agent_id)
         share = _cell_rational(row[1], row=line, column=2)
-        if share < 0:
+        if share.numerator < 0:
             raise ParseError(f"negative share {share}", row=line, column=2)
         bid = None
         if has_bids:
             bid = _cell_rational(row[2], row=line, column=3)
-            if bid < 0:
+            if bid.numerator < 0:
                 raise ParseError(f"negative bid {bid}", row=line, column=3)
         records.append(CapTableRecord(agent_id=agent_id, share=share, bid=bid))
 

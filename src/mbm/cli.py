@@ -125,10 +125,7 @@ def cmd_run(args) -> int:
         captable_name=os.path.basename(args.captable),
         checks=checks,
     )
-    rendered = {"json": report.to_json, "csv": report.to_csv, "text": report.to_text}[
-        args.format
-    ]()
-    _emit(rendered, args.out)
+    _emit(getattr(report, "to_" + args.format)(), args.out)
     if any(not c.holds for c in checks):
         return EXIT_VIOLATION
     return EXIT_OK

@@ -123,7 +123,7 @@ class BidProfile:
     def __post_init__(self):
         object.__setattr__(self, "bids", _freeze(self.bids))
         for i, b in enumerate(self.bids):
-            if b < 0:
+            if b.numerator < 0:
                 raise ValueError(f"agent {i} bid {b} is negative")
 
     @property

@@ -642,7 +642,8 @@ def check_pp_expost_efficiency(
     (1) every remaining owner keeps the first owner's final:initial share ratio
     exactly (by cross-multiplication, which covers zero-share buyers; all pairs
     agree when all agree with one owner of positive final share), and (2) no
-    cashed-out agent outvalues the lowest-valuing owner: n - 1 comparisons.
+    agent cashed out of a positive stake outvalues the lowest-valuing owner;
+    zero stakes count but are never flagged. n - 1 comparisons.
     """
     name = "pp-expost-efficiency"
     instance = describe_instance(initial, valuations, config)
@@ -673,7 +674,7 @@ def check_pp_expost_efficiency(
         lowest = min(v[k] for k in owners)
         for j in (i for i in range(config.n) if b[i] == 0):
             cases += 1
-            if v[j] > lowest:
+            if a[j] and v[j] > lowest:
                 # the witness names the first owner, by index, that she outvalues
                 k = next(k for k in owners if v[j] > v[k])
                 return _violation(

@@ -8,7 +8,8 @@ back to ``fractions.Fraction``. Both satisfy ``numbers.Rational``, hash and
 compare interchangeably, and print as ``p/q``.
 
 Floats are rejected everywhere: a binary float would smuggle rounding into
-arithmetic that the rest of the package treats as exact.
+arithmetic that the rest of the package treats as exact. Plain ASCII numerals
+("5", "0.3", "3/10") are read on integers, other text through ``Fraction``.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ ONE = Rational(1)
 MAX_NUMERAL_CHARS = 1000
 MAX_EXPONENT = 1000
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\Z", re.IGNORECASE)
+# ASCII p, p.q or p/q (at most 801 characters); p/0 is left to Fraction's error
+_PLAIN = re.compile(r"([0-9]{1,400})(?:([./])([0-9]{1,400}))?")
 
 
 def rational(value) -> Rational:
@@ -56,14 +59,14 @@ def rational(value) -> Rational:
     """
     if type(value) is Rational:
         return value
-    if isinstance(value, float):
-        raise TypeError(
-            f"refusing float {value!r}: floats are inexact, pass a string or rational"
-        )
-    if isinstance(value, numbers.Rational):
-        return Rational(value.numerator, value.denominator)
     if isinstance(value, str):
         text = value.strip()
+        plain = _PLAIN.fullmatch(text)
+        if plain:
+            p, sep, q = plain.groups("")
+            den = int(q) if sep == "/" else 10 ** len(q)
+            if den:
+                return Rational(int(p + q) if sep == "." else int(p), den)
         if len(text) > MAX_NUMERAL_CHARS:
             raise NumeralOutOfBounds(f"numeral longer than {MAX_NUMERAL_CHARS} characters")
         exponent = _EXPONENT.search(text)
@@ -78,6 +81,12 @@ def rational(value) -> Rational:
         if Rational is Fraction:
             return parsed
         return Rational(parsed.numerator, parsed.denominator)
+    if isinstance(value, float):
+        raise TypeError(
+            f"refusing float {value!r}: floats are inexact, pass a string or rational"
+        )
+    if isinstance(value, numbers.Rational):
+        return Rational(value.numerator, value.denominator)
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 
 
@@ -94,21 +103,25 @@ def rational_str(value) -> str:
         return p if q == "1" else f"{p}/{q}"
 
 
-_APPROX_CONTEXT = Context(
-    prec=20, rounding=ROUND_HALF_EVEN, Emin=MIN_EMIN, Emax=MAX_EMAX, capitals=1, clamp=0,
-    traps=[InvalidOperation, DivisionByZero, Overflow], flags=[],
-)
+def _approx_context(digits: int) -> Context:
+    return Context(
+        prec=digits, rounding=ROUND_HALF_EVEN, Emin=MIN_EMIN, Emax=MAX_EMAX, capitals=1,
+        clamp=0, traps=[InvalidOperation, DivisionByZero, Overflow], flags=[],
+    )
+
+
+# one per precision the reports print; a division only sets flags, which no result reads
+_APPROX_CONTEXTS = {digits: _approx_context(digits) for digits in (20, 6)}
 
 
 def decimal_approx(value, digits: int = 20) -> str:
     """Decimal approximation to ``digits`` significant digits.
 
     For human eyes only; the "p/q" form is the value of record. The division
-    rounds half to even in a copy of a context with every field set, so
-    neither the caller's context nor ``decimal.DefaultContext`` can change
-    the digits or raise.
+    rounds half to even in a private context with every field set, kept per
+    precision the reports print (20, 6), so neither the caller's context nor
+    ``decimal.DefaultContext`` can change the digits or raise.
     """
-    ctx = _APPROX_CONTEXT.copy()
-    ctx.prec = digits
+    ctx = _APPROX_CONTEXTS.get(digits) or _approx_context(digits)
     quotient = ctx.divide(Decimal(int(value.numerator)), Decimal(int(value.denominator)))
     return ctx.to_sci_string(quotient)

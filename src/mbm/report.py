@@ -1,11 +1,11 @@
 """Run reports and their deterministic serialization.
 
 A report holds the instance and the engine's ``ExpectedOutcome`` and renders
-json, csv and text straight from the outcomes it shows. Reports serialize
-with a stable field order and rationals in lossless "p/q" text, each paired
-with a clearly-labeled 20-digit decimal approximation for human readers.
-Identical inputs produce byte-identical output, which golden-file tests
-rely on.
+json, csv and text straight from the outcomes it shows; each bid and initial
+share is rendered once per report. Reports serialize with a stable field
+order and rationals in lossless "p/q" text, each paired with a clearly-labeled
+20-digit decimal approximation for human readers. Identical inputs produce
+byte-identical output, which golden-file tests rely on.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .core import (
     _holdings,
     _over_lcm,
     _utilities,
-    _weighted,
+    _utility_ratios,
     draw_branch,
 )
 from .rational import Rational, decimal_approx, rational_str
@@ -42,7 +42,7 @@ class RunReport:
     ``expected`` and ``branches`` (both ``ExpectedOutcome`` branches, or the
     one drawn in realized mode); nothing is copied out of them first.
     ``utilities`` holds each shown branch's adjusted utilities and
-    ``expected_utilities`` the expected ones, per agent at face value.
+    ``expected_utilities`` the scorer's expected ones, both at face value.
     """
 
     captable: str
@@ -62,24 +62,22 @@ class RunReport:
     def _label(self, outcome: MechanismOutcome) -> str:
         return "high" if outcome.realized_m == self.config.m_bar else "low"
 
-    def _rows(self, outcome: MechanismOutcome, utilities: tuple):
-        """Per agent in table order: id, rank, bid, initial share, final share,
-        payment and adjusted utility, the last from ``utilities``."""
-        rank_of = {agent: rank for rank, agent in enumerate(outcome.order, 1)}
-        initial, final = self.initial, outcome.final_allocation
-        payments = final.money
-        if any(initial.money):
-            payments = [x - y for x, y in zip(final.money, initial.money)]
-        for agent, agent_id in enumerate(self.agent_ids):
-            yield (
-                agent_id,
-                rank_of[agent],
-                self.profile.bids[agent],
-                initial.shares[agent],
-                final.shares[agent],
-                payments[agent],
-                utilities[agent],
-            )
+    def _shown(self, render=rational_str):
+        """Per branch shown: the outcome and its rows, per agent in table order:
+        id, rank, bid, initial share, final share, payment and adjusted utility.
+        Bids and initial shares go through ``render`` once per report."""
+        fixed = [(render(b), render(s)) for b, s in zip(self.profile.bids, self.initial.shares)]
+        for outcome, utilities in zip(self.branches, self.utilities):
+            rank_of = {agent: rank for rank, agent in enumerate(outcome.order, 1)}
+            final = outcome.final_allocation
+            payments = final.money
+            if any(self.initial.money):
+                payments = [x - y for x, y in zip(final.money, self.initial.money)]
+            yield outcome, [
+                (agent_id, rank_of[agent], *fixed[agent], final.shares[agent], payments[agent],
+                 utilities[agent])
+                for agent, agent_id in enumerate(self.agent_ids)
+            ]
 
     def to_dict(self) -> dict:
         high, low = self.expected.branches
@@ -96,24 +94,21 @@ class RunReport:
         _put(out, "p_high", high.branch_probability)
         _put(out, "p_low", low.branch_probability)
         out["branches"] = []
-        for outcome, utilities in zip(self.branches, self.utilities):
+        for outcome, rows in self._shown(_pair):
             b: dict = {"branch": self._label(outcome), "owner_count": outcome.realized_m}
             _put(b, "probability", outcome.branch_probability)
             b["agents"] = []
-            rows = self._rows(outcome, utilities)
             for agent_id, rank, bid, share, final, payment, utility in rows:
                 a: dict = {"agent_id": agent_id, "rank": rank}
-                _put(a, "bid", bid)
-                _put(a, "initial_share", share)
+                a["bid"], a["bid_approx"] = bid
+                a["initial_share"], a["initial_share_approx"] = share
                 _put(a, "final_share", final)
                 _put(a, "payment", payment)
                 _put(a, "adjusted_utility", utility)
                 b["agents"].append(a)
             out["branches"].append(b)
-        eu: dict = {}
-        for agent_id, value in zip(self.agent_ids, self.expected_utilities):
-            eu[agent_id] = rational_str(value)
-        out["expected_adjusted_utility"] = eu
+        eus = map(rational_str, self.expected_utilities)
+        out["expected_adjusted_utility"] = dict(zip(self.agent_ids, eus))
         w: dict = {}
         _put(w, "initial", self.welfare.initial_welfare)
         _put(w, "expected", self.welfare.expected_mbm_welfare)
@@ -156,25 +151,24 @@ class RunReport:
         )
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(_CSV_HEADER)
-        for outcome, utilities in zip(self.branches, self.utilities):
+        eus = list(map(rational_str, self.expected_utilities))
+        for outcome, rows in self._shown():
             probability = rational_str(outcome.branch_probability)
             head = [self._label(outcome), outcome.realized_m, probability]
-            for (agent_id, rank, bid, share, final, payment, utility), eu in zip(
-                self._rows(outcome, utilities), self.expected_utilities
-            ):
+            for (agent_id, rank, bid, share, final, payment, utility), eu in zip(rows, eus):
                 writer.writerow(
                     head
                     + [
                         agent_id,
                         rank,
-                        rational_str(bid),
-                        rational_str(share),
+                        bid,
+                        share,
                         rational_str(final),
                         decimal_approx(final, APPROX_DIGITS),
                         rational_str(payment),
                         decimal_approx(payment, APPROX_DIGITS),
                         rational_str(utility),
-                        rational_str(eu),
+                        eu,
                     ]
                 )
         return buf.getvalue()
@@ -191,16 +185,15 @@ class RunReport:
             f"P[m={m_bar}] = {rational_str(high.branch_probability)}, "
             f"P[m={m_bar - 1}] = {rational_str(low.branch_probability)}",
         ]
-        for outcome, utilities in zip(self.branches, self.utilities):
+        for outcome, rows in self._shown():
             lines.append(
                 f"branch {self._label(outcome)}: m={outcome.realized_m}, "
                 f"probability {rational_str(outcome.branch_probability)}"
             )
-            rows = self._rows(outcome, utilities)
             for agent_id, rank, bid, share, final, payment, utility in rows:
                 lines.append(
-                    f"  {agent_id} (rank {rank}, bid {rational_str(bid)}): "
-                    f"share {rational_str(share)} -> {rational_str(final)}, "
+                    f"  {agent_id} (rank {rank}, bid {bid}): "
+                    f"share {share} -> {rational_str(final)}, "
                     f"payment {rational_str(payment)}, "
                     f"utility {rational_str(utility)}"
                 )
@@ -230,9 +223,12 @@ _CSV_HEADER = (
 )
 
 
+def _pair(value) -> tuple:
+    return rational_str(value), decimal_approx(value, APPROX_DIGITS)
+
+
 def _put(out: dict, key: str, value) -> None:
-    out[key] = rational_str(value)
-    out[key + "_approx"] = decimal_approx(value, APPROX_DIGITS)
+    out[key], out[key + "_approx"] = _pair(value)
 
 
 def dumps_indented(value) -> str:
@@ -293,17 +289,17 @@ def build_run_report(
 
     In realized mode the branch shown is drawn from ``expected`` with ``seed``;
     in expected mode both branches are shown and the seed is dropped.
-    Utilities are taken at face value (bid = value) and read off ``expected``
-    by ``core._utilities``, with the holdings and bids over their lcms once.
+    Utilities are taken at face value (bid = value): each shown branch's read
+    off it by ``core._utilities``, the expected ones from the scorer
+    ``core._utility_ratios``, which is tied to ``run_expected``.
     """
     realized = mode == "realized"
     shown = (draw_branch(expected, seed),) if realized else expected.branches
     holdings = _holdings(initial)
     v, e = _over_lcm(profile.bids)
-    de = holdings[1] * e
+    de, agents = holdings[1] * e, range(config.n)
 
-    def read(branches) -> tuple:
-        ratios = _utilities(holdings, branches, range(config.n), v, e)
+    def read(ratios) -> tuple:
         return tuple(Rational(num, de * den) for num, den in ratios)
 
     return RunReport(
@@ -316,8 +312,10 @@ def build_run_report(
         mode=mode,
         seed=seed if realized else None,
         branches=shown,
-        utilities=tuple(read(((1, 1, b.final_allocation),)) for b in shown),
-        expected_utilities=read(_weighted(expected)),
+        utilities=tuple(
+            read(_utilities(holdings, ((1, 1, b.final_allocation),), agents, v, e)) for b in shown
+        ),
+        expected_utilities=read(_utility_ratios(*holdings[:2], config.m_bar, v, v, agents)),
         welfare=welfare_report(initial, profile, config),
         checks=tuple(checks),
     )

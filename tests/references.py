@@ -33,7 +33,8 @@ from mbm.rational import ZERO
 
 
 def pairwise_pp_efficiency(initial, valuations, config, engine=run_expected):
-    """pp-efficiency over every owner pair and every seller-owner pair.
+    """pp-efficiency over every owner pair and every seller-owner pair; a
+    seller with zero initial share is compared but never flagged.
 
     Returns a PropertyReport; its ``cases`` counts the pairs compared.
     """
@@ -61,7 +62,8 @@ def pairwise_pp_efficiency(initial, valuations, config, engine=run_expected):
         for j in out:
             for k in owners:
                 cases += 1
-                if valuations.bids[j] > valuations.bids[k]:
+                # a zero initial stake cannot have been cashed out
+                if initial.shares[j] and valuations.bids[j] > valuations.bids[k]:
                     return violation(
                         f"branch m={branch.realized_m}: seller {j} values the "
                         f"asset at {valuations.bids[j]}, above owner {k}'s "

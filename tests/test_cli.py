@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import csv
 import decimal
 import io
 import json
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 from mbm import __version__, expected_adjusted_utility, run_expected
 from mbm import cli
+from mbm.captable import parse_captable, to_instance
 from mbm.cli import main
 from mbm.properties import CORRUPTION_KINDS
 from mbm.rational import BACKEND, decimal_approx, rational, rational_str
@@ -270,6 +272,104 @@ def test_run_json_round_trips_a_random_cap_table(instance):
         expected_adjusted_utility(initial, expected, profile, j) for j in range(config.n)
     ]
     assert [rational(v) for v in report["expected_adjusted_utility"].values()] == utilities
+
+
+# a (no stake, bid 4) outbids owner b; in the high branch she buys and ends
+# at 0 / (1/6) = 0, which keeps her proportion
+ZERO_STAKE_TABLE = "agent_id,share,bid\na,0,4\nb,1/6,3\nc,0,2\nd,5/6,1\n"
+
+
+def printed_expected_utilities(fmt: str, out: str) -> dict:
+    """Agent id -> the expected adjusted utility a report prints."""
+    if fmt == "json":
+        return json.loads(out)["expected_adjusted_utility"]
+    if fmt == "csv":
+        printed: dict = {}
+        body = [line for line in out.splitlines() if not line.startswith("#")]
+        for row in csv.DictReader(body):
+            value = row["expected_adjusted_utility"]
+            # every branch's row of an agent repeats the same value
+            assert printed.setdefault(row["agent_id"], value) == value
+        return printed
+    prefix = "expected adjusted utility: "
+    line = next(line for line in out.splitlines() if line.startswith(prefix))
+    return dict(item.split("=") for item in line[len(prefix):].split(", "))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize(
+    "table, m_bar, flags",
+    [
+        ("worked.csv", 2, ()),
+        ("decimal.csv", 2, ("--normalize",)),
+        ("large_fraction.csv", 200, ()),
+        ("large_decimal.csv", 60, ("--normalize",)),
+        (None, 3, ()),
+    ],
+)
+def test_run_prints_the_outcomes_expected_utilities(capsys, tmp_path, table, m_bar, flags, fmt):
+    # the report takes them from the scorer, not off the outcome: hold every
+    # printed value to expected_adjusted_utility on run_expected's outcome
+    if table is None:
+        path = tmp_path / "zero.csv"
+        path.write_text(ZERO_STAKE_TABLE, encoding="utf-8")
+    else:
+        path = os.path.join(DATA, table)
+    code, out, err = run_cli(
+        capsys, "run", "--captable", str(path), "--mbar", str(m_bar), *flags,
+        "--expected", "--check", "--format", fmt,
+    )
+    assert (code, err) == (0, "")
+    with open(path, "r", encoding="utf-8") as fh:
+        records = parse_captable(fh.read(), normalize=bool(flags))
+    initial, profile, config = to_instance(records, m_bar=m_bar)
+    expected = run_expected(initial, profile, config)
+    printed = printed_expected_utilities(fmt, out)
+    assert list(printed) == [r.agent_id for r in records]
+    for j, value in enumerate(printed.values()):
+        assert rational(value) == expected_adjusted_utility(initial, expected, profile, j)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_run_check_holds_when_a_zero_stake_agent_outbids_an_owner(capsys, tmp_path, fmt):
+    path = tmp_path / "zero.csv"
+    path.write_text(ZERO_STAKE_TABLE, encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "run", "--captable", str(path), "--mbar", "3", "--expected", "--check",
+        "--format", fmt,
+    )
+    # exit 0 means every check holds; csv prints no verdicts
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        checks = json.loads(out)["checks"]
+        assert [c["holds"] for c in checks] == [True] * 3
+        assert {c["property"] for c in checks} == {
+            "budget-balance", "individual-rationality", "pp-expost-efficiency",
+        }
+    elif fmt == "text":
+        verdicts = [line for line in out.splitlines() if line.startswith("check ")]
+        assert len(verdicts) == 3
+        assert all(": holds [" in line for line in verdicts), verdicts
+        assert "check pp-expost-efficiency: holds [6 cases]" in verdicts
+
+
+def test_run_check_kills_the_utilities_money_sign_mutant(tmp_path, subprocess_env):
+    # the printed expected utilities come from the scorer, which the mutant
+    # leaves alone; individual rationality reads each branch through
+    # core._utilities and must still catch it
+    mutant = next(m for m in mutants.ENGINE_MUTANTS if m[0].startswith("_utilities"))
+    package = tmp_path / "mbm"
+    shutil.copytree(os.path.join(SRC, "mbm"), package)
+    mutants.apply(package, mutant)
+    env = dict(subprocess_env)
+    env["PYTHONPATH"] = os.pathsep.join((str(tmp_path), env["PYTHONPATH"]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mbm", "run", "--captable", WORKED, "--mbar", "2",
+         "--expected", "--check", "--format", "text"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "check individual-rationality: VIOLATED" in proc.stdout
 
 
 def test_run_rejects_out_of_range_mbar(capsys):

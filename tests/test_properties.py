@@ -670,6 +670,26 @@ def cash_out_second_bidder(initial, profile, config):
     )
 
 
+def test_pp_efficiency_flags_only_agents_cashed_out_of_a_stake():
+    # agent 0 has no stake and outbids owner 1: she buys in the high branch and
+    # ends at share 0, which keeps her proportion, so the real engine holds.
+    # Cashing out agent 1 (stake 1/6, value 3 above the last owner's 1) is
+    # still caught, and the witness names her, not agent 0
+    initial = Allocation.from_shares((ZERO, Q(1, 6), ZERO, Q(5, 6)))
+    profile = BidProfile((Q(4), Q(3), Q(2), Q(1)))
+    config = MbmConfig(4, 3)
+    for check in (check_pp_expost_efficiency, pairwise_pp_efficiency):
+        assert check(initial, profile, config).holds
+        report = check(initial, profile, config, engine=cash_out_second_bidder)
+        assert not report.holds
+        assert report.witness.agent == 1
+        assert report.witness.detail == (
+            "branch m=3: seller 1 values the asset at 3, above owner 3's 1"
+        )
+    # the zero-stake agents stay in the count: n - 1 per branch
+    assert check_pp_expost_efficiency(initial, profile, config).cases == 6
+
+
 def test_pp_efficiency_equals_pairwise_reference():
     engines = {"none": run_expected, "cash-out-second": cash_out_second_bidder}
     engines.update((kind, corrupted_engine(kind)) for kind in CORRUPTION_KINDS)

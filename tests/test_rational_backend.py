@@ -3,11 +3,14 @@
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mbm import NumeralOutOfBounds
-from mbm.rational import ONE, ZERO, Rational as Q, rational
+from mbm import BidProfile, InvalidNumeral, NumeralOutOfBounds, ParseError, parse_captable
+from mbm.rational import ONE, ZERO, Rational as Q, decimal_approx, rational
 
 
 def test_rational_coercion_accepts_int_str_rational():
@@ -73,3 +76,87 @@ def test_fraction_fallback_backend_runs_the_mechanism(subprocess_env):
     )
     assert proc.returncode == 0, proc.stderr
     assert "fallback ok" in proc.stdout
+
+
+# --- plain numerals: read on integers, equal to Fraction's reading -----------
+
+_DIGITS = st.text("0123456789", min_size=1, max_size=400)
+_PADDING = st.sampled_from(["", " ", "\t", " \n "])
+_PLAIN = st.one_of(
+    _DIGITS,
+    st.builds("{}.{}".format, _DIGITS, _DIGITS),
+    st.builds("{}/{}".format, _DIGITS, _DIGITS.filter(lambda q: q.strip("0"))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PADDING, _PLAIN, _PADDING)
+def test_plain_numerals_equal_fraction(left, text, right):
+    value = rational(left + text + right)
+    assert type(value) is Q
+    assert value == Fraction(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "007", "0", "000", "0.500", "00.0", "1.50", "10/20", "0007/0014", " 42 ",
+        "9" * 400, "9" * 401, "1" * 400 + "." + "5" * 400, "1" * 400 + "/" + "7" * 400,
+        "1" * 401 + "/" + "7" * 400, "1" * 400 + "/" + "7" * 401,
+        # not plain: today's Fraction path
+        "+3", "3.", ".5", "1_000", "1_000.5", "2.5e-3", "٣", "１２/٣",
+    ],
+)
+def test_numerals_on_and_off_the_plain_path_equal_fraction(text):
+    value = rational(text)
+    assert type(value) is Q
+    assert value == Fraction(text)
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("5/0", InvalidNumeral, "not a rational literal: '5/0'"),
+        ("0/0", InvalidNumeral, "not a rational literal: '0/0'"),
+        (" 5/000 ", InvalidNumeral, "not a rational literal: ' 5/000 '"),
+        ("1e-1001", NumeralOutOfBounds, "exponent -1001 outside -1000..1000"),
+        ("9" * 1001, NumeralOutOfBounds, "numeral longer than 1000 characters"),
+        ("1" * 500 + "/" + "7" * 500, NumeralOutOfBounds, "numeral longer than 1000 characters"),
+        ("1/2/3", InvalidNumeral, "not a rational literal: '1/2/3'"),
+        ("1 / 2", InvalidNumeral, "not a rational literal: '1 / 2'"),
+    ],
+)
+def test_numeral_errors_keep_their_type_and_text(text, error, message):
+    with pytest.raises(error) as info:
+        rational(text)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_negative_share_keeps_its_parse_error():
+    with pytest.raises(ParseError) as info:
+        parse_captable("agent_id,share,bid\na,-3,1\nb,4,2\n")
+    assert (info.value.row, info.value.column) == (2, 2)
+    assert str(info.value) == "row 2, column 2: negative share -3"
+    with pytest.raises(ValueError, match="agent 1 bid -1/2 is negative"):
+        BidProfile((Q(1), Q(-1, 2), Q(2)))
+
+
+# --- decimal approximations ----------------------------------------------------
+
+
+def test_decimal_approx_rounds_half_to_even_at_any_precision():
+    # 7 has no prebuilt context; 20 and 6 do
+    assert decimal_approx(Fraction(12345625, 10**8), 7) == "0.1234562"
+    assert decimal_approx(Fraction(12345635, 10**8), 7) == "0.1234564"
+    assert decimal_approx(Fraction(1234565, 10**7), 6) == "0.123456"
+    assert decimal_approx(Fraction(2, 3), 7) == "0.6666667"
+
+
+def test_decimal_approx_repeats_after_inexact_divisions():
+    first = [decimal_approx(Fraction(1, 7), digits) for digits in (20, 6, 7)]
+    for digits in (20, 6, 7):
+        decimal_approx(Fraction(2, 3), digits)  # inexact: sets flags
+    assert [decimal_approx(Fraction(1, 7), digits) for digits in (20, 6, 7)] == first
+    assert first == ["0.14285714285714285714", "0.142857", "0.1428571"]
+    assert decimal_approx(Fraction(1, 4)) == "0.25"
