@@ -90,7 +90,7 @@ class Allocation:
     def from_shares(cls, shares: Sequence) -> "Allocation":
         """Initial allocation: given shares, all money balances zero."""
         shares = _freeze(shares)
-        return cls(shares, (ZERO,) * len(shares))
+        return cls._from_parts(shares, (ZERO,) * len(shares))
 
     @classmethod
     def _from_parts(cls, shares: tuple, money: tuple) -> "Allocation":
@@ -324,19 +324,23 @@ def _utility_ratios(a, d: int, m_bar: int, w, values, agents) -> list:
     """Each of ``agents``' expected adjusted utility times d * e, as (numerator, denominator).
 
     Shares are a[i] / d, and bids w and true values are integers over one
-    common denominator e. With the price u = w of the agent ranked m_bar and
-    the buyer masses H (high branch) and L (low): the threshold agent gets
-    0, an agent bidding above u (a buyer in both branches)
-    a_j (d - H)(v_j - u) / L, and one bidding below u (a seller in both)
-    a_j (u - v_j) / 1, with H and L from ``_branches`` on this order's
-    ``_masses``. Initial money cancels out of every utility change. Raises
-    what ``run_expected`` raises once the shares check out, in the same
-    order: InvalidConfig below 3 bids, DuplicateBids on a tie, then
+    common denominator e: ``_priced_ratios`` at the bid ranked m_bar, with
+    H and L from ``_branches`` on this order's ``_masses``. Raises what
+    ``run_expected`` raises once the shares check out, in the same order:
+    InvalidConfig below 3 bids, DuplicateBids on a tie, then
     DegenerateBuyerMass (high branch first).
     """
     order = _bid_order(w)
     (_, high, _), (_, low, _) = _branches(_masses(order, a), d, m_bar)
     u = w[order[m_bar - 1]]
+    return _priced_ratios(a, d, u, high, low, w, values, agents)
+
+
+def _priced_ratios(a, d: int, u, high: int, low: int, w, values, agents) -> list:
+    """``_utility_ratios`` at price u with buyer masses H (high branch) and L
+    (low): the agent bidding u, the threshold agent, gets 0, one bidding
+    above u (a buyer in both branches) a_j (d - H)(v_j - u) / L, and one
+    below u (a seller in both) a_j (u - v_j) / 1. Initial money cancels."""
     rest = d - high
     out = []
     for j in agents:

@@ -27,19 +27,18 @@ member's two branches off its outcome as one integer ratio, with no
 rational made.
 
 A coalition is decided on one of two paths. With the non-members' bids
-fixed, the real mechanism's utilities depend only on the rank pattern, the
-order of all n bids: the member at rank m_bar gets 0, and otherwise the
-price is a non-member's fixed bid while H, L and each member's side follow
-from the order. So when every share is positive one point per pattern
-decides it, n! / (n - k)! patterns for k members; a lone deviator's are
-her ranks, which make her the paper's definite buyer, definite seller or
-threshold agent. Any other engine, a zero share (whose DegenerateBuyerMass
-comes from a particular grid case) or a member with a negative truthful
-utility walks the grid instead. With the others' bids fixed, the
-mechanism's utility is piecewise constant in an agent's own bid, breaking
-only at the other bids, so ``_grid`` samples every piece tie-free, over
-1000 * e, and the tests re-check verdicts on a 10x refined grid. Either
-way a holding verdict's ``cases`` counts the grid deviations covered.
+fixed, the real mechanism's utilities depend only on the threshold class:
+the non-member t at rank m_bar and the members above her, scored off the
+non-members' fixed order. So when every share is positive one point per
+class decides it, at most 2^k for k members; a lone deviator's classes
+make her the paper's definite buyer or definite seller. Any other engine,
+a zero share (whose DegenerateBuyerMass comes from a particular grid case)
+or a member with a negative truthful utility walks the grid instead. With
+the others' bids fixed, the mechanism's utility is piecewise constant in
+an agent's own bid, breaking only at the other bids, so ``_grid`` samples
+every piece tie-free, over 1000 * e, and the tests re-check verdicts on a
+10x refined grid. Either way a holding verdict's ``cases`` counts the grid
+deviations covered.
 
 Price monotonicity is decided on the same pieces: between consecutive
 other bids the real engine's price is constant or the mover's bid, and the
@@ -65,6 +64,7 @@ from .core import (
     _kernel,
     _masses,
     _over_lcm,
+    _priced_ratios,
     _reject_ties,
     _settle,
     _share_numerators,
@@ -401,10 +401,11 @@ def check_price_monotonicity(
     return PropertyReport(name, instance, holds=True, cases=cases)
 
 
-def _grid_points(base, grids, coalition):
-    """(walked, w) for each tie-free joint grid deviation of ``coalition``:
-    the full bid list, the members' bids taken from ``grids``, and the grid
-    cases walked so far, joint ties included."""
+def _grid_points(base, grids, coalition, score, e, values):
+    """(walked, w, ratios) for each tie-free joint grid deviation of
+    ``coalition``: the grid cases walked so far, joint ties included, the
+    full bid list with the members' bids taken from ``grids``, and
+    ``score``'s ratios for the members there."""
     product = itertools.product(*(grids[j] for j in coalition))
     for walked, combo in enumerate(product, 1):
         if len(set(combo)) < len(combo):
@@ -412,42 +413,39 @@ def _grid_points(base, grids, coalition):
         w = list(base)
         for j, bid in zip(coalition, combo):
             w[j] = bid
-        yield walked, w
+        yield walked, w, score(w, e, values, coalition)
 
 
-def _pattern_points(m_bar: int, base, coalition):
-    """(walked, w) for each rank pattern of ``coalition`` that leaves rank
-    m_bar to a non-member: one tie-free bid list on it, and the patterns
-    walked so far.
+def _classes(a, d: int, m_bar: int, base, values, coalition):
+    """(walked, w, ratios) for each threshold class of ``coalition``, as
+    ``_grid_points`` yields, scored by ``core._priced_ratios`` with no sort.
 
-    ``base`` holds the fixed bids as distinct integers, each a multiple of
-    n + 1. A pattern places the members at distinct ranks and the
-    non-members in their fixed order around them; its point keeps the
-    non-members' bids and puts each member one above the bid below her (0
-    at the bottom). A pattern that needs a member below a zero bid has no
-    point and is skipped.
+    ``base`` holds the fixed bids as distinct multiples of n + 1. A class
+    is the r-th highest non-member t, at rank m_bar, and the m_bar - r
+    members S above her: the price is t's bid u, L the share mass of S and
+    of the non-members above t, and H = L + a_t. Its point puts S at u + 1,
+    u + 2, ... and the other members at u - 1, u - 2, ...; a class that
+    needs a member below a zero bid is skipped.
     """
-    n, k = len(base), len(coalition)
-    # the non-members' bids, descending, over -1 for the bottom
-    fixed = sorted((base[j] for j in range(n) if j not in coalition), reverse=True) + [-1]
-    for walked, ranks in enumerate(itertools.permutations(range(n), k), 1):
-        if m_bar - 1 in ranks:
-            continue  # that member gets 0, no more than her truthful utility
-        placed = sorted(zip(ranks, coalition))
-        w = list(base)
-        slot = None
-        # from the lowest member up: the i-th from the top sits above fixed[rank - i]
-        for i in range(k - 1, -1, -1):
-            rank, j = placed[i]
-            if rank - i != slot:
-                slot = rank - i
-                bid = fixed[slot]
-            bid += 1
-            if slot and bid >= fixed[slot - 1]:
-                break  # a member below a zero bid
-            w[j] = bid
-        else:
-            yield walked, w
+    rest = sorted(set(range(len(base))) - set(coalition), key=base.__getitem__, reverse=True)
+    above = _masses(rest, a)
+    walked = 0
+    for r in range(max(1, m_bar - len(coalition)), min(m_bar, len(rest)) + 1):
+        t = rest[r - 1]
+        u = base[t]
+        for s in itertools.combinations(coalition, m_bar - r):
+            walked += 1
+            if u == 0 and len(s) < len(coalition):
+                continue  # a member below a zero bid
+            low = above[r - 1] + sum(map(a.__getitem__, s))
+            high = low + a[t]
+            w, hi, lo = base[:], u, u
+            for j in coalition:
+                if j in s:
+                    hi = w[j] = hi + 1
+                else:
+                    lo = w[j] = lo - 1
+            yield walked, w, _priced_ratios(a, d, u, high, low, w, values, coalition)
 
 
 def _deviation_search(
@@ -469,14 +467,14 @@ def _deviation_search(
     and again with every value 1 / e above its bid, a mismatch being a
     violation there whose witness names the values.
 
-    A coalition is decided on its rank patterns (``_pattern_points``) when
-    the engine is the real one, every share is positive and no member's
+    A coalition is decided on its threshold classes (``_classes``) when the
+    engine is the real one, every share is positive and no member's
     truthful utility is negative, and on its members' grid product
     (``_grid_points``) otherwise. A holding verdict's ``cases`` counts the
     grid deviations covered; a violation counts those of the earlier
-    coalitions plus the points walked in its own. With a ``budget``, the
-    search raises SearchBudgetExceeded before any coalition when the grid
-    deviations of every coalition of two or more exceed it.
+    coalitions plus the classes or grid points walked in its own. With a
+    ``budget``, the search raises SearchBudgetExceeded before any coalition
+    when the grid deviations of every coalition of two or more exceed it.
     """
     instance = describe_instance(initial, others, config)
     n = config.n
@@ -517,21 +515,15 @@ def _deviation_search(
                     at = "at the witness bids"
                     if vals is moved:
                         at += f" with values ({', '.join(str(Rational(x, e)) for x in vals)})"
-                    return _violation(
-                        name,
-                        instance,
-                        cases,
-                        f"agent {j}: the scorer gives {fast} {at}, the engine {slow}",
-                        agent=j,
-                        bids=profile.bids,
-                    )
+                    detail = f"agent {j}: the scorer gives {fast} {at}, the engine {slow}"
+                    return _violation(name, instance, cases, detail, agent=j, bids=profile.bids)
     grids = [_grid(_others(bids, j)) for j in range(n)]
     if budget is not None:
         required = math.prod(1 + len(grid) for grid in grids) - 1 - sum(map(len, grids))
         if required > budget:
             raise SearchBudgetExceeded(required, budget)
 
-    patterns = real and min(a) > 0
+    classes = real and min(a) > 0
     cases = 0
     for coalition in coalitions:
         if not shared:
@@ -541,16 +533,16 @@ def _deviation_search(
                 w[j] = values[j]
             for j, ratio in zip(coalition, score(w, e, values, coalition)):
                 truthful[j] = ratio
-        by_pattern = patterns and min(truthful[j][0] for j in coalition) >= 0
-        # pattern points are integers over (n + 1) * e, grid deviations over 1000 * e
-        scale = n + 1 if by_pattern else 1000
+        by_class = classes and min(truthful[j][0] for j in coalition) >= 0
+        # class points are integers over (n + 1) * e, grid deviations over 1000 * e
+        scale = n + 1 if by_class else 1000
         base, scaled = [scale * x for x in bids], [scale * x for x in values]
-        if by_pattern:
-            points = _pattern_points(config.m_bar, base, coalition)
+        if by_class:
+            points = _classes(a, d, config.m_bar, base, scaled, coalition)
         else:
-            points = _grid_points(base, grids, coalition)
-        for walked, w in points:
-            for j, (num, den) in zip(coalition, score(w, scale * e, scaled, coalition)):
+            points = _grid_points(base, grids, coalition, score, scale * e, scaled)
+        for walked, w, ratios in points:
+            for j, (num, den) in zip(coalition, ratios):
                 t_num, t_den = truthful[j]
                 if num * t_den <= scale * t_num * den:
                     break
@@ -561,16 +553,11 @@ def _deviation_search(
                     detail = f"coalition {coalition} all strictly gain by bidding {combo}"
                     fields = {"coalition": coalition}
                 else:
-                    gain = num * t_den - scale * t_num * den
-                    gain = Rational(gain, d * scale * e * den * t_den)
-                    detail = (
-                        f"agent {j} (value {valuations.bids[j]}) gains {gain} "
-                        f"by bidding {deviant[j]}"
-                    )
+                    gain = Rational(num * t_den - scale * t_num * den, d * scale * e * den * t_den)
+                    value = valuations.bids[j]
+                    detail = f"agent {j} (value {value}) gains {gain} by bidding {deviant[j]}"
                     fields = {"agent": j, "utility_delta": gain}
-                return _violation(
-                    name, instance, cases + walked, detail, bids=deviant, **fields
-                )
+                return _violation(name, instance, cases + walked, detail, bids=deviant, **fields)
         cases += math.prod(len(grids[j]) for j in coalition)
     return PropertyReport(name, instance, holds=True, cases=cases)
 
@@ -587,7 +574,7 @@ def check_strategyproofness(
     ``others_profile`` supplies the (not necessarily truthful) bids of the
     non-deviators; it defaults to the truthful profile. The search is
     ``_deviation_search`` over the coalitions of one: each agent's
-    deviations, on her rank patterns or her grid, must not give her more
+    deviations, on her threshold classes or her grid, must not give her more
     expected adjusted utility than bidding her true value, exactly. A
     holding verdict's ``cases`` is the grid candidates covered, one per
     candidate of each agent.

@@ -23,13 +23,14 @@ from .core import (
     MbmConfig,
     MechanismOutcome,
     _holdings,
+    _masses,
     _over_lcm,
     _utilities,
     _utility_ratios,
     draw_branch,
 )
 from .rational import Rational, decimal_approx, rational_str
-from .welfare import WelfareReport, welfare_report
+from .welfare import WelfareReport, _welfare_report
 
 APPROX_DIGITS = 20
 
@@ -291,13 +292,16 @@ def build_run_report(
     in expected mode both branches are shown and the seed is dropped.
     Utilities are taken at face value (bid = value): each shown branch's read
     off it by ``core._utilities``, the expected ones from the scorer
-    ``core._utility_ratios``, which is tied to ``run_expected``.
+    ``core._utility_ratios``, which is tied to ``run_expected``. The welfare
+    is read off the outcome's bid order, with no second ranking.
     """
     realized = mode == "realized"
     shown = (draw_branch(expected, seed),) if realized else expected.branches
     holdings = _holdings(initial)
+    a, d = holdings[:2]
     v, e = _over_lcm(profile.bids)
-    de, agents = holdings[1] * e, range(config.n)
+    de, agents = d * e, range(config.n)
+    order = expected.high_branch.order
 
     def read(ratios) -> tuple:
         return tuple(Rational(num, de * den) for num, den in ratios)
@@ -315,7 +319,7 @@ def build_run_report(
         utilities=tuple(
             read(_utilities(holdings, ((1, 1, b.final_allocation),), agents, v, e)) for b in shown
         ),
-        expected_utilities=read(_utility_ratios(*holdings[:2], config.m_bar, v, v, agents)),
-        welfare=welfare_report(initial, profile, config),
+        expected_utilities=read(_utility_ratios(a, d, config.m_bar, v, v, agents)),
+        welfare=_welfare_report((order, _masses(order, a), a, d, v, e), profile.bids, config.m_bar),
         checks=tuple(checks),
     )

@@ -113,10 +113,15 @@ def welfare_report(
     welfare is held[n] / (d * e), its sum over every agent. First-best is
     the kernel's tie-free top bid.
     """
-    order, mass, a, d, w, e = _kernel(initial, valuations, config)
+    return _welfare_report(_kernel(initial, valuations, config), valuations.bids, config.m_bar)
+
+
+def _welfare_report(kernel: tuple, bids, m_bar: int) -> WelfareReport:
+    """``welfare_report`` off ``_kernel``'s (order, mass, a, d, w, e) and the valuations."""
+    order, mass, a, d, w, e = kernel
     held = _held(order, a, w)
-    expected = _welfare(held, d, e, _branches(mass, d, config.m_bar))
-    best = valuations.bids[order[0]]
+    expected = _welfare(held, d, e, _branches(mass, d, m_bar))
+    best = bids[order[0]]
     return WelfareReport(
         initial_welfare=Rational(held[-1], d * e),
         expected_mbm_welfare=expected,

@@ -4,15 +4,19 @@
 ``src/mbm``, old line, new line); ``old`` occurs exactly once in its file.
 Before the deviation search tied its scorer to ``run_expected``, the first
 three engine mutants passed every ``mbm verify`` suite: each changes the
-engine and the scorer ``core._utility_ratios`` apart, and both sp and
-group-sp must kill them. The fourth scores the threshold agent as a buyer,
-which shows only where her value differs from her bid, so the tie reads
-the type agents again with every value moved off its bid. The fifth breaks
-``core._utilities``, the reader that gives the tie its engine side. The
-monotone one moves the price readout of ``properties._pricer`` off the
-engine's. The budget one shifts the prefix share masses (``core._masses``)
-by one rank; the engine, the scorer and the readout all read them, so only
-the conservation check and the welfare sweep's closed form can tell.
+engine and the scorer ``core._utility_ratios`` (through
+``core._priced_ratios``) apart, and both sp and group-sp must kill them.
+The fourth scores the threshold agent as a buyer, which shows only where
+her value differs from her bid, so the tie reads the type agents again
+with every value moved off its bid. The fifth breaks ``core._utilities``,
+the reader that gives the tie its engine side. The monotone one moves the
+price readout of ``properties._pricer`` off the engine's. The budget one
+shifts the prefix share masses (``core._masses``) by one rank; the engine,
+the scorer and the readout all read them, so only the conservation check
+and the welfare sweep's closed form can tell. The class one leaves the
+threshold agent's share out of H in ``properties._classes`` only: the tie
+cannot see it, and sp and group-sp must catch it inside the class walk,
+though not on every instance.
 """
 
 ENGINE_MUTANTS = (
@@ -23,7 +27,7 @@ ENGINE_MUTANTS = (
         "    return (m_bar, high, low), (m_bar - 1, low, d - low)",
     ),
     (
-        "_utility_ratios divides the buyer term by H",
+        "_priced_ratios divides the buyer term by H",
         "core.py",
         "            out.append((a[j] * rest * (values[j] - u), low))",
         "            out.append((a[j] * rest * (values[j] - u), high))",
@@ -35,7 +39,7 @@ ENGINE_MUTANTS = (
         "    u = w[order[m_bar - 2]]",
     ),
     (
-        "_utility_ratios scores the threshold agent as a buyer",
+        "_priced_ratios scores the threshold agent as a buyer",
         "core.py",
         "        if w[j] > u:",
         "        if w[j] >= u:",
@@ -53,6 +57,13 @@ MASS_MUTANT = (
     "core.py",
     "    return list(accumulate(map(a.__getitem__, order), initial=0))",
     "    return list(accumulate(map(a.__getitem__, order)))",
+)
+
+CLASS_MUTANT = (
+    "the class walk's H leaves out the threshold agent's share",
+    "properties.py",
+    "            high = low + a[t]",
+    "            high = low",
 )
 
 MUTANTS = {

@@ -11,6 +11,9 @@ instances.
 
 import json
 import random
+import shutil
+import subprocess
+import sys
 import time
 
 import pytest
@@ -39,7 +42,10 @@ from mbm.cli import main
 from mbm.instances import perturbed_profile
 from mbm.rational import BACKEND, Rational as Q, decimal_approx
 from mbm.suites import generate_suite
-from refinement import refined_sp_holds
+from refinement import refined_sp_holds, walk_verdicts
+
+import mutants
+from conftest import SRC
 
 import os
 
@@ -300,3 +306,36 @@ def test_criterion_13_run_check_on_a_300_row_table(capsys):
             results[fmt] == (0, golden[fmt]) for fmt in golden
         )
         t.finish(ok, "each format equal to its golden entry, every check holding")
+
+
+def test_criterion_14_threshold_classes_decide_as_rank_patterns(tmp_path, subprocess_env):
+    # sp and group-sp walked on threshold classes and on every rank pattern,
+    # ranked and scored in full, give equal verdicts and cases: at n = 3..7
+    # here, and at n = 3..6 on a copy of the package under each mutant. The
+    # class mutant breaks the class walk alone, and the mass mutant shifts a
+    # pattern point's masses (the full order's) and a class's (the
+    # non-members') by different agents: under both the patterns must hold
+    # and the classes must not
+    script = "import json, refinement; print(json.dumps(refinement.walk_verdicts(range(3, 7))))"
+    tests = os.path.dirname(os.path.abspath(__file__))
+    apart = (mutants.MASS_MUTANT, mutants.CLASS_MUTANT)
+    with Timer(14, "threshold classes decide as rank patterns, under every mutant", 15) as t:
+        walks = walk_verdicts(range(3, 8))
+        ok = walks["classes"] == walks["patterns"]
+        holding = walks["patterns"][:8]  # n = 3..6, two suites each
+        for k, mutant in enumerate((*mutants.ENGINE_MUTANTS, *apart)):
+            package = tmp_path / str(k) / "mbm"
+            shutil.copytree(os.path.join(SRC, "mbm"), package)
+            mutants.apply(package, mutant)
+            env = dict(subprocess_env)
+            env["PYTHONPATH"] = os.pathsep.join((str(package.parent), tests, env["PYTHONPATH"]))
+            proc = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, env=env
+            )
+            walks = json.loads(proc.stdout)
+            if mutant in apart:
+                flagged = any(not h for v in walks["classes"] for h, _ in v)
+                ok = ok and walks["patterns"] == holding and flagged
+            else:
+                ok = ok and walks["classes"] == walks["patterns"] != holding
+        t.finish(ok, "10 instances per n and suite, 7 mutants")

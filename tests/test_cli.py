@@ -633,6 +633,31 @@ def test_sp_suite_kills_the_engine_mutants(tmp_path, subprocess_env):
     assert elapsed < 5.0, elapsed
 
 
+def test_sp_and_group_sp_kill_the_class_walk_mutant(tmp_path, subprocess_env):
+    # H without the threshold agent's share overpays every buyer in the class
+    # walk alone: the tie scores through core._utility_ratios and passes, so
+    # every violation is a deviation found inside the walk. sp sees it
+    # wherever some agent truthfully buys; group-sp needs two buyers, so at
+    # m_bar 2 it holds
+    package = tmp_path / "mbm"
+    shutil.copytree(os.path.join(SRC, "mbm"), package)
+    mutants.apply(package, mutants.CLASS_MUTANT)
+    env = dict(subprocess_env)
+    env["PYTHONPATH"] = os.pathsep.join((str(tmp_path), env["PYTHONPATH"]))
+    found = {}
+    for suite in ("sp", "group-sp"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "mbm", "verify", "--suite", suite, "--instances", "20",
+             "--seed", "7", "--n-range", "3..4"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 1, (suite, proc.stderr)
+        witnesses = [v["witness"] for v in json.loads(proc.stdout) if not v["holds"]]
+        assert not any("the scorer gives" in w for w in witnesses), suite
+        found[suite] = len(witnesses)
+    assert found == {"sp": 19, "group-sp": 7}
+
+
 def test_monotone_suite_kills_the_readout_mutant(tmp_path, subprocess_env):
     # the mutant reads the price one rank down; the suite ties the readout to
     # run_expected at the truthful bids of every instance

@@ -30,7 +30,7 @@ from mbm import (
 )
 from mbm import properties
 from mbm.captable import CapTableRecord
-from mbm.core import _over_lcm, _simplex_numerators
+from mbm.core import _over_lcm, _simplex_numerators, _utility_ratios
 from mbm.instances import InstanceSpec, generate, perturbed_profile
 from mbm.properties import CORRUPTION_KINDS, PropertyReport, Witness
 from mbm.rational import ONE, ZERO, Rational as Q, rational
@@ -43,8 +43,9 @@ from references import (
     fraction_individual_rationality,
     pairwise_pp_efficiency,
 )
-from refinement import refined_sp_holds
+from refinement import pattern_walk, refined_sp_holds
 
+import itertools
 import random
 import re
 
@@ -462,35 +463,39 @@ def test_refinement_does_not_change_verdicts():
 
 
 def test_sp_sees_a_gain_on_the_rank_patterns_of_one_agent(monkeypatch):
-    # a scorer that also pays agent 3 (value 2) ten times the highest value
-    # once she is ranked third. At m_bar 2 her patterns are rank 1, rank 2
-    # (the threshold: skipped, but walked) and rank 3, where she gains
+    # a class scorer that also pays agent 3 (value 2) ten times the highest
+    # value once she is ranked third. At m_bar 2 her classes are (agent 0,
+    # {3}), where she is ranked first, and (agent 1, {}), where she is ranked
+    # third and gains: the rank patterns of one class score alike
     initial, profile, config = weak_gain_instance()
-    real = properties._utility_ratios
+    a, d = _simplex_numerators(initial.shares)
+    real = properties._priced_ratios
 
-    def paying(a, d, m_bar, w, values, agents):
-        agents = list(agents)
-        out = real(a, d, m_bar, w, values, agents)
+    def paid(w, values, agents, ratios):
         if sorted(w, reverse=True).index(w[3]) == 2:
-            return [(10 * d * max(values), 1) if j == 3 else r for j, r in zip(agents, out)]
-        return out
+            return [(10 * d * max(values), 1) if j == 3 else r for j, r in zip(agents, ratios)]
+        return ratios
 
-    monkeypatch.setattr(properties, "_utility_ratios", paying)
+    def paying(a, d, u, high, low, w, values, agents):
+        return paid(w, values, agents, real(a, d, u, high, low, w, values, agents))
+
+    monkeypatch.setattr(properties, "_priced_ratios", paying)
     report = check_strategyproofness(initial, profile, config)
     assert not report.holds
     assert report.witness.agent == 3
     # paid 80 against her truthful 1: she sells 1/4 at the price 6
     assert report.witness.utility_delta == 79
     grids = [deviation_grid(profile, j).candidates for j in range(3)]
-    assert report.cases == sum(map(len, grids)) + 3
+    assert report.cases == sum(map(len, grids)) + 2
 
     bids = report.witness.bids
     assert bids[:3] == profile.bids[:3] and 4 < bids[3] < 6
-    a, d = _simplex_numerators(initial.shares)
     scaled, e = _over_lcm(bids + profile.bids)
     w, values = scaled[:4], scaled[4:]
-    ((num, den),) = paying(a, d, config.m_bar, w, values, (3,))
-    ((t_num, t_den),) = paying(a, d, config.m_bar, values, values, (3,))
+    ((num, den),) = paid(w, values, (3,), _utility_ratios(a, d, config.m_bar, w, values, (3,)))
+    ((t_num, t_den),) = paid(
+        values, values, (3,), _utility_ratios(a, d, config.m_bar, values, values, (3,))
+    )
     assert Q(num, den) - Q(t_num, t_den) == report.witness.utility_delta * d * e
 
 
@@ -552,37 +557,44 @@ def test_group_sp_flags_corrupted_price(worked):
 
 
 def test_group_sp_sees_a_gain_the_grid_only_reaches_as_a_tie(monkeypatch):
-    # a scorer that also pays members 2 and 3 once 3 outbids 2 and both
-    # outbid agent 0's 8; at m_bar 3 agent 0 then holds the threshold, so
-    # the pattern is scored (at m_bar 2 a member would, and get 0). Both
-    # members' top grid candidate is 8 + 1/500, a tie, so no joint grid
-    # deviation puts both above 8: only the rank patterns see the gain
+    # a class scorer that also pays members 2 and 3 once 3 outbids 2 and both
+    # outbid agent 0's 8: at m_bar 3 that is one class of coalition (2, 3),
+    # agent 0 at the threshold with both members above her, and the first it
+    # walks. Both members' top grid candidate is 8 + 1/500, a tie, so no
+    # joint grid deviation puts both above 8: only the classes see the gain
     initial, profile, _ = weak_gain_instance()
     config = MbmConfig(4, 3)
-    real = properties._utility_ratios
+    a, d = _simplex_numerators(initial.shares)
+    real = properties._priced_ratios
 
-    def gaining(a, d, m_bar, w, values, agents):
-        agents = list(agents)
-        out = real(a, d, m_bar, w, values, agents)
+    def paid(w, values, agents, ratios):
         if w[3] > w[2] > values[0]:
             # ten times the highest value: above any truthful utility
             return [
                 (10 * d * max(values), 1) if j in (2, 3) else ratio
-                for j, ratio in zip(agents, out)
+                for j, ratio in zip(agents, ratios)
             ]
-        return out
+        return ratios
 
-    monkeypatch.setattr(properties, "_utility_ratios", gaining)
+    def gaining(a, d, u, high, low, w, values, agents):
+        return paid(w, values, agents, real(a, d, u, high, low, w, values, agents))
+
+    monkeypatch.setattr(properties, "_priced_ratios", gaining)
     report = check_weak_group_strategyproofness(initial, profile, config)
     assert not report.holds
     assert report.witness.coalition == (2, 3)
+    # the five earlier coalitions' grid cases, then the one class walked
+    grids = [deviation_grid(profile, j).candidates for j in range(4)]
+    earlier = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3))
+    assert report.cases == sum(len(grids[i]) * len(grids[j]) for i, j in earlier) + 1
     bids = report.witness.bids
     assert bids[3] > bids[2] > profile.bids[0]
-    a, d = _simplex_numerators(initial.shares)
     scaled, _ = _over_lcm(bids + profile.bids)
     w, values = scaled[:4], scaled[4:]
-    deviant = gaining(a, d, config.m_bar, w, values, (2, 3))
-    truthful = gaining(a, d, config.m_bar, values, values, (2, 3))
+    ratios = _utility_ratios(a, d, config.m_bar, w, values, (2, 3))
+    deviant = paid(w, values, (2, 3), ratios)
+    ratios = _utility_ratios(a, d, config.m_bar, values, values, (2, 3))
+    truthful = paid(values, values, (2, 3), ratios)
     for (num, den), (t_num, t_den) in zip(deviant, truthful):
         assert num * t_den > t_num * den
 
@@ -591,6 +603,35 @@ def test_group_sp_sees_a_gain_the_grid_only_reaches_as_a_tie(monkeypatch):
     assert not any(
         x != y and min(x, y) > profile.bids[0] for x in grids[0] for y in grids[1]
     )
+
+
+def test_each_threshold_class_scores_as_its_rank_patterns():
+    # every rank pattern's point, ranked and scored in full, scores as the
+    # class it falls in (the non-member at rank m_bar, the members above
+    # her), and the classes with a pattern point are exactly those walked.
+    # Half the instances bid 0 at the bottom, where classes are skipped
+    rng = random.Random(5)
+    for idx, (initial, profile, config) in enumerate(generate_suite(24, seed=5, n_range=(3, 5))):
+        n, m_bar = config.n, config.m_bar
+        if idx % 2:
+            profile = profile.replace_bid(min(range(n), key=profile.bids.__getitem__), 0)
+        a, d = _simplex_numerators(initial.shares)
+        scaled, _ = _over_lcm(profile.bids + perturbed_profile(profile, rng).bids)
+        base, values = [(n + 1) * x for x in scaled[:n]], [(n + 1) * x for x in scaled[n:]]
+        for k in range(1, n):
+            for coalition in itertools.combinations(range(n), k):
+
+                def classes(walk):
+                    found = {}
+                    for _, w, ratios in walk(a, d, m_bar, base, values, coalition):
+                        order = sorted(range(n), key=w.__getitem__, reverse=True)
+                        above = frozenset(order[: m_bar - 1]) & set(coalition)
+                        found.setdefault((order[m_bar - 1], above), set()).add(tuple(ratios))
+                    return found
+
+                walked = classes(properties._classes)
+                assert all(len(ratios) == 1 for ratios in walked.values())
+                assert classes(pattern_walk) == walked, (idx, coalition)
 
 
 def test_negative_budget_refused_before_any_work(worked):
