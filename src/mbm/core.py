@@ -19,11 +19,13 @@ to integers over their least common denominators, ranks the bids and sums
 the shares along that order; ``_branches`` reads both branches' buyer
 masses off those sums; and ``_settle``, the one settlement, weights the
 lottery and runs the buyout at a given price (the engine's is the bid
-ranked m_bar). Rationals are made only for the returned outcome.
-``_utilities`` is the one integer reader of agents' adjusted utilities off
-an outcome, in one branch or in expectation.
+ranked m_bar). An ``Allocation`` or ``BidProfile`` keeps one integer form
+(``_integer_form``); one built on integers makes its rationals when they
+are first read. ``_utilities`` is the one integer reader of agents'
+adjusted utilities off an outcome, in one branch or in expectation.
 Every type is an immutable value and every operation is a pure function of
-its inputs, so results are safe to share across threads.
+its inputs, so results are safe to share across threads (threads racing to
+fill a form or a field's rationals store equal values).
 ``draw_branch`` and ``realize`` are the only randomized entry points; each
 takes an int seed or a caller-owned generator.
 """
@@ -52,16 +54,39 @@ def _over_lcm(values) -> tuple:
     return [p * (lcm // q) for p, q in ratios], lcm
 
 
-def _simplex_numerators(shares) -> tuple:
-    """(a, D) with share i = a[i] / D; InvalidAllocation unless on the simplex."""
-    a, d = _over_lcm(shares)
+def _simplex_numerators(allocation) -> tuple:
+    """``_holdings``' shares (a, d), share i = a[i] / d; InvalidAllocation off the simplex."""
+    a, d = _holdings(allocation)[:2]
     if a and min(a) < 0:
         i = next(i for i, x in enumerate(a) if x < 0)
-        raise InvalidAllocation(f"agent {i} has negative share {shares[i]}")
+        raise InvalidAllocation(f"agent {i} has negative share {allocation.shares[i]}")
     total = sum(a)
     if total != d:
         raise InvalidAllocation(f"shares sum to {Rational(total, d)}, expected exactly 1")
     return a, d
+
+
+def _built(cls, **fields):
+    """An instance of ``cls`` holding ``fields`` as given, unchecked."""
+    self = object.__new__(cls)
+    self.__dict__.update(fields)
+    return self
+
+
+class _OnRead:
+    """A value type's field whose rationals, for a value built on integers,
+    are made off ``_form`` on the first read and kept."""
+
+    def __set_name__(self, owner, name: str):
+        # the k-th field's numerators and denominator are _form[2k], _form[2k + 1]
+        self.name, self.at = name, 2 * list(owner.__annotations__).index(name)
+
+    def __get__(self, value, owner=None):
+        if value is None:  # no class attribute, so the dataclass field stays required
+            raise AttributeError(f"type object {owner.__name__!r} has no attribute {self.name!r}")
+        numerators, den = value._form[self.at : self.at + 2]
+        made = value.__dict__[self.name] = tuple(Rational(x, den) for x in numerators)
+        return made
 
 
 @dataclass(frozen=True)
@@ -75,8 +100,8 @@ class Allocation:
     on mechanism output.
     """
 
-    shares: tuple
-    money: tuple
+    shares: tuple = _OnRead()
+    money: tuple = _OnRead()
 
     def __post_init__(self):
         object.__setattr__(self, "shares", _freeze(self.shares))
@@ -90,23 +115,16 @@ class Allocation:
     def from_shares(cls, shares: Sequence) -> "Allocation":
         """Initial allocation: given shares, all money balances zero."""
         shares = _freeze(shares)
-        return cls._from_parts(shares, (ZERO,) * len(shares))
-
-    @classmethod
-    def _from_parts(cls, shares: tuple, money: tuple) -> "Allocation":
-        # internal fast path: caller guarantees coerced equal-length tuples
-        self = object.__new__(cls)
-        object.__setattr__(self, "shares", shares)
-        object.__setattr__(self, "money", money)
-        return self
+        form = (*_over_lcm(shares), [0] * len(shares), 1)  # zero money needs no lcm
+        return _built(cls, shares=shares, money=(ZERO,) * len(shares), _form=form)
 
     @property
     def n(self) -> int:
-        return len(self.shares)
+        return len(_holdings(self)[0])
 
     def validate(self) -> "Allocation":
         """Raise InvalidAllocation unless shares are a point on the simplex."""
-        _simplex_numerators(self.shares)
+        _simplex_numerators(self)
         return self
 
 
@@ -118,7 +136,7 @@ class BidProfile:
     ranked operation rejects them with DuplicateBids.
     """
 
-    bids: tuple
+    bids: tuple = _OnRead()
 
     def __post_init__(self):
         object.__setattr__(self, "bids", _freeze(self.bids))
@@ -126,15 +144,36 @@ class BidProfile:
             if b.numerator < 0:
                 raise ValueError(f"agent {i} bid {b} is negative")
 
+    @classmethod
+    def _from_form(cls, w, e: int) -> "BidProfile":
+        """The bids w[i] / e, e positive, kept on integers."""
+        if min(w) < 0:
+            return cls(tuple(Rational(x, e) for x in w))  # raises as the constructor does
+        return _built(cls, _form=(tuple(w), e))
+
     @property
     def n(self) -> int:
-        return len(self.bids)
+        return len(_bid_numerators(self)[0])
 
     def replace_bid(self, agent: int, bid) -> "BidProfile":
         """Profile with one agent's bid swapped out (used by deviation search)."""
         bids = list(self.bids)
         bids[agent] = rational(bid)
         return BidProfile(tuple(bids))
+
+
+def _integer_form(value) -> tuple:
+    """An allocation's (s, t, y, z), share i s[i] / t and money i y[i] / z,
+    or a profile's (w, e), bid i w[i] / e: positive denominators, lists never
+    mutated. A value built without one gets it from ``_over_lcm`` on first read."""
+    form = value.__dict__.get("_form")
+    if form is None:
+        form = sum((_over_lcm(getattr(value, f)) for f in value.__dataclass_fields__), ())
+        object.__setattr__(value, "_form", form)
+    return form
+
+
+_holdings = _bid_numerators = _integer_form  # the readers of the two types
 
 
 @dataclass(frozen=True)
@@ -220,14 +259,14 @@ def _bid_order(w) -> tuple:
 
 def rank_bids(profile: BidProfile) -> tuple:
     """Agents by bid, descending; reject ties with DuplicateBids."""
-    return _bid_order(_over_lcm(profile.bids)[0])
+    return _bid_order(_bid_numerators(profile)[0])
 
 
 def _share_numerators(initial: Allocation, profile: BidProfile, config: MbmConfig) -> tuple:
     """(a, d) with share i = a[i] / d, once the sizes (allocation first) and the simplex check out."""
     _check_sizes(initial.n, config, "allocation")
     _check_sizes(profile.n, config, "bid profile")
-    return _simplex_numerators(initial.shares)
+    return _simplex_numerators(initial)
 
 
 def _masses(order: tuple, a) -> list:
@@ -244,7 +283,7 @@ def _kernel(initial: Allocation, profile: BidProfile, config: MbmConfig) -> tupl
     InvalidConfig below 3 bids and DuplicateBids on a tie.
     """
     a, d = _share_numerators(initial, profile, config)
-    w, e = _over_lcm(profile.bids)
+    w, e = _bid_numerators(profile)
     order = _bid_order(w)
     return order, _masses(order, a), a, d, w, e
 
@@ -262,41 +301,39 @@ def _branches(mass, d: int, m_bar: int) -> tuple:
     return (m_bar, high, high), (m_bar - 1, low, d - high)
 
 
-def _settle(initial: Allocation, kernel: tuple, m_bar: int, price) -> ExpectedOutcome:
-    """Both branches of the ranked instance, every trade settled at ``price``.
+def _settle(initial: Allocation, kernel: tuple, m_bar: int, p: int, q: int) -> ExpectedOutcome:
+    """Both branches of the ranked instance, every trade settled at the price p / q.
 
     ``kernel`` is ``_kernel``'s, and ``_branches`` checks its masses first.
-    With the price p / q and the buyer mass A_B, a buyer ends with a_i / A_B
-    and pays a_i (d - A_B) p / (d A_B q) for the share mass she gains, and a
-    seller collects a_i p / (d q) for her stake. Payments add to the initial
-    money; both branches carry the kernel's order and ``price``.
+    With the buyer mass A_B, a buyer ends with a_i / A_B and pays
+    a_i (d - A_B) p / (d A_B q) for the share mass she gains, and a seller
+    collects a_i p / (d q) for her stake: shares over A_B and money over
+    d A_B q, times c once the initial money x / c is added. Both branches
+    carry the kernel's order and the price.
     """
     order, mass, a, d, _, _ = kernel
     branches = _branches(mass, d, m_bar)
     n = len(order)
-    p, q = as_ratio(price)
-    # agents ranked m_bar or lower sell in the low branch, the same stake at
-    # the same price as in the high branch
-    proceeds = {i: Rational(a[i] * p, d * q) for i in order[m_bar - 1 :]}
-    base = initial.money if any(initial.money) else None
+    _, _, x, c = _holdings(initial)
+    price = Rational(p, q)
     outcomes = []
     for m, buyers, prob in branches:
-        shares = [ZERO] * n
-        money = [ZERO] * n
-        cost, per = (d - buyers) * p, d * buyers * q
+        s, y = [0] * n, [0] * n
+        cost = (d - buyers) * p
         for i in order[:m]:
-            shares[i] = Rational(a[i], buyers)
-            money[i] = Rational(-a[i] * cost, per)
+            s[i] = a[i]
+            y[i] = -a[i] * cost
         for i in order[m:]:
-            money[i] = proceeds[i]
-        if base is not None:
-            money = [x + y for x, y in zip(base, money)]
+            y[i] = a[i] * buyers * p
+        z = d * buyers * q
+        if any(x):
+            y, z = [xi * z + yi * c for xi, yi in zip(x, y)], z * c
         outcomes.append(
             MechanismOutcome(
                 realized_m=m,
                 price=price,
                 branch_probability=Rational(prob, d),
-                final_allocation=Allocation._from_parts(tuple(shares), tuple(money)),
+                final_allocation=_built(Allocation, _form=(s, buyers, y, z)),
                 order=order,
             )
         )
@@ -309,11 +346,11 @@ def run_expected(
     """Both branches with their probabilities; consumes no randomness.
 
     ``_kernel`` ranks the instance on integers and ``_settle`` settles it at
-    the bid ranked m_bar; rationals are made only for the returned outcome.
+    the bid ranked m_bar, w[threshold] / e.
     """
     kernel = _kernel(initial, profile, config)
-    threshold = kernel[0][config.m_bar - 1]
-    return _settle(initial, kernel, config.m_bar, profile.bids[threshold])
+    order, _, _, _, w, e = kernel
+    return _settle(initial, kernel, config.m_bar, w[order[config.m_bar - 1]], e)
 
 
 # the name under which benchmarks/spans.py traces the engine
@@ -402,11 +439,6 @@ def adjusted_utility(
     )
 
 
-def _holdings(initial: Allocation) -> tuple:
-    """(a, d, x, c): the initial shares a / d and money x / c over their lcms."""
-    return (*_over_lcm(initial.shares), *_over_lcm(initial.money))
-
-
 def _weighted(expected: ExpectedOutcome) -> list:
     """Both branches as (p, q, final allocation), p / q the branch probability."""
     return [(*as_ratio(b.branch_probability), b.final_allocation) for b in expected.branches]
@@ -417,19 +449,19 @@ def _utilities(holdings: tuple, branches, agents, values, e: int):
     ``branches``, as (num, den).
 
     ``holdings`` is ``_holdings(initial)``, and agent j's value is
-    values[j] / e. Each branch is (p, q, final): a final allocation leaving
-    j share s / t and money y / z adds ((s d - a_j t) v_j z c + (y c - x_j z)
-    d e t) p over t z c q. Weights 1 / 1 read one branch, ``_weighted`` an
-    outcome's expected utility; the terms add by cross-multiplication,
-    unreduced, with den positive.
+    values[j] / e. Each branch is (p, q, final), final read once by
+    ``_holdings``: leaving j share s / t and money y / z, it adds
+    ((s d - a_j t) v_j z c + (y c - x_j z) d e t) p over t z c q. Weights
+    1 / 1 read one branch, ``_weighted`` an outcome's expected utility; the
+    terms add by cross-multiplication, unreduced, with den positive.
     """
     a, d, x, c = holdings
     de = d * e
+    forms = [(p, q, *_holdings(final)) for p, q, final in branches]
     for j in agents:
         v, num, den = values[j], 0, 1
-        for p, q, final in branches:
-            s, t = as_ratio(final.shares[j])
-            y, z = as_ratio(final.money[j])
+        for p, q, shares, t, money, z in forms:
+            s, y = shares[j], money[j]
             term = ((s * d - a[j] * t) * v * z * c + (y * c - x[j] * z) * de * t) * p
             over = t * z * c * q
             num, den = num * over + term * den, den * over

@@ -22,9 +22,9 @@ mechanism that is ``core._utility_ratios``, tied to ``run_expected`` at the
 first truthful profile before any deviation, read off that one outcome by
 ``core._utilities`` at the true values and again with every value moved off
 its bid; any other engine, including a wrapper around the real one, runs
-the profile the integers stand for, and ``core._utilities`` reads each
-member's two branches off its outcome as one integer ratio, with no
-rational made.
+the profile built straight on those integers (``BidProfile._from_form``),
+and ``core._utilities`` reads each member's two branches off their
+integer forms as one integer ratio, with no rational made.
 
 A coalition is decided on one of two paths. With the non-members' bids
 fixed, the real mechanism's utilities depend only on the threshold class:
@@ -38,7 +38,8 @@ the others' bids fixed, the mechanism's utility is piecewise constant in
 an agent's own bid, breaking only at the other bids, so ``_grid`` samples
 every piece tie-free, over 1000 * e, and the tests re-check verdicts on a
 10x refined grid. Either way a holding verdict's ``cases`` counts the grid
-deviations covered.
+deviations covered, 3k - 1 per member against k other bids (3k - 2 when
+one is 0); a grid is built only when a coalition walks it.
 
 Price monotonicity is decided on the same pieces: between consecutive
 other bids the real engine's price is constant or the mover's bid, and the
@@ -57,8 +58,10 @@ from .core import (
     BidProfile,
     ExpectedOutcome,
     MbmConfig,
+    _bid_numerators,
     _bid_order,
     _branches,
+    _built,
     _check_sizes,
     _holdings,
     _kernel,
@@ -132,7 +135,7 @@ def _grid(others) -> list:
 
 def deviation_grid(profile: BidProfile, agent: int) -> DeviationGrid:
     """``_grid`` for ``agent`` against the other bids in ``profile``, as rationals."""
-    w, e = _over_lcm(profile.bids)
+    w, e = _bid_numerators(profile)
     return DeviationGrid(tuple(Rational(c, 1000 * e) for c in _grid(_others(w, agent))))
 
 
@@ -185,25 +188,17 @@ def _scorer(engine, initial, config, a, d):
     shares are a[i] / d. The score yields each of ``agents``' expected
     adjusted utility times d * e as (numerator, denominator), denominator
     positive. The real engine is scored by ``_utility_ratios``; any other
-    runs the profile the integers stand for once per call, and its outcome
-    is read by ``core._utilities``, one agent at a time as the caller
-    consumes them, with the initial holdings over their lcms once per
-    instance.
+    runs the profile w / e once per call, built on those integers with no
+    rational made, and ``core._utilities`` reads its outcome one agent at a
+    time as the caller consumes them.
     """
     if engine is run_expected:
         m_bar = config.m_bar
         return lambda w, e, values, agents: _utility_ratios(a, d, m_bar, w, values, agents)
-    memo = {}  # (x, e) -> x / e: the searches repeat a few bids many times
     holdings = _holdings(initial)
 
     def score(w, e, values, agents):
-        bids = []
-        for x in w:
-            b = memo.get((x, e))
-            if b is None:
-                b = memo[x, e] = Rational(x, e)
-            bids.append(b)
-        branches = _weighted(engine(initial, BidProfile(tuple(bids)), config))
+        branches = _weighted(engine(initial, BidProfile._from_form(w, e), config))
         yield from _utilities(holdings, branches, agents, values, e)
 
     return score
@@ -219,32 +214,29 @@ def check_budget_balance(
     name = "budget-balance"
     instance = describe_instance(initial, profile, config)
     expected = engine(initial, profile, config)
-    a, d = _over_lcm(initial.shares)
-    x, c = _over_lcm(initial.money)
+    a, d, x, c = _holdings(initial)
     share_total, money_total = sum(a), sum(x)
     cases = 0
     for branch in expected.branches:
-        final = branch.final_allocation
+        s, t, y, z = _holdings(branch.final_allocation)
         cases += 2
-        a, d1 = _over_lcm(final.shares)
-        if sum(a) * d != share_total * d1:
+        if sum(s) * d != share_total * t:
             return _violation(
                 name,
                 instance,
                 cases,
                 f"branch m={branch.realized_m}: final shares total "
-                f"{Rational(sum(a), d1)}, initial total {Rational(share_total, d)}",
+                f"{Rational(sum(s), t)}, initial total {Rational(share_total, d)}",
                 bids=profile.bids,
             )
-        x, c1 = _over_lcm(final.money)
-        delta_total = sum(x) * c - money_total * c1
+        delta_total = sum(y) * c - money_total * z
         if delta_total != 0:
             return _violation(
                 name,
                 instance,
                 cases,
                 f"branch m={branch.realized_m}: payments sum to "
-                f"{Rational(delta_total, c * c1)}, expected 0",
+                f"{Rational(delta_total, c * z)}, expected 0",
                 bids=profile.bids,
             )
     return PropertyReport(name, instance, holds=True, cases=cases)
@@ -261,7 +253,7 @@ def check_individual_rationality(
     instance = describe_instance(initial, valuations, config)
     expected = engine(initial, valuations, config)
     holdings = _holdings(initial)
-    v, e = _over_lcm(valuations.bids)
+    v, e = _bid_numerators(valuations)
     de = holdings[1] * e
     cases = 0
     for branch in expected.branches:
@@ -287,10 +279,10 @@ def _pricer(engine, initial, config):
 
     The real engine's is the bid ranked m_bar on the integer list w. When a
     share is zero, ``_branches`` checks the ``_masses`` of that order as
-    ``run_expected`` checks them; any other engine runs the profile w / e.
+    ``run_expected`` checks them; any other engine runs w / e on integers.
     """
     if engine is run_expected:
-        a, d = _simplex_numerators(initial.shares)
+        a, d = _simplex_numerators(initial)
         m_bar = config.m_bar
         if min(a) > 0:
             return lambda w, e: w[_bid_order(w)[m_bar - 1]]
@@ -303,8 +295,7 @@ def _pricer(engine, initial, config):
         return readout
 
     def price(w, e):
-        bids = BidProfile(tuple(Rational(x, e) for x in w))
-        return engine(initial, bids, config).high_branch.price * e
+        return engine(initial, BidProfile._from_form(w, e), config).high_branch.price * e
 
     return price
 
@@ -337,7 +328,7 @@ def check_price_monotonicity(
     # the truthful run goes first, so its errors come before the pieces'
     truthful = engine(initial, profile, config).high_branch.price
     price = _pricer(engine, initial, config)
-    fixed, e = _over_lcm(profile.bids)
+    fixed, e = _bid_numerators(profile)
     if engine is run_expected and price(fixed, e) != truthful * e:
         return _violation(
             name,
@@ -517,11 +508,14 @@ def _deviation_search(
                         at += f" with values ({', '.join(str(Rational(x, e)) for x in vals)})"
                     detail = f"agent {j}: the scorer gives {fast} {at}, the engine {slow}"
                     return _violation(name, instance, cases, detail, agent=j, bids=profile.bids)
-    grids = [_grid(_others(bids, j)) for j in range(n)]
+    rivals = [_others(bids, j) for j in range(n)]
+    # ``_grid`` has 3k - 1 candidates against k others, one fewer when one bids 0
+    sizes = [3 * len(o) - 1 - (min(o) == 0) for o in rivals]
     if budget is not None:
-        required = math.prod(1 + len(grid) for grid in grids) - 1 - sum(map(len, grids))
+        required = math.prod(1 + k for k in sizes) - 1 - sum(sizes)
         if required > budget:
             raise SearchBudgetExceeded(required, budget)
+    grids = None  # built when a coalition first walks the grid
 
     classes = real and min(a) > 0
     cases = 0
@@ -540,6 +534,7 @@ def _deviation_search(
         if by_class:
             points = _classes(a, d, config.m_bar, base, scaled, coalition)
         else:
+            grids = grids or [_grid(o) for o in rivals]
             points = _grid_points(base, grids, coalition, score, scale * e, scaled)
         for walked, w, ratios in points:
             for j, (num, den) in zip(coalition, ratios):
@@ -558,7 +553,7 @@ def _deviation_search(
                     detail = f"agent {j} (value {value}) gains {gain} by bidding {deviant[j]}"
                     fields = {"agent": j, "utility_delta": gain}
                 return _violation(name, instance, cases + walked, detail, bids=deviant, **fields)
-        cases += math.prod(len(grids[j]) for j in coalition)
+        cases += math.prod(sizes[j] for j in coalition)
     return PropertyReport(name, instance, holds=True, cases=cases)
 
 
@@ -636,12 +631,12 @@ def check_pp_expost_efficiency(
     instance = describe_instance(initial, valuations, config)
     values = valuations.bids
     expected = engine(initial, valuations, config)
-    a, _ = _over_lcm(initial.shares)
-    v, _ = _over_lcm(values)
+    a = _holdings(initial)[0]
+    v = _bid_numerators(valuations)[0]
     cases = 0
     for branch in expected.branches:
         final = branch.final_allocation
-        b, _ = _over_lcm(final.shares)
+        b = _holdings(final)[0]
         owners = [j for j in range(config.n) if b[j] > 0]
         if not owners:
             continue
@@ -696,14 +691,13 @@ def corrupted_engine(kind: str):
     def engine(initial, profile, config):
         if kind in ("price-next", "price-dip"):
             kernel = _kernel(initial, profile, config)
-            order, bids, m_bar = kernel[0], profile.bids, config.m_bar
+            order, _, _, _, w, e = kernel
+            m_bar = config.m_bar
             if kind == "price-next":
-                price = bids[order[m_bar]]
-            else:
-                # subtracting part of the lowest bid makes the price fall
-                # when that bid rises: breaks monotonicity
-                price = bids[order[m_bar - 1]] - bids[order[-1]] / 2
-            return _settle(initial, kernel, m_bar, price)
+                return _settle(initial, kernel, m_bar, w[order[m_bar]], e)
+            # subtracting part of the lowest bid makes the price fall when
+            # that bid rises: breaks monotonicity
+            return _settle(initial, kernel, m_bar, 2 * w[order[m_bar - 1]] - w[order[-1]], 2 * e)
         expected = run_expected(initial, profile, config)
         high = expected.high_branch
         order = high.order
@@ -720,9 +714,8 @@ def corrupted_engine(kind: str):
             shift = shares[order[0]] / 10
             shares[order[0]] -= shift
             shares[order[1]] += shift
-        bad = replace(
-            high, final_allocation=Allocation._from_parts(tuple(shares), tuple(money))
-        )
+        final = _built(Allocation, shares=tuple(shares), money=tuple(money))
+        bad = replace(high, final_allocation=final)
         return ExpectedOutcome(high_branch=bad, low_branch=expected.low_branch)
 
     return engine

@@ -22,11 +22,12 @@ from .core import (
     ExpectedOutcome,
     MbmConfig,
     MechanismOutcome,
+    _bid_numerators,
+    _branches,
     _holdings,
     _masses,
-    _over_lcm,
+    _priced_ratios,
     _utilities,
-    _utility_ratios,
     draw_branch,
 )
 from .rational import Rational, decimal_approx, rational_str
@@ -291,17 +292,20 @@ def build_run_report(
     In realized mode the branch shown is drawn from ``expected`` with ``seed``;
     in expected mode both branches are shown and the seed is dropped.
     Utilities are taken at face value (bid = value): each shown branch's read
-    off it by ``core._utilities``, the expected ones from the scorer
-    ``core._utility_ratios``, which is tied to ``run_expected``. The welfare
-    is read off the outcome's bid order, with no second ranking.
+    off it by ``core._utilities``, the expected ones by ``core._priced_ratios``
+    at the bid ranked m_bar. Both those and the welfare are read off the
+    outcome's bid order and its ``_masses``, with no second ranking.
     """
     realized = mode == "realized"
     shown = (draw_branch(expected, seed),) if realized else expected.branches
     holdings = _holdings(initial)
     a, d = holdings[:2]
-    v, e = _over_lcm(profile.bids)
-    de, agents = d * e, range(config.n)
+    v, e = _bid_numerators(profile)
+    de, agents, m_bar = d * e, range(config.n), config.m_bar
     order = expected.high_branch.order
+    mass = _masses(order, a)
+    (_, high, _), (_, low, _) = _branches(mass, d, m_bar)
+    price = v[order[m_bar - 1]]
 
     def read(ratios) -> tuple:
         return tuple(Rational(num, de * den) for num, den in ratios)
@@ -319,7 +323,7 @@ def build_run_report(
         utilities=tuple(
             read(_utilities(holdings, ((1, 1, b.final_allocation),), agents, v, e)) for b in shown
         ),
-        expected_utilities=read(_utility_ratios(a, d, config.m_bar, v, v, agents)),
-        welfare=_welfare_report((order, _masses(order, a), a, d, v, e), profile.bids, config.m_bar),
+        expected_utilities=read(_priced_ratios(a, d, price, high, low, v, v, agents)),
+        welfare=_welfare_report((order, mass, a, d, v, e), profile.bids, m_bar),
         checks=tuple(checks),
     )

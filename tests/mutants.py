@@ -13,7 +13,9 @@ the reader that gives the tie its engine side. The monotone one moves the
 price readout of ``properties._pricer`` off the engine's. The budget one
 shifts the prefix share masses (``core._masses``) by one rank; the engine,
 the scorer and the readout all read them, so only the conservation check
-and the welfare sweep's closed form can tell. The class one leaves the
+and the welfare sweep's closed form can tell. The settlement one pays each
+seller a_i p / (d H q) instead of a_i p / (d q) in ``core._settle``, which
+only the conservation check reads in full. The class one leaves the
 threshold agent's share out of H in ``properties._classes`` only: the tie
 cannot see it, and sp and group-sp must catch it inside the class walk,
 though not on every instance.
@@ -59,6 +61,13 @@ MASS_MUTANT = (
     "    return list(accumulate(map(a.__getitem__, order)))",
 )
 
+SETTLEMENT_MUTANT = (
+    "a seller's proceeds lose the buyer-mass factor",
+    "core.py",
+    "            y[i] = a[i] * buyers * p",
+    "            y[i] = a[i] * p",
+)
+
 CLASS_MUTANT = (
     "the class walk's H leaves out the threshold agent's share",
     "properties.py",
@@ -67,7 +76,7 @@ CLASS_MUTANT = (
 )
 
 MUTANTS = {
-    "budget": (MASS_MUTANT,),
+    "budget": (MASS_MUTANT, SETTLEMENT_MUTANT),
     "sp": ENGINE_MUTANTS,
     "group-sp": ENGINE_MUTANTS,
     "monotone": (

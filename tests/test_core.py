@@ -7,6 +7,7 @@ randomized rational instances.
 """
 
 import dataclasses
+import pickle
 
 import pytest
 from hypothesis import given
@@ -27,6 +28,7 @@ from mbm import (
     run_expected,
 )
 from mbm.core import (
+    _bid_numerators,
     _branches,
     _holdings,
     _kernel,
@@ -37,6 +39,7 @@ from mbm.core import (
     _weighted,
 )
 from mbm.instances import perturbed_profile
+from mbm.properties import CORRUPTION_KINDS, corrupted_engine
 from mbm.rational import ONE, ZERO, Rational as Q
 from mbm.suites import generate_suite
 
@@ -91,6 +94,94 @@ def test_config_bounds():
         MbmConfig(n=4, m_bar=1)
     with pytest.raises(InvalidConfig):
         MbmConfig(n=4, m_bar=4)
+
+
+# --- integer forms -------------------------------------------------------------
+
+
+def _paper_settlement(initial, branch):
+    # the branch's allocation as the paper writes it, in rationals: the top m
+    # bidders scale their stakes by 1 / (buyer mass), the rest hold nothing,
+    # and every agent's money moves by (initial - final share) * price
+    buyers = branch.order[: branch.realized_m]
+    mass = sum(initial.shares[i] for i in buyers)
+    shares = tuple(s / mass if i in buyers else ZERO for i, s in enumerate(initial.shares))
+    money = tuple(
+        x + (s0 - s1) * branch.price for x, s0, s1 in zip(initial.money, initial.shares, shares)
+    )
+    return shares, money
+
+
+def _form_rationals(allocation):
+    s, t, y, z = _holdings(allocation)
+    assert t > 0 and z > 0
+    return tuple(Q(x, t) for x in s), tuple(Q(x, z) for x in y)
+
+
+def test_every_settled_branch_form_equals_its_rationals():
+    # the form of each branch, read before any rational is made, equals the
+    # paper's settlement entry by entry, and so do the rationals read later;
+    # the controls that edit rationals get their form from them
+    rng = random.Random(3)
+    cases = list(generate_suite(24, seed=3, n_range=(3, 8)))
+    initial, profile, config = cases[0]
+    money = tuple(Q(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(config.n))
+    cases.append((Allocation(initial.shares, money), profile, config))
+    cases.append(
+        (
+            Allocation.from_shares((Q(1, 2), ZERO, Q(1, 4), Q(1, 4))),
+            BidProfile((Q(9), Q(7), Q(5), Q(3))),
+            MbmConfig(4, 3),
+        )
+    )
+    sizes = {config.n for _, _, config in cases}
+    assert sizes == set(range(3, 9))
+    engines = {kind: corrupted_engine(kind) for kind in CORRUPTION_KINDS}
+    engines["real"] = run_expected
+    for kind, engine in engines.items():
+        for initial, profile, config in cases:
+            for branch in engine(initial, profile, config).branches:
+                final = branch.final_allocation
+                read = _form_rationals(final)
+                if kind in ("real", "price-next", "price-dip"):
+                    assert not {"shares", "money"} & vars(final).keys()
+                    assert read == _paper_settlement(initial, branch)
+                assert read == (final.shares, final.money)
+                assert all(type(x) is Q for x in final.shares + final.money)
+
+
+def test_values_built_on_integers_behave_as_built_from_rationals(worked):
+    initial, profile, config = worked
+
+    def settled():
+        return run_expected(initial, profile, config).high_branch.final_allocation
+
+    high = run_expected(initial, profile, config).high_branch
+    twin = Allocation(*_paper_settlement(initial, high))
+    assert settled() == twin and twin == settled()
+    assert hash(settled()) == hash(twin)
+    assert repr(settled()) == repr(twin)
+    assert pickle.loads(pickle.dumps(settled())) == twin
+    assert dataclasses.replace(settled(), money=twin.money) == twin
+    assert dataclasses.replace(settled()).shares == twin.shares
+    assert settled().n == 3
+    bids = BidProfile._from_form([20, 10, 4], 2)
+    assert "bids" not in vars(bids)
+    assert bids.n == 3 and _bid_numerators(bids) == ((20, 10, 4), 2)
+    for read in (lambda b: b, hash, repr, lambda b: pickle.loads(pickle.dumps(b))):
+        assert read(BidProfile._from_form([20, 10, 4], 2)) == read(profile)
+    assert dataclasses.replace(BidProfile._from_form([20, 10, 4], 2)) == profile
+    assert BidProfile._from_form([20, 10, 4], 2).replace_bid(2, 1) == profile.replace_bid(2, 1)
+    with pytest.raises(AttributeError, match="'Allocation' object has no attribute 'price'"):
+        settled().price
+
+
+def test_bid_profile_built_on_integers_rejects_negative_as_the_constructor():
+    with pytest.raises(ValueError) as rationals:
+        BidProfile((Q(3, 4), Q(-1, 2), Q(1, 4)))
+    with pytest.raises(ValueError) as integers:
+        BidProfile._from_form([3, -2, 1], 4)
+    assert str(integers.value) == str(rationals.value) == "agent 1 bid -1/2 is negative"
 
 
 # --- bid order and price -----------------------------------------------------

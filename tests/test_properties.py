@@ -1,9 +1,10 @@
 """Oracles: verdicts on the worked instance, negative controls, grid behavior."""
 
 from dataclasses import replace
+from itertools import accumulate
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mbm import (
@@ -30,7 +31,13 @@ from mbm import (
 )
 from mbm import properties
 from mbm.captable import CapTableRecord
-from mbm.core import _over_lcm, _simplex_numerators, _utility_ratios
+from mbm.core import (
+    _bid_numerators,
+    _holdings,
+    _over_lcm,
+    _simplex_numerators,
+    _utility_ratios,
+)
 from mbm.instances import InstanceSpec, generate, perturbed_profile
 from mbm.properties import CORRUPTION_KINDS, PropertyReport, Witness
 from mbm.rational import ONE, ZERO, Rational as Q, rational
@@ -113,6 +120,22 @@ def _grid_profiles():
             # each bid in lowest terms over its own prime, so no two tie
             primes = (3, 5, 7, 11, 13, 17, 19, 23)
             yield BidProfile(tuple(Q(p * x + 1, p) for x, p in zip(rest + [0], primes)))
+
+
+@given(
+    st.lists(st.integers(1, 50), min_size=1, max_size=8),
+    st.integers(0, 3),
+    st.integers(1, 10**4),
+    st.booleans(),
+)
+@example(steps=[1], low=0, spread=1, descending=False)  # a zero bid
+@example(steps=[2, 3], low=1, spread=5000, descending=True)  # 1 < 10000 / 1000
+def test_grid_size_is_three_per_other_bid_less_one_at_a_zero_bid(steps, low, spread, descending):
+    # the deviation search counts grid cases by this formula, building no grid
+    others = [low + spread * x for x in accumulate(steps, initial=0)]
+    if descending:
+        others.reverse()
+    assert len(properties._grid(others)) == 3 * len(others) - 1 - (low == 0)
 
 
 def test_grid_equals_fraction_reference():
@@ -468,7 +491,7 @@ def test_sp_sees_a_gain_on_the_rank_patterns_of_one_agent(monkeypatch):
     # {3}), where she is ranked first, and (agent 1, {}), where she is ranked
     # third and gains: the rank patterns of one class score alike
     initial, profile, config = weak_gain_instance()
-    a, d = _simplex_numerators(initial.shares)
+    a, d = _simplex_numerators(initial)
     real = properties._priced_ratios
 
     def paid(w, values, agents, ratios):
@@ -564,7 +587,7 @@ def test_group_sp_sees_a_gain_the_grid_only_reaches_as_a_tie(monkeypatch):
     # joint grid deviation puts both above 8: only the classes see the gain
     initial, profile, _ = weak_gain_instance()
     config = MbmConfig(4, 3)
-    a, d = _simplex_numerators(initial.shares)
+    a, d = _simplex_numerators(initial)
     real = properties._priced_ratios
 
     def paid(w, values, agents, ratios):
@@ -615,7 +638,7 @@ def test_each_threshold_class_scores_as_its_rank_patterns():
         n, m_bar = config.n, config.m_bar
         if idx % 2:
             profile = profile.replace_bid(min(range(n), key=profile.bids.__getitem__), 0)
-        a, d = _simplex_numerators(initial.shares)
+        a, d = _simplex_numerators(initial)
         scaled, _ = _over_lcm(profile.bids + perturbed_profile(profile, rng).bids)
         base, values = [(n + 1) * x for x in scaled[:n]], [(n + 1) * x for x in scaled[n:]]
         for k in range(1, n):
@@ -705,7 +728,7 @@ def cash_out_second_bidder(initial, profile, config):
     seller = high.order[1]
     rest = ONE - initial.shares[seller]
     shares = tuple(ZERO if j == seller else s / rest for j, s in enumerate(initial.shares))
-    final = Allocation._from_parts(shares, high.final_allocation.money)
+    final = Allocation(shares, high.final_allocation.money)
     return ExpectedOutcome(
         high_branch=replace(high, final_allocation=final), low_branch=expected.low_branch
     )
@@ -832,7 +855,7 @@ def test_scorer_tie_witness_reads_the_engine(monkeypatch):
         order = expected.high_branch.order
         j = min(order[0], order[config.m_bar - 1], order[-1])
         slow = expected_adjusted_utility(initial, expected, profile, j)
-        _, d = _simplex_numerators(initial.shares)
+        _, d = _simplex_numerators(initial)
         _, e = _over_lcm(profile.bids)
         fast = slow + Q(1, d * e)
         assert report.witness.agent == j
@@ -900,7 +923,7 @@ def test_scorer_reads_another_engine_exactly_with_money():
     for base, profile, config in generate_suite(20, seed=53, n_range=(3, 8)):
         others = perturbed_profile(profile, rng)
         for initial in (base, with_money(base, rng)):
-            a, d = _simplex_numerators(initial.shares)
+            a, d = _simplex_numerators(initial)
             for engine in engines:
                 score = properties._scorer(engine, initial, config, a, d)
                 for bids in (profile, others):
@@ -913,6 +936,43 @@ def test_scorer_reads_another_engine_exactly_with_money():
                         slow = expected_adjusted_utility(initial, expected, profile, j)
                         assert den > 0
                         assert Q(num, den) == slow * d * e
+
+
+def test_controls_score_and_price_on_integers_alone():
+    # a non-real engine gets its profile built on integers and its branches
+    # read through their forms: scoring one grid point under price-next and
+    # pricing one piece under price-dip make no bids, shares or money tuple
+    initial, profile, config = next(iter(generate_suite(1, seed=7, n_range=(5, 5))))
+    seen = []
+
+    def spied(kind):
+        engine = corrupted_engine(kind)
+
+        def spy(initial, profile, config):
+            expected = engine(initial, profile, config)
+            seen.append((profile, expected))
+            return expected
+
+        return spy
+
+    a, d = _holdings(initial)[:2]
+    w, e = _bid_numerators(profile)
+    values = [1000 * x for x in w]
+    point = values[:]
+    point[0] = properties._grid(properties._others(w, 0))[0]
+    score = properties._scorer(spied("price-next"), initial, config, a, d)
+    assert len(list(score(point, 1000 * e, values, range(config.n)))) == config.n
+    price = properties._pricer(spied("price-dip"), initial, config)
+    lo, hi = sorted(w[1:])[:2]
+    piece = [4 * x for x in w]
+    for k in (1, 2, 3):
+        piece[0] = 4 * lo + k * (hi - lo)
+        price(piece, 4 * e)
+    assert len(seen) == 4
+    for bids, expected in seen:
+        assert "bids" not in vars(bids)
+        for branch in expected.branches:
+            assert not {"shares", "money"} & vars(branch.final_allocation).keys()
 
 
 @pytest.mark.parametrize("kind", ["price-next", "price-dip"])
