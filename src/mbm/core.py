@@ -291,8 +291,8 @@ def _kernel(initial: Allocation, profile: BidProfile, config: MbmConfig) -> tupl
 def _branches(mass, d: int, m_bar: int) -> tuple:
     """(m, buyer mass, probability numerator) for m = m_bar, m_bar - 1, over d.
 
-    The buyer masses are H = mass[m_bar] and L = mass[m_bar - 1]. Raises
-    DegenerateBuyerMass for a branch whose buyers hold nothing, high first.
+    Reads only H = mass[m_bar] and L = mass[m_bar - 1], the buyer masses, and
+    raises DegenerateBuyerMass for a branch whose buyers hold nothing, high first.
     """
     high, low = mass[m_bar], mass[m_bar - 1]
     if high == 0 or low == 0:

@@ -26,20 +26,18 @@ the profile built straight on those integers (``BidProfile._from_form``),
 and ``core._utilities`` reads each member's two branches off their
 integer forms as one integer ratio, with no rational made.
 
-A coalition is decided on one of two paths. With the non-members' bids
-fixed, the real mechanism's utilities depend only on the threshold class:
-the non-member t at rank m_bar and the members above her, scored off the
-non-members' fixed order. So when every share is positive one point per
-class decides it, at most 2^k for k members; a lone deviator's classes
-make her the paper's definite buyer or definite seller. Any other engine,
-a zero share (whose DegenerateBuyerMass comes from a particular grid case)
-or a member with a negative truthful utility walks the grid instead. With
-the others' bids fixed, the mechanism's utility is piecewise constant in
-an agent's own bid, breaking only at the other bids, so ``_grid`` samples
-every piece tie-free, over 1000 * e, and the tests re-check verdicts on a
-10x refined grid. Either way a holding verdict's ``cases`` counts the grid
-deviations covered, 3k - 1 per member against k other bids (3k - 2 when
-one is 0); a grid is built only when a coalition walks it.
+A coalition is decided on one of two paths, chosen by the engine alone.
+With the non-members' bids fixed, the real mechanism's utilities depend
+only on the threshold class: the non-member t at rank m_bar and the
+members above her, scored off the non-members' fixed order. So one point
+per class decides it, at most 2^k for k members; a lone deviator's
+classes make her the paper's definite buyer or definite seller. Any other
+engine walks the grid: with the others' bids fixed, the mechanism's
+utility is piecewise constant in an agent's own bid, breaking only at the
+other bids, so ``_grid`` samples every piece tie-free, over 1000 * e, and
+the tests re-check verdicts on a 10x refined grid. Either way a holding
+verdict's ``cases`` counts the grid deviations covered, 3k - 1 per member
+against k other bids (3k - 2 when one is 0).
 
 Price monotonicity is decided on the same pieces: between consecutive
 other bids the real engine's price is constant or the mover's bid, and the
@@ -416,7 +414,8 @@ def _classes(a, d: int, m_bar: int, base, values, coalition):
     members S above her: the price is t's bid u, L the share mass of S and
     of the non-members above t, and H = L + a_t. Its point puts S at u + 1,
     u + 2, ... and the other members at u - 1, u - 2, ...; a class that
-    needs a member below a zero bid is skipped.
+    needs a member below a zero bid is skipped, and one with L = 0 raises
+    what ``run_expected`` raises at its point (``core._branches``).
     """
     rest = sorted(set(range(len(base))) - set(coalition), key=base.__getitem__, reverse=True)
     above = _masses(rest, a)
@@ -430,6 +429,7 @@ def _classes(a, d: int, m_bar: int, base, values, coalition):
                 continue  # a member below a zero bid
             low = above[r - 1] + sum(map(a.__getitem__, s))
             high = low + a[t]
+            _branches({m_bar: high, m_bar - 1: low}, d, m_bar)
             w, hi, lo = base[:], u, u
             for j in coalition:
                 if j in s:
@@ -446,7 +446,7 @@ def _deviation_search(
     strictly better off, as a violated report; else a holding one.
 
     The non-members bid as in ``others``; a member's truthful utility is her
-    true value bid against the same others. Before any grid, the profile
+    true value bid against the same others. Before any deviation, the profile
     where agent 0 bids her value against the fixed bids is scored. It is
     the first coalition's truthful profile, and every coalition's when
     ``others`` are the valuations; then every agent is scored there, as for
@@ -455,17 +455,21 @@ def _deviation_search(
     so errors come in the order of the profiles met. For the real engine
     one agent of each type in that first profile (definite buyer, threshold
     agent, definite seller) is tied to ``run_expected``, at the true values
-    and again with every value 1 / e above its bid, a mismatch being a
-    violation there whose witness names the values.
+    and again with every value 1 / e above its bid, and so is every member
+    at a class point where all gain, before the gain is reported. A
+    mismatch is a violation there, whose witness names any moved values and
+    whose ``cases`` adds the agents compared.
 
-    A coalition is decided on its threshold classes (``_classes``) when the
-    engine is the real one, every share is positive and no member's
-    truthful utility is negative, and on its members' grid product
-    (``_grid_points``) otherwise. A holding verdict's ``cases`` counts the
-    grid deviations covered; a violation counts those of the earlier
-    coalitions plus the classes or grid points walked in its own. With a
-    ``budget``, the search raises SearchBudgetExceeded before any coalition
-    when the grid deviations of every coalition of two or more exceed it.
+    A coalition is decided on its threshold classes (``_classes``) for the
+    real engine and on its members' grid product (``_grid_points``) for any
+    other. The classes skip a member at rank m_bar, who gets 0; bidding her
+    value, a buyer gets a_j (d - H)(v_j - u) / L with v_j > u, a seller
+    a_j (u - v_j) with v_j < u, so no truthful utility is negative. A
+    holding verdict's ``cases`` counts the grid deviations covered; a
+    violation counts those of the earlier coalitions plus the classes or
+    grid points walked in its own. With a ``budget``, the search raises
+    SearchBudgetExceeded before any coalition when the grid deviations of
+    every coalition of two or more exceed it.
     """
     instance = describe_instance(initial, others, config)
     n = config.n
@@ -482,32 +486,41 @@ def _deviation_search(
     w[0] = values[0]
     scored = range(n) if real or shared else (0,)
     truthful = dict(zip(scored, score(w, e, values, scored)))
-    if real:
-        # the scorer's three formulas tied to run_expected there: the top
-        # bidder buys, the agent ranked m_bar is the threshold agent and the
-        # bottom bidder sells. The outcome does not depend on the values, so
-        # it is read again with each value 1 / e above its bid, where the
-        # threshold agent must still get 0
-        profile = others.replace_bid(0, valuations.bids[0])
-        expected = run_expected(initial, profile, config)
-        order = expected.high_branch.order
-        types = sorted((order[0], order[config.m_bar - 1], order[-1]))
-        holdings, branches = _holdings(initial), _weighted(expected)
-        moved = [x + 1 for x in w]
-        ties = ((values, truthful), (moved, dict(zip(types, score(w, e, moved, types)))))
-        cases = 0
+    holdings = _holdings(initial)
+
+    def tie(w, e, agents, ties, cases):
+        # the first of ``agents`` whose utility under run_expected at the bids
+        # w / e is not the scorer's, as a violation there, else None; ``ties``
+        # holds (values over e, {agent: the scorer's ratio}) pairs, the first
+        # at the true values
+        profile = BidProfile._from_form(w, e)
+        branches = _weighted(run_expected(initial, profile, config))
         for vals, by_scorer in ties:
-            for j, (slow, slow_den) in zip(types, _utilities(holdings, branches, types, vals, e)):
+            for j, (slow, slow_den) in zip(agents, _utilities(holdings, branches, agents, vals, e)):
                 cases += 1
                 num, den = by_scorer[j]
                 if num * slow_den != slow * den:
                     fast = Rational(num, d * e * den)
                     slow = Rational(slow, d * e * slow_den)
                     at = "at the witness bids"
-                    if vals is moved:
+                    if vals is not ties[0][0]:
                         at += f" with values ({', '.join(str(Rational(x, e)) for x in vals)})"
                     detail = f"agent {j}: the scorer gives {fast} {at}, the engine {slow}"
                     return _violation(name, instance, cases, detail, agent=j, bids=profile.bids)
+
+    if real:
+        # the scorer's three formulas tied to run_expected there: the top
+        # bidder buys, the agent ranked m_bar is the threshold agent and the
+        # bottom bidder sells. The outcome does not depend on the values, so
+        # it is read again with each value 1 / e above its bid, where the
+        # threshold agent must still get 0
+        order = _bid_order(w)
+        types = sorted((order[0], order[config.m_bar - 1], order[-1]))
+        moved = [x + 1 for x in w]
+        ties = ((values, truthful), (moved, dict(zip(types, score(w, e, moved, types)))))
+        mismatch = tie(w, e, types, ties, 0)
+        if mismatch is not None:
+            return mismatch
     rivals = [_others(bids, j) for j in range(n)]
     # ``_grid`` has 3k - 1 candidates against k others, one fewer when one bids 0
     sizes = [3 * len(o) - 1 - (min(o) == 0) for o in rivals]
@@ -516,8 +529,9 @@ def _deviation_search(
         if required > budget:
             raise SearchBudgetExceeded(required, budget)
     grids = None  # built when a coalition first walks the grid
-
-    classes = real and min(a) > 0
+    # class points are integers over (n + 1) * e, grid deviations over 1000 * e
+    scale = n + 1 if real else 1000
+    base, scaled = [scale * x for x in bids], [scale * x for x in values]
     cases = 0
     for coalition in coalitions:
         if not shared:
@@ -527,11 +541,7 @@ def _deviation_search(
                 w[j] = values[j]
             for j, ratio in zip(coalition, score(w, e, values, coalition)):
                 truthful[j] = ratio
-        by_class = classes and min(truthful[j][0] for j in coalition) >= 0
-        # class points are integers over (n + 1) * e, grid deviations over 1000 * e
-        scale = n + 1 if by_class else 1000
-        base, scaled = [scale * x for x in bids], [scale * x for x in values]
-        if by_class:
+        if real:
             points = _classes(a, d, config.m_bar, base, scaled, coalition)
         else:
             grids = grids or [_grid(o) for o in rivals]
@@ -542,6 +552,11 @@ def _deviation_search(
                 if num * t_den <= scale * t_num * den:
                     break
             else:
+                if real:  # the gain is reported only where the engine agrees
+                    by_scorer = dict(zip(coalition, ratios))
+                    mismatch = tie(w, scale * e, coalition, ((scaled, by_scorer),), cases + walked)
+                    if mismatch is not None:
+                        return mismatch
                 deviant = tuple(Rational(x, scale * e) for x in w)
                 if len(coalition) > 1:
                     combo = tuple(str(deviant[j]) for j in coalition)

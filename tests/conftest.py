@@ -1,10 +1,11 @@
 import os
+import time
 
 import pytest
 from hypothesis import HealthCheck, settings
 
 from mbm import Allocation, BidProfile, MbmConfig
-from mbm.rational import Rational as Q
+from mbm.rational import BACKEND, Rational as Q
 
 settings.register_profile(
     "mbm",
@@ -31,3 +32,30 @@ def worked():
     profile = BidProfile((Q(10), Q(5), Q(2)))
     config = MbmConfig(n=3, m_bar=2)
     return initial, profile, config
+
+
+class Timer:
+    """A timed criterion: ``finish`` prints one pass/fail line and asserts both."""
+
+    def __init__(self, number, name, limit):
+        self.number = number
+        self.name = name
+        self.limit = limit
+
+    def __enter__(self):
+        self.start = time.perf_counter()
+        return self
+
+    def finish(self, ok, detail=""):
+        elapsed = time.perf_counter() - self.start
+        verdict = "PASS" if ok else "FAIL"
+        extra = f", {detail}" if detail else ""
+        print(f"[criterion {self.number:02d}] {self.name}: {verdict} "
+              f"({elapsed:.2f}s / limit {self.limit:g}s, {BACKEND} backend{extra})")
+        assert ok, f"criterion {self.number} failed: {self.name}"
+        assert elapsed < self.limit, (
+            f"criterion {self.number} overran its {self.limit}s budget: {elapsed:.2f}s"
+        )
+
+    def __exit__(self, *exc):
+        return False

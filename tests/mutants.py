@@ -18,7 +18,10 @@ seller a_i p / (d H q) instead of a_i p / (d q) in ``core._settle``, which
 only the conservation check reads in full. The class one leaves the
 threshold agent's share out of H in ``properties._classes`` only: the tie
 cannot see it, and sp and group-sp must catch it inside the class walk,
-though not on every instance.
+though not on every instance. The degenerate one drops the class walk's
+``DegenerateBuyerMass`` check: only zero shares reach it, so ``mbm
+verify`` cannot, and the bounded-exhaustive space in
+``tests/test_exhaustive.py`` must see its counts move.
 """
 
 ENGINE_MUTANTS = (
@@ -73,6 +76,13 @@ CLASS_MUTANT = (
     "properties.py",
     "            high = low + a[t]",
     "            high = low",
+)
+
+DEGENERATE_MUTANT = (
+    "the class walk leaves out its degenerate check",
+    "properties.py",
+    "            _branches({m_bar: high, m_bar - 1: low}, d, m_bar)",
+    "            pass",
 )
 
 MUTANTS = {

@@ -14,7 +14,6 @@ import random
 import shutil
 import subprocess
 import sys
-import time
 
 import pytest
 
@@ -40,12 +39,12 @@ from mbm import (
 )
 from mbm.cli import main
 from mbm.instances import perturbed_profile
-from mbm.rational import BACKEND, Rational as Q, decimal_approx
+from mbm.rational import Rational as Q, decimal_approx
 from mbm.suites import generate_suite
 from refinement import refined_sp_holds, walk_verdicts
 
 import mutants
-from conftest import SRC
+from conftest import SRC, Timer
 
 import os
 
@@ -56,31 +55,6 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 @pytest.fixture(scope="module")
 def suite_1000():
     return generate_suite(1000, seed=SUITE_SEED, n_range=(3, 8))
-
-
-class Timer:
-    def __init__(self, number, name, limit):
-        self.number = number
-        self.name = name
-        self.limit = limit
-
-    def __enter__(self):
-        self.start = time.perf_counter()
-        return self
-
-    def finish(self, ok, detail=""):
-        elapsed = time.perf_counter() - self.start
-        verdict = "PASS" if ok else "FAIL"
-        extra = f", {detail}" if detail else ""
-        print(f"[criterion {self.number:02d}] {self.name}: {verdict} "
-              f"({elapsed:.2f}s / limit {self.limit:g}s, {BACKEND} backend{extra})")
-        assert ok, f"criterion {self.number} failed: {self.name}"
-        assert elapsed < self.limit, (
-            f"criterion {self.number} overran its {self.limit}s budget: {elapsed:.2f}s"
-        )
-
-    def __exit__(self, *exc):
-        return False
 
 
 def test_criterion_01_budget_balance_exact(suite_1000):

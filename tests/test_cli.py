@@ -635,10 +635,11 @@ def test_sp_suite_kills_the_engine_mutants(tmp_path, subprocess_env):
 
 def test_sp_and_group_sp_kill_the_class_walk_mutant(tmp_path, subprocess_env):
     # H without the threshold agent's share overpays every buyer in the class
-    # walk alone: the tie scores through core._utility_ratios and passes, so
-    # every violation is a deviation found inside the walk. sp sees it
-    # wherever some agent truthfully buys; group-sp needs two buyers, so at
-    # m_bar 2 it holds
+    # walk alone: the tie before any coalition scores through
+    # core._utility_ratios and passes, so every violation is a deviation
+    # found inside the walk, which the engine contradicts when the witness
+    # is replayed. sp sees it wherever some agent truthfully buys; group-sp
+    # needs two buyers, so at m_bar 2 it holds
     package = tmp_path / "mbm"
     shutil.copytree(os.path.join(SRC, "mbm"), package)
     mutants.apply(package, mutants.CLASS_MUTANT)
@@ -653,7 +654,7 @@ def test_sp_and_group_sp_kill_the_class_walk_mutant(tmp_path, subprocess_env):
         )
         assert proc.returncode == 1, (suite, proc.stderr)
         witnesses = [v["witness"] for v in json.loads(proc.stdout) if not v["holds"]]
-        assert not any("the scorer gives" in w for w in witnesses), suite
+        assert all("the scorer gives" in w and "values" not in w for w in witnesses), suite
         found[suite] = len(witnesses)
     assert found == {"sp": 19, "group-sp": 7}
 

@@ -506,10 +506,10 @@ def test_sp_sees_a_gain_on_the_rank_patterns_of_one_agent(monkeypatch):
     report = check_strategyproofness(initial, profile, config)
     assert not report.holds
     assert report.witness.agent == 3
-    # paid 80 against her truthful 1: she sells 1/4 at the price 6
-    assert report.witness.utility_delta == 79
+    # agents 0..2's grid cases, her two classes, then her one utility
+    # replayed through the engine
     grids = [deviation_grid(profile, j).candidates for j in range(3)]
-    assert report.cases == sum(map(len, grids)) + 2
+    assert report.cases == sum(map(len, grids)) + 2 + 1
 
     bids = report.witness.bids
     assert bids[:3] == profile.bids[:3] and 4 < bids[3] < 6
@@ -519,7 +519,15 @@ def test_sp_sees_a_gain_on_the_rank_patterns_of_one_agent(monkeypatch):
     ((t_num, t_den),) = paid(
         values, values, (3,), _utility_ratios(a, d, config.m_bar, values, values, (3,))
     )
-    assert Q(num, den) - Q(t_num, t_den) == report.witness.utility_delta * d * e
+    assert num * t_den > t_num * den
+    # the engine does not confirm the gain: paid 80, she sells 1/4 at the
+    # price 6 for 1, as when truthful
+    expected = run_expected(initial, BidProfile(bids), config)
+    slow = expected_adjusted_utility(initial, expected, profile, 3)
+    assert (Q(num, d * e * den), slow) == (80, 1)
+    assert report.witness.detail == (
+        "agent 3: the scorer gives 80 at the witness bids, the engine 1"
+    )
 
 
 # --- weak group strategyproofness ----------------------------------------------
@@ -605,11 +613,17 @@ def test_group_sp_sees_a_gain_the_grid_only_reaches_as_a_tie(monkeypatch):
     monkeypatch.setattr(properties, "_priced_ratios", gaining)
     report = check_weak_group_strategyproofness(initial, profile, config)
     assert not report.holds
-    assert report.witness.coalition == (2, 3)
-    # the five earlier coalitions' grid cases, then the one class walked
+    # replayed through the engine, the gain fails at the first member: she
+    # buys at agent 0's price 8 for -1/2, not the 80 the scorer pays
+    assert report.witness.agent == 2
+    assert report.witness.detail == (
+        "agent 2: the scorer gives 80 at the witness bids, the engine -1/2"
+    )
+    # the five earlier coalitions' grid cases, the one class walked, then
+    # the one member compared
     grids = [deviation_grid(profile, j).candidates for j in range(4)]
     earlier = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3))
-    assert report.cases == sum(len(grids[i]) * len(grids[j]) for i, j in earlier) + 1
+    assert report.cases == sum(len(grids[i]) * len(grids[j]) for i, j in earlier) + 1 + 1
     bids = report.witness.bids
     assert bids[3] > bids[2] > profile.bids[0]
     scaled, _ = _over_lcm(bids + profile.bids)
@@ -1056,11 +1070,30 @@ def test_sp_verdicts_equal_on_readout_and_reference_paths():
     assert degenerate == 10  # five of the six zero-stake instances, both others
 
 
+def test_real_engine_never_walks_the_grid_on_zero_stakes(monkeypatch):
+    # a zero share raises at a degenerate threshold class, not at a grid point
+    def no_grid(others):
+        raise AssertionError("the real engine walked the grid")
+
+    monkeypatch.setattr(properties, "_grid", no_grid)
+    rng = random.Random(41)
+    for initial, profile, config in ZERO_STAKE_INSTANCES:
+        for others in (None, perturbed_profile(profile, rng)):
+            verdict(check_strategyproofness, initial, profile, config, others_profile=others)
+        verdict(check_weak_group_strategyproofness, initial, profile, config)
+
+
+# the real engine's group-sp error on each of ZERO_STAKE_INSTANCES: raised at
+# the first degenerate threshold class, which need not be the reference
+# path's first degenerate grid point (at index 2 that one has 1 buyer)
+ZERO_STAKE_GROUP_SP_BUYERS = (2, 2, 2, 2, 1, 2)
+
+
 def test_group_sp_verdicts_equal_on_readout_and_reference_paths():
     # n = 5 is compared with frozen output in test_cli: there the reference
     # path needs about 25 s per instance (Python 3.11, fractions backend)
     instances = generate_suite(30, seed=47, n_range=(3, 4)) + [weak_gain_instance()]
-    degenerate = 0
+    degenerate = []
     for initial, profile, config in instances + ZERO_STAKE_INSTANCES:
         fast = verdict(check_weak_group_strategyproofness, initial, profile, config)
         slow = verdict(
@@ -1070,9 +1103,16 @@ def test_group_sp_verdicts_equal_on_readout_and_reference_paths():
             config,
             engine=reference_engine,
         )
-        assert fast == slow
-        degenerate += isinstance(fast, tuple) and fast[0] is DegenerateBuyerMass
-    assert degenerate == len(ZERO_STAKE_INSTANCES)
+        if isinstance(fast, tuple) and fast[0] is DegenerateBuyerMass:
+            assert fast[0] is slow[0]
+            degenerate.append(fast[1])
+        else:
+            assert fast == slow
+    assert len(degenerate) == len(ZERO_STAKE_INSTANCES)
+    assert degenerate == [
+        f"all {m} prospective buyers hold zero initial shares"
+        for m in ZERO_STAKE_GROUP_SP_BUYERS
+    ]
 
 
 def test_monotone_verdicts_equal_on_readout_and_reference_paths():
