@@ -54,6 +54,15 @@ def _over_lcm(values) -> tuple:
     return [p * (lcm // q) for p, q in ratios], lcm
 
 
+def _reduced(*forms) -> tuple:
+    """``_over_lcm`` of the values x[i] / q of each form (x, q) in turn, q positive,
+    on integers: one lcm of the q, then one gcd brings the common denominator down."""
+    lcm = math.lcm(*[q for _, q in forms])
+    scaled = [p * (lcm // q) for x, q in forms for p in x]
+    g = math.gcd(lcm, *scaled)
+    return [p // g for p in scaled], lcm // g
+
+
 def _simplex_numerators(allocation) -> tuple:
     """``_holdings``' shares (a, d), share i = a[i] / d; InvalidAllocation off the simplex."""
     a, d = _holdings(allocation)[:2]
@@ -117,6 +126,11 @@ class Allocation:
         shares = _freeze(shares)
         form = (*_over_lcm(shares), [0] * len(shares), 1)  # zero money needs no lcm
         return _built(cls, shares=shares, money=(ZERO,) * len(shares), _form=form)
+
+    @classmethod
+    def _from_form(cls, a, d: int) -> "Allocation":
+        """Shares a[i] / d, d positive, and zero money, kept on integers."""
+        return _built(cls, _form=(a, d, [0] * len(a), 1))
 
     @property
     def n(self) -> int:

@@ -1,10 +1,12 @@
 """Seeded instance generation with tie-free guarantees.
 
-Random rationals are drawn as integer numerators over fixed power-of-two
-denominators and normalized by exact division, so generated shares sit on
-the simplex exactly. Bids are drawn without replacement, which realizes the
-atomless-valuations assumption constructively: no generated instance ever
-trips the tie detector.
+Values are drawn as integer numerators over one denominator each (bids over
+4096, share weights over their total, tiny-top shares over 2^21 (n - 1)),
+so generated shares sit on the simplex exactly. One gcd brings each list to
+the form ``core._over_lcm`` gives its values, and the allocation and profile
+are built on it: no rational is made until a field is read. Bids are drawn
+without replacement, which realizes the atomless-valuations assumption
+constructively: no generated instance ever trips the tie detector.
 """
 
 from __future__ import annotations
@@ -12,16 +14,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .core import Allocation, BidProfile, MbmConfig
+from .core import Allocation, BidProfile, MbmConfig, _bid_numerators, _reduced
 from .errors import InvalidConfig, SpecInvalid
-from .rational import ONE, Rational
-from .welfare import uniform_grid_valuations
 
 SHARE_MODELS = ("equal", "random", "tiny-top")
 VALUATION_MODELS = ("uniform-grid", "random")
 
 # tiny-top places the highest-valuing agent strictly below one millionth
-_TINY_SHARE = Rational(1, 2**21)
+_TINY_GRAIN = 2**21
 
 _SHARE_GRAIN = 2**16
 _BID_GRAIN = 2**12
@@ -36,23 +36,6 @@ class InstanceSpec:
     valuation_model: str = "random"
     m_bar: int = 2
     seed: int = 0
-
-
-def _random_bids(n: int, rng: random.Random) -> tuple:
-    numerators = rng.sample(range(1, 16 * _BID_GRAIN + 1), n)
-    return tuple(Rational(k, _BID_GRAIN) for k in numerators)
-
-
-def _random_shares(n: int, rng: random.Random) -> tuple:
-    weights = [rng.randint(1, _SHARE_GRAIN) for _ in range(n)]
-    total = sum(weights)
-    return tuple(Rational(w, total) for w in weights)
-
-
-def _tiny_top_shares(n: int, bids: tuple) -> tuple:
-    top = max(range(n), key=bids.__getitem__)
-    rest = (ONE - _TINY_SHARE) / (n - 1)
-    return tuple(_TINY_SHARE if i == top else rest for i in range(n))
 
 
 def generate(spec: InstanceSpec):
@@ -71,20 +54,24 @@ def generate(spec: InstanceSpec):
             f"pick from {VALUATION_MODELS}"
         )
 
+    n = spec.n
     rng = random.Random(spec.seed)
     if spec.valuation_model == "uniform-grid":
-        bids = uniform_grid_valuations(spec.n).bids
+        w, e = list(range(n, 0, -1)), n  # welfare's grid 1, (n - 1) / n, ..., 1 / n
     else:
-        bids = _random_bids(spec.n, rng)
+        w, e = _reduced((rng.sample(range(1, 16 * _BID_GRAIN + 1), n), _BID_GRAIN))
 
     if spec.share_model == "equal":
-        shares = (Rational(1, spec.n),) * spec.n
+        a, d = [1] * n, n
     elif spec.share_model == "random":
-        shares = _random_shares(spec.n, rng)
-    else:
-        shares = _tiny_top_shares(spec.n, bids)
+        weights = [rng.randint(1, _SHARE_GRAIN) for _ in range(n)]
+        a, d = _reduced((weights, sum(weights)))
+    else:  # the top bidder holds 1 / 2^21 and the others split the rest evenly
+        top = max(range(n), key=w.__getitem__)
+        tiny = [n - 1 if i == top else _TINY_GRAIN - 1 for i in range(n)]
+        a, d = _reduced((tiny, _TINY_GRAIN * (n - 1)))
 
-    return Allocation.from_shares(shares).validate(), BidProfile(bids), config
+    return Allocation._from_form(a, d).validate(), BidProfile._from_form(w, e), config
 
 
 def perturbed_profile(valuations: BidProfile, rng: random.Random) -> BidProfile:
@@ -93,14 +80,18 @@ def perturbed_profile(valuations: BidProfile, rng: random.Random) -> BidProfile:
     Used as the fixed others-profile in single-agent deviation suites, where
     the non-deviators need not bid truthfully.
     """
-    taken = set(valuations.bids)
+    w, e = _bid_numerators(valuations)
+    # over 4 * 4096 * e a value v moved by j / (4 * 4096) is v (4 * 4096 + j),
+    # and k / 4096 for a zero value is 4 e k
+    grain = 4 * _BID_GRAIN
+    taken = {grain * v for v in w}
     bids = []
-    for v in valuations.bids:
+    for v in w:
         while True:
-            jitter = Rational(rng.randint(-_BID_GRAIN + 1, _BID_GRAIN - 1), 4 * _BID_GRAIN)
-            cand = v * (1 + jitter) if v > 0 else Rational(rng.randint(1, _BID_GRAIN), _BID_GRAIN)
-            if cand >= 0 and cand not in taken:
+            jitter = rng.randint(-_BID_GRAIN + 1, _BID_GRAIN - 1)
+            cand = v * (grain + jitter) if v else 4 * e * rng.randint(1, _BID_GRAIN)
+            if cand not in taken:
                 break
         taken.add(cand)
         bids.append(cand)
-    return BidProfile(tuple(bids))
+    return BidProfile._from_form(*_reduced((bids, grain * e)))

@@ -42,14 +42,17 @@ against k other bids (3k - 2 when one is 0).
 Price monotonicity is decided on the same pieces: between consecutive
 other bids the real engine's price is constant or the mover's bid, and the
 ``price-*`` controls' prices are affine, so three points per piece and the
-limits at its ends decide the lemma.
+limits at its ends decide the lemma. The real engine's price is read by
+putting the mover into the others' fixed order, with no sort per point.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect
 from dataclasses import dataclass, replace
+from functools import partial
 
 from .core import (
     Allocation,
@@ -64,8 +67,8 @@ from .core import (
     _holdings,
     _kernel,
     _masses,
-    _over_lcm,
     _priced_ratios,
+    _reduced,
     _reject_ties,
     _settle,
     _share_numerators,
@@ -76,7 +79,7 @@ from .core import (
     run_expected,
 )
 from .errors import InvalidArgument, SearchBudgetExceeded
-from .rational import Rational, rational_str
+from .rational import Rational, ratio_str
 
 DEFAULT_SEARCH_BUDGET = 10**6
 
@@ -174,8 +177,10 @@ def _violation(
 def describe_instance(
     initial: Allocation, profile: BidProfile, config: MbmConfig
 ) -> str:
-    shares = ",".join(map(rational_str, initial.shares))
-    bids = ",".join(map(rational_str, profile.bids))
+    a, d = _holdings(initial)[:2]
+    w, e = _bid_numerators(profile)
+    shares = ",".join(map(ratio_str, a, itertools.repeat(d)))
+    bids = ",".join(map(ratio_str, w, itertools.repeat(e)))
     return f"n={config.n} m_bar={config.m_bar} shares=[{shares}] bids=[{bids}]"
 
 
@@ -272,30 +277,46 @@ def check_individual_rationality(
     return PropertyReport(name, instance, holds=True, cases=cases)
 
 
-def _pricer(engine, initial, config):
-    """The instance's ``price(w, e)``: the high branch's price at bids w / e, times e.
+def _pricer(engine, initial, config, fixed, e: int):
+    """The instance's ``readout(agent)``: ``price(x, k)``, the high branch's
+    price times k e when ``agent`` bids x / (k e) and each other j fixed[j] / e.
 
-    The real engine's is the bid ranked m_bar on the integer list w. When a
-    share is zero, ``_branches`` checks the ``_masses`` of that order as
-    ``run_expected`` checks them; any other engine runs w / e on integers.
+    The real engine's is read off the fixed bids' one order less the agent:
+    with c of the others above x / k, the price is their m_bar-th bid (she
+    sells) when c >= m_bar, x (she is the threshold agent) when c = m_bar - 1,
+    and their (m_bar - 1)-th (she buys) otherwise. When a share is zero,
+    ``_branches`` checks H and L, the others' ``_masses`` with hers put in,
+    as ``run_expected`` does; any other engine runs the bids on integers.
     """
-    if engine is run_expected:
-        a, d = _simplex_numerators(initial)
-        m_bar = config.m_bar
-        if min(a) > 0:
-            return lambda w, e: w[_bid_order(w)[m_bar - 1]]
+    m_bar = config.m_bar
 
-        def readout(w, e):
-            order = _bid_order(w)
-            _branches(_masses(order, a), d, m_bar)
-            return w[order[m_bar - 1]]
+    def run(agent, x, k):
+        w = [k * b for b in fixed]
+        w[agent] = x
+        return engine(initial, BidProfile._from_form(w, k * e), config).high_branch.price * k * e
 
-        return readout
+    if engine is not run_expected:
+        return lambda agent: partial(run, agent)
+    a, d = _simplex_numerators(initial)
+    order = _bid_order(fixed)
 
-    def price(w, e):
-        return engine(initial, BidProfile._from_form(w, e), config).high_branch.price * e
+    def readout(agent):
+        rest = [j for j in order if j != agent]
+        o = [fixed[j] for j in rest]
+        up, mass, mine = o[::-1], _masses(rest, a), a[agent]
 
-    return price
+        def price(x, k):
+            c = len(up) - bisect(up, x // k)  # the others above x / k
+            return x if c == m_bar - 1 else k * o[m_bar - 1 if c >= m_bar else m_bar - 2]
+
+        def checked(x, k):
+            c = len(up) - bisect(up, x // k)
+            _branches(mass[: c + 1] + [m + mine for m in mass[c:]], d, m_bar)
+            return price(x, k)
+
+        return price if min(a) > 0 else checked
+
+    return readout
 
 
 def check_price_monotonicity(
@@ -315,27 +336,26 @@ def check_price_monotonicity(
     ends (2 p_3 - p_2); anything else is a violation, never a pass.
     ``cases`` counts the prices taken.
 
-    The real engine's readout is first tied to ``run_expected`` at the
-    truthful bids, a mismatch being a violation there. A witness names the
-    agent and the profile at her highest offending bid, and its detail
-    lists those bids with their prices; a jump is shown by two bids either
-    side of the boundary.
+    The real engine's readout (``_pricer``) is first tied to ``run_expected``
+    at the truthful bids, read through every agent's readout at her own bid,
+    a mismatch being a violation there. A witness names the agent and the
+    profile at her highest offending bid, and its detail lists those bids
+    with their prices; a jump is shown by two bids either side of the
+    boundary.
     """
     name = "price-monotonicity"
     instance = describe_instance(initial, profile, config)
     # the truthful run goes first, so its errors come before the pieces'
     truthful = engine(initial, profile, config).high_branch.price
-    price = _pricer(engine, initial, config)
     fixed, e = _bid_numerators(profile)
-    if engine is run_expected and price(fixed, e) != truthful * e:
-        return _violation(
-            name,
-            instance,
-            1,
-            f"the readout gives price {Rational(price(fixed, e), e)} at the "
-            f"truthful bids, the engine {truthful}",
-            bids=profile.bids,
-        )
+    prices = list(map(_pricer(engine, initial, config, fixed, e), range(config.n)))
+    if engine is run_expected:  # every agent's readout at her own bid
+        for agent, price in enumerate(prices):
+            at = price(fixed[agent], 1)
+            if at != truthful * e:
+                at = Rational(at, e)
+                detail = f"the readout gives price {at} at the truthful bids, the engine {truthful}"
+                return _violation(name, instance, 1, detail, bids=profile.bids)
 
     def violation(cases, agent, e, points, reason):
         # points: the agent's bids over e, ascending, each with its price times e
@@ -352,17 +372,13 @@ def check_price_monotonicity(
 
     e *= 4
     cases = 0
-    for agent in range(config.n):
+    for agent, price in enumerate(prices):
         others = _others(fixed, agent)
-        w = [4 * x for x in fixed]
         bounds = sorted({0, *others}) + [2 * max(others)]
         before = None  # the previous piece's quarter step, rise per step, right limit
         for lo, hi in zip(bounds, bounds[1:]):
             h = hi - lo
-            points = []
-            for x in (4 * lo + h, 4 * lo + 2 * h, 4 * lo + 3 * h):
-                w[agent] = x
-                points.append((x, price(w, e)))
+            points = [(x, price(x, 4)) for x in (4 * lo + h, 4 * lo + 2 * h, 4 * lo + 3 * h)]
             cases += 3
             p1, p2, p3 = (p for _, p in points)
             if p1 + p3 != 2 * p2:
@@ -380,11 +396,7 @@ def check_price_monotonicity(
                 k = 0
                 while climb >= drop * 2**k:
                     k += 1
-                w = [x << k for x in w]
-                near = []
-                for x in ((4 * lo << k) - m, (4 * lo << k) + m):
-                    w[agent] = x
-                    near.append((x, price(w, e << k)))
+                near = [(x, price(x, 4 << k)) for x in ((4 * lo << k) - m, (4 * lo << k) + m)]
                 return violation(cases, agent, e << k, near, "the price falls")
             before = (h, p3 - p2, 2 * p3 - p2)
     return PropertyReport(name, instance, holds=True, cases=cases)
@@ -478,7 +490,7 @@ def _deviation_search(
     score = _scorer(engine, initial, config, a, d)
     real = engine is run_expected
     # the fixed bids and the true values over one denominator e
-    fixed, e = _over_lcm(others.bids + valuations.bids)
+    fixed, e = _reduced(_bid_numerators(others), _bid_numerators(valuations))
     bids, values = fixed[:n], fixed[n:]
     shared = bids == values
     # the first coalition's truthful profile: agent 0 bids her value
@@ -644,7 +656,6 @@ def check_pp_expost_efficiency(
     """
     name = "pp-expost-efficiency"
     instance = describe_instance(initial, valuations, config)
-    values = valuations.bids
     expected = engine(initial, valuations, config)
     a = _holdings(initial)[0]
     v = _bid_numerators(valuations)[0]
@@ -666,7 +677,7 @@ def check_pp_expost_efficiency(
                     f"branch m={branch.realized_m}: owners {j},{k} moved from "
                     f"ratio {initial.shares[j]}:{initial.shares[k]} to "
                     f"{final.shares[j]}:{final.shares[k]}",
-                    bids=values,
+                    bids=valuations.bids,
                 )
         lowest = min(v[k] for k in owners)
         for j in (i for i in range(config.n) if b[i] == 0):
@@ -674,6 +685,7 @@ def check_pp_expost_efficiency(
             if a[j] and v[j] > lowest:
                 # the witness names the first owner, by index, that she outvalues
                 k = next(k for k in owners if v[j] > v[k])
+                values = valuations.bids
                 return _violation(
                     name,
                     instance,

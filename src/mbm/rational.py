@@ -14,6 +14,7 @@ arithmetic that the rest of the package treats as exact. Plain ASCII numerals
 
 from __future__ import annotations
 
+import math
 import numbers
 import re
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
@@ -99,7 +100,16 @@ def rational_str(value) -> str:
     try:
         return str(value)
     except ValueError:
-        p, q = (format(Decimal(int(x)), "f") for x in as_ratio(value))
+        return ratio_str(*map(int, as_ratio(value)))
+
+
+def ratio_str(p: int, q: int) -> str:
+    """``rational_str(Rational(p, q))`` for ints p and q > 0, with no rational made."""
+    g = math.gcd(p, q)
+    try:
+        return f"{p // g}/{q // g}" if q != g else str(p // g)
+    except ValueError:
+        p, q = (format(Decimal(x // g), "f") for x in (p, q))
         return p if q == "1" else f"{p}/{q}"
 
 

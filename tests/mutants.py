@@ -9,9 +9,11 @@ engine and the scorer ``core._utility_ratios`` (through
 The fourth scores the threshold agent as a buyer, which shows only where
 her value differs from her bid, so the tie reads the type agents again
 with every value moved off its bid. The fifth breaks ``core._utilities``,
-the reader that gives the tie its engine side. The monotone one moves the
-price readout of ``properties._pricer`` off the engine's. The budget one
-shifts the prefix share masses (``core._masses``) by one rank; the engine,
+the reader that gives the tie its engine side. The monotone one makes the
+price readout of ``properties._pricer``, which puts the mover into the
+others' order, take rank m_bar + 1: that price is monotone too, so only
+the tie to ``run_expected`` through every agent's readout can kill it. The
+budget one shifts the prefix share masses (``core._masses``) by one rank; the engine,
 the scorer and the readout all read them, so only the conservation check
 and the welfare sweep's closed form can tell. The settlement one pays each
 seller a_i p / (d H q) instead of a_i p / (d q) in ``core._settle``, which
@@ -93,8 +95,8 @@ MUTANTS = {
         (
             "the price readout takes rank m_bar + 1",
             "properties.py",
-            "            return lambda w, e: w[_bid_order(w)[m_bar - 1]]",
-            "            return lambda w, e: w[_bid_order(w)[m_bar]]",
+            "            return x if c == m_bar - 1 else k * o[m_bar - 1 if c >= m_bar else m_bar - 2]",
+            "            return x if c == m_bar else k * o[m_bar if c > m_bar else m_bar - 1]",
         ),
     ),
 }

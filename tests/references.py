@@ -14,15 +14,24 @@ witnesses, counts and candidates.
 The welfare pair states expected welfare and a sweep row in ``Fraction``s,
 as the welfare module computed them before it read them off prefix sums
 and integer closed forms; the tests require equal values and errors.
+
+The instance pair draws a generated instance and a perturbed profile in
+``Fraction``s, as ``mbm.instances`` drew them before it drew them as integer
+numerators over one denominator; the tests require equal rationals, equal
+integer forms and the same generator state afterwards.
 """
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 from mbm import (
+    Allocation,
+    BidProfile,
     DegenerateBuyerMass,
     InvalidAlpha,
+    MbmConfig,
     SweepRow,
     adjusted_utility,
     run_expected,
@@ -216,3 +225,44 @@ def fraction_sweep_row(n, alpha):
         n=n, alpha=alpha, m_bar=m_bar, closed_form=closed, engine=engine,
         preservation_ratio=engine / max(values), limit_gap=closed - limit,
     )
+
+
+def fraction_generate(spec):
+    """``generate`` in ``Fraction``s: bids k / 4096 for k sampled from 1..65536 (or
+    the valuation grid), shares as random weights over their total, 1 / n
+    each, or 1 / 2^21 for the top bidder and the rest split evenly."""
+    n = spec.n
+    rng = random.Random(spec.seed)
+    if spec.valuation_model == "uniform-grid":
+        bids = tuple(Fraction(n - i, n) for i in range(n))
+    else:
+        bids = tuple(Fraction(k, 2**12) for k in rng.sample(range(1, 16 * 2**12 + 1), n))
+    if spec.share_model == "equal":
+        shares = (Fraction(1, n),) * n
+    elif spec.share_model == "random":
+        weights = [rng.randint(1, 2**16) for _ in range(n)]
+        shares = tuple(Fraction(w, sum(weights)) for w in weights)
+    else:
+        tiny = Fraction(1, 2**21)
+        top = max(range(n), key=bids.__getitem__)
+        shares = tuple(tiny if i == top else (1 - tiny) / (n - 1) for i in range(n))
+    config = MbmConfig(n=n, m_bar=spec.m_bar)
+    return Allocation.from_shares(shares).validate(), BidProfile(bids), config
+
+
+def fraction_perturbed_profile(valuations, rng):
+    """``perturbed_profile`` in ``Fraction``s: each value v moved to v (1 + j / 16384)
+    for a jitter j in -4095..4095, a zero value to k / 4096 for k in 1..4096,
+    drawn again until the bid is new."""
+    grain = 2**12
+    taken = set(valuations.bids)
+    bids = []
+    for v in valuations.bids:
+        while True:
+            jitter = Fraction(rng.randint(-grain + 1, grain - 1), 4 * grain)
+            cand = v * (1 + jitter) if v > 0 else Fraction(rng.randint(1, grain), grain)
+            if cand >= 0 and cand not in taken:
+                break
+        taken.add(cand)
+        bids.append(cand)
+    return BidProfile(tuple(bids))

@@ -660,8 +660,9 @@ def test_sp_and_group_sp_kill_the_class_walk_mutant(tmp_path, subprocess_env):
 
 
 def test_monotone_suite_kills_the_readout_mutant(tmp_path, subprocess_env):
-    # the mutant reads the price one rank down; the suite ties the readout to
-    # run_expected at the truthful bids of every instance
+    # the mutant reads the price one rank down, which is monotone as well; the
+    # suite ties every agent's readout, at her own bid, to run_expected at the
+    # truthful bids of every instance
     elapsed = verify_on_mutants(tmp_path, subprocess_env, "monotone")
     assert elapsed < 3.0, elapsed
 

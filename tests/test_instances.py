@@ -1,12 +1,15 @@
 """Instance generation: determinism, tie-freeness, exact simplex membership."""
 
+import itertools
 import random
 
 import pytest
 
 from mbm import InstanceSpec, SpecInvalid, generate, rank_bids
-from mbm.instances import perturbed_profile
+from mbm.core import _over_lcm
+from mbm.instances import SHARE_MODELS, VALUATION_MODELS, perturbed_profile
 from mbm.rational import ZERO, Rational as Q
+from references import fraction_generate, fraction_perturbed_profile
 
 
 def test_generate_is_deterministic():
@@ -74,3 +77,50 @@ def test_perturbed_profile_avoids_all_collisions():
         combined = set(profile.bids) | set(others.bids)
         assert len(combined) == 12  # no bid collides across the two profiles
         assert others.bids != profile.bids
+
+
+def test_integer_draws_match_the_fraction_reference(monkeypatch):
+    # generate and perturbed_profile draw integer numerators over one
+    # denominator; the Fraction drawing gives equal rationals, the integer
+    # forms are _over_lcm of those rationals, and both leave the generator in
+    # the same state. A zero value takes the second draw of perturbed_profile
+    made = []
+
+    class Recorded(random.Random):
+        def seed(self, *args, **kwargs):
+            made.append(self)
+            super().seed(*args, **kwargs)
+
+    monkeypatch.setattr(random, "Random", Recorded)
+    for n in range(3, 13):
+        for share_model, valuation_model in itertools.product(SHARE_MODELS, VALUATION_MODELS):
+            for seed in range(12):
+                spec = InstanceSpec(n, share_model, valuation_model, m_bar=n - 1, seed=seed)
+                initial, profile, config = generate(spec)
+                ref = fraction_generate(spec)
+                assert made[-2].getstate() == made[-1].getstate()
+                made.clear()
+                assert (initial, profile, config) == ref
+                assert initial._form == (*_over_lcm(ref[0].shares), [0] * n, 1)
+                w, e = _over_lcm(ref[1].bids)
+                assert profile._form == (tuple(w), e)
+                for valuations in (profile, profile.replace_bid(seed % n, 0)):
+                    rng, ref_rng = random.Random(seed), random.Random(seed)
+                    others = perturbed_profile(valuations, rng)
+                    expected = fraction_perturbed_profile(valuations, ref_rng)
+                    assert others == expected
+                    assert rng.getstate() == ref_rng.getstate()
+                    w, e = _over_lcm(expected.bids)
+                    assert others._form == (tuple(w), e)
+
+
+def test_generated_values_start_on_integers():
+    # the drawn instance and the perturbed others keep only their integer
+    # forms; rationals are made when a field is first read
+    for seed in range(10):
+        for model in SHARE_MODELS:
+            initial, profile, _ = generate(InstanceSpec(n=5, share_model=model, seed=seed))
+            others = perturbed_profile(profile, random.Random(seed))
+            assert vars(initial).keys() == {"_form"}
+            assert vars(profile).keys() == vars(others).keys() == {"_form"}
+            assert others.bids and initial.shares and "shares" in vars(initial)

@@ -976,12 +976,10 @@ def test_controls_score_and_price_on_integers_alone():
     point[0] = properties._grid(properties._others(w, 0))[0]
     score = properties._scorer(spied("price-next"), initial, config, a, d)
     assert len(list(score(point, 1000 * e, values, range(config.n)))) == config.n
-    price = properties._pricer(spied("price-dip"), initial, config)
+    price = properties._pricer(spied("price-dip"), initial, config, w, e)(0)
     lo, hi = sorted(w[1:])[:2]
-    piece = [4 * x for x in w]
     for k in (1, 2, 3):
-        piece[0] = 4 * lo + k * (hi - lo)
-        price(piece, 4 * e)
+        price(4 * lo + k * (hi - lo), 4)
     assert len(seen) == 4
     for bids, expected in seen:
         assert "bids" not in vars(bids)

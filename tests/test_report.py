@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from mbm import Allocation, BidProfile, MbmConfig, run_expected
 from mbm.captable import CapTableRecord, parse_captable, to_instance
-from mbm.rational import Rational as Q, decimal_approx, rational, rational_str
+from mbm.rational import Rational as Q, decimal_approx, ratio_str, rational, rational_str
 from mbm.cli import main
 from mbm.report import build_run_report, dumps_indented
 from mbm.suites import generate_suite
@@ -38,6 +38,18 @@ def test_rational_str_past_the_int_string_limit():
     assert rational_str(Q(big)) == "1" + "0" * 4999 + "1"
     assert rational_str(Q(3, big)) == "3/1" + "0" * 4999 + "1"
     assert decimal_approx(Q(big, 3)) == "3.3333333333333333333E+4999"
+
+
+@given(num=st.integers(-(10**12), 10**12), den=st.integers(1, 10**12))
+def test_ratio_str_renders_the_reduced_rational(num, den):
+    assert ratio_str(num, den) == rational_str(Q(num, den))
+
+
+def test_ratio_str_past_the_int_string_limit():
+    big = 10**5000 + 1
+    for p, q in ((-big, 3), (big, 1), (3, big), (6 * big, 4), (2 * big, 2 * big + 2)):
+        assert ratio_str(p, q) == rational_str(Q(p, q))
+    assert ratio_str(-6 * big, 9) == "-2" + "0" * 4999 + "2/3"
 
 
 def test_decimal_approx_20_significant_digits():
