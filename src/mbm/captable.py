@@ -19,29 +19,39 @@ import csv
 import io
 from dataclasses import dataclass
 
-from .core import Allocation, BidProfile, MbmConfig, _over_lcm
+from .core import Allocation, BidProfile, MbmConfig, _built, _OnRead, _reduced
 from .errors import DuplicateAgentId, NumeralOutOfBounds, ParseError, SharesDontSumToOne
-from .rational import Rational, rational
+from .rational import Rational, as_ratio, parse_ratio, ratio_str, rational
 
 _HEADERS = (("agent_id", "share", "bid"), ("agent_id", "share"))
 
 
 @dataclass(frozen=True)
 class CapTableRecord:
-    """One shareholder row: unique label, exact share, optional bid."""
+    """One shareholder row: unique label, exact share, optional bid.
+
+    Each record keeps its share and bid as (p, q) pairs in ``_ratios``; one
+    from ``parse_captable`` makes the rationals when they are first read."""
 
     agent_id: str
-    share: Rational
-    bid: Rational | None = None
+    share: Rational = _OnRead(lambda r, _: Rational(*r._ratios[0]))
+    bid: Rational | None = _OnRead(lambda r, _: r._ratios[1] and Rational(*r._ratios[1]), None)
+
+    def __post_init__(self):
+        ratios = (x if x is None else as_ratio(rational(x)) for x in (self.share, self.bid))
+        object.__setattr__(self, "_ratios", tuple(ratios))
 
 
-def _cell_rational(text: str, row: int, column: int) -> Rational:
+def _cell_ratio(text: str, row: int, column: int, what: str) -> tuple:
     try:
-        return rational(text)
+        p, q = parse_ratio(text)
     except NumeralOutOfBounds as exc:
         raise ParseError(str(exc), row=row, column=column) from exc
     except (ValueError, TypeError) as exc:
         raise ParseError(f"not a number: {text!r}", row=row, column=column) from exc
+    if p < 0:
+        raise ParseError(f"negative {what} {ratio_str(p, q)}", row=row, column=column)
+    return p, q
 
 
 def parse_captable(source, normalize: bool = False) -> list:
@@ -78,41 +88,33 @@ def parse_captable(source, normalize: bool = False) -> list:
     seen_ids = set()
     for row, line in body:
         if len(row) != len(header):
-            raise ParseError(
-                f"expected {len(header)} fields, got {len(row)}", row=line
-            )
+            raise ParseError(f"expected {len(header)} fields, got {len(row)}", row=line)
         agent_id = row[0]
         if not agent_id:
             raise ParseError("empty agent_id", row=line, column=1)
         if agent_id in seen_ids:
             raise DuplicateAgentId(f"agent_id {agent_id!r} appears more than once")
         seen_ids.add(agent_id)
-        share = _cell_rational(row[1], row=line, column=2)
-        if share.numerator < 0:
-            raise ParseError(f"negative share {share}", row=line, column=2)
-        bid = None
-        if has_bids:
-            bid = _cell_rational(row[2], row=line, column=3)
-            if bid.numerator < 0:
-                raise ParseError(f"negative bid {bid}", row=line, column=3)
-        records.append(CapTableRecord(agent_id=agent_id, share=share, bid=bid))
+        share = _cell_ratio(row[1], line, 2, "share")
+        bid = _cell_ratio(row[2], line, 3, "bid") if has_bids else None
+        records.append((agent_id, share, bid))
 
     if not records:
         raise ParseError("cap table has a header but no rows", row=header_line + 1)
 
-    # the shares as integers over their lcm: share i is a[i] / lcm
-    a, lcm = _over_lcm([r.share for r in records])
+    # the shares as integers over their lcm: share i is a[i] / d
+    a, d = _reduced(*[((p,), q) for _, (p, q), _ in records])
     total = sum(a)
     if normalize:
         if total == 0:
-            raise SharesDontSumToOne(Rational(total, lcm))
-        records = [
-            CapTableRecord(r.agent_id, Rational(x, total), r.bid)
-            for r, x in zip(records, a)
-        ]
-    elif total != lcm:
-        raise SharesDontSumToOne(Rational(total, lcm))
-    return records
+            raise SharesDontSumToOne(Rational(total, d))
+        d = total
+    elif total != d:
+        raise SharesDontSumToOne(Rational(total, d))
+    return [
+        _built(CapTableRecord, agent_id=agent_id, _ratios=((x, d), bid))
+        for (agent_id, _, bid), x in zip(records, a)
+    ]
 
 
 def to_instance(records, m_bar: int):
@@ -122,11 +124,10 @@ def to_instance(records, m_bar: int):
     shares are not checked here: ``parse_captable`` rejects negative and
     non-summing shares, and the engine checks the simplex on every run.
     """
-    missing = [r.agent_id for r in records if r.bid is None]
+    missing = [r.agent_id for r in records if r._ratios[1] is None]
     if missing:
-        raise ParseError(
-            f"cap table has no bid column; cannot run for agents {missing}"
-        )
-    initial = Allocation.from_shares(tuple(r.share for r in records))
-    profile = BidProfile(tuple(r.bid for r in records))
-    return initial, profile, MbmConfig(n=len(records), m_bar=m_bar)
+        raise ParseError(f"cap table has no bid column; cannot run for agents {missing}")
+    config = MbmConfig(n=len(records), m_bar=m_bar)  # n > 2 before the forms are built
+    shares, bids = zip(*(r._ratios for r in records))
+    initial = Allocation._from_form(*_reduced(*[((p,), q) for p, q in shares]))
+    return initial, BidProfile._from_form(*_reduced(*[((p,), q) for p, q in bids])), config

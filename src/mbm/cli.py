@@ -1,9 +1,10 @@
 """Command-line interface: run, verify, welfare.
 
 Exit codes: 0 success, 1 property violation (for welfare, a row where the
-closed form and the engine differ), 2 validation error,
-3 degenerate instance (zero combined buyer share), 4 search budget
-exceeded. MBM_SEED serves as a fallback wherever --seed is accepted.
+closed form and the engine differ), 2 validation error, 3 degenerate
+instance (zero combined buyer share), 4 search budget exceeded, 70 internal
+error (any other exception, reported on one stderr line: a fault, never a
+verdict). MBM_SEED serves as a fallback wherever --seed is accepted.
 Each command's options are one table, ``_COMMANDS``: a plain request (the
 command, then whole flags of its table, each once, with their values) is
 read straight off that table by ``_read``, and the full argparse tree built
@@ -47,6 +48,7 @@ EXIT_VIOLATION = 1
 EXIT_VALIDATION = 2
 EXIT_DEGENERATE = 3
 EXIT_BUDGET = 4
+EXIT_SOFTWARE = 70
 
 
 def _parse_int(text: str, source: str) -> int:
@@ -114,16 +116,9 @@ def cmd_run(args) -> int:
             check_pp_expost_efficiency(initial, profile, config, engine=engine),
         )
 
+    name = os.path.basename(args.captable)
     report = build_run_report(
-        records,
-        initial,
-        profile,
-        config,
-        expected,
-        mode=mode,
-        seed=seed,
-        captable_name=os.path.basename(args.captable),
-        checks=checks,
+        records, initial, profile, config, expected, mode, seed, name, checks=checks
     )
     _emit(getattr(report, "to_" + args.format)(), args.out)
     if any(not c.holds for c in checks):
@@ -185,17 +180,8 @@ def cmd_welfare(args) -> int:
     for exc in skipped:
         print(f"warning: skipping row: {exc}", file=sys.stderr)
 
-    buf_rows = [
-        [
-            "n",
-            "alpha",
-            "sw_closed_form",
-            "sw_engine",
-            "preservation_ratio",
-            "limit_gap",
-            "sw_approx",
-        ]
-    ]
+    buf_rows = [["n", "alpha", "sw_closed_form", "sw_engine", "preservation_ratio", "limit_gap",
+                 "sw_approx"]]
     for row in rows:
         buf_rows.append(
             [
@@ -334,6 +320,9 @@ def main(argv=None) -> int:
     except (MbmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except Exception as exc:  # a crash must not read as a verdict
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_SOFTWARE
 
 
 if __name__ == "__main__":

@@ -83,19 +83,29 @@ def _built(cls, **fields):
 
 
 class _OnRead:
-    """A value type's field whose rationals, for a value built on integers,
-    are made off ``_form`` on the first read and kept."""
+    """A frozen dataclass's field that an instance built without it (``_built``)
+    makes on the first read, as ``make(instance, field name)``, and keeps;
+    ``default``, when given, is the dataclass field's default."""
+
+    def __init__(self, make, *default):
+        self.make, self.default = make, default
 
     def __set_name__(self, owner, name: str):
-        # the k-th field's numerators and denominator are _form[2k], _form[2k + 1]
-        self.name, self.at = name, 2 * list(owner.__annotations__).index(name)
+        self.name = name
 
     def __get__(self, value, owner=None):
-        if value is None:  # no class attribute, so the dataclass field stays required
+        if value is None:  # the dataclass asks for the field's default
+            if self.default:
+                return self.default[0]
             raise AttributeError(f"type object {owner.__name__!r} has no attribute {self.name!r}")
-        numerators, den = value._form[self.at : self.at + 2]
-        made = value.__dict__[self.name] = tuple(Rational(x, den) for x in numerators)
+        made = value.__dict__[self.name] = self.make(value, self.name)
         return made
+
+
+def _form_rationals(value, name: str) -> tuple:
+    # the k-th field's numerators and denominator are _form[2k], _form[2k + 1]
+    at = 2 * list(value.__dataclass_fields__).index(name)
+    return tuple(Rational(x, value._form[at + 1]) for x in value._form[at])
 
 
 @dataclass(frozen=True)
@@ -109,8 +119,8 @@ class Allocation:
     on mechanism output.
     """
 
-    shares: tuple = _OnRead()
-    money: tuple = _OnRead()
+    shares: tuple = _OnRead(_form_rationals)
+    money: tuple = _OnRead(_form_rationals)
 
     def __post_init__(self):
         object.__setattr__(self, "shares", _freeze(self.shares))
@@ -150,7 +160,7 @@ class BidProfile:
     ranked operation rejects them with DuplicateBids.
     """
 
-    bids: tuple = _OnRead()
+    bids: tuple = _OnRead(_form_rationals)
 
     def __post_init__(self):
         object.__setattr__(self, "bids", _freeze(self.bids))

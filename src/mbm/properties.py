@@ -67,6 +67,7 @@ from .core import (
     _holdings,
     _kernel,
     _masses,
+    _OnRead,
     _priced_ratios,
     _reduced,
     _reject_ties,
@@ -153,10 +154,11 @@ class Witness:
 
 @dataclass(frozen=True)
 class PropertyReport:
-    """Verdict of one oracle on one instance."""
+    """Verdict of one oracle on one instance. ``instance`` is its text; an oracle
+    passes (initial, profile, config), which ``describe_instance`` renders on read."""
 
     name: str
-    instance: str
+    instance: str = _OnRead(lambda report, _: describe_instance(*report._described))
     holds: bool
     cases: int
     witness: Witness | None = None
@@ -164,11 +166,11 @@ class PropertyReport:
     def __post_init__(self):
         if not self.holds and self.witness is None:
             raise ValueError("a violated verdict must carry a witness")
+        if isinstance(self.instance, tuple):
+            object.__setattr__(self, "_described", self.__dict__.pop("instance"))
 
 
-def _violation(
-    name: str, instance: str, cases: int, detail: str, **witness_fields
-) -> PropertyReport:
+def _violation(name: str, instance, cases: int, detail: str, **witness_fields) -> PropertyReport:
     """A violated verdict whose witness carries ``detail`` and ``witness_fields``."""
     witness = Witness(detail=detail, **witness_fields)
     return PropertyReport(name, instance, holds=False, cases=cases, witness=witness)
@@ -215,7 +217,7 @@ def check_budget_balance(
 ) -> PropertyReport:
     """Total shares and total money are conserved exactly in both branches."""
     name = "budget-balance"
-    instance = describe_instance(initial, profile, config)
+    instance = (initial, profile, config)
     expected = engine(initial, profile, config)
     a, d, x, c = _holdings(initial)
     share_total, money_total = sum(a), sum(x)
@@ -253,7 +255,7 @@ def check_individual_rationality(
 ) -> PropertyReport:
     """Under truthful bids no agent loses, branch by branch (hence in expectation)."""
     name = "individual-rationality"
-    instance = describe_instance(initial, valuations, config)
+    instance = (initial, valuations, config)
     expected = engine(initial, valuations, config)
     holdings = _holdings(initial)
     v, e = _bid_numerators(valuations)
@@ -278,15 +280,17 @@ def check_individual_rationality(
 
 
 def _pricer(engine, initial, config, fixed, e: int):
-    """The instance's ``readout(agent)``: ``price(x, k)``, the high branch's
-    price times k e when ``agent`` bids x / (k e) and each other j fixed[j] / e.
+    """The instance's ``readout(agent)``: (price, up), the others' bids ``up`` ascending
+    and ``price(x, k)`` the high branch's price times k e when ``agent`` bids
+    x / (k e) and each other j fixed[j] / e.
 
     The real engine's is read off the fixed bids' one order less the agent:
     with c of the others above x / k, the price is their m_bar-th bid (she
     sells) when c >= m_bar, x (she is the threshold agent) when c = m_bar - 1,
     and their (m_bar - 1)-th (she buys) otherwise. When a share is zero,
     ``_branches`` checks H and L, the others' ``_masses`` with hers put in,
-    as ``run_expected`` does; any other engine runs the bids on integers.
+    as ``run_expected`` does; any other engine runs the bids on integers, its
+    others sorted once per agent after ``_others`` checks them for ties.
     """
     m_bar = config.m_bar
 
@@ -296,7 +300,7 @@ def _pricer(engine, initial, config, fixed, e: int):
         return engine(initial, BidProfile._from_form(w, k * e), config).high_branch.price * k * e
 
     if engine is not run_expected:
-        return lambda agent: partial(run, agent)
+        return lambda agent: (partial(run, agent), sorted(_others(fixed, agent)))
     a, d = _simplex_numerators(initial)
     order = _bid_order(fixed)
 
@@ -314,7 +318,7 @@ def _pricer(engine, initial, config, fixed, e: int):
             _branches(mass[: c + 1] + [m + mine for m in mass[c:]], d, m_bar)
             return price(x, k)
 
-        return price if min(a) > 0 else checked
+        return (price if min(a) > 0 else checked), up
 
     return readout
 
@@ -344,13 +348,15 @@ def check_price_monotonicity(
     boundary.
     """
     name = "price-monotonicity"
-    instance = describe_instance(initial, profile, config)
+    instance = (initial, profile, config)
     # the truthful run goes first, so its errors come before the pieces'
     truthful = engine(initial, profile, config).high_branch.price
     fixed, e = _bid_numerators(profile)
-    prices = list(map(_pricer(engine, initial, config, fixed, e), range(config.n)))
+    # lazy for any other engine: a tie among her others raises when her walk starts
+    readouts = map(_pricer(engine, initial, config, fixed, e), range(config.n))
     if engine is run_expected:  # every agent's readout at her own bid
-        for agent, price in enumerate(prices):
+        readouts = list(readouts)
+        for agent, (price, _) in enumerate(readouts):
             at = price(fixed[agent], 1)
             if at != truthful * e:
                 at = Rational(at, e)
@@ -372,9 +378,8 @@ def check_price_monotonicity(
 
     e *= 4
     cases = 0
-    for agent, price in enumerate(prices):
-        others = _others(fixed, agent)
-        bounds = sorted({0, *others}) + [2 * max(others)]
+    for agent, (price, up) in enumerate(readouts):
+        bounds = [0] * (up[0] > 0) + up + [2 * up[-1]]
         before = None  # the previous piece's quarter step, rise per step, right limit
         for lo, hi in zip(bounds, bounds[1:]):
             h = hi - lo
@@ -483,7 +488,7 @@ def _deviation_search(
     SearchBudgetExceeded before any coalition when the grid deviations of
     every coalition of two or more exceed it.
     """
-    instance = describe_instance(initial, others, config)
+    instance = (initial, others, config)
     n = config.n
     a, d = _share_numerators(initial, others, config)
     _check_sizes(valuations.n, config, "valuations")
@@ -655,7 +660,7 @@ def check_pp_expost_efficiency(
     zero stakes count but are never flagged. n - 1 comparisons.
     """
     name = "pp-expost-efficiency"
-    instance = describe_instance(initial, valuations, config)
+    instance = (initial, valuations, config)
     expected = engine(initial, valuations, config)
     a = _holdings(initial)[0]
     v = _bid_numerators(valuations)[0]

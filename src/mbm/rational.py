@@ -47,41 +47,43 @@ _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\Z", re.IGNORECASE)
 _PLAIN = re.compile(r"([0-9]{1,400})(?:([./])([0-9]{1,400}))?")
 
 
+def parse_ratio(text: str) -> tuple:
+    """(p, q), q positive and not reduced, with p / q the value of numeral ``text``:
+    plain ASCII "p", "p.q" and "p/q" read on integers, other text through
+    ``Fraction``. Refusals are ``rational``'s."""
+    stripped = text.strip()
+    plain = _PLAIN.fullmatch(stripped)
+    if plain:
+        p, sep, q = plain.groups("")
+        den = int(q) if sep == "/" else 10 ** len(q)
+        if den:
+            return (int(p + q) if sep == "." else int(p)), den
+    if len(stripped) > MAX_NUMERAL_CHARS:
+        raise NumeralOutOfBounds(f"numeral longer than {MAX_NUMERAL_CHARS} characters")
+    exponent = _EXPONENT.search(stripped)
+    if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
+        raise NumeralOutOfBounds(f"exponent {exponent[1]} outside -{MAX_EXPONENT}..{MAX_EXPONENT}")
+    try:
+        return Fraction(stripped).as_integer_ratio()
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidNumeral(f"not a rational literal: {text!r}") from exc
+
+
 def rational(value) -> Rational:
     """Coerce ``value`` to an exact rational.
 
     Accepts ints, rationals (Fraction/mpq), and strings in fraction
-    ("3/10"), integer ("5"), or decimal ("0.3", "2.5e-3") notation; decimal
-    text converts exactly via powers of ten. Floats raise TypeError. Text
-    longer than ``MAX_NUMERAL_CHARS`` or with a decimal exponent beyond
-    ``MAX_EXPONENT`` raises NumeralOutOfBounds, and other text that is
-    not a rational literal InvalidNumeral; both are ValueErrors. A value
-    that is already a ``Rational`` comes back as it is.
+    ("3/10"), integer ("5"), or decimal ("0.3", "2.5e-3") notation, read by
+    ``parse_ratio``; decimal text converts exactly via powers of ten. Floats
+    raise TypeError. Text longer than ``MAX_NUMERAL_CHARS`` or with a
+    decimal exponent beyond ``MAX_EXPONENT`` raises NumeralOutOfBounds, and
+    other text that is not a rational literal InvalidNumeral; both are
+    ValueErrors. A value that is already a ``Rational`` comes back as it is.
     """
     if type(value) is Rational:
         return value
     if isinstance(value, str):
-        text = value.strip()
-        plain = _PLAIN.fullmatch(text)
-        if plain:
-            p, sep, q = plain.groups("")
-            den = int(q) if sep == "/" else 10 ** len(q)
-            if den:
-                return Rational(int(p + q) if sep == "." else int(p), den)
-        if len(text) > MAX_NUMERAL_CHARS:
-            raise NumeralOutOfBounds(f"numeral longer than {MAX_NUMERAL_CHARS} characters")
-        exponent = _EXPONENT.search(text)
-        if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
-            raise NumeralOutOfBounds(
-                f"exponent {exponent[1]} outside -{MAX_EXPONENT}..{MAX_EXPONENT}"
-            )
-        try:
-            parsed = Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidNumeral(f"not a rational literal: {value!r}") from exc
-        if Rational is Fraction:
-            return parsed
-        return Rational(parsed.numerator, parsed.denominator)
+        return Rational(*parse_ratio(value))
     if isinstance(value, float):
         raise TypeError(
             f"refusing float {value!r}: floats are inexact, pass a string or rational"
@@ -92,24 +94,36 @@ def rational(value) -> Rational:
 
 
 def rational_str(value) -> str:
-    """Canonical lossless text form: "p/q", or "p" when q = 1.
-
-    ``str`` refuses integers past ``sys.int_max_str_digits``; their digits
-    then come from ``Decimal``, which converts an int exactly without it.
-    """
+    """Canonical lossless text form: "p/q", or "p" when q = 1."""
     try:
         return str(value)
     except ValueError:
-        return ratio_str(*map(int, as_ratio(value)))
+        return _lowest_str(*map(int, as_ratio(value)))
 
 
 def ratio_str(p: int, q: int) -> str:
     """``rational_str(Rational(p, q))`` for ints p and q > 0, with no rational made."""
     g = math.gcd(p, q)
+    return _lowest_str(p // g, q // g)
+
+
+def ratio_pair(p: int, q: int) -> tuple:
+    """(``ratio_str(p, q)``, ``decimal_approx`` of p / q) for ints p and q > 0,
+    both off one gcd: the division takes the reduced ints."""
+    g = math.gcd(p, q)
+    p, q = p // g, q // g
+    ctx = _APPROX_CONTEXTS[20]
+    return _lowest_str(p, q), ctx.to_sci_string(ctx.divide(Decimal(p), Decimal(q)))
+
+
+def _lowest_str(p: int, q: int) -> str:
+    """"p/q", or "p" when q = 1, for p and q > 0 in lowest terms. Past
+    ``sys.int_max_str_digits``, where ``str`` refuses, the digits come from
+    ``Decimal``, which converts an int exactly without that limit."""
     try:
-        return f"{p // g}/{q // g}" if q != g else str(p // g)
+        return f"{p}/{q}" if q != 1 else str(p)
     except ValueError:
-        p, q = (format(Decimal(x // g), "f") for x in (p, q))
+        p, q = (format(Decimal(x), "f") for x in (p, q))
         return p if q == "1" else f"{p}/{q}"
 
 

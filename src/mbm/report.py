@@ -1,8 +1,9 @@
 """Run reports and their deterministic serialization.
 
 A report holds the instance and the engine's ``ExpectedOutcome`` and renders
-json, csv and text straight from the outcomes it shows; each bid and initial
-share is rendered once per report. Reports serialize with a stable field
+json, csv and text straight from the outcomes it shows, each per-agent value
+off integer forms with one gcd (``ratio_str``, ``ratio_pair``) and each bid
+and initial share once per report. Reports serialize with a stable field
 order and rationals in lossless "p/q" text, each paired with a clearly-labeled
 20-digit decimal approximation for human readers. Identical inputs produce
 byte-identical output, which golden-file tests rely on.
@@ -30,10 +31,8 @@ from .core import (
     _utilities,
     draw_branch,
 )
-from .rational import Rational, decimal_approx, rational_str
+from .rational import decimal_approx, ratio_pair, ratio_str, rational_str
 from .welfare import WelfareReport, _welfare_report
-
-APPROX_DIGITS = 20
 
 
 @dataclass(frozen=True)
@@ -44,7 +43,7 @@ class RunReport:
     ``expected`` and ``branches`` (both ``ExpectedOutcome`` branches, or the
     one drawn in realized mode); nothing is copied out of them first.
     ``utilities`` holds each shown branch's adjusted utilities and
-    ``expected_utilities`` the scorer's expected ones, both at face value.
+    ``expected_utilities`` the scorer's expected ones, at face value as (p, q).
     """
 
     captable: str
@@ -64,19 +63,21 @@ class RunReport:
     def _label(self, outcome: MechanismOutcome) -> str:
         return "high" if outcome.realized_m == self.config.m_bar else "low"
 
-    def _shown(self, render=rational_str):
+    def _shown(self, render):
         """Per branch shown: the outcome and its rows, per agent in table order:
         id, rank, bid, initial share, final share, payment and adjusted utility.
-        Bids and initial shares go through ``render`` once per report."""
-        fixed = [(render(b), render(s)) for b, s in zip(self.profile.bids, self.initial.shares)]
+        Bids and initial shares go through ``render`` once per report, the rest are (p, q)."""
+        a, d, x, c = _holdings(self.initial)
+        w, e = _bid_numerators(self.profile)
+        fixed = [(render(w[i], e), render(a[i], d)) for i in range(self.config.n)]
         for outcome, utilities in zip(self.branches, self.utilities):
             rank_of = {agent: rank for rank, agent in enumerate(outcome.order, 1)}
-            final = outcome.final_allocation
-            payments = final.money
-            if any(self.initial.money):
-                payments = [x - y for x, y in zip(final.money, self.initial.money)]
+            s, t, y, z = _holdings(outcome.final_allocation)
+            payments = [(yi, z) for yi in y]
+            if any(x):
+                payments = [(yi * c - xi * z, z * c) for xi, yi in zip(x, y)]
             yield outcome, [
-                (agent_id, rank_of[agent], *fixed[agent], final.shares[agent], payments[agent],
+                (agent_id, rank_of[agent], *fixed[agent], (s[agent], t), payments[agent],
                  utilities[agent])
                 for agent, agent_id in enumerate(self.agent_ids)
             ]
@@ -92,39 +93,35 @@ class RunReport:
             "agents": list(self.agent_ids),
             "ranking": [self.agent_ids[a] for a in high.order],
         }
-        _put(out, "price", high.price)
-        _put(out, "p_high", high.branch_probability)
-        _put(out, "p_low", low.branch_probability)
+        _put(out, "price", _pair(high.price))
+        _put(out, "p_high", _pair(high.branch_probability))
+        _put(out, "p_low", _pair(low.branch_probability))
         out["branches"] = []
-        for outcome, rows in self._shown(_pair):
+        for outcome, rows in self._shown(ratio_pair):
             b: dict = {"branch": self._label(outcome), "owner_count": outcome.realized_m}
-            _put(b, "probability", outcome.branch_probability)
+            _put(b, "probability", _pair(outcome.branch_probability))
             b["agents"] = []
             for agent_id, rank, bid, share, final, payment, utility in rows:
                 a: dict = {"agent_id": agent_id, "rank": rank}
-                a["bid"], a["bid_approx"] = bid
-                a["initial_share"], a["initial_share_approx"] = share
-                _put(a, "final_share", final)
-                _put(a, "payment", payment)
-                _put(a, "adjusted_utility", utility)
+                _put(a, "bid", bid)
+                _put(a, "initial_share", share)
+                _put(a, "final_share", ratio_pair(*final))
+                _put(a, "payment", ratio_pair(*payment))
+                _put(a, "adjusted_utility", ratio_pair(*utility))
                 b["agents"].append(a)
             out["branches"].append(b)
-        eus = map(rational_str, self.expected_utilities)
+        eus = (ratio_str(*u) for u in self.expected_utilities)
         out["expected_adjusted_utility"] = dict(zip(self.agent_ids, eus))
         w: dict = {}
-        _put(w, "initial", self.welfare.initial_welfare)
-        _put(w, "expected", self.welfare.expected_mbm_welfare)
-        _put(w, "first_best", self.welfare.first_best)
-        _put(w, "preservation_ratio", self.welfare.preservation_ratio)
+        _put(w, "initial", _pair(self.welfare.initial_welfare))
+        _put(w, "expected", _pair(self.welfare.expected_mbm_welfare))
+        _put(w, "first_best", _pair(self.welfare.first_best))
+        _put(w, "preservation_ratio", _pair(self.welfare.preservation_ratio))
         out["welfare"] = w
         if self.checks:
             out["checks"] = [
-                {
-                    "property": c.name,
-                    "holds": c.holds,
-                    "cases": c.cases,
-                    "witness": None if c.witness is None else c.witness.detail,
-                }
+                {"property": c.name, "holds": c.holds, "cases": c.cases,
+                 "witness": None if c.witness is None else c.witness.detail}
                 for c in self.checks
             ]
         return out
@@ -135,17 +132,13 @@ class RunReport:
     def to_csv(self) -> str:
         high, low = self.expected.branches
         buf = io.StringIO()
+        w = self.welfare
         buf.write(
             f"# captable={self.captable} n={self.config.n} m_bar={self.config.m_bar} "
             f"mode={self.mode} seed={self.seed}\n"
-        )
-        buf.write(
             f"# price={rational_str(high.price)} "
             f"p_high={rational_str(high.branch_probability)} "
             f"p_low={rational_str(low.branch_probability)}\n"
-        )
-        w = self.welfare
-        buf.write(
             f"# welfare_initial={rational_str(w.initial_welfare)} "
             f"welfare_expected={rational_str(w.expected_mbm_welfare)} "
             f"first_best={rational_str(w.first_best)} "
@@ -153,26 +146,15 @@ class RunReport:
         )
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(_CSV_HEADER)
-        eus = list(map(rational_str, self.expected_utilities))
-        for outcome, rows in self._shown():
+        eus = [ratio_str(*u) for u in self.expected_utilities]
+        for outcome, rows in self._shown(ratio_str):
             probability = rational_str(outcome.branch_probability)
             head = [self._label(outcome), outcome.realized_m, probability]
             for (agent_id, rank, bid, share, final, payment, utility), eu in zip(rows, eus):
-                writer.writerow(
-                    head
-                    + [
-                        agent_id,
-                        rank,
-                        bid,
-                        share,
-                        rational_str(final),
-                        decimal_approx(final, APPROX_DIGITS),
-                        rational_str(payment),
-                        decimal_approx(payment, APPROX_DIGITS),
-                        rational_str(utility),
-                        eu,
-                    ]
-                )
+                writer.writerow([
+                    *head, agent_id, rank, bid, share, *ratio_pair(*final),
+                    *ratio_pair(*payment), ratio_str(*utility), eu,
+                ])
         return buf.getvalue()
 
     def to_text(self) -> str:
@@ -187,7 +169,7 @@ class RunReport:
             f"P[m={m_bar}] = {rational_str(high.branch_probability)}, "
             f"P[m={m_bar - 1}] = {rational_str(low.branch_probability)}",
         ]
-        for outcome, rows in self._shown():
+        for outcome, rows in self._shown(ratio_str):
             lines.append(
                 f"branch {self._label(outcome)}: m={outcome.realized_m}, "
                 f"probability {rational_str(outcome.branch_probability)}"
@@ -195,13 +177,13 @@ class RunReport:
             for agent_id, rank, bid, share, final, payment, utility in rows:
                 lines.append(
                     f"  {agent_id} (rank {rank}, bid {bid}): "
-                    f"share {share} -> {rational_str(final)}, "
-                    f"payment {rational_str(payment)}, "
-                    f"utility {rational_str(utility)}"
+                    f"share {share} -> {ratio_str(*final)}, "
+                    f"payment {ratio_str(*payment)}, "
+                    f"utility {ratio_str(*utility)}"
                 )
         eu = ", ".join(
-            f"{agent_id}={rational_str(v)}"
-            for agent_id, v in zip(self.agent_ids, self.expected_utilities)
+            f"{agent_id}={ratio_str(*u)}"
+            for agent_id, u in zip(self.agent_ids, self.expected_utilities)
         )
         lines.append(f"expected adjusted utility: {eu}")
         w = self.welfare
@@ -226,11 +208,11 @@ _CSV_HEADER = (
 
 
 def _pair(value) -> tuple:
-    return rational_str(value), decimal_approx(value, APPROX_DIGITS)
+    return rational_str(value), decimal_approx(value)
 
 
-def _put(out: dict, key: str, value) -> None:
-    out[key], out[key + "_approx"] = _pair(value)
+def _put(out: dict, key: str, pair: tuple) -> None:
+    out[key], out[key + "_approx"] = pair
 
 
 def dumps_indented(value) -> str:
@@ -293,8 +275,8 @@ def build_run_report(
     in expected mode both branches are shown and the seed is dropped.
     Utilities are taken at face value (bid = value): each shown branch's read
     off it by ``core._utilities``, the expected ones by ``core._priced_ratios``
-    at the bid ranked m_bar. Both those and the welfare are read off the
-    outcome's bid order and its ``_masses``, with no second ranking.
+    at the bid ranked m_bar, as integer ratios over d * e; both and the welfare
+    are read off the outcome's bid order and its ``_masses``, with no second ranking.
     """
     realized = mode == "realized"
     shown = (draw_branch(expected, seed),) if realized else expected.branches
@@ -308,7 +290,7 @@ def build_run_report(
     price = v[order[m_bar - 1]]
 
     def read(ratios) -> tuple:
-        return tuple(Rational(num, de * den) for num, den in ratios)
+        return tuple((num, de * den) for num, den in ratios)
 
     return RunReport(
         captable=captable_name,
@@ -324,6 +306,6 @@ def build_run_report(
             read(_utilities(holdings, ((1, 1, b.final_allocation),), agents, v, e)) for b in shown
         ),
         expected_utilities=read(_priced_ratios(a, d, price, high, low, v, v, agents)),
-        welfare=_welfare_report((order, mass, a, d, v, e), profile.bids, m_bar),
+        welfare=_welfare_report((order, mass, a, d, v, e), m_bar),
         checks=tuple(checks),
     )

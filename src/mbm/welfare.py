@@ -77,17 +77,15 @@ def _held(order: tuple, a, w) -> list:
     return list(accumulate((a[i] * w[i] for i in order), initial=0))
 
 
-def _welfare(held, d: int, e: int, branches) -> Rational:
-    """Expected welfare off kernel numerators: shares a_i / d, valuations w_i / e.
+def _welfare(held, d: int, e: int, branches) -> tuple:
+    """Expected welfare as (num, den) off kernel numerators: shares a_i / d, valuations w_i / e.
 
     A branch's m buyers end with a_i / A_B of the asset and its sellers with
     nothing: it adds P_B / d * held[m] / (A_B * e). The two branches, high
     (buyer mass H) and low (L), go over one denominator d * H * L * e.
     """
     (m_high, high, p_high), (m_low, low, p_low) = branches
-    return Rational(
-        p_high * held[m_high] * low + p_low * held[m_low] * high, d * high * low * e
-    )
+    return p_high * held[m_high] * low + p_low * held[m_low] * high, d * high * low * e
 
 
 def expected_mbm_welfare(
@@ -101,7 +99,7 @@ def expected_mbm_welfare(
     those once per n and runs only ``_branches`` and ``_welfare`` per alpha.
     """
     order, mass, a, d, w, e = _kernel(initial, valuations, config)
-    return _welfare(_held(order, a, w), d, e, _branches(mass, d, config.m_bar))
+    return Rational(*_welfare(_held(order, a, w), d, e, _branches(mass, d, config.m_bar)))
 
 
 def welfare_report(
@@ -113,20 +111,21 @@ def welfare_report(
     welfare is held[n] / (d * e), its sum over every agent. First-best is
     the kernel's tie-free top bid.
     """
-    return _welfare_report(_kernel(initial, valuations, config), valuations.bids, config.m_bar)
+    return _welfare_report(_kernel(initial, valuations, config), config.m_bar)
 
 
-def _welfare_report(kernel: tuple, bids, m_bar: int) -> WelfareReport:
-    """``welfare_report`` off ``_kernel``'s (order, mass, a, d, w, e) and the valuations."""
+def _welfare_report(kernel: tuple, m_bar: int) -> WelfareReport:
+    """``welfare_report`` off ``_kernel``'s (order, mass, a, d, w, e): each
+    value one rational, made from integers; first-best is w[order[0]] / e."""
     order, mass, a, d, w, e = kernel
     held = _held(order, a, w)
-    expected = _welfare(held, d, e, _branches(mass, d, m_bar))
-    best = bids[order[0]]
+    num, den = _welfare(held, d, e, _branches(mass, d, m_bar))
+    best = w[order[0]]
     return WelfareReport(
         initial_welfare=Rational(held[-1], d * e),
-        expected_mbm_welfare=expected,
-        first_best=best,
-        preservation_ratio=expected / best,
+        expected_mbm_welfare=Rational(num, den),
+        first_best=Rational(best, e),
+        preservation_ratio=Rational(num * e, den * best),
     )
 
 
@@ -215,7 +214,7 @@ def _grid_point(n: int):
             order, mass, a, d, w, e = _kernel(*uniform_grid_instance(n, m_bar))
             kernel = mass, d, e, _held(order, a, w), w[order[0]]
         mass, d, e, held, top = kernel
-        engine = _welfare(held, d, e, _branches(mass, d, m_bar))
+        engine = Rational(*_welfare(held, d, e, _branches(mass, d, m_bar)))
         p, q = as_ratio(engine)
         return SweepRow(
             n=n, alpha=alpha, m_bar=m_bar, closed_form=_closed_form(n, m_bar),

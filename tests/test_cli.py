@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from mbm import __version__, expected_adjusted_utility, run_expected
 from mbm import cli
+from mbm import report as report_module
 from mbm.captable import parse_captable, to_instance
 from mbm.cli import main
 from mbm.properties import CORRUPTION_KINDS
@@ -224,6 +225,32 @@ def test_run_prints_values_past_the_int_string_limit(capsys, tmp_path, fmt, chec
         assert all(c["holds"] for c in report.get("checks", []))
     if fmt == "text" and check:
         assert "check pp-expost-efficiency: holds [10 cases]" in out
+
+
+@pytest.mark.skipif(BACKEND != "fractions", reason="counts fractions.Fraction")
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_run_makes_no_per_agent_rational(capsys, monkeypatch, fmt):
+    # the twin of test_generated_values_start_on_integers: from the cell to
+    # the byte, a valid run makes the same few rationals at n = 3 and n = 300
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    counts = []
+    for table, m_bar in (("worked.csv", "2"), ("large_fraction.csv", "200")):
+        argv = ["run", "--captable", os.path.join(DATA, table), "--mbar", m_bar,
+                "--expected", "--check", "--format", fmt]
+        made.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(Fraction, "__new__", counted)
+            assert main(argv) == 0
+        capsys.readouterr()
+        counts.append(len(made))
+    # the price, the two branch probabilities and the four welfare values
+    assert counts == [7, 7]
 
 
 def test_run_accepts_a_byte_order_mark(capsys, tmp_path):
@@ -473,13 +500,35 @@ def test_bad_seed_variable_and_undecodable_table_exit_2(capsys, tmp_path, monkey
 
 
 def test_internal_value_error_is_not_a_validation_error(capsys, monkeypatch):
-    # a bug inside a command must surface, not exit 2 as if the input were bad
+    # a bug inside a command must surface as exit 70, not exit 2 as if the
+    # input were bad
     def broken(*args):
         raise ValueError("internal")
 
     monkeypatch.setattr(cli, "welfare_sweep", broken)
-    with pytest.raises(ValueError, match="internal"):
-        main(["welfare", "--n-list", "4", "--alpha-list", "all"])
+    assert run_cli(capsys, "welfare", "--n-list", "4", "--alpha-list", "all") == (
+        70, "", "internal error: ValueError('internal')\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "target, name",
+    [(cli, "check_individual_rationality"), (report_module.RunReport, "to_csv")],
+    ids=["oracle", "renderer"],
+)
+def test_a_crash_is_not_a_verdict(capsys, monkeypatch, target, name):
+    # a TypeError inside an oracle or a renderer exits 70 (EX_SOFTWARE) with
+    # one stderr line and no traceback, never 1, the code for a violation
+    def broken(*args, **kwargs):
+        raise TypeError("boom\nsecond line")
+
+    monkeypatch.setattr(target, name, broken)
+    code, out, err = run_cli(
+        capsys, "run", "--captable", WORKED, "--mbar", "2", "--check", "--format", "csv"
+    )
+    assert (code, out) == (70, "")
+    assert err == "internal error: TypeError('boom\\nsecond line')\n"
+    assert "Traceback" not in err
 
 
 def test_run_writes_output_file(tmp_path, capsys):

@@ -976,7 +976,7 @@ def test_controls_score_and_price_on_integers_alone():
     point[0] = properties._grid(properties._others(w, 0))[0]
     score = properties._scorer(spied("price-next"), initial, config, a, d)
     assert len(list(score(point, 1000 * e, values, range(config.n)))) == config.n
-    price = properties._pricer(spied("price-dip"), initial, config, w, e)(0)
+    price, _ = properties._pricer(spied("price-dip"), initial, config, w, e)(0)
     lo, hi = sorted(w[1:])[:2]
     for k in (1, 2, 3):
         price(4 * lo + k * (hi - lo), 4)

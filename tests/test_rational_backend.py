@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mbm import BidProfile, InvalidNumeral, NumeralOutOfBounds, ParseError, parse_captable
-from mbm.rational import ONE, ZERO, Rational as Q, decimal_approx, rational
+from mbm.rational import ONE, ZERO, Rational as Q, decimal_approx, parse_ratio, rational
+from mbm.rational import rational_str
 
 
 def test_rational_coercion_accepts_int_str_rational():
@@ -140,6 +141,79 @@ def test_negative_share_keeps_its_parse_error():
     assert str(info.value) == "row 2, column 2: negative share -3"
     with pytest.raises(ValueError, match="agent 1 bid -1/2 is negative"):
         BidProfile((Q(1), Q(-1, 2), Q(2)))
+
+
+# --- the integer numeral reader -------------------------------------------------
+
+_SIGN = st.sampled_from(["", "+", "-"])
+_UNDERSCORED = st.builds("{}_{}".format, _DIGITS, _DIGITS)
+_EXPONENTS = st.sampled_from(
+    ["", "e3", "E-2", "e+7", "e999", "e1000", "e-1000", "e1001", "e-1001", "e5000", "e1_001",
+     "e-0_1000", "e", "e+"]
+)
+_CELL = st.one_of(
+    st.builds(
+        "{}{}{}{}{}".format, _SIGN, _DIGITS | _UNDERSCORED,
+        st.sampled_from(["", ".", "/"]), st.sampled_from(["", "0", "000", "5", "0_1"]) | _DIGITS,
+        _EXPONENTS,
+    ),
+    st.builds("{}{}".format, st.sampled_from(["٣", "１２", "٣/٤", "1.٥"]), _EXPONENTS),
+    st.sampled_from(
+        ["1" * 1001, "1" * 500 + "/" + "7" * 500, "9" * 1000, "1" * 999 + ".5", "0/0", "5/0",
+         "1/2/3", "1 / 2", ".5", "3.", "abc", "", "-0", "+0.0", "1e", "nan", "inf"]
+    ),
+)
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except Exception as exc:  # the refusal is compared by type and message
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_PADDING, _CELL, _PADDING)
+def test_the_integer_numeral_reader_equals_rational(left, cell, right):
+    text = left + cell + right
+    want = _outcome(rational, text)
+    got = _outcome(parse_ratio, text)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    p, q = got
+    assert q > 0 and Q(p, q) == want == Fraction(text) and type(want) is Q
+    # the same cell in a table: the record's value, or the located ParseError
+    cell = cell.strip()
+    try:
+        (record,) = parse_captable(f"agent_id,share,bid\na,1,{cell}\n")
+    except ParseError as exc:
+        error = (exc.row, exc.column, str(exc))
+    else:
+        error = None
+        assert record.bid == want
+    if want < 0:
+        assert error == (2, 3, f"row 2, column 3: negative bid {rational_str(want)}")
+    else:
+        assert error is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(_CELL)
+def test_refused_cells_keep_their_error_and_location(cell):
+    cell = cell.strip()
+    want = _outcome(rational, cell)
+    if not isinstance(want, tuple):
+        return
+    error, message = want
+    with pytest.raises(ParseError) as info:
+        parse_captable(f"agent_id,share,bid\na,{cell},1\nb,0,2\n", normalize=True)
+    assert (info.value.row, info.value.column) == (2, 2)
+    if error is NumeralOutOfBounds:
+        assert str(info.value) == f"row 2, column 2: {message}"
+    else:
+        assert error is InvalidNumeral
+        assert str(info.value) == f"row 2, column 2: not a number: {cell!r}"
 
 
 # --- decimal approximations ----------------------------------------------------
