@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Sequence, Union
 
@@ -425,13 +424,8 @@ def draw_branch(expected: ExpectedOutcome, seed: SeedLike) -> MechanismOutcome:
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     p_high = expected.high_branch.branch_probability
-    hit_high = rng.randrange(int(p_high.denominator)) < int(p_high.numerator)
+    hit_high = rng.randrange(p_high.denominator) < p_high.numerator
     return expected.high_branch if hit_high else expected.low_branch
-
-
-# a draw loop asks for one instance's outcome again and again; the bound is
-# small because one outcome at n = 300 takes about 100 KiB
-_realize_expected = lru_cache(maxsize=16)(run_expected)
 
 
 def realize(
@@ -440,9 +434,10 @@ def realize(
     """Sample the owner-count lottery and return the realized branch.
 
     ``draw_branch`` on this instance's ``run_expected`` outcome, with
-    ``seed`` as there. Repeated draws on one instance reuse its outcome.
+    ``seed`` as there; nothing is kept between calls. For repeated draws on
+    one instance, call ``run_expected`` once and ``draw_branch`` per draw.
     """
-    return draw_branch(_realize_expected(initial, profile, config), seed)
+    return draw_branch(run_expected(initial, profile, config), seed)
 
 
 def adjusted_utility(

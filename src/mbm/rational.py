@@ -1,11 +1,9 @@
-"""Exact rational arithmetic backend.
+"""Exact rational arithmetic.
 
 Every quantity in this package (shares, money, bids, prices, probabilities,
 utilities) is an exact rational in canonical reduced form: positive
-denominator, gcd(|numerator|, denominator) = 1. gmpy2's ``mpq`` is used when
-available (roughly an order of magnitude faster than the stdlib), falling
-back to ``fractions.Fraction``. Both satisfy ``numbers.Rational``, hash and
-compare interchangeably, and print as ``p/q``.
+denominator, gcd(|numerator|, denominator) = 1. There is one exact type,
+``fractions.Fraction``; the hot paths work on its integer parts.
 
 Floats are rejected everywhere: a binary float would smuggle rounding into
 arithmetic that the rest of the package treats as exact. Plain ASCII numerals
@@ -20,21 +18,14 @@ import re
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from decimal import DivisionByZero, InvalidOperation, Overflow
 from fractions import Fraction
-from operator import attrgetter
 
 from .errors import InvalidNumeral, NumeralOutOfBounds
 
-try:
-    from gmpy2 import mpq as Rational
-
-    BACKEND = "gmpy2"
-    # (numerator, denominator) of a rational, denominator positive
-    as_ratio = attrgetter("numerator", "denominator")
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    Rational = Fraction
-
-    BACKEND = "fractions"
-    as_ratio = Fraction.as_integer_ratio
+Rational = Fraction
+# the name ``mbm --version`` and the benchmark's metadata print
+BACKEND = "fractions"
+# (numerator, denominator) of a rational, denominator positive
+as_ratio = Fraction.as_integer_ratio
 
 ZERO = Rational(0)
 ONE = Rational(1)
@@ -72,7 +63,7 @@ def parse_ratio(text: str) -> tuple:
 def rational(value) -> Rational:
     """Coerce ``value`` to an exact rational.
 
-    Accepts ints, rationals (Fraction/mpq), and strings in fraction
+    Accepts ints, rationals (any ``numbers.Rational``), and strings in fraction
     ("3/10"), integer ("5"), or decimal ("0.3", "2.5e-3") notation, read by
     ``parse_ratio``; decimal text converts exactly via powers of ten. Floats
     raise TypeError. Text longer than ``MAX_NUMERAL_CHARS`` or with a
@@ -98,7 +89,7 @@ def rational_str(value) -> str:
     try:
         return str(value)
     except ValueError:
-        return _lowest_str(*map(int, as_ratio(value)))
+        return _lowest_str(*as_ratio(value))
 
 
 def ratio_str(p: int, q: int) -> str:
@@ -147,5 +138,5 @@ def decimal_approx(value, digits: int = 20) -> str:
     ``decimal.DefaultContext`` can change the digits or raise.
     """
     ctx = _APPROX_CONTEXTS.get(digits) or _approx_context(digits)
-    quotient = ctx.divide(Decimal(int(value.numerator)), Decimal(int(value.denominator)))
+    quotient = ctx.divide(Decimal(value.numerator), Decimal(value.denominator))
     return ctx.to_sci_string(quotient)

@@ -91,15 +91,9 @@ def _welfare(held, d: int, e: int, branches) -> tuple:
 def expected_mbm_welfare(
     initial: Allocation, valuations: BidProfile, config: MbmConfig
 ) -> Rational:
-    """Probability-weighted welfare over both branches, read from the engine's kernel.
-
-    ``_kernel`` and ``_branches`` are ``run_expected``'s computation, with
-    the same checks and errors; the buyers' a_i * w_i come from one pass of
-    prefix sums along the bid order (``_held``). The welfare sweep builds
-    those once per n and runs only ``_branches`` and ``_welfare`` per alpha.
-    """
-    order, mass, a, d, w, e = _kernel(initial, valuations, config)
-    return Rational(*_welfare(_held(order, a, w), d, e, _branches(mass, d, config.m_bar)))
+    """Probability-weighted welfare over both branches: ``welfare_report``'s
+    ``expected_mbm_welfare``, with ``run_expected``'s checks and errors."""
+    return welfare_report(initial, valuations, config).expected_mbm_welfare
 
 
 def welfare_report(
@@ -148,7 +142,8 @@ def _m_bar_from_alpha(n: int, alpha: Rational) -> int:
     p, q = as_ratio(alpha)
     if n * p % q:
         raise InvalidAlpha(f"alpha={alpha} with n={n}: alpha * n is not an integer")
-    # int(): on gmpy2 the ratio's parts are mpz, and MbmConfig takes only int
+    # int(): a Fraction built from another numbers.Rational can keep non-int
+    # Integral parts, and MbmConfig takes only int
     m_bar = int(n * p // q)
     if not 2 <= m_bar <= n - 1:
         raise InvalidAlpha(

@@ -15,6 +15,10 @@ The welfare pair states expected welfare and a sweep row in ``Fraction``s,
 as the welfare module computed them before it read them off prefix sums
 and integer closed forms; the tests require equal values and errors.
 
+``fraction_run_expected`` is the mechanism itself, written from the paper's
+definitions in ``Fraction``s with nothing from ``mbm.core``: the engine's
+kernel, masses, branches and settlement are all held to it.
+
 The instance pair draws a generated instance and a perturbed profile in
 ``Fraction``s, as ``mbm.instances`` drew them before it drew them as integer
 numerators over one denominator; the tests require equal rationals, equal
@@ -169,6 +173,50 @@ def fraction_individual_rationality(initial, valuations, config, engine=run_expe
                     utility_delta=gain,
                 )
     return PropertyReport(name, instance, holds=True, cases=cases)
+
+
+def fraction_run_expected(initial, profile, config):
+    """Both branches of the mechanism, m = m_bar first, each as (realized_m,
+    price, branch_probability, final shares, final money, order): agents
+    sorted by bid, descending; the price is the bid ranked m_bar; P(high) is
+    the top m_bar's share mass. In the branch with m owners the top m buy:
+    each buyer's share is scaled by 1 / (their mass) and she pays the price
+    for the share she gains, and each seller is cashed out at the price.
+
+    Reads only ``.shares``, ``.money``, ``.bids`` and the config. Raises
+    DegenerateBuyerMass, with the engine's message, for a branch whose buyers
+    hold nothing, the high branch first.
+    """
+    shares, money, bids = initial.shares, initial.money, profile.bids
+    m_bar = config.m_bar
+    order = tuple(sorted(range(config.n), key=bids.__getitem__, reverse=True))
+    price = bids[order[m_bar - 1]]
+    high = sum((shares[i] for i in order[:m_bar]), Fraction(0))
+    branches = []
+    for m, probability in ((m_bar, high), (m_bar - 1, 1 - high)):
+        buyers = order[:m]
+        mass = sum((shares[i] for i in buyers), Fraction(0))
+        if mass == 0:
+            raise DegenerateBuyerMass(f"all {m} prospective buyers hold zero initial shares")
+        final_shares, final_money = [], []
+        for i in range(config.n):
+            if i in buyers:
+                final_shares.append(shares[i] / mass)
+                final_money.append(money[i] - (shares[i] / mass - shares[i]) * price)
+            else:
+                final_shares.append(Fraction(0))
+                final_money.append(money[i] + shares[i] * price)
+        branches.append((m, price, probability, tuple(final_shares), tuple(final_money), order))
+    return tuple(branches)
+
+
+def branch_fields(expected):
+    """An ``ExpectedOutcome``'s branches in ``fraction_run_expected``'s shape."""
+    return tuple(
+        (b.realized_m, b.price, b.branch_probability, b.final_allocation.shares,
+         b.final_allocation.money, b.order)
+        for b in expected.branches
+    )
 
 
 def fraction_expected_welfare(initial, valuations, config):

@@ -51,6 +51,10 @@ def test_shares_must_sum_to_one_without_normalize():
     records = parse_captable(text, normalize=True)
     assert sum((r.share for r in records), Q(0)) == 1
     assert records[0].share == Q(1, 2) / Q(999, 1000)
+    # an all-zero column has nothing to rescale
+    with pytest.raises(SharesDontSumToOne) as info:
+        parse_captable("agent_id,share,bid\na,0,10\nb,0/3,5\nc,0.0,2\n", normalize=True)
+    assert (info.value.total, str(info.value)) == (0, "shares sum to 0, expected exactly 1")
 
 
 def test_parse_errors_carry_location():
@@ -69,6 +73,11 @@ def test_parse_errors_carry_location():
     with pytest.raises(ParseError) as info:
         parse_captable("agent_id,share,bid\na,-0.5,10\n")
     assert info.value.row == 2 and info.value.column == 2
+
+    with pytest.raises(ParseError) as info:
+        parse_captable("agent_id,share,bid\na,0.5,10\n,0.3,5\nc,0.2,2\n")
+    assert (info.value.row, info.value.column) == (3, 1)
+    assert str(info.value) == "row 3, column 1: empty agent_id"
 
 
 def test_numeral_bounds_are_parse_errors_with_location():

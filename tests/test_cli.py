@@ -25,7 +25,7 @@ from mbm import report as report_module
 from mbm.captable import parse_captable, to_instance
 from mbm.cli import main
 from mbm.properties import CORRUPTION_KINDS
-from mbm.rational import BACKEND, decimal_approx, rational, rational_str
+from mbm.rational import decimal_approx, rational, rational_str
 from mbm.suites import SUITES
 import mutants
 from conftest import SRC
@@ -227,7 +227,6 @@ def test_run_prints_values_past_the_int_string_limit(capsys, tmp_path, fmt, chec
         assert "check pp-expost-efficiency: holds [10 cases]" in out
 
 
-@pytest.mark.skipif(BACKEND != "fractions", reason="counts fractions.Fraction")
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 def test_run_makes_no_per_agent_rational(capsys, monkeypatch, fmt):
     # the twin of test_generated_values_start_on_integers: from the cell to
@@ -443,6 +442,10 @@ def test_run_shares_off_simplex_exit_2(capsys, tmp_path):
          "error: agent_id 'a' appears more than once"),
         ("a,1/2,5\nb,3/10,5\nc,1/5,2\n", ["run", "--mbar", "2"],
          "error: tied bids between agent pairs: (0, 1)"),
+        ("a,1/2,10\n,3/10,5\nc,1/5,2\n", ["run", "--mbar", "2"],
+         "error: row 3, column 1: empty agent_id"),
+        ("a,0,10\nb,0,5\nc,0,2\n", ["run", "--mbar", "2", "--normalize"],
+         "error: shares sum to 0, expected exactly 1"),
         (None, ["verify", "--suite", "budget", "--n-range", "5..3"],
          "error: --n-range: empty range '5..3'"),
         (None, ["verify", "--suite", "budget", "--instances", "20", "--n-range", "2..3"],
@@ -472,8 +475,9 @@ def test_run_shares_off_simplex_exit_2(capsys, tmp_path):
     ],
     ids=[
         "malformed-cell", "malformed-cell-after-blank-lines", "short-row-after-blank-lines",
-        "duplicate-id", "tied-bids", "empty-n-range", "n-range-below-3",
-        "n-range-below-3-few-instances", "negative-instance-count", "negative-budget",
+        "duplicate-id", "tied-bids", "empty-agent-id", "normalize-zero-shares",
+        "empty-n-range", "n-range-below-3", "n-range-below-3-few-instances",
+        "negative-instance-count", "negative-budget",
         "numeral-exponent", "numeral-length", "field-over-csv-limit", "n-range-not-int",
         "n-range-no-dots", "n-list-not-int", "alpha-not-rational",
     ],
@@ -962,7 +966,7 @@ def test_version_names_package_version_and_rational_backend(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])
     assert info.value.code == 0
-    assert capsys.readouterr().out == f"mbm {__version__} ({BACKEND} rational backend)\n"
+    assert capsys.readouterr().out == f"mbm {__version__} (fractions rational backend)\n"
 
 
 # --- module entry point ---------------------------------------------------------

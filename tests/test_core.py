@@ -43,6 +43,7 @@ from mbm.properties import CORRUPTION_KINDS, corrupted_engine
 from mbm.rational import ONE, ZERO, Rational as Q
 from mbm.suites import generate_suite
 
+from references import branch_fields, fraction_run_expected
 from strategies import instances
 
 import random
@@ -199,6 +200,12 @@ def test_rank_bids_ties_rejected():
     with pytest.raises(DuplicateBids) as info:
         rank_bids(BidProfile((Q(5), Q(5), Q(2))))
     assert info.value.pairs == [(0, 1)]
+
+
+def test_rank_bids_needs_three_bids():
+    with pytest.raises(InvalidConfig) as info:
+        rank_bids(BidProfile((1, 2)))
+    assert str(info.value) == "need at least 3 bids, got 2"
 
 
 def test_rank_bids_orders_bids_descending():
@@ -408,6 +415,17 @@ def test_branches_read_every_m_bar_off_one_kernel():
                     assert _branches(mass, d, m) == ((m, high, high), (m - 1, low, d - high))
                     agreed += 1
     assert agreed > 0 and raised > 0
+
+
+def test_run_expected_equals_the_fraction_reference():
+    # every field of both branches, on generated instances as they are and
+    # with money over assorted denominators
+    rng = random.Random(41)
+    for base, profile, config in generate_suite(200, seed=41, n_range=(3, 8)):
+        money = [Q(rng.randint(-50, 50), rng.choice((1, 3, 4, 7, 10))) for _ in base.shares]
+        for initial in (base, Allocation(base.shares, money)):
+            got = branch_fields(run_expected(initial, profile, config))
+            assert got == fraction_run_expected(initial, profile, config)
 
 
 def test_run_expected_keeps_initial_money(worked):

@@ -19,10 +19,11 @@ import subprocess
 import sys
 from collections import Counter
 
-from mbm import Allocation, BidProfile, MbmConfig, properties
+from mbm import Allocation, BidProfile, DegenerateBuyerMass, MbmConfig, properties, run_expected
 from mbm.errors import MbmError
 from mbm.rational import Rational as Q
 from mbm.suites import SUITES, run_suite
+from references import branch_fields, fraction_run_expected
 from refinement import pattern_walk
 
 import mutants
@@ -104,6 +105,25 @@ def test_every_suite_gives_the_pinned_counts_and_classes_decide_as_patterns(monk
         walked = outcomes(("sp", "group-sp"))
         ok = counts(found) == COUNTS and all(found[key] == walked[key] for key in walked)
         t.finish(ok, "826 instances, six suites, n = 3..5")
+
+
+def _outcome(engine, instance):
+    try:
+        return engine(*instance)
+    except MbmError as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+def test_the_engine_equals_the_fraction_reference_on_the_space():
+    # every field of both branches, or the same error, zero shares included
+    seen = Counter()
+    for n in N_VALUES:
+        for instance in space(n):
+            want = _outcome(fraction_run_expected, instance)
+            got = _outcome(lambda *args: branch_fields(run_expected(*args)), instance)
+            assert got == want, instance
+            seen[want[0] if isinstance(want[0], type) else "settled"] += 1
+    assert seen == {"settled": 665, DegenerateBuyerMass: 161}
 
 
 def test_the_space_sees_the_degenerate_check_mutant(tmp_path, subprocess_env):

@@ -1,4 +1,4 @@
-"""The package surface: ``mbm.__all__``, its caches and the README's library quickstart."""
+"""The package surface: ``mbm.__all__``, no cache, one extra and the README's library quickstart."""
 
 import importlib
 import pkgutil
@@ -6,11 +6,14 @@ import re
 import sys
 from pathlib import Path
 
+import pytest
+
 import mbm
 from mbm import core, properties, welfare
 from mbm.rational import rational
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PYPROJECT = README.with_name("pyproject.toml")
 
 
 def test_public_names_resolve_once_in_sorted_order():
@@ -41,12 +44,14 @@ def test_deleted_welfare_helpers_are_not_exported():
 
 
 def test_deleted_utility_readers_and_repricer_are_gone():
-    # one reader (core._utilities) and one settlement (core._settle) replace them
+    # one reader (core._utilities) and one settlement (core._settle) replace
+    # them, and realize draws on run_expected with no memo in front
     assert "expected_adjusted_utilities" not in mbm.__all__
     for owner, name in (
         (mbm, "expected_adjusted_utilities"),
         (core, "expected_adjusted_utilities"),
         (core, "_utility_numerators"),
+        (core, "_realize_expected"),
         (properties, "_repriced"),
     ):
         assert not hasattr(owner, name), name
@@ -57,17 +62,26 @@ def test_deleted_utility_readers_and_repricer_are_gone():
     assert hasattr(welfare, "sweep_point")
 
 
-def test_realize_memo_is_the_only_cache():
-    # every module loaded, then every object with a cache_clear, once each
+def test_no_mbm_object_has_a_cache_clear():
+    # every module loaded, then no object in any of them is a cache
     for info in pkgutil.iter_modules(mbm.__path__):
         importlib.import_module(f"mbm.{info.name}")
-    caches = {}
-    for name, module in list(sys.modules.items()):
-        if name == "mbm" or name.startswith("mbm."):
-            for value in vars(module).values():
-                if callable(getattr(value, "cache_clear", None)):
-                    caches[id(value)] = value
-    assert list(caches.values()) == [core._realize_expected]
+    caches = [
+        f"{name}.{key}"
+        for name, module in list(sys.modules.items())
+        if name == "mbm" or name.startswith("mbm.")
+        for key, value in vars(module).items()
+        if callable(getattr(value, "cache_clear", None))
+    ]
+    assert caches == []
+
+
+def test_the_test_extra_is_the_only_optional_dependency():
+    tomllib = pytest.importorskip("tomllib")  # the standard library from Python 3.11
+    with open(PYPROJECT, "rb") as handle:
+        project = tomllib.load(handle)["project"]
+    assert project["dependencies"] == []
+    assert list(project["optional-dependencies"]) == ["test"]
 
 
 def _annotated_value(text):

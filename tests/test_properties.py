@@ -685,6 +685,12 @@ def test_negative_budget_refused_before_any_work(worked):
             run_suite(suite, untouched(), budget=-1)
 
 
+def test_unknown_suite_names_the_suites():
+    with pytest.raises(ValueError) as info:
+        run_suite("nope", [])
+    assert str(info.value) == f"unknown suite 'nope', pick from {SUITES}"
+
+
 def test_group_sp_budget_cap():
     initial, profile, config = weak_gain_instance()
     with pytest.raises(SearchBudgetExceeded):

@@ -1,4 +1,4 @@
-"""Rational backend: coercion rules and the stdlib fallback."""
+"""The one rational type: coercion rules, numeral reading and printing."""
 
 import subprocess
 import sys
@@ -53,14 +53,18 @@ def test_canonical_form():
 
 
 def test_fraction_fallback_backend_runs_the_mechanism(subprocess_env):
-    # block gmpy2 in a clean interpreter and drive the worked instance
+    # an importable gmpy2 in a clean interpreter: the one exact type is still
+    # Fraction, and it drives the worked instance
     script = textwrap.dedent(
         """
-        import sys
-        sys.modules["gmpy2"] = None  # forces the ImportError fallback path
+        import fractions, sys, types
+        stand_in = types.ModuleType("gmpy2")
+        stand_in.mpq = type("mpq", (fractions.Fraction,), {})
+        sys.modules["gmpy2"] = stand_in
 
         from mbm.rational import BACKEND, Rational as Q
         assert BACKEND == "fractions", BACKEND
+        assert Q is fractions.Fraction, Q
 
         from mbm import Allocation, BidProfile, MbmConfig, run_expected
         initial = Allocation.from_shares((Q(1, 2), Q(3, 10), Q(1, 5)))
@@ -69,14 +73,14 @@ def test_fraction_fallback_backend_runs_the_mechanism(subprocess_env):
         assert expected.high_branch.price == 5
         assert expected.high_branch.final_allocation.shares == (Q(5, 8), Q(3, 8), Q(0))
         assert expected.high_branch.branch_probability == Q(4, 5)
-        print("fallback ok")
+        print("fractions ok")
         """
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=subprocess_env
     )
     assert proc.returncode == 0, proc.stderr
-    assert "fallback ok" in proc.stdout
+    assert "fractions ok" in proc.stdout
 
 
 # --- plain numerals: read on integers, equal to Fraction's reading -----------

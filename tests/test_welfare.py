@@ -326,7 +326,7 @@ def test_explicit_alpha_sweep_equals_the_fraction_reference():
 
 
 class NotInt:
-    """An integer that is not an ``int``, as gmpy2's ``mpz`` is not."""
+    """An integer that is not an ``int``, as a ``Fraction``'s part can be."""
 
     def __init__(self, value):
         self.value = value
@@ -354,7 +354,8 @@ class NotInt:
 
 
 def test_m_bar_is_an_int_when_the_ratio_parts_are_not(monkeypatch):
-    # on gmpy2, as_ratio gives mpz parts, and MbmConfig takes m_bar only as int
+    # a Fraction built from another numbers.Rational can keep non-int Integral
+    # parts, and MbmConfig takes m_bar only as int
     monkeypatch.setattr(
         welfare, "as_ratio", lambda value: tuple(map(NotInt, Q.as_integer_ratio(value)))
     )
