@@ -19,13 +19,14 @@ to integers over their least common denominators, ranks the bids and sums
 the shares along that order; ``_branches`` reads both branches' buyer
 masses off those sums; and ``_settle``, the one settlement, weights the
 lottery and runs the buyout at a given price (the engine's is the bid
-ranked m_bar). An ``Allocation`` or ``BidProfile`` keeps one integer form
-(``_integer_form``); one built on integers makes its rationals when they
-are first read. ``_utilities`` is the one integer reader of agents'
-adjusted utilities off an outcome, in one branch or in expectation.
+ranked m_bar). An ``Allocation`` or ``BidProfile`` gets its one integer
+form (``_holdings``, ``_bid_numerators``) when it is built; one built on
+integers makes its rationals when they are first read. ``_utilities`` is
+the one integer reader of agents' adjusted utilities off an outcome, in one
+branch or in expectation.
 Every type is an immutable value and every operation is a pure function of
 its inputs, so results are safe to share across threads (threads racing to
-fill a form or a field's rationals store equal values).
+fill a field's rationals store equal values).
 ``draw_branch`` and ``realize`` are the only randomized entry points; each
 takes an int seed or a caller-owned generator.
 """
@@ -36,14 +37,11 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Sequence, Union
+from operator import attrgetter
+from typing import Sequence, Union
 
 from .errors import DegenerateBuyerMass, DuplicateBids, InvalidAllocation, InvalidConfig
 from .rational import ZERO, Rational, as_ratio, rational
-
-
-def _freeze(values: Iterable) -> tuple:
-    return tuple(map(rational, values))
 
 
 def _over_lcm(values) -> tuple:
@@ -122,19 +120,18 @@ class Allocation:
     money: tuple = _OnRead(_form_rationals)
 
     def __post_init__(self):
-        object.__setattr__(self, "shares", _freeze(self.shares))
-        object.__setattr__(self, "money", _freeze(self.money))
+        object.__setattr__(self, "shares", tuple(map(rational, self.shares)))
+        object.__setattr__(self, "money", tuple(map(rational, self.money)))
         if len(self.shares) != len(self.money):
             raise InvalidAllocation(
                 f"{len(self.shares)} shares but {len(self.money)} money entries"
             )
+        object.__setattr__(self, "_form", (*_over_lcm(self.shares), *_over_lcm(self.money)))
 
     @classmethod
     def from_shares(cls, shares: Sequence) -> "Allocation":
         """Initial allocation: given shares, all money balances zero."""
-        shares = _freeze(shares)
-        form = (*_over_lcm(shares), [0] * len(shares), 1)  # zero money needs no lcm
-        return _built(cls, shares=shares, money=(ZERO,) * len(shares), _form=form)
+        return cls(shares, (ZERO,) * len(shares))
 
     @classmethod
     def _from_form(cls, a, d: int) -> "Allocation":
@@ -162,10 +159,11 @@ class BidProfile:
     bids: tuple = _OnRead(_form_rationals)
 
     def __post_init__(self):
-        object.__setattr__(self, "bids", _freeze(self.bids))
+        object.__setattr__(self, "bids", tuple(map(rational, self.bids)))
         for i, b in enumerate(self.bids):
             if b.numerator < 0:
                 raise ValueError(f"agent {i} bid {b} is negative")
+        object.__setattr__(self, "_form", _over_lcm(self.bids))
 
     @classmethod
     def _from_form(cls, w, e: int) -> "BidProfile":
@@ -185,18 +183,10 @@ class BidProfile:
         return BidProfile(tuple(bids))
 
 
-def _integer_form(value) -> tuple:
-    """An allocation's (s, t, y, z), share i s[i] / t and money i y[i] / z,
-    or a profile's (w, e), bid i w[i] / e: positive denominators, lists never
-    mutated. A value built without one gets it from ``_over_lcm`` on first read."""
-    form = value.__dict__.get("_form")
-    if form is None:
-        form = sum((_over_lcm(getattr(value, f)) for f in value.__dataclass_fields__), ())
-        object.__setattr__(value, "_form", form)
-    return form
-
-
-_holdings = _bid_numerators = _integer_form  # the readers of the two types
+# the integer forms that the constructors and ``_from_form`` build: an
+# allocation's (s, t, y, z), share i s[i] / t and money i y[i] / z, and a
+# profile's (w, e), bid i w[i] / e; denominators positive, lists never mutated
+_holdings = _bid_numerators = attrgetter("_form")
 
 
 @dataclass(frozen=True)

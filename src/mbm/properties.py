@@ -62,7 +62,6 @@ from .core import (
     _bid_numerators,
     _bid_order,
     _branches,
-    _built,
     _check_sizes,
     _holdings,
     _kernel,
@@ -288,9 +287,9 @@ def _pricer(engine, initial, config, fixed, e: int):
     with c of the others above x / k, the price is their m_bar-th bid (she
     sells) when c >= m_bar, x (she is the threshold agent) when c = m_bar - 1,
     and their (m_bar - 1)-th (she buys) otherwise. When a share is zero,
-    ``_branches`` checks H and L, the others' ``_masses`` with hers put in,
-    as ``run_expected`` does; any other engine runs the bids on integers, its
-    others sorted once per agent after ``_others`` checks them for ties.
+    ``_branches`` checks H and L as ``run_expected`` does, made once per type
+    and agent; any other engine runs the bids on integers, its others sorted
+    once per agent after ``_others`` checks them for ties.
     """
     m_bar = config.m_bar
 
@@ -303,22 +302,25 @@ def _pricer(engine, initial, config, fixed, e: int):
         return lambda agent: (partial(run, agent), sorted(_others(fixed, agent)))
     a, d = _simplex_numerators(initial)
     order = _bid_order(fixed)
+    zero = min(a) == 0
 
     def readout(agent):
         rest = [j for j in order if j != agent]
         o = [fixed[j] for j in rest]
-        up, mass, mine = o[::-1], _masses(rest, a), a[agent]
+        up = o[::-1]
+        if zero:  # her H and L as a seller, as the threshold agent and as a buyer
+            mass, mine = _masses(rest, a), a[agent]
+            low = mass[m_bar - 1]
+            sides = [(mass[m_bar], low), (low + mine, low), (low + mine, mass[m_bar - 2] + mine)]
+            types = [{m_bar: above, m_bar - 1: below} for above, below in sides]
 
         def price(x, k):
             c = len(up) - bisect(up, x // k)  # the others above x / k
+            if zero:
+                _branches(types[min(max(m_bar - c, 0), 2)], d, m_bar)
             return x if c == m_bar - 1 else k * o[m_bar - 1 if c >= m_bar else m_bar - 2]
 
-        def checked(x, k):
-            c = len(up) - bisect(up, x // k)
-            _branches(mass[: c + 1] + [m + mine for m in mass[c:]], d, m_bar)
-            return price(x, k)
-
-        return (price if min(a) > 0 else checked), up
+        return price, up
 
     return readout
 
@@ -746,7 +748,7 @@ def corrupted_engine(kind: str):
             shift = shares[order[0]] / 10
             shares[order[0]] -= shift
             shares[order[1]] += shift
-        final = _built(Allocation, shares=tuple(shares), money=tuple(money))
+        final = Allocation(shares, money)
         bad = replace(high, final_allocation=final)
         return ExpectedOutcome(high_branch=bad, low_branch=expected.low_branch)
 

@@ -127,14 +127,16 @@ def _welfare_report(kernel: tuple, m_bar: int) -> WelfareReport:
 
 
 def uniform_grid_valuations(n: int) -> BidProfile:
-    """The valuation grid 1, (n-1)/n, ..., 1/n (agent 0 highest)."""
-    return BidProfile(tuple(Rational(n - i, n) for i in range(n)))
+    """The valuation grid 1, (n-1)/n, ..., 1/n (agent 0 highest); empty for n < 1."""
+    if n < 1:
+        return BidProfile(())
+    return BidProfile._from_form(range(n, 0, -1), n)
 
 
 def uniform_grid_instance(n: int, m_bar: int):
-    """Equal shares with the uniform valuation grid, ready to run."""
-    initial = Allocation.from_shares((Rational(1, n),) * n)
-    return initial, uniform_grid_valuations(n), MbmConfig(n=n, m_bar=m_bar)
+    """Equal shares with the uniform valuation grid, ready to run; InvalidConfig for n <= 2."""
+    config = MbmConfig(n=n, m_bar=m_bar)
+    return Allocation._from_form([1] * n, n), uniform_grid_valuations(n), config
 
 
 def _m_bar_from_alpha(n: int, alpha: Rational) -> int:

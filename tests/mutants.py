@@ -24,7 +24,17 @@ though not on every instance. The degenerate one drops the class walk's
 ``DegenerateBuyerMass`` check: only zero shares reach it, so ``mbm
 verify`` cannot, and the bounded-exhaustive space in
 ``tests/test_exhaustive.py`` must see its counts move.
+
+``kill_row`` reads one row of the kill matrix that ``tests/test_kill_matrix.py``
+pins for every mutant in ``EVERY_MUTANT`` and every negative control.
 """
+
+import contextlib
+import io
+import json
+
+from mbm.cli import main
+from mbm.suites import SUITES
 
 ENGINE_MUTANTS = (
     (
@@ -102,6 +112,16 @@ MUTANTS = {
 }
 
 
+EVERY_MUTANT = (
+    *ENGINE_MUTANTS,
+    MASS_MUTANT,
+    SETTLEMENT_MUTANT,
+    CLASS_MUTANT,
+    DEGENERATE_MUTANT,
+    *MUTANTS["monotone"],
+)
+
+
 def apply(package_dir, mutant) -> None:
     """Rewrite the mutant's file in ``package_dir`` (a copy of ``src/mbm``)."""
     _, name, old, new = mutant
@@ -109,3 +129,36 @@ def apply(package_dir, mutant) -> None:
     text = path.read_text(encoding="utf-8")
     assert text.count(old + "\n") == 1, mutant
     path.write_text(text.replace(old + "\n", new + "\n"), encoding="utf-8")
+
+
+VERIFY = ("verify", "--instances", "20", "--seed", "7", "--n-range", "3..4")
+
+
+def kill_row(captable=None, defect=None) -> dict:
+    """One row of the kill matrix, run in this interpreter on the ``mbm`` it imports.
+
+    Per suite, ``verify --suite S`` on ``VERIFY``'s instances, with
+    ``--inject-defect defect`` when given: [exit code, violations]. With a
+    ``captable``, "run" is ``run --expected --check --format json`` on it at
+    m_bar 2: [exit code, the checks that fail]. Anything but a verdict
+    (exit 0 or 1) keeps its exit code and None.
+    """
+
+    def call(argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        return code, (json.loads(out.getvalue()) if code in (0, 1) else None)
+
+    row = {}
+    for suite in SUITES:
+        argv = [*VERIFY, "--suite", suite] + (["--inject-defect", defect] if defect else [])
+        code, verdicts = call(argv)
+        row[suite] = [code, None if verdicts is None else sum(not v["holds"] for v in verdicts)]
+    if captable is not None:
+        code, report = call(["run", "--captable", captable, "--mbar", "2", "--expected",
+                             "--check", "--format", "json"])
+        failed = None if report is None else [c["property"] for c in report["checks"]
+                                              if not c["holds"]]
+        row["run"] = [code, failed]
+    return row

@@ -18,6 +18,8 @@ and integer closed forms; the tests require equal values and errors.
 ``fraction_run_expected`` is the mechanism itself, written from the paper's
 definitions in ``Fraction``s with nothing from ``mbm.core``: the engine's
 kernel, masses, branches and settlement are all held to it.
+``fraction_utilities`` is an agent's adjusted utility, written the same way:
+core's integer utility readers are held to it on that reference's branches.
 
 The instance pair draws a generated instance and a perturbed profile in
 ``Fraction``s, as ``mbm.instances`` drew them before it drew them as integer
@@ -37,7 +39,6 @@ from mbm import (
     InvalidAlpha,
     MbmConfig,
     SweepRow,
-    adjusted_utility,
     run_expected,
 )
 from mbm.core import _reject_ties
@@ -153,15 +154,16 @@ def fraction_budget_balance(initial, profile, config, engine=run_expected):
 
 
 def fraction_individual_rationality(initial, valuations, config, engine=run_expected):
-    """Individual rationality on ``adjusted_utility``, agent by agent, branch by branch."""
+    """Individual rationality on ``fraction_utilities``, branch by branch, agent by agent."""
     name = "individual-rationality"
     instance = describe_instance(initial, valuations, config)
     expected = engine(initial, valuations, config)
     cases = 0
     for branch in expected.branches:
-        for agent in range(config.n):
+        final = branch.final_allocation
+        gains = fraction_utilities(initial, [(1, final.shares, final.money)], valuations)
+        for agent, gain in enumerate(gains):
             cases += 1
-            gain = adjusted_utility(initial, branch, valuations, agent)
             if gain < 0:
                 return _violation(
                     name,
@@ -208,6 +210,26 @@ def fraction_run_expected(initial, profile, config):
                 final_money.append(money[i] + shares[i] * price)
         branches.append((m, price, probability, tuple(final_shares), tuple(final_money), order))
     return tuple(branches)
+
+
+def fraction_utilities(initial, branches, valuations):
+    """Every agent's adjusted utility over ``branches``, each (probability,
+    final shares, final money): the sum over the branches of the probability
+    times (s' - s) v + (x' - x), for her initial share s and money x, her
+    final s' and x' and her value v."""
+    return tuple(
+        sum((p * ((shares[j] - s) * v + (money[j] - x)) for p, shares, money in branches),
+            Fraction(0))
+        for j, (s, x, v) in enumerate(zip(initial.shares, initial.money, valuations.bids))
+    )
+
+
+def fraction_utility_table(initial, profile, config, valuations):
+    """(expected, high, low): ``fraction_utilities`` on ``fraction_run_expected``'s
+    branches, weighted by their probabilities and each alone at weight 1."""
+    weighted = [(p, s, x) for _, _, p, s, x, _ in fraction_run_expected(initial, profile, config)]
+    alone = (fraction_utilities(initial, [(1, s, x)], valuations) for _, s, x in weighted)
+    return (fraction_utilities(initial, weighted, valuations), *alone)
 
 
 def branch_fields(expected):

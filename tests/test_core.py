@@ -43,7 +43,7 @@ from mbm.properties import CORRUPTION_KINDS, corrupted_engine
 from mbm.rational import ONE, ZERO, Rational as Q
 from mbm.suites import generate_suite
 
-from references import branch_fields, fraction_run_expected
+from references import branch_fields, fraction_run_expected, fraction_utility_table
 from strategies import instances
 
 import random
@@ -149,6 +149,33 @@ def test_every_settled_branch_form_equals_its_rationals():
                     assert read == _paper_settlement(initial, branch)
                 assert read == (final.shares, final.money)
                 assert all(type(x) is Q for x in final.shares + final.money)
+
+
+def test_every_construction_path_makes_the_integer_form(worked):
+    # the form is in the value when its constructor returns, equal to the
+    # one over the least common denominators of its rationals
+    initial, profile, config = worked
+    settled = run_expected(initial, profile, config).high_branch.final_allocation
+    money = (Q(7, 3), Q(-1, 4), ZERO)
+    allocations = {
+        "constructor": Allocation(initial.shares, money),
+        "from_shares": Allocation.from_shares((Q(1, 2), Q(3, 10), Q(1, 5))),
+        "replace": dataclasses.replace(initial, money=money),
+        "replace settled": dataclasses.replace(settled),
+        "replace on integers": dataclasses.replace(Allocation._from_form([2, 1], 3)),
+    }
+    profiles = {
+        "constructor": BidProfile((Q(10), Q(5, 2), Q(2, 3))),
+        "replace_bid": profile.replace_bid(2, Q(1, 7)),
+        "replace": dataclasses.replace(profile, bids=(Q(3), Q(1, 6), ZERO)),
+        "replace on integers": dataclasses.replace(BidProfile._from_form([20, 10, 4], 2)),
+    }
+    for path, value in allocations.items():
+        assert "_form" in vars(value), path
+        assert vars(value)["_form"] == (*_over_lcm(value.shares), *_over_lcm(value.money)), path
+    for path, value in profiles.items():
+        assert "_form" in vars(value), path
+        assert vars(value)["_form"] == _over_lcm(value.bids), path
 
 
 def test_values_built_on_integers_behave_as_built_from_rationals(worked):
@@ -464,6 +491,25 @@ def _reader_utilities(initial, expected, valuations):
     return tuple(Q(num, d * e * den) for num, den in ratios)
 
 
+def utility_table(initial, profile, config, values):
+    """(expected, high, low), core's reading of every agent's adjusted
+    utility: in expectation by ``_utility_ratios``, by ``_utilities`` over
+    ``_weighted`` and by ``expected_adjusted_utility``, which must agree, and
+    in each branch alone by ``_utilities`` at weight 1."""
+    scored = _scorer_utilities(initial, profile, config, values)
+    expected = run_expected(initial, profile, config)
+    assert _reader_utilities(initial, expected, values) == scored
+    assert _reference_utilities(initial, profile, config, values) == scored
+    holdings = _holdings(initial)
+    v, e = _over_lcm(values.bids)
+    de = holdings[1] * e
+    alone = (
+        _utilities(holdings, ((1, 1, b.final_allocation),), range(len(v)), v, e)
+        for b in expected.branches
+    )
+    return (scored, *(tuple(Q(num, de * den) for num, den in one) for one in alone))
+
+
 def _reference_utilities(initial, profile, config, valuations):
     expected = run_expected(initial, profile, config)
     return tuple(
@@ -503,6 +549,20 @@ def test_expected_adjusted_utilities_equal_reference_definition():
                     assert _reader_utilities(start, expected, values) == reference
                     checked += 1
     assert checked > 500
+
+
+def test_utilities_equal_the_fraction_reference():
+    # core's utility readers against the reference's own Fraction utilities
+    # on fraction_run_expected's branches, at the bids and at values moved
+    # off them, with and without initial money
+    rng = random.Random(41)
+    for base, profile, config in generate_suite(200, seed=41, n_range=(3, 8)):
+        money = [Q(rng.randint(-50, 50), rng.choice((1, 3, 4, 7, 10))) for _ in base.shares]
+        moved = perturbed_profile(profile, rng)
+        for initial in (base, Allocation(base.shares, money)):
+            for values in (profile, moved):
+                want = fraction_utility_table(initial, profile, config, values)
+                assert utility_table(initial, profile, config, values) == want
 
 
 def test_expected_adjusted_utilities_raise_what_the_engine_raises():

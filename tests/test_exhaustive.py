@@ -23,8 +23,9 @@ from mbm import Allocation, BidProfile, DegenerateBuyerMass, MbmConfig, properti
 from mbm.errors import MbmError
 from mbm.rational import Rational as Q
 from mbm.suites import SUITES, run_suite
-from references import branch_fields, fraction_run_expected
+from references import branch_fields, fraction_run_expected, fraction_utility_table
 from refinement import pattern_walk
+from test_core import utility_table
 
 import mutants
 from conftest import SRC, Timer
@@ -124,6 +125,21 @@ def test_the_engine_equals_the_fraction_reference_on_the_space():
             assert got == want, instance
             seen[want[0] if isinstance(want[0], type) else "settled"] += 1
     assert seen == {"settled": 665, DegenerateBuyerMass: 161}
+
+
+def test_utilities_equal_the_fraction_reference_on_the_space():
+    # core's utility readers, or the same error, at the bids and at values
+    # moved a third off them, zero shares included
+    seen = Counter()
+    for n in N_VALUES:
+        for initial, profile, config in space(n):
+            moved = BidProfile(tuple(b + Q((-1) ** i, 3) for i, b in enumerate(profile.bids)))
+            for values in (profile, moved):
+                instance = (initial, profile, config, values)
+                want = _outcome(fraction_utility_table, instance)
+                assert _outcome(utility_table, instance) == want, instance
+                seen[want[0] if isinstance(want[0], type) else "read"] += 1
+    assert seen == {"read": 2 * 665, DegenerateBuyerMass: 2 * 161}
 
 
 def test_the_space_sees_the_degenerate_check_mutant(tmp_path, subprocess_env):

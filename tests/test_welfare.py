@@ -159,6 +159,31 @@ def test_uniform_grid_instance_matches_grid():
     assert config.m_bar == 2
 
 
+def test_uniform_grid_instance_equals_its_rational_construction():
+    # built on integers, field by field and form by form as from rationals
+    for n in (3, 4, 7, 12, 60):
+        for m_bar in (2, n - 1):
+            initial, valuations, config = uniform_grid_instance(n, m_bar)
+            shares = Allocation.from_shares((Q(1, n),) * n)
+            bids = BidProfile(tuple(Q(n - i, n) for i in range(n)))
+            assert (initial.shares, initial.money) == (shares.shares, shares.money)
+            assert valuations.bids == bids.bids and config == MbmConfig(n, m_bar)
+            assert initial._form == shares._form
+            w, e = valuations._form
+            assert (list(w), e) == bids._form
+
+
+def test_uniform_grid_needs_more_than_two_agents():
+    # n = 0 once divided by zero; every n <= 2 is refused by the config
+    for n in (0, 1, 2):
+        with pytest.raises(InvalidConfig, match=f"^need more than 2 agents, got n={n}$"):
+            uniform_grid_instance(n, 2)
+    assert uniform_grid_instance(3, 2)[0].shares == (Q(1, 3),) * 3
+    assert [uniform_grid_valuations(n).bids for n in range(4)] == [
+        (), (ONE,), (ONE, Q(1, 2)), (ONE, Q(2, 3), Q(1, 3)),
+    ]
+
+
 def uniform_grid_prefix_sums(n, m_bar):
     """The closed forms of the top m_bar and top m_bar - 1 grid valuations'
     sums: m_bar/n * (2n - m_bar + 1)/2 and (m_bar - 1)/n * (2n - m_bar + 2)/2."""
