@@ -168,7 +168,7 @@ class BidProfile:
     @classmethod
     def _from_form(cls, w, e: int) -> "BidProfile":
         """The bids w[i] / e, e positive, kept on integers."""
-        if min(w) < 0:
+        if w and min(w) < 0:
             return cls(tuple(Rational(x, e) for x in w))  # raises as the constructor does
         return _built(cls, _form=(tuple(w), e))
 

@@ -23,8 +23,10 @@ prefix share masses give every branch's buyer mass, and prefix sums of
 a_i * w_i along the same bid order (``_held``) its buyer welfare, both by
 lookup; both branches share one denominator, so the expected welfare is a
 single rational. A sweep builds the kernel and its prefix sums once per n;
-at alpha = k/n the closed form is (2n - k)(n + 1) / 2n^2 on integers, so
-each row adds one rational per printed value and no sum over the buyers.
+at alpha = k/n the closed form is (2n - k)(n + 1) / 2n^2 on integers, so a
+row is a fixed number of integer operations, with no sum over the buyers
+and no rational per row: it keeps each value as (p, q) and makes its
+rationals only when they are read.
 
 Everything here assumes truthful bidding, where the mechanism's welfare
 statement lives; all functions are pure, and sweeps over (n, alpha) grids
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .core import Allocation, BidProfile, MbmConfig
-from .core import _branches, _kernel
+from .core import _branches, _built, _kernel, _OnRead
 from .errors import InvalidAlpha, InvalidConfig
 from .rational import ONE, ZERO, Rational, as_ratio, rational
 
@@ -154,11 +156,16 @@ def _m_bar_from_alpha(n: int, alpha: Rational) -> int:
     return m_bar
 
 
-def valid_alphas(n: int) -> list:
-    """All admissible retained-owner fractions for n agents: k/n, k = 2..n-1."""
+def _owner_counts(n: int) -> range:
+    """The admissible m_bar for n agents, 2..n-1; InvalidConfig for n <= 2."""
     if n <= 2:
         raise InvalidConfig(f"need more than 2 agents, got n={n}")
-    return [Rational(k, n) for k in range(2, n)]
+    return range(2, n)
+
+
+def valid_alphas(n: int) -> list:
+    """All admissible retained-owner fractions for n agents: k/n, k = 2..n-1."""
+    return [Rational(k, n) for k in _owner_counts(n)]
 
 
 def uniform_grid_welfare(n: int, alpha) -> Rational:
@@ -167,82 +174,85 @@ def uniform_grid_welfare(n: int, alpha) -> Rational:
     Equals (2 - alpha)/2 + (2 - alpha)/(2n) with alpha = m_bar/n. First-best
     welfare is 1 on this family, so this is also the preserved fraction.
     """
-    return _closed_form(n, _m_bar_from_alpha(n, rational(alpha)))
+    return Rational(*_closed_forms(n, _m_bar_from_alpha(n, rational(alpha)))[0])
 
 
-# the closed forms at alpha = k/n on integers: (2n - k)(n + 1) / 2n^2, and the
-# gap (2n - k) / 2n^2 above the limit (2 - alpha)/2
-def _closed_form(n: int, k: int) -> Rational:
-    return Rational((2 * n - k) * (n + 1), 2 * n * n)
-
-
-def _limit_gap(n: int, k: int) -> Rational:
-    return Rational(2 * n - k, 2 * n * n)
+def _closed_forms(n: int, k: int) -> tuple:
+    """The closed form and its gap above the limit (2 - alpha)/2 at alpha = k/n,
+    as (p, q) pairs: (2n - k)(n + 1) / 2n^2 and (2n - k) / 2n^2."""
+    return ((2 * n - k) * (n + 1), 2 * n * n), (2 * n - k, 2 * n * n)
 
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One (n, alpha) point of the closed-form-versus-engine sweep."""
+    """One (n, alpha) point of the closed-form-versus-engine sweep.
+
+    A row keeps its five rationals as (p, q) pairs in ``_form``, in field
+    order; one from ``welfare_sweep`` makes them when they are first read."""
 
     n: int
-    alpha: Rational
+    alpha: Rational = _OnRead(lambda row, _: Rational(*row._form[0]))
     m_bar: int
-    closed_form: Rational
-    engine: Rational
-    preservation_ratio: Rational
-    limit_gap: Rational
+    closed_form: Rational = _OnRead(lambda row, _: Rational(*row._form[1]))
+    engine: Rational = _OnRead(lambda row, _: Rational(*row._form[2]))
+    preservation_ratio: Rational = _OnRead(lambda row, _: Rational(*row._form[3]))
+    limit_gap: Rational = _OnRead(lambda row, _: Rational(*row._form[4]))
+
+    def __post_init__(self):
+        values = self.alpha, self.closed_form, self.engine, self.preservation_ratio, self.limit_gap
+        object.__setattr__(self, "_form", tuple(as_ratio(rational(x)) for x in values))
 
 
 def _grid_point(n: int):
-    """``alpha -> SweepRow`` at n, on one engine kernel built at the first valid alpha.
+    """``(alpha as (p, q), m_bar) -> SweepRow`` at n for a valid m_bar, on one
+    engine kernel built at the first row.
 
-    An invalid alpha raises InvalidAlpha before any instance exists. The
-    prefix sums (``_held``) are built with the kernel, so each valid alpha
-    reads its branch triples off the kernel's share masses and a row costs
-    a fixed number of integer operations and one rational per value.
+    The prefix sums (``_held``) are built with the kernel, so each row reads
+    its branch triples off the kernel's share masses and costs a fixed
+    number of integer operations and no rational.
     """
     kernel = None
 
-    def point(alpha) -> SweepRow:
+    def point(alpha: tuple, m_bar: int) -> SweepRow:
         nonlocal kernel
-        alpha = rational(alpha)
-        m_bar = _m_bar_from_alpha(n, alpha)
         if kernel is None:
             order, mass, a, d, w, e = _kernel(*uniform_grid_instance(n, m_bar))
             kernel = mass, d, e, _held(order, a, w), w[order[0]]
         mass, d, e, held, top = kernel
-        engine = Rational(*_welfare(held, d, e, _branches(mass, d, m_bar)))
-        p, q = as_ratio(engine)
-        return SweepRow(
-            n=n, alpha=alpha, m_bar=m_bar, closed_form=_closed_form(n, m_bar),
-            engine=engine,
-            # over first-best, the top valuation top / e
-            preservation_ratio=Rational(p * e, q * top),
-            limit_gap=_limit_gap(n, m_bar),
-        )
+        p, q = _welfare(held, d, e, _branches(mass, d, m_bar))
+        closed_form, limit_gap = _closed_forms(n, m_bar)
+        # the preservation ratio is over first-best, the top valuation top / e
+        form = alpha, closed_form, (p, q), (p * e, q * top), limit_gap
+        return _built(SweepRow, n=n, m_bar=m_bar, _form=form)
 
     return point
 
 
 def sweep_point(n: int, alpha) -> SweepRow:
     """Evaluate one (n, alpha) point along both routes, parsing and checking alpha once."""
-    return _grid_point(n)(alpha)
+    alpha = rational(alpha)
+    return _grid_point(n)(as_ratio(alpha), _m_bar_from_alpha(n, alpha))
 
 
 def welfare_sweep(n_values, alphas=None) -> tuple:
     """(rows, skipped): sweep rows for every n in ``n_values`` and every alpha.
 
-    ``alphas`` defaults to every valid fraction per n; an explicit list is
-    filtered to the fractions valid for each n, and ``skipped`` holds the
-    InvalidAlpha error of each point filtered out, in sweep order.
+    ``alphas`` defaults to every valid fraction k/n per n, walked as k on
+    integers; an explicit list is parsed once and filtered to the fractions
+    valid for each n, and ``skipped`` holds the InvalidAlpha error of each
+    point filtered out, in sweep order.
     """
+    alphas = alphas if alphas is None else [rational(alpha) for alpha in alphas]
     rows = []
     skipped = []
     for n in n_values:
         point = _grid_point(n)
-        for alpha in valid_alphas(n) if alphas is None else alphas:
+        if alphas is None:
+            rows += [point((k, n), k) for k in _owner_counts(n)]
+            continue
+        for alpha in alphas:
             try:
-                rows.append(point(alpha))
+                rows.append(point(as_ratio(alpha), _m_bar_from_alpha(n, alpha)))
             except InvalidAlpha as exc:
                 skipped.append(exc)
     return rows, skipped

@@ -14,6 +14,8 @@ witnesses, counts and candidates.
 The welfare pair states expected welfare and a sweep row in ``Fraction``s,
 as the welfare module computed them before it read them off prefix sums
 and integer closed forms; the tests require equal values and errors.
+``fraction_welfare_report`` states the whole welfare report on
+``fraction_run_expected``'s branches instead.
 
 ``fraction_run_expected`` is the mechanism itself, written from the paper's
 definitions in ``Fraction``s with nothing from ``mbm.core``: the engine's
@@ -239,6 +241,23 @@ def branch_fields(expected):
          b.final_allocation.money, b.order)
         for b in expected.branches
     )
+
+
+def fraction_welfare_report(initial, valuations, config):
+    """(initial welfare, expected welfare, first-best, preservation ratio), as
+    ``welfare_report``'s fields: the share-weighted valuation sum at the initial
+    shares, the sum over ``fraction_run_expected``'s branches of P_B times it
+    at the branch's final shares, the top valuation, and the expected welfare
+    over it. Raises what ``fraction_run_expected`` raises."""
+    values = valuations.bids
+
+    def welfare(shares):
+        return sum((s * v for s, v in zip(shares, values)), Fraction(0))
+
+    branches = fraction_run_expected(initial, valuations, config)
+    expected = sum((p * welfare(shares) for _, _, p, shares, _, _ in branches), Fraction(0))
+    best = max(values)
+    return welfare(initial.shares), expected, best, expected / best
 
 
 def fraction_expected_welfare(initial, valuations, config):

@@ -778,6 +778,30 @@ def test_welfare_matches_golden_output(capsys):
         ), case["argv"]
 
 
+def test_welfare_makes_no_rational_per_row(capsys, monkeypatch):
+    # the twin of test_run_makes_no_per_agent_rational: a row is rendered off
+    # its integer form, so a full sweep makes no rational at all and an
+    # explicit list one per token, however many n it spans
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    counts = []
+    for n_list, alpha_list in (
+        ("4", "all"), ("4..103", "all"), ("2..60", "1/2,1/3,0.25,3/4,2/3"), ("10,1000", "1/2"),
+    ):
+        made.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(Fraction, "__new__", counted)
+            assert main(["welfare", "--n-list", n_list, "--alpha-list", alpha_list]) == 0
+        capsys.readouterr()
+        counts.append(len(made))
+    assert counts == [0, 0, 5, 1]
+
+
 def test_welfare_large_n_limit_gap(capsys):
     _, out, _ = run_cli(capsys, "welfare", "--n-list", "1000", "--alpha-list", "1/2")
     fields = out.strip().splitlines()[1].split(",")

@@ -212,6 +212,18 @@ def test_bid_profile_built_on_integers_rejects_negative_as_the_constructor():
     assert str(integers.value) == str(rationals.value) == "agent 1 bid -1/2 is negative"
 
 
+def test_empty_forms_are_the_empty_values():
+    # both builders on integers give their empty value, as the constructors do;
+    # the profile's once raised min()'s bare ValueError on an empty sequence
+    for empty, built in (
+        (BidProfile(()), BidProfile._from_form([], 1)),
+        (Allocation((), ()), Allocation._from_form([], 1)),
+    ):
+        assert built == empty and hash(built) == hash(empty) and repr(built) == repr(empty)
+        assert built.n == 0
+    assert BidProfile._from_form(range(0), 7).bids == ()
+
+
 # --- bid order and price -----------------------------------------------------
 
 

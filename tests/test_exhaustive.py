@@ -23,9 +23,12 @@ from mbm import Allocation, BidProfile, DegenerateBuyerMass, MbmConfig, properti
 from mbm.errors import MbmError
 from mbm.rational import Rational as Q
 from mbm.suites import SUITES, run_suite
-from references import branch_fields, fraction_run_expected, fraction_utility_table
+from references import (
+    branch_fields, fraction_run_expected, fraction_utility_table, fraction_welfare_report,
+)
 from refinement import pattern_walk
 from test_core import utility_table
+from test_welfare import report_fields
 
 import mutants
 from conftest import SRC, Timer
@@ -140,6 +143,17 @@ def test_utilities_equal_the_fraction_reference_on_the_space():
                 assert _outcome(utility_table, instance) == want, instance
                 seen[want[0] if isinstance(want[0], type) else "read"] += 1
     assert seen == {"read": 2 * 665, DegenerateBuyerMass: 2 * 161}
+
+
+def test_welfare_report_equals_the_fraction_reference_on_the_space():
+    # every field of the welfare report, or the same error, zero shares included
+    seen = Counter()
+    for n in N_VALUES:
+        for instance in space(n):
+            want = _outcome(fraction_welfare_report, instance)
+            assert _outcome(report_fields, instance) == want, instance
+            seen[want[0] if isinstance(want[0], type) else "reported"] += 1
+    assert seen == {"reported": 665, DegenerateBuyerMass: 161}
 
 
 def test_the_space_sees_the_degenerate_check_mutant(tmp_path, subprocess_env):

@@ -4,6 +4,11 @@ The closed-form values asserted here were recomputed term by term in the
 tests themselves (summation oracles), never copied from the engine.
 """
 
+import dataclasses
+import pickle
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 
@@ -14,6 +19,7 @@ from mbm import (
     InvalidAlpha,
     InvalidConfig,
     MbmConfig,
+    SweepRow,
     efficiency_loss_instance,
     expected_mbm_welfare,
     first_best,
@@ -30,7 +36,7 @@ from mbm import welfare
 from mbm.suites import generate_suite
 from mbm.welfare import WelfareReport, uniform_grid_instance, uniform_grid_valuations
 
-from references import fraction_expected_welfare, fraction_sweep_row
+from references import fraction_expected_welfare, fraction_sweep_row, fraction_welfare_report
 from strategies import instances
 
 
@@ -319,6 +325,31 @@ def test_welfare_sweep_error_and_skip_order():
     assert [(r.n, r.m_bar, r.engine) for r in rows] == [(4, 2, Q(15, 16))]
 
 
+def test_sweep_row_contract():
+    # a row built on integers is the row built from its rationals: equal,
+    # with equal hash and repr, through replace and pickle; its rationals
+    # are made on read, each a Fraction, and m_bar is an int
+    def sweep():
+        return welfare_sweep([4, 9, 60])[0] + welfare_sweep([9, 12], ["1/3", Q(3, 4)])[0]
+
+    built = [fraction_sweep_row(row.n, row.alpha) for row in sweep()]
+    assert len(built) == 2 + 7 + 58 + 1 + 2
+    for read in (lambda r: r, hash, repr, lambda r: pickle.loads(pickle.dumps(r))):
+        assert [read(row) for row in sweep()] == [read(row) for row in built]
+    for row, twin in zip(sweep(), built):
+        assert set(vars(row)) == {"n", "m_bar", "_form"}
+        assert dataclasses.replace(row) == twin == dataclasses.replace(twin)
+        assert all(type(getattr(row, name)) is Fraction for name in (
+            "alpha", "closed_form", "engine", "preservation_ratio", "limit_gap"))
+        assert type(row.n) is type(row.m_bar) is int
+    named = SweepRow(10, Q(1, 2), 5, Q(33, 40), Q(33, 40), Q(33, 40), Q(3, 40))
+    assert sweep_point(10, "1/2") == named and repr(sweep_point(10, "1/2")) == repr(named)
+    # a row built by hand takes its form from any rational, ints included
+    assert SweepRow(3, 1, 2, 1, ONE, 1, 0)._form == ((1, 1),) * 4 + ((0, 1),)
+    moved = dataclasses.replace(sweep_point(10, "1/2"), engine=Q(2, 3))
+    assert moved._form[2] == (2, 3) and moved.engine == Q(2, 3)
+
+
 def fraction_sweep(n_values, alphas):
     """(rows, skipped messages) of ``fraction_sweep_row`` in sweep order."""
     rows, skipped = [], []
@@ -412,6 +443,24 @@ def test_expected_welfare_and_report_equal_the_fraction_reference():
                 first_best=best,
                 preservation_ratio=expected / best,
             )
+
+
+def report_fields(initial, valuations, config):
+    """``welfare_report``'s fields in ``fraction_welfare_report``'s shape."""
+    report = welfare_report(initial, valuations, config)
+    return (report.initial_welfare, report.expected_mbm_welfare, report.first_best,
+            report.preservation_ratio)
+
+
+def test_welfare_report_equals_the_branch_reference():
+    # prefix sums, the two-branch welfare, first-best and the preservation
+    # ratio against welfare summed over fraction_run_expected's final shares
+    rng = random.Random(41)
+    for base, valuations, config in generate_suite(200, seed=41, n_range=(3, 8)):
+        money = [Q(rng.randint(-50, 50), rng.choice((1, 3, 4, 7, 10))) for _ in base.shares]
+        for initial in (base, Allocation(base.shares, money)):
+            want = fraction_welfare_report(initial, valuations, config)
+            assert report_fields(initial, valuations, config) == want
 
 
 def test_zero_buyer_mass_raises_the_fraction_reference_message():
