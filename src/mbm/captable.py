@@ -105,11 +105,9 @@ def parse_captable(source, normalize: bool = False) -> list:
     # the shares as integers over their lcm: share i is a[i] / d
     a, d = _reduced(*[((p,), q) for _, (p, q), _ in records])
     total = sum(a)
-    if normalize:
-        if total == 0:
-            raise SharesDontSumToOne(Rational(total, d))
+    if normalize and total:
         d = total
-    elif total != d:
+    if total != d:
         raise SharesDontSumToOne(Rational(total, d))
     return [
         _built(CapTableRecord, agent_id=agent_id, _ratios=((x, d), bid))

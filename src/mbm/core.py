@@ -41,7 +41,7 @@ from operator import attrgetter
 from typing import Sequence, Union
 
 from .errors import DegenerateBuyerMass, DuplicateBids, InvalidAllocation, InvalidConfig
-from .rational import ZERO, Rational, as_ratio, rational
+from .rational import ZERO, Rational, as_ratio, ratio_str, rational, rational_str
 
 
 def _over_lcm(values) -> tuple:
@@ -65,10 +65,10 @@ def _simplex_numerators(allocation) -> tuple:
     a, d = _holdings(allocation)[:2]
     if a and min(a) < 0:
         i = next(i for i, x in enumerate(a) if x < 0)
-        raise InvalidAllocation(f"agent {i} has negative share {allocation.shares[i]}")
+        raise InvalidAllocation(f"agent {i} has negative share {ratio_str(a[i], d)}")
     total = sum(a)
     if total != d:
-        raise InvalidAllocation(f"shares sum to {Rational(total, d)}, expected exactly 1")
+        raise InvalidAllocation(f"shares sum to {ratio_str(total, d)}, expected exactly 1")
     return a, d
 
 
@@ -162,7 +162,7 @@ class BidProfile:
         object.__setattr__(self, "bids", tuple(map(rational, self.bids)))
         for i, b in enumerate(self.bids):
             if b.numerator < 0:
-                raise ValueError(f"agent {i} bid {b} is negative")
+                raise ValueError(f"agent {i} bid {rational_str(b)} is negative")
         object.__setattr__(self, "_form", _over_lcm(self.bids))
 
     @classmethod

@@ -95,8 +95,9 @@ class SharesDontSumToOne(MbmError):
     """Cap-table shares must total exactly 1 (pass normalize to rescale)."""
 
     def __init__(self, total):
+        from .rational import rational_str  # rational imports this module
         self.total = total
-        super().__init__(f"shares sum to {total}, expected exactly 1")
+        super().__init__(f"shares sum to {rational_str(total)}, expected exactly 1")
 
 
 class DuplicateAgentId(MbmError):

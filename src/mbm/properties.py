@@ -79,7 +79,7 @@ from .core import (
     run_expected,
 )
 from .errors import InvalidArgument, SearchBudgetExceeded
-from .rational import Rational, ratio_str
+from .rational import Rational, ratio_str, rational_str
 
 DEFAULT_SEARCH_BUDGET = 10**6
 
@@ -230,7 +230,7 @@ def check_budget_balance(
                 instance,
                 cases,
                 f"branch m={branch.realized_m}: final shares total "
-                f"{Rational(sum(s), t)}, initial total {Rational(share_total, d)}",
+                f"{ratio_str(sum(s), t)}, initial total {ratio_str(share_total, d)}",
                 bids=profile.bids,
             )
         delta_total = sum(y) * c - money_total * z
@@ -240,7 +240,7 @@ def check_budget_balance(
                 instance,
                 cases,
                 f"branch m={branch.realized_m}: payments sum to "
-                f"{Rational(delta_total, c * z)}, expected 0",
+                f"{ratio_str(delta_total, c * z)}, expected 0",
                 bids=profile.bids,
             )
     return PropertyReport(name, instance, holds=True, cases=cases)
@@ -270,7 +270,8 @@ def check_individual_rationality(
                     name,
                     instance,
                     cases,
-                    f"agent {agent} loses {-gain} in branch m={branch.realized_m}",
+                    f"agent {agent} loses {ratio_str(-num, de * den)} in branch "
+                    f"m={branch.realized_m}",
                     agent=agent,
                     bids=valuations.bids,
                     utility_delta=gain,
@@ -361,14 +362,15 @@ def check_price_monotonicity(
         for agent, (price, _) in enumerate(readouts):
             at = price(fixed[agent], 1)
             if at != truthful * e:
-                at = Rational(at, e)
+                at, truthful = ratio_str(at, e), rational_str(truthful)
                 detail = f"the readout gives price {at} at the truthful bids, the engine {truthful}"
                 return _violation(name, instance, 1, detail, bids=profile.bids)
 
     def violation(cases, agent, e, points, reason):
         # points: the agent's bids over e, ascending, each with its price times e
-        bids = ", ".join(str(Rational(x, e)) for x, _ in points)
-        prices = ", ".join(str(Rational(p) / e) for _, p in points)
+        bids = ", ".join(ratio_str(x, e) for x, _ in points)
+        # another engine's prices are rationals: price * k * e
+        prices = ", ".join(rational_str(Rational(p) / e) for _, p in points)
         return _violation(
             name,
             instance,
@@ -519,11 +521,11 @@ def _deviation_search(
                 cases += 1
                 num, den = by_scorer[j]
                 if num * slow_den != slow * den:
-                    fast = Rational(num, d * e * den)
-                    slow = Rational(slow, d * e * slow_den)
+                    fast = ratio_str(num, d * e * den)
+                    slow = ratio_str(slow, d * e * slow_den)
                     at = "at the witness bids"
                     if vals is not ties[0][0]:
-                        at += f" with values ({', '.join(str(Rational(x, e)) for x in vals)})"
+                        at += f" with values ({', '.join(ratio_str(x, e) for x in vals)})"
                     detail = f"agent {j}: the scorer gives {fast} {at}, the engine {slow}"
                     return _violation(name, instance, cases, detail, agent=j, bids=profile.bids)
 
@@ -578,13 +580,13 @@ def _deviation_search(
                         return mismatch
                 deviant = tuple(Rational(x, scale * e) for x in w)
                 if len(coalition) > 1:
-                    combo = tuple(str(deviant[j]) for j in coalition)
+                    combo = tuple(rational_str(deviant[j]) for j in coalition)
                     detail = f"coalition {coalition} all strictly gain by bidding {combo}"
                     fields = {"coalition": coalition}
                 else:
                     gain = Rational(num * t_den - scale * t_num * den, d * scale * e * den * t_den)
-                    value = valuations.bids[j]
-                    detail = f"agent {j} (value {value}) gains {gain} by bidding {deviant[j]}"
+                    value, gained, bid = map(rational_str, (valuations.bids[j], gain, deviant[j]))
+                    detail = f"agent {j} (value {value}) gains {gained} by bidding {bid}"
                     fields = {"agent": j, "utility_delta": gain}
                 return _violation(name, instance, cases + walked, detail, bids=deviant, **fields)
         cases += math.prod(sizes[j] for j in coalition)
@@ -664,12 +666,11 @@ def check_pp_expost_efficiency(
     name = "pp-expost-efficiency"
     instance = (initial, valuations, config)
     expected = engine(initial, valuations, config)
-    a = _holdings(initial)[0]
-    v = _bid_numerators(valuations)[0]
+    a, d = _holdings(initial)[:2]
+    v, e = _bid_numerators(valuations)
     cases = 0
     for branch in expected.branches:
-        final = branch.final_allocation
-        b = _holdings(final)[0]
+        b, t = _holdings(branch.final_allocation)[:2]
         owners = [j for j in range(config.n) if b[j] > 0]
         if not owners:
             continue
@@ -682,8 +683,8 @@ def check_pp_expost_efficiency(
                     instance,
                     cases,
                     f"branch m={branch.realized_m}: owners {j},{k} moved from "
-                    f"ratio {initial.shares[j]}:{initial.shares[k]} to "
-                    f"{final.shares[j]}:{final.shares[k]}",
+                    f"ratio {ratio_str(a[j], d)}:{ratio_str(a[k], d)} to "
+                    f"{ratio_str(b[j], t)}:{ratio_str(b[k], t)}",
                     bids=valuations.bids,
                 )
         lowest = min(v[k] for k in owners)
@@ -692,15 +693,14 @@ def check_pp_expost_efficiency(
             if a[j] and v[j] > lowest:
                 # the witness names the first owner, by index, that she outvalues
                 k = next(k for k in owners if v[j] > v[k])
-                values = valuations.bids
                 return _violation(
                     name,
                     instance,
                     cases,
                     f"branch m={branch.realized_m}: seller {j} values the "
-                    f"asset at {values[j]}, above owner {k}'s {values[k]}",
+                    f"asset at {ratio_str(v[j], e)}, above owner {k}'s {ratio_str(v[k], e)}",
                     agent=j,
-                    bids=values,
+                    bids=valuations.bids,
                 )
     return PropertyReport(name, instance, holds=True, cases=cases)
 

@@ -3,7 +3,10 @@
 Every quantity in this package (shares, money, bids, prices, probabilities,
 utilities) is an exact rational in canonical reduced form: positive
 denominator, gcd(|numerator|, denominator) = 1. There is one exact type,
-``fractions.Fraction``; the hot paths work on its integer parts.
+``fractions.Fraction``; the hot paths work on its integer parts, and so does
+the one printer, ``_lowest_str``, which has no digit limit. ``rational_str``
+and ``decimal_approx`` read a rational's integer parts; ``ratio_str`` and
+``ratio_pair`` take them as ints.
 
 Floats are rejected everywhere: a binary float would smuggle rounding into
 arithmetic that the rest of the package treats as exact. Plain ASCII numerals
@@ -86,10 +89,7 @@ def rational(value) -> Rational:
 
 def rational_str(value) -> str:
     """Canonical lossless text form: "p/q", or "p" when q = 1."""
-    try:
-        return str(value)
-    except ValueError:
-        return _lowest_str(*as_ratio(value))
+    return _lowest_str(*as_ratio(value))
 
 
 def ratio_str(p: int, q: int) -> str:
@@ -103,12 +103,11 @@ def ratio_pair(p: int, q: int) -> tuple:
     both off one gcd: the division takes the reduced ints."""
     g = math.gcd(p, q)
     p, q = p // g, q // g
-    ctx = _APPROX_CONTEXTS[20]
-    return _lowest_str(p, q), ctx.to_sci_string(ctx.divide(Decimal(p), Decimal(q)))
+    return _lowest_str(p, q), _divide(p, q, 20)
 
 
 def _lowest_str(p: int, q: int) -> str:
-    """"p/q", or "p" when q = 1, for p and q > 0 in lowest terms. Past
+    """"p/q", or "p" when q = 1, for any int p and q > 0 in lowest terms. Past
     ``sys.int_max_str_digits``, where ``str`` refuses, the digits come from
     ``Decimal``, which converts an int exactly without that limit."""
     try:
@@ -137,6 +136,9 @@ def decimal_approx(value, digits: int = 20) -> str:
     precision the reports print (20, 6), so neither the caller's context nor
     ``decimal.DefaultContext`` can change the digits or raise.
     """
+    return _divide(value.numerator, value.denominator, digits)
+
+
+def _divide(p: int, q: int, digits: int) -> str:
     ctx = _APPROX_CONTEXTS.get(digits) or _approx_context(digits)
-    quotient = ctx.divide(Decimal(value.numerator), Decimal(value.denominator))
-    return ctx.to_sci_string(quotient)
+    return ctx.to_sci_string(ctx.divide(Decimal(p), Decimal(q)))

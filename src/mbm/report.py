@@ -31,7 +31,7 @@ from .core import (
     _utilities,
     draw_branch,
 )
-from .rational import decimal_approx, ratio_pair, ratio_str, rational_str
+from .rational import as_ratio, decimal_approx, ratio_pair, ratio_str, rational_str
 from .welfare import WelfareReport, _welfare_report
 
 
@@ -208,7 +208,7 @@ _CSV_HEADER = (
 
 
 def _pair(value) -> tuple:
-    return rational_str(value), decimal_approx(value)
+    return ratio_pair(*as_ratio(value))
 
 
 def _put(out: dict, key: str, pair: tuple) -> None:

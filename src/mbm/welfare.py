@@ -41,7 +41,7 @@ from itertools import accumulate
 from .core import Allocation, BidProfile, MbmConfig
 from .core import _branches, _built, _kernel, _OnRead
 from .errors import InvalidAlpha, InvalidConfig
-from .rational import ONE, ZERO, Rational, as_ratio, rational
+from .rational import ONE, ZERO, Rational, as_ratio, rational, rational_str
 
 
 @dataclass(frozen=True)
@@ -145,21 +145,20 @@ def _m_bar_from_alpha(n: int, alpha: Rational) -> int:
     """m_bar = alpha * n for an already parsed alpha; InvalidAlpha unless in 2..n-1."""
     p, q = as_ratio(alpha)
     if n * p % q:
-        raise InvalidAlpha(f"alpha={alpha} with n={n}: alpha * n is not an integer")
+        raise InvalidAlpha(f"alpha={rational_str(alpha)} with n={n}: alpha * n is not an integer")
     # int(): a Fraction built from another numbers.Rational can keep non-int
     # Integral parts, and MbmConfig takes only int
     m_bar = int(n * p // q)
     if not 2 <= m_bar <= n - 1:
         raise InvalidAlpha(
-            f"alpha={alpha} with n={n}: alpha must lie in {{2/n, ..., (n-1)/n}}"
+            f"alpha={rational_str(alpha)} with n={n}: alpha must lie in {{2/n, ..., (n-1)/n}}"
         )
     return m_bar
 
 
 def _owner_counts(n: int) -> range:
-    """The admissible m_bar for n agents, 2..n-1; InvalidConfig for n <= 2."""
-    if n <= 2:
-        raise InvalidConfig(f"need more than 2 agents, got n={n}")
+    """The admissible m_bar for n agents, 2..n-1; MbmConfig's InvalidConfig for n <= 2."""
+    MbmConfig(n=n, m_bar=2)
     return range(2, n)
 
 
@@ -272,7 +271,7 @@ def efficiency_loss_instance(epsilon):
     """
     epsilon = rational(epsilon)
     if not 0 < epsilon < 1:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+        raise ValueError(f"epsilon must be in (0, 1), got {rational_str(epsilon)}")
     sigma = epsilon / 8
     tail = epsilon / 16
     shares = (sigma, *(((ONE - sigma) / 3),) * 3)

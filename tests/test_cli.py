@@ -227,6 +227,21 @@ def test_run_prints_values_past_the_int_string_limit(capsys, tmp_path, fmt, chec
         assert "check pp-expost-efficiency: holds [10 cases]" in out
 
 
+def test_huge_off_simplex_table_is_refused_with_every_digit(capsys, tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text("agent_id,share,bid\n" + HUGE_ROWS, encoding="utf-8")
+    total = sum(Fraction(1, 10**900 + k) for k in range(6))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = f"error: shares sum to {total}, expected exactly 1\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(want) > 4300
+    code, out, err = run_cli(capsys, "run", "--captable", str(path), "--mbar", "3")
+    assert (code, out, err) == (2, "", want)
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 def test_run_makes_no_per_agent_rational(capsys, monkeypatch, fmt):
     # the twin of test_generated_values_start_on_integers: from the cell to
@@ -250,6 +265,26 @@ def test_run_makes_no_per_agent_rational(capsys, monkeypatch, fmt):
         counts.append(len(made))
     # the price, the two branch probabilities and the four welfare values
     assert counts == [7, 7]
+
+
+def test_every_golden_request_prints_through_the_integer_printer(capsys, monkeypatch):
+    # mbm.rational's integer printer is the only path from a rational to
+    # text: with Fraction's own str and format refusing, every golden request
+    # still gives its golden exit code, stdout and stderr
+    cases = load_cli_golden(monkeypatch)  # COLUMNS and the data directory
+    for path in (GOLDEN_RUN, GOLDEN_VERIFY, GOLDEN_WELFARE):
+        with open(path, encoding="utf-8") as fh:
+            cases += json.load(fh)
+
+    def refuse(*_):
+        raise AssertionError("a Fraction printed itself")
+
+    monkeypatch.setattr(Fraction, "__str__", refuse)
+    monkeypatch.setattr(Fraction, "__format__", refuse)
+    for case in cases:
+        assert run_or_exit(capsys, case["argv"]) == (
+            case["exit"], case["stdout"], case["stderr"]
+        ), case["argv"]
 
 
 def test_run_accepts_a_byte_order_mark(capsys, tmp_path):

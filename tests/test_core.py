@@ -212,6 +212,26 @@ def test_bid_profile_built_on_integers_rejects_negative_as_the_constructor():
     assert str(integers.value) == str(rationals.value) == "agent 1 bid -1/2 is negative"
 
 
+def test_refusals_print_values_past_the_int_string_limit():
+    # 10**5000 has more digits than str() prints by default: each refusal
+    # names its value in full instead of failing on the digit limit
+    big, digits = 10**5000, "1" + "0" * 5000
+    bids = BidProfile((Q(10), Q(5), Q(2)))
+    config = MbmConfig(3, 2)
+    off_simplex = Allocation.from_shares((Q(1, 2), Q(1, 2), Q(1, big)))
+    with pytest.raises(InvalidAllocation) as info:
+        run_expected(off_simplex, bids, config)
+    total = "1" + "0" * 4999 + "1/" + digits
+    assert str(info.value) == f"shares sum to {total}, expected exactly 1"
+    negative = Allocation.from_shares((Q(1, 2) + Q(1, big), Q(1, 2), Q(-1, big)))
+    with pytest.raises(InvalidAllocation) as info:
+        run_expected(negative, bids, config)
+    assert str(info.value) == f"agent 2 has negative share -1/{digits}"
+    with pytest.raises(ValueError) as info:
+        BidProfile((Q(-1, big), Q(5), Q(2)))
+    assert str(info.value) == f"agent 0 bid -1/{digits} is negative"
+
+
 def test_empty_forms_are_the_empty_values():
     # both builders on integers give their empty value, as the constructors do;
     # the profile's once raised min()'s bare ValueError on an empty sequence

@@ -325,6 +325,15 @@ def test_welfare_sweep_error_and_skip_order():
     assert [(r.n, r.m_bar, r.engine) for r in rows] == [(4, 2, Q(15, 16))]
 
 
+def test_an_alpha_past_the_int_string_limit_is_skipped():
+    # the refusal prints alpha's 5,001-digit denominator in full
+    alpha = Q(1, 10**5000)
+    rows, skipped = welfare_sweep([5], [alpha])
+    assert rows == [] and [type(exc) for exc in skipped] == [InvalidAlpha]
+    digits = "1" + "0" * 5000
+    assert str(skipped[0]) == f"alpha=1/{digits} with n=5: alpha * n is not an integer"
+
+
 def test_sweep_row_contract():
     # a row built on integers is the row built from its rationals: equal,
     # with equal hash and repr, through replace and pickle; its rationals
