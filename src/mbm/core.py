@@ -287,6 +287,19 @@ def _masses(order: tuple, a) -> list:
     return list(accumulate(map(a.__getitem__, order), initial=0))
 
 
+def _above(order: tuple, mass: list, a, moved, r: int) -> tuple:
+    """(t, L): the r-th highest bidder t once the agents at positions ``moved``
+    (ascending) leave ``order``, and the share mass L of those left above t, off
+    ``_masses(order, a)``: each mover at or above the read shifts it and leaves L."""
+    i, out = r - 1, 0
+    for p in moved:
+        if p > i:
+            break
+        i += 1
+        out += a[order[p]]
+    return order[i], mass[i] - out
+
+
 def _kernel(initial: Allocation, profile: BidProfile, config: MbmConfig) -> tuple:
     """(order, mass, a, d, w, e): the instance on integers, ranked.
 
@@ -370,17 +383,17 @@ def run_expected(
 _run_expected = run_expected
 
 
-def _utility_ratios(a, d: int, m_bar: int, w, values, agents) -> list:
+def _utility_ratios(a, d: int, m_bar: int, w, values, agents, order=None) -> list:
     """Each of ``agents``' expected adjusted utility times d * e, as (numerator, denominator).
 
     Shares are a[i] / d, and bids w and true values are integers over one
     common denominator e: ``_priced_ratios`` at the bid ranked m_bar, with
-    H and L from ``_branches`` on this order's ``_masses``. Raises what
-    ``run_expected`` raises once the shares check out, in the same order:
-    InvalidConfig below 3 bids, DuplicateBids on a tie, then
-    DegenerateBuyerMass (high branch first).
+    H and L from ``_branches`` on the ``_masses`` of w's ``order``, ranked
+    here unless given. Raises what ``run_expected`` raises once the shares
+    check out, in the same order: InvalidConfig below 3 bids, DuplicateBids
+    on a tie, then DegenerateBuyerMass (high branch first).
     """
-    order = _bid_order(w)
+    order = order or _bid_order(w)
     (_, high, _), (_, low, _) = _branches(_masses(order, a), d, m_bar)
     u = w[order[m_bar - 1]]
     return _priced_ratios(a, d, u, high, low, w, values, agents)

@@ -29,21 +29,22 @@ integer forms as one integer ratio, with no rational made.
 A coalition is decided on one of two paths, chosen by the engine alone.
 With the non-members' bids fixed, the real mechanism's utilities depend
 only on the threshold class: the non-member t at rank m_bar and the
-members above her, scored off the non-members' fixed order. So one point
-per class decides it, at most 2^k for k members; a lone deviator's
-classes make her the paper's definite buyer or definite seller. Any other
-engine walks the grid: with the others' bids fixed, the mechanism's
-utility is piecewise constant in an agent's own bid, breaking only at the
-other bids, so ``_grid`` samples every piece tie-free, over 1000 * e, and
-the tests re-check verdicts on a 10x refined grid. Either way a holding
-verdict's ``cases`` counts the grid deviations covered, 3k - 1 per member
-against k other bids (3k - 2 when one is 0).
+members above her, both read by ``core._above`` off the search's one
+ranking of the fixed bids. So one point per class decides it, at most 2^k
+for k members; a lone deviator's classes make her the paper's definite
+buyer or definite seller. Any other engine walks the grid: with the
+others' bids fixed, the mechanism's utility is piecewise constant in an
+agent's own bid, breaking only at the other bids, so ``_grid`` samples
+every piece tie-free, over 1000 * e, and the tests re-check verdicts on a
+10x refined grid. Either way a holding verdict's ``cases`` counts the grid
+deviations covered, 3k - 1 per member against k other bids (3k - 2 when
+one is 0).
 
 Price monotonicity is decided on the same pieces: between consecutive
 other bids the real engine's price is constant or the mover's bid, and the
 ``price-*`` controls' prices are affine, so three points per piece and the
-limits at its ends decide the lemma. The real engine's price is read by
-putting the mover into the others' fixed order, with no sort per point.
+limits at its ends decide the lemma, every agent's others read off the
+fixed bids' one ranking, with no sort per agent or point.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from .core import (
     BidProfile,
     ExpectedOutcome,
     MbmConfig,
+    _above,
     _bid_numerators,
     _bid_order,
     _branches,
@@ -103,13 +105,6 @@ class DeviationGrid:
     candidates: tuple
 
 
-def _others(w, agent: int) -> list:
-    """The bids w without ``agent``'s; DuplicateBids on a tie among them."""
-    indexed = [(j, b) for j, b in enumerate(w) if j != agent]
-    _reject_ties(indexed)
-    return [b for _, b in indexed]
-
-
 def _grid(others) -> list:
     """Sorted deviation candidates over 1000 * e against distinct integer bids over e.
 
@@ -137,7 +132,8 @@ def _grid(others) -> list:
 def deviation_grid(profile: BidProfile, agent: int) -> DeviationGrid:
     """``_grid`` for ``agent`` against the other bids in ``profile``, as rationals."""
     w, e = _bid_numerators(profile)
-    return DeviationGrid(tuple(Rational(c, 1000 * e) for c in _grid(_others(w, agent))))
+    _reject_ties((j, b) for j, b in enumerate(w) if j != agent)
+    return DeviationGrid(tuple(Rational(c, 1000 * e) for c in _grid(w[:agent] + w[agent + 1:])))
 
 
 @dataclass(frozen=True)
@@ -280,48 +276,47 @@ def check_individual_rationality(
 
 
 def _pricer(engine, initial, config, fixed, e: int):
-    """The instance's ``readout(agent)``: (price, up), the others' bids ``up`` ascending
-    and ``price(x, k)`` the high branch's price times k e when ``agent`` bids
-    x / (k e) and each other j fixed[j] / e.
+    """The instance's ``readout(agent)``: (price, others), the others' bids
+    ascending and ``price(x, k)`` the high branch's price times k e when
+    ``agent`` bids x / (k e) and each other j fixed[j] / e.
 
-    The real engine's is read off the fixed bids' one order less the agent:
-    with c of the others above x / k, the price is their m_bar-th bid (she
-    sells) when c >= m_bar, x (she is the threshold agent) when c = m_bar - 1,
-    and their (m_bar - 1)-th (she buys) otherwise. When a share is zero,
-    ``_branches`` checks H and L as ``run_expected`` does, made once per type
-    and agent; any other engine runs the bids on integers, its others sorted
-    once per agent after ``_others`` checks them for ties.
+    The others come off the fixed bids' one ``_bid_order``, and the real
+    engine's price off them: with c of the others above x / k, it is their
+    m_bar-th bid (she sells) when c >= m_bar, x (she is the threshold agent)
+    when c = m_bar - 1, and their (m_bar - 1)-th (she buys) otherwise. When a
+    share is zero, ``_branches`` checks each type's H and L, read by
+    ``core._above``, as ``run_expected`` does; any other engine runs the bids.
     """
     m_bar = config.m_bar
+    order = _bid_order(fixed)
+    real = engine is run_expected
+    if real:
+        a, d = _simplex_numerators(initial)
+        zero, mass = min(a) == 0, _masses(order, a)
 
     def run(agent, x, k):
         w = [k * b for b in fixed]
         w[agent] = x
         return engine(initial, BidProfile._from_form(w, k * e), config).high_branch.price * k * e
 
-    if engine is not run_expected:
-        return lambda agent: (partial(run, agent), sorted(_others(fixed, agent)))
-    a, d = _simplex_numerators(initial)
-    order = _bid_order(fixed)
-    zero = min(a) == 0
-
     def readout(agent):
-        rest = [j for j in order if j != agent]
-        o = [fixed[j] for j in rest]
-        up = o[::-1]
+        others = [fixed[j] for j in reversed(order) if j != agent]
+        if not real:
+            return partial(run, agent), others
         if zero:  # her H and L as a seller, as the threshold agent and as a buyer
-            mass, mine = _masses(rest, a), a[agent]
-            low = mass[m_bar - 1]
-            sides = [(mass[m_bar], low), (low + mine, low), (low + mine, mass[m_bar - 2] + mine)]
+            mine, moved = a[agent], (order.index(agent),)
+            _, low1 = _above(order, mass, a, moved, m_bar - 1)
+            t2, low = _above(order, mass, a, moved, m_bar)
+            sides = [(low + a[t2], low), (low + mine, low), (low + mine, low1 + mine)]
             types = [{m_bar: above, m_bar - 1: below} for above, below in sides]
 
         def price(x, k):
-            c = len(up) - bisect(up, x // k)  # the others above x / k
+            c = len(others) - bisect(others, x // k)  # the others above x / k
             if zero:
                 _branches(types[min(max(m_bar - c, 0), 2)], d, m_bar)
-            return x if c == m_bar - 1 else k * o[m_bar - 1 if c >= m_bar else m_bar - 2]
+            return x if c == m_bar - 1 else k * others[-m_bar if c >= m_bar else 1 - m_bar]
 
-        return price, up
+        return price, others
 
     return readout
 
@@ -355,10 +350,8 @@ def check_price_monotonicity(
     # the truthful run goes first, so its errors come before the pieces'
     truthful = engine(initial, profile, config).high_branch.price
     fixed, e = _bid_numerators(profile)
-    # lazy for any other engine: a tie among her others raises when her walk starts
-    readouts = map(_pricer(engine, initial, config, fixed, e), range(config.n))
+    readouts = list(map(_pricer(engine, initial, config, fixed, e), range(config.n)))
     if engine is run_expected:  # every agent's readout at her own bid
-        readouts = list(readouts)
         for agent, (price, _) in enumerate(readouts):
             at = price(fixed[agent], 1)
             if at != truthful * e:
@@ -426,29 +419,31 @@ def _grid_points(base, grids, coalition, score, e, values):
         yield walked, w, score(w, e, values, coalition)
 
 
-def _classes(a, d: int, m_bar: int, base, values, coalition):
+def _classes(ranking, a, d: int, m_bar: int, base, values, coalition):
     """(walked, w, ratios) for each threshold class of ``coalition``, as
     ``_grid_points`` yields, scored by ``core._priced_ratios`` with no sort.
 
-    ``base`` holds the fixed bids as distinct multiples of n + 1. A class
-    is the r-th highest non-member t, at rank m_bar, and the m_bar - r
-    members S above her: the price is t's bid u, L the share mass of S and
-    of the non-members above t, and H = L + a_t. Its point puts S at u + 1,
-    u + 2, ... and the other members at u - 1, u - 2, ...; a class that
-    needs a member below a zero bid is skipped, and one with L = 0 raises
-    what ``run_expected`` raises at its point (``core._branches``).
+    ``base`` holds the fixed bids as distinct multiples of n + 1, and
+    ``ranking`` their ``_bid_order``, each agent's position in it and its
+    ``_masses``. A class is the r-th highest non-member t (``core._above``),
+    at rank m_bar, and the m_bar - r members S above her: the price is t's
+    bid u, L the share mass of S and of the non-members above t, and
+    H = L + a_t. Its point puts S at u + 1, u + 2, ... and the other members
+    at u - 1, u - 2, ...; a class that needs a member below a zero bid is
+    skipped, and one with L = 0 raises what ``run_expected`` raises at its
+    point (``core._branches``).
     """
-    rest = sorted(set(range(len(base))) - set(coalition), key=base.__getitem__, reverse=True)
-    above = _masses(rest, a)
+    order, rank, mass = ranking
+    moved = sorted(rank[j] for j in coalition)
     walked = 0
-    for r in range(max(1, m_bar - len(coalition)), min(m_bar, len(rest)) + 1):
-        t = rest[r - 1]
+    for r in range(max(1, m_bar - len(coalition)), min(m_bar, len(base) - len(coalition)) + 1):
+        t, above = _above(order, mass, a, moved, r)
         u = base[t]
         for s in itertools.combinations(coalition, m_bar - r):
             walked += 1
             if u == 0 and len(s) < len(coalition):
                 continue  # a member below a zero bid
-            low = above[r - 1] + sum(map(a.__getitem__, s))
+            low = above + sum(map(a.__getitem__, s))
             high = low + a[t]
             _branches({m_bar: high, m_bar - 1: low}, d, m_bar)
             w, hi, lo = base[:], u, u
@@ -481,12 +476,15 @@ def _deviation_search(
     mismatch is a violation there, whose witness names any moved values and
     whose ``cases`` adds the agents compared.
 
-    A coalition is decided on its threshold classes (``_classes``) for the
-    real engine and on its members' grid product (``_grid_points``) for any
-    other. The classes skip a member at rank m_bar, who gets 0; bidding her
-    value, a buyer gets a_j (d - H)(v_j - u) / L with v_j > u, a seller
-    a_j (u - v_j) with v_j < u, so no truthful utility is negative. A
-    holding verdict's ``cases`` counts the grid deviations covered; a
+    The fixed bids are then ranked once; a tie left there involves agent 0,
+    a DuplicateBids pair as each agent's others would name it. A coalition
+    is decided on its threshold classes (``_classes``), read off that
+    ranking, for the real engine and on its members' grid product
+    (``_grid_points``) for any other. The classes skip a member at rank
+    m_bar, who gets 0; bidding her value, a buyer gets a_j (d - H)(v_j - u) / L
+    with v_j > u, a seller a_j (u - v_j) with v_j < u, so no truthful utility
+    is negative. A holding verdict's ``cases`` counts the grid deviations
+    covered, 3n - 4 per member and one fewer when another bids 0; a
     violation counts those of the earlier coalitions plus the classes or
     grid points walked in its own. With a ``budget``, the search raises
     SearchBudgetExceeded before any coalition when the grid deviations of
@@ -542,13 +540,14 @@ def _deviation_search(
         mismatch = tie(w, e, types, ties, 0)
         if mismatch is not None:
             return mismatch
-    rivals = [_others(bids, j) for j in range(n)]
-    # ``_grid`` has 3k - 1 candidates against k others, one fewer when one bids 0
-    sizes = [3 * len(o) - 1 - (min(o) == 0) for o in rivals]
+    order = _bid_order(bids)
+    bottom = order[-1]  # ``_grid``: 3k - 1 candidates against k others, 3k - 2 if one bids 0
+    sizes = [3 * n - 4 - (bids[bottom] == 0 and j != bottom) for j in range(n)]
     if budget is not None:
         required = math.prod(1 + k for k in sizes) - 1 - sum(sizes)
         if required > budget:
             raise SearchBudgetExceeded(required, budget)
+    ranking = (order, {j: i for i, j in enumerate(order)}, _masses(order, a))
     grids = None  # built when a coalition first walks the grid
     # class points are integers over (n + 1) * e, grid deviations over 1000 * e
     scale = n + 1 if real else 1000
@@ -563,9 +562,9 @@ def _deviation_search(
             for j, ratio in zip(coalition, score(w, e, values, coalition)):
                 truthful[j] = ratio
         if real:
-            points = _classes(a, d, config.m_bar, base, scaled, coalition)
+            points = _classes(ranking, a, d, config.m_bar, base, scaled, coalition)
         else:
-            grids = grids or [_grid(o) for o in rivals]
+            grids = grids or [_grid(bids[:j] + bids[j + 1:]) for j in range(n)]
             points = _grid_points(base, grids, coalition, score, scale * e, scaled)
         for walked, w, ratios in points:
             for j, (num, den) in zip(coalition, ratios):

@@ -10,20 +10,25 @@ The fourth scores the threshold agent as a buyer, which shows only where
 her value differs from her bid, so the tie reads the type agents again
 with every value moved off its bid. The fifth breaks ``core._utilities``,
 the reader that gives the tie its engine side. The monotone one makes the
-price readout of ``properties._pricer``, which puts the mover into the
-others' order, take rank m_bar + 1: that price is monotone too, so only
-the tie to ``run_expected`` through every agent's readout can kill it. The
-budget one shifts the prefix share masses (``core._masses``) by one rank; the engine,
-the scorer and the readout all read them, so only the conservation check
-and the welfare sweep's closed form can tell. The settlement one pays each
-seller a_i p / (d H q) instead of a_i p / (d q) in ``core._settle``, which
-only the conservation check reads in full. The class one leaves the
-threshold agent's share out of H in ``properties._classes`` only: the tie
-cannot see it, and sp and group-sp must catch it inside the class walk,
-though not on every instance. The degenerate one drops the class walk's
-``DegenerateBuyerMass`` check: only zero shares reach it, so ``mbm
-verify`` cannot, and the bounded-exhaustive space in
-``tests/test_exhaustive.py`` must see its counts move.
+price readout of ``properties._pricer``, which reads the others' bids off
+the fixed bids' one order, take rank m_bar + 1: that price is monotone
+too, so only the tie to ``run_expected`` through every agent's readout can
+kill it. The budget one shifts the prefix share masses (``core._masses``)
+by one rank; the engine, the scorer and the readout all read them, so
+only the conservation check and the welfare sweep's closed form can tell.
+The settlement one pays each seller a_i p / (d H q) instead of
+a_i p / (d q) in ``core._settle``, which only the conservation check reads
+in full. The class one leaves the threshold agent's share out of H in
+``properties._classes`` only: the tie cannot see it, and sp and group-sp
+must catch it inside the class walk, though not on every instance. The
+degenerate one drops the class walk's ``DegenerateBuyerMass`` check: only
+zero shares reach it, so ``mbm verify`` cannot, and the bounded-exhaustive
+space in ``tests/test_exhaustive.py`` must see its counts move. The
+readout one stops ``core._above`` from skipping a mover at the read rank,
+so a member's own bid can price her class; the class walk reads it, and
+sp must catch it. (Leaving a mover's share in L instead only lowers buyer
+scores, which a search for strict gains cannot see; the reference tests
+of ``_above`` and of the readout paths catch that one.)
 
 ``kill_row`` reads one row of the kill matrix that ``tests/test_kill_matrix.py``
 pins for every mutant in ``EVERY_MUTANT`` and every negative control.
@@ -97,6 +102,13 @@ DEGENERATE_MUTANT = (
     "            pass",
 )
 
+ABOVE_MUTANT = (
+    "the others' readout does not skip a mover at the read rank",
+    "core.py",
+    "        if p > i:",
+    "        if p >= i:",
+)
+
 MUTANTS = {
     "budget": (MASS_MUTANT, SETTLEMENT_MUTANT),
     "sp": ENGINE_MUTANTS,
@@ -105,8 +117,8 @@ MUTANTS = {
         (
             "the price readout takes rank m_bar + 1",
             "properties.py",
-            "            return x if c == m_bar - 1 else k * o[m_bar - 1 if c >= m_bar else m_bar - 2]",
-            "            return x if c == m_bar else k * o[m_bar if c > m_bar else m_bar - 1]",
+            "            return x if c == m_bar - 1 else k * others[-m_bar if c >= m_bar else 1 - m_bar]",
+            "            return x if c == m_bar else k * others[-m_bar - 1 if c > m_bar else -m_bar]",
         ),
     ),
 }
@@ -118,6 +130,7 @@ EVERY_MUTANT = (
     SETTLEMENT_MUTANT,
     CLASS_MUTANT,
     DEGENERATE_MUTANT,
+    ABOVE_MUTANT,
     *MUTANTS["monotone"],
 )
 

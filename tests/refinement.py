@@ -87,11 +87,12 @@ def pattern_points(m_bar: int, base, coalition):
             yield walked, w
 
 
-def pattern_walk(a, d, m_bar, base, values, coalition):
+def pattern_walk(ranking, a, d, m_bar, base, values, coalition):
     """``properties._classes`` walked on rank patterns: (walked, w, ratios)
     for each of ``pattern_points``, every point ranked and scored in full
-    by ``core._utility_ratios``. Where both decide a coalition, their
-    verdicts agree; a violation's walked count differs."""
+    by ``core._utility_ratios``; the search's ``ranking`` is not read. Where
+    both decide a coalition, their verdicts agree; a violation's walked
+    count differs."""
     for walked, w in pattern_points(m_bar, base, coalition):
         yield walked, w, _utility_ratios(a, d, m_bar, w, values, coalition)
 

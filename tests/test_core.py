@@ -28,10 +28,13 @@ from mbm import (
     run_expected,
 )
 from mbm.core import (
+    _above,
     _bid_numerators,
+    _bid_order,
     _branches,
     _holdings,
     _kernel,
+    _masses,
     _over_lcm,
     _share_numerators,
     _utilities,
@@ -273,6 +276,21 @@ def test_rank_bids_orders_bids_descending():
     assert sorted(order) == [0, 1, 2, 3]
     ordered = [bids[a] for a in order]
     assert all(a > b for a, b in zip(ordered, ordered[1:]))
+
+
+@given(st.data())
+def test_others_readout_equals_the_filtered_order(data):
+    # core._above against what it replaces: the movers filtered out of the
+    # one order, then the prefix share masses of those left, at every rank
+    n = data.draw(st.integers(3, 10))
+    w = data.draw(st.lists(st.integers(0, 100), min_size=n, max_size=n, unique=True))
+    a = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    moved = sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=n - 1)))
+    order = _bid_order(w)
+    rest = [j for i, j in enumerate(order) if i not in moved]
+    above = _masses(rest, a)
+    for r in range(1, len(rest) + 1):
+        assert _above(order, _masses(order, a), a, moved, r) == (rest[r - 1], above[r - 1])
 
 
 def _price(shares, bids, config):

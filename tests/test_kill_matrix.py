@@ -49,6 +49,7 @@ MATRIX = {
         "sp": [1, 19], "group-sp": [1, 7],
     },
     "the class walk leaves out its degenerate check": {},
+    "the others' readout does not skip a mover at the read rank": {"sp": [1, 9]},
     "the price readout takes rank m_bar + 1": {"monotone": [1, 20]},
     "unmutated": {},
     "--inject-defect payment": {"budget": [1, 20], "sp": [1, 5], "group-sp": [1, 1]},
@@ -82,8 +83,8 @@ def _row(path: str, kwargs: dict, env: dict) -> dict:
 
 def test_criterion_16_kill_matrix(tmp_path, subprocess_env):
     labels = [label for label, *_ in mutants.EVERY_MUTANT]
-    assert len(set(labels)) == len(labels) == 10
-    with Timer(16, "kill matrix: 10 mutants, 5 controls, 6 suites and run --check", 30) as t:
+    assert len(set(labels)) == len(labels) == 11
+    with Timer(16, "kill matrix: 11 mutants, 5 controls, 6 suites and run --check", 30) as t:
         # the controls first: their group-sp grid walks take about 3 s
         # each, nearly all of the matrix's time, two children at a time
         jobs = {f"--inject-defect {kind}": (SRC, {"defect": kind}) for kind in CORRUPTION_KINDS}

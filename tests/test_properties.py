@@ -33,7 +33,9 @@ from mbm import properties
 from mbm.captable import CapTableRecord
 from mbm.core import (
     _bid_numerators,
+    _bid_order,
     _holdings,
+    _masses,
     _over_lcm,
     _simplex_numerators,
     _utility_ratios,
@@ -154,22 +156,30 @@ def test_grid_equals_fraction_reference():
 
 def test_deviation_searches_walk_the_whole_grid():
     # a holding verdict has scored every candidate: sp one per grid point of
-    # each agent, group-sp every joint deviation of every coalition
+    # each agent, group-sp every joint deviation of every coalition; then
+    # each instance again with its lowest bid at 0, where every other
+    # agent's grid has one candidate fewer
+    def lowest_at_zero(profile):
+        return profile.replace_bid(min(range(profile.n), key=profile.bids.__getitem__), 0)
+
     rng = random.Random(13)
-    for initial, profile, config in generate_suite(30, seed=13, n_range=(3, 8)):
-        for others in (profile, perturbed_profile(profile, rng)):
-            report = check_strategyproofness(
-                initial, profile, config, others_profile=others
-            )
+    for zeroed in (False, True):
+        for initial, profile, config in generate_suite(30, seed=13, n_range=(3, 8)):
+            profile = lowest_at_zero(profile) if zeroed else profile
+            for others in (profile, perturbed_profile(profile, rng)):
+                report = check_strategyproofness(
+                    initial, profile, config, others_profile=others
+                )
+                assert report.holds
+                assert report.cases == sum(
+                    len(fraction_deviation_grid(others, agent)) for agent in range(config.n)
+                )
+        for initial, profile, config in generate_suite(20, seed=13, n_range=(3, 4)):
+            profile = lowest_at_zero(profile) if zeroed else profile
+            report = check_weak_group_strategyproofness(initial, profile, config)
             assert report.holds
-            assert report.cases == sum(
-                len(fraction_deviation_grid(others, agent)) for agent in range(config.n)
-            )
-    for initial, profile, config in generate_suite(20, seed=13, n_range=(3, 4)):
-        report = check_weak_group_strategyproofness(initial, profile, config)
-        assert report.holds
-        grids = [fraction_deviation_grid(profile, j) for j in range(config.n)]
-        assert report.cases == enumerated_coalition_budget(grids)
+            grids = [fraction_deviation_grid(profile, j) for j in range(config.n)]
+            assert report.cases == enumerated_coalition_budget(grids)
 
 
 # --- report contract ---------------------------------------------------------
@@ -655,12 +665,14 @@ def test_each_threshold_class_scores_as_its_rank_patterns():
         a, d = _simplex_numerators(initial)
         scaled, _ = _over_lcm(profile.bids + perturbed_profile(profile, rng).bids)
         base, values = [(n + 1) * x for x in scaled[:n]], [(n + 1) * x for x in scaled[n:]]
+        order = _bid_order(base)
+        ranking = (order, {j: i for i, j in enumerate(order)}, _masses(order, a))
         for k in range(1, n):
             for coalition in itertools.combinations(range(n), k):
 
                 def classes(walk):
                     found = {}
-                    for _, w, ratios in walk(a, d, m_bar, base, values, coalition):
+                    for _, w, ratios in walk(ranking, a, d, m_bar, base, values, coalition):
                         order = sorted(range(n), key=w.__getitem__, reverse=True)
                         above = frozenset(order[: m_bar - 1]) & set(coalition)
                         found.setdefault((order[m_bar - 1], above), set()).add(tuple(ratios))
@@ -979,7 +991,7 @@ def test_controls_score_and_price_on_integers_alone():
     w, e = _bid_numerators(profile)
     values = [1000 * x for x in w]
     point = values[:]
-    point[0] = properties._grid(properties._others(w, 0))[0]
+    point[0] = properties._grid(w[1:])[0]
     score = properties._scorer(spied("price-next"), initial, config, a, d)
     assert len(list(score(point, 1000 * e, values, range(config.n)))) == config.n
     price, _ = properties._pricer(spied("price-dip"), initial, config, w, e)(0)
@@ -1132,6 +1144,25 @@ def test_monotone_verdicts_equal_on_readout_and_reference_paths():
         assert fast == slow
         degenerate += isinstance(fast, tuple) and fast[0] is DegenerateBuyerMass
     assert degenerate == 5  # five of the six zero-stake instances
+
+
+def test_each_oracle_call_ranks_the_fixed_bids_once(monkeypatch):
+    # sp, group-sp and the monotone readout read every agent's or
+    # coalition's others off one ranking of the fixed bids: one _masses per
+    # call, not one per agent or coalition
+    calls = []
+    masses = properties._masses
+    monkeypatch.setattr(properties, "_masses", lambda *args: calls.append(1) or masses(*args))
+    sp = generate(InstanceSpec(n=40, m_bar=20, seed=1))
+    group = generate(InstanceSpec(n=5, m_bar=3, seed=1))
+    for check, instance in (
+        (check_strategyproofness, sp),
+        (check_weak_group_strategyproofness, group),
+        (check_price_monotonicity, ZERO_STAKE_INSTANCES[3]),  # zero shares, holds
+    ):
+        calls.clear()
+        assert check(*instance).holds
+        assert len(calls) == 1, check.__name__
 
 
 # the suites that catch each injected defect on one small seeded batch
