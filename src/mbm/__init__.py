@@ -58,11 +58,9 @@ from .welfare import (
     WelfareReport,
     efficiency_loss_instance,
     expected_mbm_welfare,
-    first_best,
     social_welfare,
     sweep_point,
     uniform_grid_welfare,
-    valid_alphas,
     welfare_report,
     welfare_sweep,
 )
@@ -109,7 +107,6 @@ __all__ = [
     "efficiency_loss_instance",
     "expected_adjusted_utility",
     "expected_mbm_welfare",
-    "first_best",
     "generate",
     "parse_captable",
     "perturbed_profile",
@@ -121,7 +118,6 @@ __all__ = [
     "sweep_point",
     "to_instance",
     "uniform_grid_welfare",
-    "valid_alphas",
     "welfare_report",
     "welfare_sweep",
 ]

@@ -300,6 +300,27 @@ def _above(order: tuple, mass: list, a, moved, r: int) -> tuple:
     return order[i], mass[i] - out
 
 
+def _lone(order: tuple, mass: list, a, w, p: int, m_bar: int):
+    """``read(x, k=1) -> (u, H, L)``: the price u times k and both buyer masses
+    when the agent j at position ``p`` of ``order`` alone bids x / (k e) and
+    every other i bids w[i] / e, off ``_masses(order, a)``: the paper's three
+    types, read by ``_above`` at ranks m_bar - 1 (t1) and m_bar (t2) of the
+    others. Below t2's bid j sells and t2 sets the price; up to t1's bid she is
+    the threshold agent; from there on she buys at t1's bid."""
+    j = order[p]
+    t1, low1 = _above(order, mass, a, (p,), m_bar - 1)
+    t2, low2 = _above(order, mass, a, (p,), m_bar)
+
+    def read(x, k=1):
+        if x < k * w[t2]:
+            return k * w[t2], low2 + a[t2], low2
+        if x < k * w[t1]:
+            return x, low2 + a[j], low2
+        return k * w[t1], low2 + a[j], low1 + a[j]
+
+    return read
+
+
 def _kernel(initial: Allocation, profile: BidProfile, config: MbmConfig) -> tuple:
     """(order, mass, a, d, w, e): the instance on integers, ranked.
 
@@ -383,27 +404,13 @@ def run_expected(
 _run_expected = run_expected
 
 
-def _utility_ratios(a, d: int, m_bar: int, w, values, agents, order=None) -> list:
-    """Each of ``agents``' expected adjusted utility times d * e, as (numerator, denominator).
-
-    Shares are a[i] / d, and bids w and true values are integers over one
-    common denominator e: ``_priced_ratios`` at the bid ranked m_bar, with
-    H and L from ``_branches`` on the ``_masses`` of w's ``order``, ranked
-    here unless given. Raises what ``run_expected`` raises once the shares
-    check out, in the same order: InvalidConfig below 3 bids, DuplicateBids
-    on a tie, then DegenerateBuyerMass (high branch first).
-    """
-    order = order or _bid_order(w)
-    (_, high, _), (_, low, _) = _branches(_masses(order, a), d, m_bar)
-    u = w[order[m_bar - 1]]
-    return _priced_ratios(a, d, u, high, low, w, values, agents)
-
-
 def _priced_ratios(a, d: int, u, high: int, low: int, w, values, agents) -> list:
-    """``_utility_ratios`` at price u with buyer masses H (high branch) and L
-    (low): the agent bidding u, the threshold agent, gets 0, one bidding
-    above u (a buyer in both branches) a_j (d - H)(v_j - u) / L, and one
-    below u (a seller in both) a_j (u - v_j) / 1. Initial money cancels."""
+    """Each of ``agents``' expected adjusted utility times d * e as (num, den),
+    shares a[i] / d, at price u with buyer masses H (high branch) and L (low),
+    bids w, values and u over one denominator e: the agent bidding u, the
+    threshold agent, gets 0, one bidding above u (a buyer in both branches)
+    a_j (d - H)(v_j - u) / L, and one below u (a seller in both)
+    a_j (u - v_j) / 1. Initial money cancels."""
     rest = d - high
     out = []
     for j in agents:

@@ -14,14 +14,15 @@ deviation make every member of a coalition strictly better off?
 Strategyproofness asks it of the coalitions of one against fixed others,
 weak group strategyproofness of every coalition of two or more against the
 valuations. An instance is set up once: shares as a / d, the fixed bids
-and the true values as integers over one common denominator e. The engine
-enters only through the instance's scorer (``_scorer``), which gives each
-member's utility times d and the bids' denominator as an integer ratio,
-compared with the truthful one by cross-multiplication. For the real
-mechanism that is ``core._utility_ratios``, tied to ``run_expected`` at the
-first truthful profile before any deviation, read off that one outcome by
-``core._utilities`` at the true values and again with every value moved off
-its bid; any other engine, including a wrapper around the real one, runs
+and the true values as integers over one common denominator e. A member's
+utility times d e is an integer ratio, compared with the truthful one by
+cross-multiplication. The real mechanism is scored off one readout of the
+paper's three agent types, ``core._lone``: one agent's price and buyer
+masses against the fixed bids' one ranking, with no sort per agent. It is
+tied to ``run_expected`` at the first truthful profile before any
+deviation, read off that one outcome by ``core._utilities`` at the true
+values and again with every value moved off its bid. Any other engine,
+including a wrapper around the real one, is scored by ``_scorer``: it runs
 the profile built straight on those integers (``BidProfile._from_form``),
 and ``core._utilities`` reads each member's two branches off their
 integer forms as one integer ratio, with no rational made.
@@ -51,7 +52,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -67,6 +67,7 @@ from .core import (
     _check_sizes,
     _holdings,
     _kernel,
+    _lone,
     _masses,
     _OnRead,
     _priced_ratios,
@@ -76,11 +77,10 @@ from .core import (
     _share_numerators,
     _simplex_numerators,
     _utilities,
-    _utility_ratios,
     _weighted,
     run_expected,
 )
-from .errors import InvalidArgument, SearchBudgetExceeded
+from .errors import DuplicateBids, InvalidArgument, SearchBudgetExceeded
 from .rational import Rational, ratio_str, rational_str
 
 DEFAULT_SEARCH_BUDGET = 10**6
@@ -181,20 +181,14 @@ def describe_instance(
     return f"n={config.n} m_bar={config.m_bar} shares=[{shares}] bids=[{bids}]"
 
 
-def _scorer(engine, initial, config, a, d):
-    """The instance's ``score(w, e, values, agents)``, the deviation search's engine seam.
-
-    Bids w and true values are integers over one common denominator e, and
-    shares are a[i] / d. The score yields each of ``agents``' expected
-    adjusted utility times d * e as (numerator, denominator), denominator
-    positive. The real engine is scored by ``_utility_ratios``; any other
-    runs the profile w / e once per call, built on those integers with no
-    rational made, and ``core._utilities`` reads its outcome one agent at a
-    time as the caller consumes them.
-    """
-    if engine is run_expected:
-        m_bar = config.m_bar
-        return lambda w, e, values, agents: _utility_ratios(a, d, m_bar, w, values, agents)
+def _scorer(engine, initial, config):
+    """The instance's ``score(w, e, values, agents)`` for an engine other than
+    ``run_expected``: each of ``agents``' expected adjusted utility times d e,
+    shares a[i] / d and bids w and true values over e, as (numerator,
+    denominator), denominator positive. It runs the profile w / e once per
+    call, built on those integers with no rational made, and
+    ``core._utilities`` reads its outcome one agent at a time as the caller
+    consumes them."""
     holdings = _holdings(initial)
 
     def score(w, e, values, agents):
@@ -281,11 +275,11 @@ def _pricer(engine, initial, config, fixed, e: int):
     ``agent`` bids x / (k e) and each other j fixed[j] / e.
 
     The others come off the fixed bids' one ``_bid_order``, and the real
-    engine's price off them: with c of the others above x / k, it is their
-    m_bar-th bid (she sells) when c >= m_bar, x (she is the threshold agent)
-    when c = m_bar - 1, and their (m_bar - 1)-th (she buys) otherwise. When a
-    share is zero, ``_branches`` checks each type's H and L, read by
-    ``core._above``, as ``run_expected`` does; any other engine runs the bids.
+    engine's price is ``core._lone``'s off that order: the others' m_bar-th
+    bid when she sells, x when she is the threshold agent and their
+    (m_bar - 1)-th when she buys. When a share is zero, ``_branches`` checks
+    the H and L it reads with the price, as ``run_expected`` does; any other
+    engine runs the bids.
     """
     m_bar = config.m_bar
     order = _bid_order(fixed)
@@ -303,18 +297,13 @@ def _pricer(engine, initial, config, fixed, e: int):
         others = [fixed[j] for j in reversed(order) if j != agent]
         if not real:
             return partial(run, agent), others
-        if zero:  # her H and L as a seller, as the threshold agent and as a buyer
-            mine, moved = a[agent], (order.index(agent),)
-            _, low1 = _above(order, mass, a, moved, m_bar - 1)
-            t2, low = _above(order, mass, a, moved, m_bar)
-            sides = [(low + a[t2], low), (low + mine, low), (low + mine, low1 + mine)]
-            types = [{m_bar: above, m_bar - 1: below} for above, below in sides]
+        read = _lone(order, mass, a, fixed, order.index(agent), m_bar)
 
         def price(x, k):
-            c = len(others) - bisect(others, x // k)  # the others above x / k
+            u, high, low = read(x, k)
             if zero:
-                _branches(types[min(max(m_bar - c, 0), 2)], d, m_bar)
-            return x if c == m_bar - 1 else k * others[-m_bar if c >= m_bar else 1 - m_bar]
+                _branches({m_bar: high, m_bar - 1: low}, d, m_bar)
+            return u
 
         return price, others
 
@@ -469,32 +458,35 @@ def _deviation_search(
     the real engine. Otherwise agent 0 alone is scored there, and each
     coalition's truthful bids are scored again just before its deviations,
     so errors come in the order of the profiles met. For the real engine
-    one agent of each type in that first profile (definite buyer, threshold
+    the first profile is ranked once, for its ties and type agents, and the
+    fixed bids once; a truthful score is the member's ``core._lone`` readout
+    at her value off that ranking, and a value equal to another agent's bid
+    raises that one DuplicateBids pair, as ranking her profile would. One
+    agent of each type in the first profile (definite buyer, threshold
     agent, definite seller) is tied to ``run_expected``, at the true values
     and again with every value 1 / e above its bid, and so is every member
     at a class point where all gain, before the gain is reported. A
     mismatch is a violation there, whose witness names any moved values and
     whose ``cases`` adds the agents compared.
 
-    The fixed bids are then ranked once; a tie left there involves agent 0,
-    a DuplicateBids pair as each agent's others would name it. A coalition
-    is decided on its threshold classes (``_classes``), read off that
-    ranking, for the real engine and on its members' grid product
-    (``_grid_points``) for any other. The classes skip a member at rank
-    m_bar, who gets 0; bidding her value, a buyer gets a_j (d - H)(v_j - u) / L
-    with v_j > u, a seller a_j (u - v_j) with v_j < u, so no truthful utility
-    is negative. A holding verdict's ``cases`` counts the grid deviations
-    covered, 3n - 4 per member and one fewer when another bids 0; a
-    violation counts those of the earlier coalitions plus the classes or
-    grid points walked in its own. With a ``budget``, the search raises
-    SearchBudgetExceeded before any coalition when the grid deviations of
-    every coalition of two or more exceed it.
+    A tie left in the fixed bids involves agent 0, a DuplicateBids pair as
+    each agent's others would name it, raised after the first profile's
+    tie. A coalition is decided on its threshold classes (``_classes``),
+    read off the fixed bids' ranking, for the real engine and on its
+    members' grid product (``_grid_points``) for any other. The classes skip
+    a member at rank m_bar, who gets 0; bidding her value, a buyer gets
+    a_j (d - H)(v_j - u) / L with v_j > u, a seller a_j (u - v_j) with
+    v_j < u, so no truthful utility is negative. A holding verdict's
+    ``cases`` counts the grid deviations covered, 3n - 4 per member and one
+    fewer when another bids 0; a violation counts those of the earlier
+    coalitions plus the classes or grid points walked in its own. With a
+    ``budget``, the search raises SearchBudgetExceeded before any coalition
+    when the grid deviations of every coalition of two or more exceed it.
     """
     instance = (initial, others, config)
     n = config.n
     a, d = _share_numerators(initial, others, config)
     _check_sizes(valuations.n, config, "valuations")
-    score = _scorer(engine, initial, config, a, d)
     real = engine is run_expected
     # the fixed bids and the true values over one denominator e
     fixed, e = _reduced(_bid_numerators(others), _bid_numerators(valuations))
@@ -503,8 +495,6 @@ def _deviation_search(
     # the first coalition's truthful profile: agent 0 bids her value
     w = list(bids)
     w[0] = values[0]
-    scored = range(n) if real or shared else (0,)
-    truthful = dict(zip(scored, score(w, e, values, scored)))
     holdings = _holdings(initial)
 
     def tie(w, e, agents, ties, cases):
@@ -527,34 +517,54 @@ def _deviation_search(
                     detail = f"agent {j}: the scorer gives {fast} {at}, the engine {slow}"
                     return _violation(name, instance, cases, detail, agent=j, bids=profile.bids)
 
+    # the fixed bids ranked once, their ties checked after the first profile's
+    order = sorted(range(n), key=bids.__getitem__, reverse=True)
     if real:
-        # the scorer's three formulas tied to run_expected there: the top
-        # bidder buys, the agent ranked m_bar is the threshold agent and the
-        # bottom bidder sells. The outcome does not depend on the values, so
-        # it is read again with each value 1 / e above its bid, where the
-        # threshold agent must still get 0
-        order = _bid_order(w)
-        types = sorted((order[0], order[config.m_bar - 1], order[-1]))
+        first = _bid_order(w)  # the first profile's ties and type agents
+        rank, mass, m_bar = {j: i for i, j in enumerate(order)}, _masses(order, a), config.m_bar
+        index = {b: i for i, b in enumerate(bids)}
+
+        def lone(j):  # ``_priced_ratios`` where j alone bids her value against the fixed bids
+            u, high, low = _lone(order, mass, a, bids, rank[j], m_bar)(values[j])
+            _branches({m_bar: high, m_bar - 1: low}, d, m_bar)
+            return partial(_priced_ratios, a, d, u, high, low)
+
+        at_first = lone(0)
+        truthful = dict(enumerate(at_first(w, values, range(n))))
+        # the readout tied to run_expected there: the top bidder buys, the
+        # agent ranked m_bar is the threshold agent and the bottom bidder
+        # sells. The outcome does not depend on the values, so it is read
+        # again with each value 1 / e above its bid, where the threshold agent
+        # must still get 0
+        types = sorted((first[0], first[m_bar - 1], first[-1]))
         moved = [x + 1 for x in w]
-        ties = ((values, truthful), (moved, dict(zip(types, score(w, e, moved, types)))))
+        ties = ((values, truthful), (moved, dict(zip(types, at_first(w, moved, types)))))
         mismatch = tie(w, e, types, ties, 0)
         if mismatch is not None:
             return mismatch
-    order = _bid_order(bids)
+    else:
+        score = _scorer(engine, initial, config)
+        scored = range(n) if shared else (0,)
+        truthful = dict(zip(scored, score(w, e, values, scored)))
+    _reject_ties(enumerate(bids))
     bottom = order[-1]  # ``_grid``: 3k - 1 candidates against k others, 3k - 2 if one bids 0
     sizes = [3 * n - 4 - (bids[bottom] == 0 and j != bottom) for j in range(n)]
     if budget is not None:
         required = math.prod(1 + k for k in sizes) - 1 - sum(sizes)
         if required > budget:
             raise SearchBudgetExceeded(required, budget)
-    ranking = (order, {j: i for i, j in enumerate(order)}, _masses(order, a))
     grids = None  # built when a coalition first walks the grid
     # class points are integers over (n + 1) * e, grid deviations over 1000 * e
     scale = n + 1 if real else 1000
     base, scaled = [scale * x for x in bids], [scale * x for x in values]
     cases = 0
     for coalition in coalitions:
-        if not shared:
+        if not shared and real:
+            (j,) = coalition  # sp's lone member bids her value against the fixed bids
+            if index.get(values[j], j) != j:  # a tie, named as ranking her profile names it
+                raise DuplicateBids([sorted((index[values[j]], j))])
+            truthful[j] = lone(j)(values, values, coalition)[0]
+        elif not shared:
             # the members bid truthfully against the others' fixed bids
             w = list(bids)
             for j in coalition:
@@ -562,7 +572,7 @@ def _deviation_search(
             for j, ratio in zip(coalition, score(w, e, values, coalition)):
                 truthful[j] = ratio
         if real:
-            points = _classes(ranking, a, d, config.m_bar, base, scaled, coalition)
+            points = _classes((order, rank, mass), a, d, m_bar, base, scaled, coalition)
         else:
             grids = grids or [_grid(bids[:j] + bids[j + 1:]) for j in range(n)]
             points = _grid_points(base, grids, coalition, score, scale * e, scaled)

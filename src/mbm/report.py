@@ -24,10 +24,11 @@ from .core import (
     MbmConfig,
     MechanismOutcome,
     _bid_numerators,
+    _branches,
     _holdings,
     _masses,
+    _priced_ratios,
     _utilities,
-    _utility_ratios,
     draw_branch,
 )
 from .rational import as_ratio, decimal_approx, ratio_pair, ratio_str, rational_str
@@ -273,9 +274,10 @@ def build_run_report(
     In realized mode the branch shown is drawn from ``expected`` with ``seed``;
     in expected mode both branches are shown and the seed is dropped.
     Utilities are taken at face value (bid = value): each shown branch's read
-    off it by ``core._utilities``, the expected ones by ``core._utility_ratios``,
-    as integer ratios over d * e; those and the welfare are read off the
-    outcome's bid order, with no second ranking.
+    off it by ``core._utilities``, the expected ones by ``core._priced_ratios``
+    at the bid ranked m_bar with ``core._branches``' buyer masses, as integer
+    ratios over d * e. Those masses and the welfare are read off one
+    ``_masses`` of the outcome's bid order, with no second ranking.
     """
     realized = mode == "realized"
     shown = (draw_branch(expected, seed),) if realized else expected.branches
@@ -284,6 +286,8 @@ def build_run_report(
     v, e = _bid_numerators(profile)
     de, agents, m_bar = d * e, range(config.n), config.m_bar
     order = expected.high_branch.order
+    mass = _masses(order, a)
+    (_, high, _), (_, low, _) = _branches(mass, d, m_bar)
 
     def read(ratios) -> tuple:
         return tuple((num, de * den) for num, den in ratios)
@@ -301,7 +305,7 @@ def build_run_report(
         utilities=tuple(
             read(_utilities(holdings, ((1, 1, b.final_allocation),), agents, v, e)) for b in shown
         ),
-        expected_utilities=read(_utility_ratios(a, d, m_bar, v, v, agents, order)),
-        welfare=_welfare_report((order, _masses(order, a), a, d, v, e), m_bar),
+        expected_utilities=read(_priced_ratios(a, d, v[order[m_bar - 1]], high, low, v, v, agents)),
+        welfare=_welfare_report((order, mass, a, d, v, e), m_bar),
         checks=tuple(checks),
     )

@@ -69,11 +69,6 @@ def social_welfare(allocation: Allocation, valuations: BidProfile) -> Rational:
     return total
 
 
-def first_best(valuations: BidProfile) -> Rational:
-    """Welfare of handing the whole asset to the highest-valuing agent."""
-    return max(valuations.bids)
-
-
 def _held(order: tuple, a, w) -> list:
     """Prefix sums of a_i * w_i along the bid order: ``held[m]`` sums the top m bidders."""
     return list(accumulate((a[i] * w[i] for i in order), initial=0))
@@ -160,11 +155,6 @@ def _owner_counts(n: int) -> range:
     """The admissible m_bar for n agents, 2..n-1; MbmConfig's InvalidConfig for n <= 2."""
     MbmConfig(n=n, m_bar=2)
     return range(2, n)
-
-
-def valid_alphas(n: int) -> list:
-    """All admissible retained-owner fractions for n agents: k/n, k = 2..n-1."""
-    return [Rational(k, n) for k in _owner_counts(n)]
 
 
 def uniform_grid_welfare(n: int, alpha) -> Rational:

@@ -1,19 +1,22 @@
 """One-line mutants that a named ``mbm verify`` suite must kill.
 
 ``MUTANTS`` maps a suite to its mutants, each (label, file under
-``src/mbm``, old line, new line); ``old`` occurs exactly once in its file.
-Before the deviation search tied its scorer to ``run_expected``, the first
-three engine mutants passed every ``mbm verify`` suite: each changes the
-engine and the scorer ``core._utility_ratios`` (through
-``core._priced_ratios``) apart, and both sp and group-sp must kill them.
+``src/mbm``, old text, new text); ``old``, one line (two for the degenerate
+one, whose check line recurs), occurs exactly once in its file. Before the
+deviation search tied its scorer to ``run_expected``, the first three
+engine mutants passed every ``mbm verify`` suite: each changes the engine
+and the real engine's truthful scores (``core._priced_ratios`` off one
+agent's ``core._lone`` readout) apart, and both sp and group-sp must kill
+them; the third prices those scores at the fixed bids' rank m_bar - 1.
 The fourth scores the threshold agent as a buyer, which shows only where
 her value differs from her bid, so the tie reads the type agents again
 with every value moved off its bid. The fifth breaks ``core._utilities``,
-the reader that gives the tie its engine side. The monotone one makes the
-price readout of ``properties._pricer``, which reads the others' bids off
-the fixed bids' one order, take rank m_bar + 1: that price is monotone
-too, so only the tie to ``run_expected`` through every agent's readout can
-kill it. The budget one shifts the prefix share masses (``core._masses``)
+the reader that gives the tie its engine side. The monotone one makes
+``core._lone``, the one readout of the three agent types, price a buyer
+at the others' m_bar-th bid, rank m_bar + 1: monotone must catch it on
+every instance, through the tie to ``run_expected`` at every agent's own
+bid or where the price falls, and sp and group-sp see it where a truthful
+score reads a buyer. The budget one shifts the prefix share masses (``core._masses``)
 by one rank; the engine, the scorer and the readout all read them, so
 only the conservation check and the welfare sweep's closed form can tell.
 The settlement one pays each seller a_i p / (d H q) instead of
@@ -55,10 +58,10 @@ ENGINE_MUTANTS = (
         "            out.append((a[j] * rest * (values[j] - u), high))",
     ),
     (
-        "_utility_ratios prices at rank m_bar - 1",
-        "core.py",
-        "    u = w[order[m_bar - 1]]",
-        "    u = w[order[m_bar - 2]]",
+        "the lone readout's scores price at rank m_bar - 1",
+        "properties.py",
+        "            return partial(_priced_ratios, a, d, u, high, low)",
+        "            return partial(_priced_ratios, a, d, bids[order[m_bar - 2]], high, low)",
     ),
     (
         "_priced_ratios scores the threshold agent as a buyer",
@@ -98,8 +101,8 @@ CLASS_MUTANT = (
 DEGENERATE_MUTANT = (
     "the class walk leaves out its degenerate check",
     "properties.py",
-    "            _branches({m_bar: high, m_bar - 1: low}, d, m_bar)",
-    "            pass",
+    "            high = low + a[t]\n            _branches({m_bar: high, m_bar - 1: low}, d, m_bar)",
+    "            high = low + a[t]\n            pass",
 )
 
 ABOVE_MUTANT = (
@@ -115,10 +118,10 @@ MUTANTS = {
     "group-sp": ENGINE_MUTANTS,
     "monotone": (
         (
-            "the price readout takes rank m_bar + 1",
-            "properties.py",
-            "            return x if c == m_bar - 1 else k * others[-m_bar if c >= m_bar else 1 - m_bar]",
-            "            return x if c == m_bar else k * others[-m_bar - 1 if c > m_bar else -m_bar]",
+            "the lone readout prices a buyer at rank m_bar + 1",
+            "core.py",
+            "        return k * w[t1], low2 + a[j], low1 + a[j]",
+            "        return k * w[t2], low2 + a[j], low1 + a[j]",
         ),
     ),
 }

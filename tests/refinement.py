@@ -5,14 +5,27 @@ search on a grid ten times finer and score it through the reference
 definition, so a verdict that depends on the grid's spacing shows up as a
 disagreement between the two. ``pattern_walk`` stands in for the deviation
 search's threshold classes with one point per rank pattern, each ranked
-and scored in full.
+and scored in full by ``utility_ratios``, the full-sort reference for the
+search's one readout of the three agent types.
 """
 
 import itertools
 
 from mbm import expected_adjusted_utility, properties, run_expected
-from mbm.core import _utility_ratios
+from mbm.core import _bid_order, _branches, _masses, _priced_ratios
 from mbm.suites import generate_suite, run_suite
+
+
+def utility_ratios(a, d, m_bar, w, values, agents):
+    """Each of ``agents``' expected adjusted utility times d * e, as (numerator,
+    denominator), with the whole profile w ranked: shares a[i] / d, bids w and
+    true values integers over one denominator e. ``core._priced_ratios`` at
+    the bid ranked m_bar, with H and L from ``core._branches`` on the
+    ``_masses`` of w's ``_bid_order``; raises what ``run_expected`` raises once
+    the shares check out, in the same order."""
+    order = _bid_order(w)
+    (_, high, _), (_, low, _) = _branches(_masses(order, a), d, m_bar)
+    return _priced_ratios(a, d, w[order[m_bar - 1]], high, low, w, values, agents)
 
 
 def refined_candidates(profile, agent):
@@ -90,11 +103,11 @@ def pattern_points(m_bar: int, base, coalition):
 def pattern_walk(ranking, a, d, m_bar, base, values, coalition):
     """``properties._classes`` walked on rank patterns: (walked, w, ratios)
     for each of ``pattern_points``, every point ranked and scored in full
-    by ``core._utility_ratios``; the search's ``ranking`` is not read. Where
+    by ``utility_ratios``; the search's ``ranking`` is not read. Where
     both decide a coalition, their verdicts agree; a violation's walked
     count differs."""
     for walked, w in pattern_points(m_bar, base, coalition):
-        yield walked, w, _utility_ratios(a, d, m_bar, w, values, coalition)
+        yield walked, w, utility_ratios(a, d, m_bar, w, values, coalition)
 
 
 def walk_verdicts(n_values):

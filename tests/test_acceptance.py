@@ -286,10 +286,12 @@ def test_criterion_14_threshold_classes_decide_as_rank_patterns(tmp_path, subpro
     # sp and group-sp walked on threshold classes and on every rank pattern,
     # ranked and scored in full, give equal verdicts and cases: at n = 3..7
     # here, and at n = 3..6 on a copy of the package under each mutant. The
-    # class mutant breaks the class walk alone, and the mass mutant shifts a
-    # pattern point's masses (the full order's) and a class's (the
-    # non-members') by different agents: under both the patterns must hold
-    # and the classes must not
+    # class mutant breaks the class walk alone: under it the patterns must
+    # hold and the classes must not. The mass mutant shifts a pattern
+    # point's masses (the full order's, as the engine's) and a class's (the
+    # non-members') by different agents. The truthful scores read the
+    # non-members' masses too (core._lone), so the tie before any coalition
+    # catches it in both walks, and the walks must still differ
     script = "import json, refinement; print(json.dumps(refinement.walk_verdicts(range(3, 7))))"
     tests = os.path.dirname(os.path.abspath(__file__))
     apart = (mutants.MASS_MUTANT, mutants.CLASS_MUTANT)
@@ -307,9 +309,11 @@ def test_criterion_14_threshold_classes_decide_as_rank_patterns(tmp_path, subpro
                 [sys.executable, "-c", script], capture_output=True, text=True, env=env
             )
             walks = json.loads(proc.stdout)
-            if mutant in apart:
+            if mutant is mutants.CLASS_MUTANT:
                 flagged = any(not h for v in walks["classes"] for h, _ in v)
                 ok = ok and walks["patterns"] == holding and flagged
+            elif mutant is mutants.MASS_MUTANT:
+                ok = ok and walks["patterns"] != holding and walks["classes"] != walks["patterns"]
             else:
                 ok = ok and walks["classes"] == walks["patterns"] != holding
         t.finish(ok, "10 instances per n and suite, 7 mutants")

@@ -724,7 +724,7 @@ def test_sp_suite_kills_the_engine_mutants(tmp_path, subprocess_env):
 def test_sp_and_group_sp_kill_the_class_walk_mutant(tmp_path, subprocess_env):
     # H without the threshold agent's share overpays every buyer in the class
     # walk alone: the tie before any coalition scores through
-    # core._utility_ratios and passes, so every violation is a deviation
+    # core._lone's readout and passes, so every violation is a deviation
     # found inside the walk, which the engine contradicts when the witness
     # is replayed. sp sees it wherever some agent truthfully buys; group-sp
     # needs two buyers, so at m_bar 2 it holds

@@ -34,11 +34,12 @@ from mbm.core import (
     _branches,
     _holdings,
     _kernel,
+    _lone,
     _masses,
     _over_lcm,
+    _priced_ratios,
     _share_numerators,
     _utilities,
-    _utility_ratios,
     _weighted,
 )
 from mbm.instances import perturbed_profile
@@ -293,6 +294,34 @@ def test_others_readout_equals_the_filtered_order(data):
         assert _above(order, _masses(order, a), a, moved, r) == (rest[r - 1], above[r - 1])
 
 
+@given(st.data())
+def test_lone_readout_equals_the_moved_profile_ranked_in_full(data):
+    # core._lone against the profile it reads: agent j alone bids x / k, the
+    # others their bids, ranked in full (_bid_order), with the m_bar-th bid
+    # and the _masses that _branches reads (H at m_bar, L at m_bar - 1). The
+    # other bids b are read over k = 2, 4, 6 or 8, so x = k b - 1 and k b + 1
+    # never tie, and reach every band that holds a bid: the seller's below the
+    # others' m_bar-th bid (empty when that bid is 0), the threshold agent's
+    # up to their (m_bar - 1)-th and the buyer's above it
+    n = data.draw(st.integers(3, 8))
+    w = data.draw(st.lists(st.integers(0, 100), min_size=n, max_size=n, unique=True))
+    a = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    k = 2 * data.draw(st.integers(1, 4))
+    order = _bid_order(w)
+    mass = _masses(order, a)
+    for p, j in enumerate(order):
+        moved = [k * b for b in w]
+        points = {x for i in range(n) if i != j for x in (moved[i] - 1, moved[i] + 1) if x >= 0}
+        for m_bar in range(2, n):
+            read = _lone(order, mass, a, w, p, m_bar)
+            for x in points:
+                moved[j] = x
+                full = _bid_order(moved)
+                ranked = _masses(full, a)
+                want = (moved[full[m_bar - 1]], ranked[m_bar], ranked[m_bar - 1])
+                assert read(x, k) == want, (w, a, j, m_bar, x, k)
+
+
 def _price(shares, bids, config):
     return run_expected(Allocation.from_shares(shares), BidProfile(bids), config).high_branch.price
 
@@ -524,11 +553,16 @@ def test_run_expected_keeps_initial_money(worked):
 
 def _scorer_utilities(initial, profile, config, valuations):
     # the deviation search's path for the real engine: the shares checked,
-    # bids and values over one denominator e, then _utility_ratios
+    # bids and values over one denominator e, agent 0's core._lone readout
+    # at her own bid with its buyer masses checked, then _priced_ratios
     a, d = _share_numerators(initial, profile, config)
-    n = profile.n
+    n, m_bar = profile.n, config.m_bar
     scaled, e = _over_lcm(profile.bids + valuations.bids)
-    ratios = _utility_ratios(a, d, config.m_bar, scaled[:n], scaled[n:], range(n))
+    w, values = scaled[:n], scaled[n:]
+    order = _bid_order(w)
+    u, high, low = _lone(order, _masses(order, a), a, w, order.index(0), m_bar)(w[0])
+    _branches({m_bar: high, m_bar - 1: low}, d, m_bar)
+    ratios = _priced_ratios(a, d, u, high, low, w, values, range(n))
     return tuple(Q(num, d * e * den) for num, den in ratios)
 
 
@@ -543,7 +577,7 @@ def _reader_utilities(initial, expected, valuations):
 
 def utility_table(initial, profile, config, values):
     """(expected, high, low), core's reading of every agent's adjusted
-    utility: in expectation by ``_utility_ratios``, by ``_utilities`` over
+    utility: in expectation by the real scorer's readout, by ``_utilities`` over
     ``_weighted`` and by ``expected_adjusted_utility``, which must agree, and
     in each branch alone by ``_utilities`` at weight 1."""
     scored = _scorer_utilities(initial, profile, config, values)

@@ -33,13 +33,13 @@ RUN_HOLDS = {"run": [0, []]}
 MATRIX = {
     "P(high) is the low branch's buyer mass": {"sp": [1, 20], "group-sp": [1, 20]},
     "_priced_ratios divides the buyer term by H": {"sp": [1, 20], "group-sp": [1, 20]},
-    "_utility_ratios prices at rank m_bar - 1": {"sp": [1, 20], "group-sp": [1, 20]},
+    "the lone readout's scores price at rank m_bar - 1": {"sp": [1, 20], "group-sp": [1, 20]},
     "_priced_ratios scores the threshold agent as a buyer": {"sp": [1, 20], "group-sp": [1, 20]},
     "_utilities flips the sign of the money term": {
         "ir": [1, 20], "sp": [1, 20], "group-sp": [1, 20], "run": [1, ["individual-rationality"]],
     },
     "the prefix share masses lose their leading 0": {
-        "budget": [1, 20], "sp": [1, 10], "group-sp": [1, 7], "run": [1, ["budget-balance"]],
+        "budget": [1, 20], "sp": [1, 10], "group-sp": [1, 8], "run": [1, ["budget-balance"]],
     },
     "a seller's proceeds lose the buyer-mass factor": {
         "budget": [1, 20], "ir": [1, 19], "sp": [1, 20], "group-sp": [1, 20],
@@ -49,8 +49,12 @@ MATRIX = {
         "sp": [1, 19], "group-sp": [1, 7],
     },
     "the class walk leaves out its degenerate check": {},
-    "the others' readout does not skip a mover at the read rank": {"sp": [1, 9]},
-    "the price readout takes rank m_bar + 1": {"monotone": [1, 20]},
+    "the others' readout does not skip a mover at the read rank": {
+        "sp": [1, 11], "group-sp": [1, 5], "monotone": [1, 20],
+    },
+    "the lone readout prices a buyer at rank m_bar + 1": {
+        "sp": [1, 7], "group-sp": [1, 6], "monotone": [1, 20],
+    },
     "unmutated": {},
     "--inject-defect payment": {"budget": [1, 20], "sp": [1, 5], "group-sp": [1, 1]},
     "--inject-defect shares": {"budget": [1, 20], "sp": [1, 7], "efficiency": [1, 20]},

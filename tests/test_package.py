@@ -1,5 +1,7 @@
-"""The package surface: ``mbm.__all__``, no cache, one extra and the README's library quickstart."""
+"""The package surface: ``mbm.__all__``, no cache, no dead private helper,
+one extra and the README's library quickstart."""
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -13,6 +15,7 @@ from mbm import core, properties, welfare
 from mbm.rational import rational
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PACKAGE = README.with_name("src") / "mbm"
 PYPROJECT = README.with_name("pyproject.toml")
 
 
@@ -43,6 +46,14 @@ def test_deleted_welfare_helpers_are_not_exported():
         assert not hasattr(welfare, name)
 
 
+def test_uncalled_welfare_names_are_gone():
+    # welfare_report's first_best field and the k/n list replace them
+    for name in ("first_best", "valid_alphas"):
+        assert name not in mbm.__all__
+        assert not hasattr(mbm, name)
+        assert not hasattr(welfare, name)
+
+
 def test_deleted_utility_readers_and_repricer_are_gone():
     # one reader (core._utilities) and one settlement (core._settle) replace
     # them, and realize draws on run_expected with no memo in front
@@ -52,6 +63,7 @@ def test_deleted_utility_readers_and_repricer_are_gone():
         (core, "expected_adjusted_utilities"),
         (core, "_utility_numerators"),
         (core, "_realize_expected"),
+        (core, "_utility_ratios"),
         (properties, "_repriced"),
     ):
         assert not hasattr(owner, name), name
@@ -60,6 +72,30 @@ def test_deleted_utility_readers_and_repricer_are_gone():
         assert hasattr(core, name), name
     assert hasattr(properties, "deviation_grid")
     assert hasattr(welfare, "sweep_point")
+
+
+def test_every_private_helper_has_a_caller_in_the_package():
+    # a module-level _name defined in src/mbm is read somewhere in src/mbm
+    # besides its definition, as a name or an attribute
+    exempt = {"_run_expected"}  # the name under which benchmarks/spans.py traces the engine
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))]
+    defined = set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    assert sorted(private - read - exempt) == []
 
 
 def test_no_mbm_object_has_a_cache_clear():

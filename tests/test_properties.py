@@ -29,16 +29,14 @@ from mbm import (
     expected_adjusted_utility,
     run_expected,
 )
-from mbm import properties
+from mbm import core, properties
 from mbm.captable import CapTableRecord
 from mbm.core import (
     _bid_numerators,
     _bid_order,
-    _holdings,
     _masses,
     _over_lcm,
     _simplex_numerators,
-    _utility_ratios,
 )
 from mbm.instances import InstanceSpec, generate, perturbed_profile
 from mbm.properties import CORRUPTION_KINDS, PropertyReport, Witness
@@ -52,7 +50,7 @@ from references import (
     fraction_individual_rationality,
     pairwise_pp_efficiency,
 )
-from refinement import pattern_walk, refined_sp_holds
+from refinement import pattern_walk, refined_sp_holds, utility_ratios
 
 import itertools
 import random
@@ -525,9 +523,9 @@ def test_sp_sees_a_gain_on_the_rank_patterns_of_one_agent(monkeypatch):
     assert bids[:3] == profile.bids[:3] and 4 < bids[3] < 6
     scaled, e = _over_lcm(bids + profile.bids)
     w, values = scaled[:4], scaled[4:]
-    ((num, den),) = paid(w, values, (3,), _utility_ratios(a, d, config.m_bar, w, values, (3,)))
+    ((num, den),) = paid(w, values, (3,), utility_ratios(a, d, config.m_bar, w, values, (3,)))
     ((t_num, t_den),) = paid(
-        values, values, (3,), _utility_ratios(a, d, config.m_bar, values, values, (3,))
+        values, values, (3,), utility_ratios(a, d, config.m_bar, values, values, (3,))
     )
     assert num * t_den > t_num * den
     # the engine does not confirm the gain: paid 80, she sells 1/4 at the
@@ -638,9 +636,9 @@ def test_group_sp_sees_a_gain_the_grid_only_reaches_as_a_tie(monkeypatch):
     assert bids[3] > bids[2] > profile.bids[0]
     scaled, _ = _over_lcm(bids + profile.bids)
     w, values = scaled[:4], scaled[4:]
-    ratios = _utility_ratios(a, d, config.m_bar, w, values, (2, 3))
+    ratios = utility_ratios(a, d, config.m_bar, w, values, (2, 3))
     deviant = paid(w, values, (2, 3), ratios)
-    ratios = _utility_ratios(a, d, config.m_bar, values, values, (2, 3))
+    ratios = utility_ratios(a, d, config.m_bar, values, values, (2, 3))
     truthful = paid(values, values, (2, 3), ratios)
     for (num, den), (t_num, t_den) in zip(deviant, truthful):
         assert num * t_den > t_num * den
@@ -875,9 +873,9 @@ def test_report_rows_equal_adjusted_utility():
 def test_scorer_tie_witness_reads_the_engine(monkeypatch):
     # a scorer one unit over d * e too high fails the tie at the first type
     # agent, with the witness text the rational utilities print
-    real = properties._utility_ratios
+    real = properties._priced_ratios
     monkeypatch.setattr(
-        properties, "_utility_ratios",
+        properties, "_priced_ratios",
         lambda *args: [(num + den, den) for num, den in real(*args)],
     )
     for initial, profile, config in generate_suite(20, seed=7):
@@ -957,7 +955,7 @@ def test_scorer_reads_another_engine_exactly_with_money():
         for initial in (base, with_money(base, rng)):
             a, d = _simplex_numerators(initial)
             for engine in engines:
-                score = properties._scorer(engine, initial, config, a, d)
+                score = properties._scorer(engine, initial, config)
                 for bids in (profile, others):
                     scaled, e = _over_lcm(bids.bids + profile.bids)
                     w, values = scaled[: config.n], scaled[config.n :]
@@ -987,12 +985,11 @@ def test_controls_score_and_price_on_integers_alone():
 
         return spy
 
-    a, d = _holdings(initial)[:2]
     w, e = _bid_numerators(profile)
     values = [1000 * x for x in w]
     point = values[:]
     point[0] = properties._grid(w[1:])[0]
-    score = properties._scorer(spied("price-next"), initial, config, a, d)
+    score = properties._scorer(spied("price-next"), initial, config)
     assert len(list(score(point, 1000 * e, values, range(config.n)))) == config.n
     price, _ = properties._pricer(spied("price-dip"), initial, config, w, e)(0)
     lo, hi = sorted(w[1:])[:2]
@@ -1147,22 +1144,33 @@ def test_monotone_verdicts_equal_on_readout_and_reference_paths():
 
 
 def test_each_oracle_call_ranks_the_fixed_bids_once(monkeypatch):
-    # sp, group-sp and the monotone readout read every agent's or
-    # coalition's others off one ranking of the fixed bids: one _masses per
-    # call, not one per agent or coalition
-    calls = []
-    masses = properties._masses
+    # sp (against the valuations and against perturbed others), group-sp and
+    # the monotone readout read every agent's or coalition's others off one
+    # ranking of the fixed bids: one _masses per call, not one per agent or
+    # coalition, and as many _bid_order calls, through core's binding and
+    # properties', at n = 40 as at n = 20
+    calls, sorts = [], []
+    masses, bid_order = properties._masses, core._bid_order
     monkeypatch.setattr(properties, "_masses", lambda *args: calls.append(1) or masses(*args))
-    sp = generate(InstanceSpec(n=40, m_bar=20, seed=1))
+    for module in (core, properties):
+        monkeypatch.setattr(module, "_bid_order", lambda w: sorts.append(1) or bid_order(w))
     group = generate(InstanceSpec(n=5, m_bar=3, seed=1))
-    for check, instance in (
-        (check_strategyproofness, sp),
-        (check_weak_group_strategyproofness, group),
-        (check_price_monotonicity, ZERO_STAKE_INSTANCES[3]),  # zero shares, holds
-    ):
-        calls.clear()
-        assert check(*instance).holds
-        assert len(calls) == 1, check.__name__
+    counted = {}
+    for n in (20, 40):
+        sp = generate(InstanceSpec(n=n, m_bar=n // 2, seed=1))
+        others = perturbed_profile(sp[1], random.Random(n))
+        for name, check, instance, kwargs in (
+            ("sp", check_strategyproofness, sp, {}),
+            ("sp, perturbed others", check_strategyproofness, sp, {"others_profile": others}),
+            ("group-sp", check_weak_group_strategyproofness, group, {}),
+            ("monotone", check_price_monotonicity, ZERO_STAKE_INSTANCES[3], {}),  # zero shares
+        ):
+            calls.clear()
+            sorts.clear()
+            assert check(*instance, **kwargs).holds
+            assert len(calls) == 1, name
+            counted.setdefault(name, []).append(len(sorts))
+    assert counted == {name: [k, k] for name, (k, _) in counted.items()}, counted
 
 
 # the suites that catch each injected defect on one small seeded batch

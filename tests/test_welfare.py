@@ -22,12 +22,10 @@ from mbm import (
     SweepRow,
     efficiency_loss_instance,
     expected_mbm_welfare,
-    first_best,
     run_expected,
     social_welfare,
     sweep_point,
     uniform_grid_welfare,
-    valid_alphas,
     welfare_report,
     welfare_sweep,
 )
@@ -59,9 +57,11 @@ def test_social_welfare_rejects_missized_valuations(worked):
 def test_social_welfare_whole_asset_to_top_is_first_best(worked):
     _, profile, _ = worked
     top_only = Allocation.from_shares((ONE, ZERO, ZERO))
-    assert social_welfare(top_only, profile) == first_best(profile) == 10
+    assert social_welfare(top_only, profile) == max(profile.bids) == 10
     # the top value need not be agent 0's, nor have the largest denominator
-    assert first_best(BidProfile((Q(2), Q(21, 2), Q(31, 3)))) == Q(21, 2)
+    thirds = Allocation.from_shares((Q(1, 3),) * 3)
+    bids = BidProfile((Q(2), Q(21, 2), Q(31, 3)))
+    assert welfare_report(thirds, bids, MbmConfig(3, 2)).first_best == Q(21, 2)
 
 
 def test_social_welfare_uniform_grid_equal_shares_mean():
@@ -254,7 +254,7 @@ def test_closed_form_equals_engine_small_case():
 
 def test_closed_form_equals_engine_on_small_sweep():
     for n in range(4, 13):
-        for alpha in valid_alphas(n):
+        for alpha in [Q(k, n) for k in range(2, n)]:
             row = sweep_point(n, str(alpha))
             assert row.alpha == alpha and row.m_bar == alpha * n
             assert row.closed_form == row.engine == uniform_grid_welfare(n, alpha)
@@ -264,13 +264,13 @@ def test_closed_form_equals_engine_on_small_sweep():
 
 def test_closed_form_always_above_half():
     for n in (4, 10, 50, 200):
-        for alpha in valid_alphas(n):
+        for alpha in [Q(k, n) for k in range(2, n)]:
             assert uniform_grid_welfare(n, alpha) > Q(1, 2)
 
 
 def test_limit_identity_and_range():
     for n in (4, 10, 1000):
-        for alpha in valid_alphas(n):
+        for alpha in [Q(k, n) for k in range(2, n)]:
             gap = uniform_grid_welfare(n, alpha) - uniform_grid_limit(alpha)
             assert gap == (2 - alpha) / (2 * n)
             assert Q(1, 2) < uniform_grid_limit(alpha) < 1
@@ -278,7 +278,7 @@ def test_limit_identity_and_range():
 
 def test_closed_form_affine_in_alpha_with_known_slope():
     for n in (5, 12, 60):
-        alphas = valid_alphas(n)
+        alphas = [Q(k, n) for k in range(2, n)]
         slope = Q(-(n + 1), 2 * n)
         for a1, a2 in zip(alphas, alphas[1:]):
             delta = uniform_grid_welfare(n, a2) - uniform_grid_welfare(n, a1)
@@ -311,7 +311,7 @@ def test_welfare_sweep_equals_general_engine_at_every_point():
         )
         assert row.engine == expected_mbm_welfare(initial, valuations, config)
         assert row.engine == outcomes == row.closed_form, (row.n, row.alpha)
-        assert row.preservation_ratio == row.engine / first_best(valuations)
+        assert row.preservation_ratio == row.engine / max(valuations.bids)
 
 
 def test_welfare_sweep_error_and_skip_order():
@@ -363,7 +363,7 @@ def fraction_sweep(n_values, alphas):
     """(rows, skipped messages) of ``fraction_sweep_row`` in sweep order."""
     rows, skipped = [], []
     for n in n_values:
-        for alpha in valid_alphas(n) if alphas is None else alphas:
+        for alpha in [Q(k, n) for k in range(2, n)] if alphas is None else alphas:
             try:
                 rows.append(fraction_sweep_row(n, alpha))
             except InvalidAlpha as exc:
