@@ -21,6 +21,7 @@ import os
 import sys
 
 from .captable import parse_captable, to_instance
+from .core import run_expected
 from .errors import (
     DegenerateBuyerMass,
     InvalidArgument,
@@ -35,11 +36,10 @@ from .properties import (
     check_individual_rationality,
     check_pp_expost_efficiency,
     corrupted_engine,
-    run_expected,
 )
 from . import __version__
 from .rational import BACKEND, ratio_pair, ratio_str, rational
-from .report import build_run_report, dumps_indented
+from .report import _verdicts_json, build_run_report
 from .suites import GROUP_SP_MAX_N, SUITES, generate_suite, run_suite
 from .welfare import welfare_sweep
 
@@ -137,7 +137,7 @@ def cmd_verify(args) -> int:
 
     instances = generate_suite(args.instances, seed=seed, n_range=n_range)
     suites = list(SUITES) if args.suite == "all" else [args.suite]
-    verdicts = []
+    verdicts, violations = [], 0
     for suite in suites:
         group_max_n = GROUP_SP_MAX_N if args.suite == "all" else None
         reports = run_suite(
@@ -149,18 +149,9 @@ def cmd_verify(args) -> int:
             group_max_n=group_max_n,
         )
         for report in reports:
-            verdicts.append(
-                {
-                    "suite": suite,
-                    "property": report.name,
-                    "instance": report.instance,
-                    "holds": report.holds,
-                    "cases": report.cases,
-                    "witness": None if report.witness is None else report.witness.detail,
-                }
-            )
-    _emit(dumps_indented(verdicts) + "\n", args.out)
-    violations = sum(1 for v in verdicts if not v["holds"])
+            verdicts.append((suite, report))
+            violations += not report.holds
+    _emit(_verdicts_json(verdicts), args.out)
     if violations:
         print(f"{violations} violation(s) found", file=sys.stderr)
         return EXIT_VIOLATION

@@ -7,13 +7,17 @@ and initial share once per report. Reports serialize with a stable field
 order and rationals in lossless "p/q" text, each paired with a clearly-labeled
 20-digit decimal approximation for human readers. Identical inputs produce
 byte-identical output, which golden-file tests rely on.
+
+Both json outputs, the run report's and ``mbm verify``'s verdict list, are
+written straight from the values they print into fixed-key templates with
+``json.dumps(..., indent=2)``'s layout, byte for byte: no dict is built
+first and no value's type is looked up.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _escape
 
@@ -82,52 +86,44 @@ class RunReport:
                 for agent, agent_id in enumerate(self.agent_ids)
             ]
 
-    def to_dict(self) -> dict:
-        high, low = self.expected.branches
-        out: dict = {
-            "captable": self.captable,
-            "n": self.config.n,
-            "m_bar": self.config.m_bar,
-            "mode": self.mode,
-            "seed": self.seed,
-            "agents": list(self.agent_ids),
-            "ranking": [self.agent_ids[a] for a in high.order],
-        }
-        _put(out, "price", _pair(high.price))
-        _put(out, "p_high", _pair(high.branch_probability))
-        _put(out, "p_low", _pair(low.branch_probability))
-        out["branches"] = []
-        for outcome, rows in self._shown(ratio_pair):
-            b: dict = {"branch": self._label(outcome), "owner_count": outcome.realized_m}
-            _put(b, "probability", _pair(outcome.branch_probability))
-            b["agents"] = []
-            for agent_id, rank, bid, share, final, payment, utility in rows:
-                a: dict = {"agent_id": agent_id, "rank": rank}
-                _put(a, "bid", bid)
-                _put(a, "initial_share", share)
-                _put(a, "final_share", ratio_pair(*final))
-                _put(a, "payment", ratio_pair(*payment))
-                _put(a, "adjusted_utility", ratio_pair(*utility))
-                b["agents"].append(a)
-            out["branches"].append(b)
-        eus = (ratio_str(*u) for u in self.expected_utilities)
-        out["expected_adjusted_utility"] = dict(zip(self.agent_ids, eus))
-        w: dict = {}
-        _put(w, "initial", _pair(self.welfare.initial_welfare))
-        _put(w, "expected", _pair(self.welfare.expected_mbm_welfare))
-        _put(w, "first_best", _pair(self.welfare.first_best))
-        _put(w, "preservation_ratio", _pair(self.welfare.preservation_ratio))
-        out["welfare"] = w
-        if self.checks:
-            out["checks"] = [
-                {"property": c.name, "holds": c.holds, "cases": c.cases,
-                 "witness": None if c.witness is None else c.witness.detail}
-                for c in self.checks
-            ]
-        return out
-
     def to_json(self) -> str:
-        return dumps_indented(self.to_dict()) + "\n"
+        """``json.dumps(indent=2)`` of the report, byte for byte, written straight
+        from ``_shown``'s rows into the fixed-key templates below."""
+        high, low = self.expected.branches
+        ids = [_escape(agent_id) for agent_id in self.agent_ids]
+        branches = []
+        for outcome, rows in self._shown(ratio_pair):
+            agents = [
+                _AGENT % (_escape(agent_id), int.__repr__(rank), *bid, *share,
+                          *ratio_pair(*final), *ratio_pair(*payment), *ratio_pair(*utility))
+                for agent_id, rank, bid, share, final, payment, utility in rows
+            ]
+            branches.append(_BRANCH % (
+                self._label(outcome), int.__repr__(outcome.realized_m),
+                *_pair(outcome.branch_probability), _block(agents, "      "),
+            ))
+        # keyed by id, so a repeated id keeps its first place and its last value
+        eus = dict(zip(self.agent_ids, (ratio_str(*u) for u in self.expected_utilities)))
+        w = self.welfare
+        fields = [
+            _escape(self.captable), int.__repr__(self.config.n), int.__repr__(self.config.m_bar),
+            _escape(self.mode), "null" if self.seed is None else int.__repr__(self.seed),
+            _block(ids, "  "), _block([ids[a] for a in high.order], "  "),
+            *_pair(high.price), *_pair(high.branch_probability), *_pair(low.branch_probability),
+            _block(branches, "  "),
+            _block([f'{_escape(key)}: "{eu}"' for key, eu in eus.items()], "  ", "{}"),
+            _WELFARE % (*_pair(w.initial_welfare), *_pair(w.expected_mbm_welfare),
+                        *_pair(w.first_best), *_pair(w.preservation_ratio)),
+        ]
+        keys = _REPORT_KEYS
+        if self.checks:
+            keys += ('"checks": %s',)
+            fields.append(_block([
+                _CHECK % (_escape(c.name), "true" if c.holds else "false", int.__repr__(c.cases),
+                          "null" if c.witness is None else _escape(c.witness.detail))
+                for c in self.checks
+            ], "  "))
+        return _block(keys, "", "{}") % tuple(fields) + "\n"
 
     def to_csv(self) -> str:
         high, low = self.expected.branches
@@ -211,51 +207,58 @@ def _pair(value) -> tuple:
     return ratio_pair(*as_ratio(value))
 
 
-def _put(out: dict, key: str, pair: tuple) -> None:
-    out[key], out[key + "_approx"] = pair
+def _block(items, indent: str, brackets: str = "[]") -> str:
+    """The list (or, with ``brackets`` "{}", the object of '"key": value' items)
+    that ``json.dumps(..., indent=2)`` writes at ``indent``, each item already
+    written one level deeper."""
+    if not items:
+        return brackets
+    inner = "\n" + indent + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + indent + brackets[1]
 
 
-def dumps_indented(value) -> str:
-    """``json.dumps(value, indent=2)``, byte for byte, without the pure-Python
-    encoder that any ``indent`` selects.
+# Templates of the fixed-key json objects, laid out at their depth in the output.
+# Text goes in through the escaper json.dumps uses, ints through int.__repr__;
+# a numeral's text (digits and "-/.E+", which json writes as they are) and the
+# branch label are quoted by the template.
+_AGENT = _block((
+    '"agent_id": %s', '"rank": %s', '"bid": "%s"', '"bid_approx": "%s"',
+    '"initial_share": "%s"', '"initial_share_approx": "%s"', '"final_share": "%s"',
+    '"final_share_approx": "%s"', '"payment": "%s"', '"payment_approx": "%s"',
+    '"adjusted_utility": "%s"', '"adjusted_utility_approx": "%s"',
+), " " * 8, "{}")
+_BRANCH = _block((
+    '"branch": "%s"', '"owner_count": %s', '"probability": "%s"',
+    '"probability_approx": "%s"', '"agents": %s',
+), " " * 4, "{}")
+_WELFARE = _block((
+    '"initial": "%s"', '"initial_approx": "%s"', '"expected": "%s"', '"expected_approx": "%s"',
+    '"first_best": "%s"', '"first_best_approx": "%s"', '"preservation_ratio": "%s"',
+    '"preservation_ratio_approx": "%s"',
+), "  ", "{}")
+_CHECK = _block(('"property": %s', '"holds": %s', '"cases": %s', '"witness": %s'), " " * 4, "{}")
+_VERDICT = _block((
+    '"suite": %s', '"property": %s', '"instance": %s', '"holds": %s', '"cases": %s',
+    '"witness": %s',
+), "  ", "{}")
+# the report's top-level keys, before the optional "checks"
+_REPORT_KEYS = (
+    '"captable": %s', '"n": %s', '"m_bar": %s', '"mode": %s', '"seed": %s', '"agents": %s',
+    '"ranking": %s', '"price": "%s"', '"price_approx": "%s"', '"p_high": "%s"',
+    '"p_high_approx": "%s"', '"p_low": "%s"', '"p_low_approx": "%s"', '"branches": %s',
+    '"expected_adjusted_utility": %s', '"welfare": %s',
+)
 
-    Strings and keys go through the C escaper, ints through ``int.__repr__``
-    as in ``json``, other scalars through ``json.dumps``; tuples are lists.
-    """
-    out: list = []
-    _write(value, "\n", out)
-    return "".join(out)
 
-
-def _write(value, newline: str, out: list) -> None:
-    if isinstance(value, str):
-        out.append(_escape(value))
-    elif type(value) is int:
-        out.append(int.__repr__(value))
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, item in value.items():
-            out.append(sep + _escape(key) + ": ")
-            _write(item, inner, out)
-            sep = "," + inner
-        out.append(newline + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in value:
-            out.append(sep)
-            _write(item, inner, out)
-            sep = "," + inner
-        out.append(newline + "]")
-    else:
-        out.append(json.dumps(value))
+def _verdicts_json(verdicts) -> str:
+    """``mbm verify``'s output: ``json.dumps(indent=2)`` of one object per
+    (suite, PropertyReport) in ``verdicts``, byte for byte."""
+    return _block([
+        _VERDICT % (_escape(suite), _escape(r.name), _escape(r.instance),
+                    "true" if r.holds else "false", int.__repr__(r.cases),
+                    "null" if r.witness is None else _escape(r.witness.detail))
+        for suite, r in verdicts
+    ], "") + "\n"
 
 
 def build_run_report(

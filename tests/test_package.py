@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import mbm
-from mbm import core, properties, welfare
+from mbm import core, properties, report, welfare
 from mbm.rational import rational
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -72,6 +72,14 @@ def test_deleted_utility_readers_and_repricer_are_gone():
         assert hasattr(core, name), name
     assert hasattr(properties, "deviation_grid")
     assert hasattr(welfare, "sweep_point")
+
+
+def test_the_dict_layer_and_generic_json_walker_are_gone():
+    # RunReport.to_json and mbm verify write their json from fixed templates
+    assert not hasattr(report.RunReport, "to_dict")
+    for name in ("dumps_indented", "_write", "json"):
+        assert not hasattr(report, name), name
+    assert hasattr(report.RunReport, "to_json")  # the name the benchmark's tracer resolves
 
 
 def test_every_private_helper_has_a_caller_in_the_package():

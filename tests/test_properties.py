@@ -1,5 +1,6 @@
 """Oracles: verdicts on the worked instance, negative controls, grid behavior."""
 
+import json
 from dataclasses import replace
 from itertools import accumulate
 
@@ -861,7 +862,7 @@ def test_report_rows_equal_adjusted_utility():
                 records, initial, profile, config, expected,
                 mode="expected", seed=None, captable_name="t.csv",
             )
-            for outcome, branch in zip(expected.branches, report.to_dict()["branches"]):
+            for outcome, branch in zip(expected.branches, json.loads(report.to_json())["branches"]):
                 final = outcome.final_allocation
                 for agent, row in enumerate(branch["agents"]):
                     payment = final.money[agent] - initial.money[agent]

@@ -3,8 +3,8 @@
 import json
 import os
 import random
-import sys
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -12,8 +12,16 @@ from mbm import Allocation, BidProfile, MbmConfig, run_expected
 from mbm.captable import CapTableRecord, parse_captable, to_instance
 from mbm.rational import Rational as Q, decimal_approx, ratio_str, rational, rational_str
 from mbm.cli import main
-from mbm.report import build_run_report, dumps_indented
-from mbm.suites import generate_suite
+from mbm.properties import (
+    CORRUPTION_KINDS,
+    check_budget_balance,
+    check_individual_rationality,
+    check_pp_expost_efficiency,
+    corrupted_engine,
+)
+from mbm.report import build_run_report
+from mbm.suites import SUITES, generate_suite
+from strategies import instances
 
 WORKED = "agent_id,share,bid\na,0.5,10\nb,0.3,5\nc,0.2,2\n"
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -81,7 +89,7 @@ def test_report_key_order_is_stable():
         records, initial, profile, config, run_expected(initial, profile, config),
         mode="expected", seed=None, captable_name="worked.csv",
     )
-    keys = list(report.to_dict().keys())
+    keys = list(json.loads(report.to_json()).keys())
     assert keys == [
         "captable", "n", "m_bar", "mode", "seed", "agents", "ranking",
         "price", "price_approx", "p_high", "p_high_approx", "p_low",
@@ -113,7 +121,7 @@ def test_realized_report_lists_the_drawn_branch():
             )
             (shown,) = report.branches
             assert shown is drawn
-            (section,) = report.to_dict()["branches"]
+            (section,) = json.loads(report.to_json())["branches"]
             assert section["owner_count"] == drawn.realized_m
             assert section["branch"] == ("high" if hit_high else "low")
             assert [rational(a["final_share"]) for a in section["agents"]] == list(
@@ -126,36 +134,70 @@ def test_realized_report_lists_the_drawn_branch():
 _TEXT = st.text() | st.sampled_from(
     ['"', "\\", "\x00", "\x1f", "\x7f", "\n\t", "é", "\u2028", "\ud800", "😀", "a\"b\\c"]
 )
-# past the default 4,300-digit limit, where both writers must refuse
-_HUGE = st.builds(lambda k, sign: sign * 10**k, st.integers(4295, 4305), st.sampled_from((1, -1)))
-_SCALARS = st.none() | st.booleans() | st.integers() | _HUGE | st.floats() | _TEXT
-_JSON = st.recursive(
-    _SCALARS,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.lists(inner, max_size=3).map(tuple)
-    | st.dictionaries(_TEXT, inner, max_size=4),
-    max_leaves=20,
+# seeds about the default 4,300-digit limit, past which json.dumps refuses an int
+_HUGE = st.builds(lambda k: 10**k, st.integers(4295, 4305))
+
+
+def _stdlib_layout(out):
+    # what json.dumps(indent=2) writes for the value that ``out`` parses to
+    return json.dumps(json.loads(out), indent=2) + "\n"
+
+
+@given(
+    instance=instances(),
+    data=st.data(),
+    name=_TEXT,
+    seed=st.none() | st.integers(0, 2**64) | _HUGE,
+    checked_on=st.sampled_from(("unchecked", "real") + CORRUPTION_KINDS),
 )
-
-
-def _written(dumps, value):
-    try:
-        return dumps(value)
-    except ValueError as exc:
-        return type(exc)
-
-
-@given(_JSON)
-def test_indented_writer_equals_json_dumps(value):
-    assert _written(dumps_indented, value) == _written(
-        lambda v: json.dumps(v, indent=2), value
+def test_indented_writer_equals_json_dumps(instance, data, name, seed, checked_on):
+    # ids with quotes, backslashes, control characters, non-ASCII, U+2028 and a
+    # lone surrogate; realized mode when a seed is drawn; checks on the real
+    # engine, or violated ones (with witness text) under a corrupted engine
+    initial, profile, config = instance
+    ids = data.draw(st.lists(_TEXT, min_size=config.n, max_size=config.n))
+    records = [CapTableRecord(agent_id, share) for agent_id, share in zip(ids, initial.shares)]
+    expected = run_expected(initial, profile, config)
+    checks = ()
+    if checked_on != "unchecked":
+        engine = run_expected if checked_on == "real" else corrupted_engine(checked_on)
+        checks = [
+            check(initial, profile, config, engine=engine)
+            for check in (check_budget_balance, check_individual_rationality,
+                          check_pp_expost_efficiency)
+        ]
+    mode = "expected" if seed is None else "realized"
+    report = build_run_report(
+        records, initial, profile, config, expected, mode, seed, name, checks=checks
     )
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
     try:
-        assert dumps_indented(value) == json.dumps(value, indent=2)
-    finally:
-        sys.set_int_max_str_digits(limit)
+        json.dumps(seed)
+    except ValueError:
+        with pytest.raises(ValueError):
+            report.to_json()
+        return
+    out = report.to_json()
+    assert out == _stdlib_layout(out)
+
+
+def test_verify_output_equals_json_dumps(capsys):
+    # every suite under the real engine and every injected defect, on a few seeds
+    witnesses = 0
+    for defect in (None,) + CORRUPTION_KINDS:
+        for seed in (1, 2, 3):
+            argv = ["verify", "--suite", "all", "--instances", "2", "--seed", str(seed),
+                    "--n-range", "3..5"]
+            if defect:
+                argv += ["--inject-defect", defect]
+            assert main(argv) in (0, 1)
+            out = capsys.readouterr().out
+            verdicts = json.loads(out)
+            assert {v["suite"] for v in verdicts} == set(SUITES)
+            assert out == _stdlib_layout(out)
+            witnesses += sum(v["witness"] is not None for v in verdicts)
+    assert witnesses
+    assert main(["verify", "--suite", "sp", "--instances", "0"]) == 0
+    assert capsys.readouterr().out == "[]\n"
 
 
 def test_indented_writer_equals_json_dumps_on_the_largest_report(capsys):
