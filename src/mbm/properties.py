@@ -81,7 +81,7 @@ from .core import (
     run_expected,
 )
 from .errors import DuplicateBids, InvalidArgument, SearchBudgetExceeded
-from .rational import Rational, ratio_str, rational_str
+from .rational import Rational, as_ratio, ratio_str, rational_str
 
 DEFAULT_SEARCH_BUDGET = 10**6
 
@@ -341,9 +341,10 @@ def check_price_monotonicity(
     fixed, e = _bid_numerators(profile)
     readouts = list(map(_pricer(engine, initial, config, fixed, e), range(config.n)))
     if engine is run_expected:  # every agent's readout at her own bid
+        p, q = as_ratio(truthful)
         for agent, (price, _) in enumerate(readouts):
             at = price(fixed[agent], 1)
-            if at != truthful * e:
+            if at * q != p * e:
                 at, truthful = ratio_str(at, e), rational_str(truthful)
                 detail = f"the readout gives price {at} at the truthful bids, the engine {truthful}"
                 return _violation(name, instance, 1, detail, bids=profile.bids)

@@ -11,7 +11,8 @@ byte-identical output, which golden-file tests rely on.
 Both json outputs, the run report's and ``mbm verify``'s verdict list, are
 written straight from the values they print into fixed-key templates with
 ``json.dumps(..., indent=2)``'s layout, byte for byte: no dict is built
-first and no value's type is looked up.
+first and no value's type is looked up. The csv is one template per agent row,
+as ``csv.writer`` writes it: only an id that csv may quote goes through it.
 """
 
 from __future__ import annotations
@@ -140,17 +141,15 @@ class RunReport:
             f"first_best={rational_str(w.first_best)} "
             f"preservation_ratio={rational_str(w.preservation_ratio)}\n"
         )
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_CSV_HEADER)
+        buf.write(_CSV_HEADER)
+        ids = [_csv_field(agent_id) for agent_id in self.agent_ids]
         eus = [ratio_str(*u) for u in self.expected_utilities]
         for outcome, rows in self._shown(ratio_str):
-            probability = rational_str(outcome.branch_probability)
-            head = [self._label(outcome), outcome.realized_m, probability]
-            for (agent_id, rank, bid, share, final, payment, utility), eu in zip(rows, eus):
-                writer.writerow([
-                    *head, agent_id, rank, bid, share, *ratio_pair(*final),
-                    *ratio_pair(*payment), ratio_str(*utility), eu,
-                ])
+            head = (f"{self._label(outcome)},{outcome.realized_m},"
+                    f"{rational_str(outcome.branch_probability)},")
+            for (_, rank, bid, share, final, payment, utility), agent_id, eu in zip(rows, ids, eus):
+                buf.write(_CSV_ROW % (head, agent_id, rank, bid, share, *ratio_pair(*final),
+                                      *ratio_pair(*payment), ratio_str(*utility), eu))
         return buf.getvalue()
 
     def to_text(self) -> str:
@@ -196,11 +195,22 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
+# every csv cell but the agent id is a numeral, an int or a fixed label, which
+# csv never quotes; a row template follows its branch's three cells and comma
 _CSV_HEADER = (
-    "branch", "owner_count", "probability", "agent_id", "rank", "bid",
-    "initial_share", "final_share", "final_share_approx", "payment",
-    "payment_approx", "adjusted_utility", "expected_adjusted_utility",
+    "branch,owner_count,probability,agent_id,rank,bid,initial_share,final_share,"
+    "final_share_approx,payment,payment_approx,adjusted_utility,expected_adjusted_utility\n"
 )
+_CSV_ROW = "%s%s,%s,%s,%s,%s,%s,%s,%s,%s,%s\n"
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as csv.writer writes it in a row: through the writer if csv may quote it."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow((text,))
+        return buf.getvalue()[:-1]
+    return text
 
 
 def _pair(value) -> tuple:

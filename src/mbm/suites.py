@@ -74,7 +74,7 @@ def run_suite(
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}, pick from {SUITES}")
     _check_budget(budget)
-    rng = random.Random(seed)
+    rng = random.Random(seed) if suite == "sp" else None
     reports = []
     for initial, profile, config in instances:
         if suite == "budget":

@@ -23,12 +23,19 @@ kernel, masses, branches and settlement are all held to it.
 ``fraction_utilities`` is an agent's adjusted utility, written the same way:
 core's integer utility readers are held to it on that reference's branches.
 
+The csv pair writes ``mbm run --format csv``'s report and ``mbm welfare``'s
+table through ``csv.writer``, as both commands wrote them before they wrote
+fixed-template lines; the tests require equal bytes. The welfare one prints
+each value from the rationals a sweep row makes when read.
+
 The instance pair draws a generated instance and a perturbed profile in
 ``Fraction``s, as ``mbm.instances`` drew them before it drew them as integer
 numerators over one denominator; the tests require equal rationals, equal
 integer forms and the same generator state afterwards.
 """
 
+import csv
+import io
 import itertools
 import math
 import random
@@ -45,7 +52,7 @@ from mbm import (
 )
 from mbm.core import _reject_ties
 from mbm.properties import PropertyReport, Witness, _violation, describe_instance
-from mbm.rational import ZERO
+from mbm.rational import ZERO, decimal_approx, ratio_pair, ratio_str, rational_str
 
 
 def pairwise_pp_efficiency(initial, valuations, config, engine=run_expected):
@@ -314,6 +321,55 @@ def fraction_sweep_row(n, alpha):
         n=n, alpha=alpha, m_bar=m_bar, closed_form=closed, engine=engine,
         preservation_ratio=engine / max(values), limit_gap=closed - limit,
     )
+
+
+def csv_writer_run_report(report):
+    """``report.to_csv()`` through ``csv.writer``, one list of cells per agent row."""
+    high, low = report.expected.branches
+    buf = io.StringIO()
+    w = report.welfare
+    buf.write(
+        f"# captable={report.captable} n={report.config.n} m_bar={report.config.m_bar} "
+        f"mode={report.mode} seed={report.seed}\n"
+        f"# price={rational_str(high.price)} "
+        f"p_high={rational_str(high.branch_probability)} "
+        f"p_low={rational_str(low.branch_probability)}\n"
+        f"# welfare_initial={rational_str(w.initial_welfare)} "
+        f"welfare_expected={rational_str(w.expected_mbm_welfare)} "
+        f"first_best={rational_str(w.first_best)} "
+        f"preservation_ratio={rational_str(w.preservation_ratio)}\n"
+    )
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow((
+        "branch", "owner_count", "probability", "agent_id", "rank", "bid",
+        "initial_share", "final_share", "final_share_approx", "payment",
+        "payment_approx", "adjusted_utility", "expected_adjusted_utility",
+    ))
+    eus = [ratio_str(*u) for u in report.expected_utilities]
+    for outcome, rows in report._shown(ratio_str):
+        probability = rational_str(outcome.branch_probability)
+        head = [report._label(outcome), outcome.realized_m, probability]
+        for (agent_id, rank, bid, share, final, payment, utility), eu in zip(rows, eus):
+            writer.writerow([
+                *head, agent_id, rank, bid, share, *ratio_pair(*final),
+                *ratio_pair(*payment), ratio_str(*utility), eu,
+            ])
+    return buf.getvalue()
+
+
+def csv_writer_welfare(rows):
+    """``mbm welfare``'s stdout for sweep ``rows`` through ``csv.writer``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("n", "alpha", "sw_closed_form", "sw_engine", "preservation_ratio",
+                     "limit_gap", "sw_approx"))
+    writer.writerows(
+        (row.n, *map(rational_str, (row.alpha, row.closed_form, row.engine,
+                                    row.preservation_ratio, row.limit_gap)),
+         decimal_approx(row.closed_form))
+        for row in rows
+    )
+    return buf.getvalue()
 
 
 def fraction_generate(spec):

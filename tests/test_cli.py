@@ -27,8 +27,10 @@ from mbm.cli import main
 from mbm.properties import CORRUPTION_KINDS
 from mbm.rational import decimal_approx, rational, rational_str
 from mbm.suites import SUITES
+from mbm.welfare import welfare_sweep
 import mutants
 from conftest import SRC
+from references import csv_writer_welfare
 from strategies import instances
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -837,6 +839,18 @@ def test_welfare_makes_no_rational_per_row(capsys, monkeypatch):
     assert counts == [0, 0, 5, 1]
 
 
+def test_welfare_equals_the_csv_module(capsys):
+    # every row's fields through csv.writer, each printed from the rationals
+    # the sweep row makes when read; the explicit list skips 7/5 and 1/3 at some n
+    for n_list, alpha_list in (("3..60", "all"), ("2..30,45", "1/2,1/3,0.25,3/4,2/3,7/5")):
+        alphas = None if alpha_list == "all" else [rational(a) for a in alpha_list.split(",")]
+        rows, skipped = welfare_sweep(cli._parse_int_list(n_list, "--n-list"), alphas)
+        assert (alphas is None) != bool(skipped)
+        code, out, _ = run_cli(capsys, "welfare", "--n-list", n_list, "--alpha-list", alpha_list)
+        assert code == 0
+        assert out == csv_writer_welfare(rows)
+
+
 def test_welfare_large_n_limit_gap(capsys):
     _, out, _ = run_cli(capsys, "welfare", "--n-list", "1000", "--alpha-list", "1/2")
     fields = out.strip().splitlines()[1].split(",")
@@ -845,7 +859,8 @@ def test_welfare_large_n_limit_gap(capsys):
 
 def welfare_on_mutant(tmp_path, subprocess_env, mutant):
     """Seconds that ``welfare --n-list 4..12`` took on a copy of the package
-    with ``mutant`` applied; it must exit 1 with all 54 rows disagreeing."""
+    with ``mutant`` applied; it must exit 1 with all 54 rows disagreeing, in
+    the printed text too: each column is printed from its own integers."""
     package = tmp_path / "mbm"
     shutil.copytree(os.path.join(SRC, "mbm"), package)
     mutants.apply(package, mutant)
@@ -859,7 +874,9 @@ def welfare_on_mutant(tmp_path, subprocess_env, mutant):
     elapsed = time.perf_counter() - start
     assert proc.returncode == 1, (mutant[0], proc.stderr)
     assert proc.stderr == "54 row(s) where the closed form differs from the engine\n"
-    assert len(proc.stdout.splitlines()) == 1 + 54
+    rows = [line.split(",") for line in proc.stdout.splitlines()[1:]]
+    assert len(rows) == 54
+    assert all(row[2] != row[3] for row in rows), mutant[0]
     return elapsed
 
 

@@ -82,6 +82,19 @@ def test_the_dict_layer_and_generic_json_walker_are_gone():
     assert hasattr(report.RunReport, "to_json")  # the name the benchmark's tracer resolves
 
 
+def test_the_cli_writes_no_csv_through_the_csv_module():
+    # mbm welfare writes fixed-template lines; run --format csv goes through
+    # report, which reaches csv.writer only for an id that csv may quote
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module)
+    assert imported & {"csv", "io"} == set()
+
+
 def test_every_private_helper_has_a_caller_in_the_package():
     # a module-level _name defined in src/mbm is read somewhere in src/mbm
     # besides its definition, as a name or an attribute

@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import replace
+from fractions import Fraction
 from itertools import accumulate
 
 import pytest
@@ -30,7 +31,7 @@ from mbm import (
     expected_adjusted_utility,
     run_expected,
 )
-from mbm import core, properties
+from mbm import core, properties, suites
 from mbm.captable import CapTableRecord
 from mbm.core import (
     _bid_numerators,
@@ -254,6 +255,29 @@ def test_price_monotonicity_oracle_holds(worked):
     assert report.holds
     # three pieces per agent, three prices per piece
     assert report.cases == 27
+
+
+def test_monotone_makes_as_many_rationals_at_n_40_as_at_n_20(monkeypatch):
+    # the readouts are tied to the truthful price on integers, so the rationals
+    # made do not grow with the number of agents
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    counts = []
+    for n in (20, 40):
+        instance = generate(InstanceSpec(n=n, share_model="random", valuation_model="random",
+                                         m_bar=n // 2, seed=5))
+        made.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(Fraction, "__new__", counted)
+            report = check_price_monotonicity(*instance)
+        assert report.holds and report.cases == 3 * n * n
+        counts.append(len(made))
+    assert counts[0] == counts[1]
 
 
 def test_price_monotonicity_flags_nonmonotone_rule(worked):
@@ -694,6 +718,26 @@ def test_negative_budget_refused_before_any_work(worked):
     for suite in SUITES:
         with pytest.raises(InvalidArgument, match=message):
             run_suite(suite, untouched(), budget=-1)
+
+
+def test_run_suite_seeds_a_generator_for_sp_only(monkeypatch):
+    # only sp's perturbed others draw from it; sp's draws are pinned by the goldens
+    made = []
+
+    class Counted(random.Random):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    instances = generate_suite(4, seed=3, n_range=(3, 4))
+    counts = {}
+    for suite in SUITES:
+        made.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(suites.random, "Random", Counted)
+            run_suite(suite, instances, seed=3)
+        counts[suite] = len(made)
+    assert counts == {suite: int(suite == "sp") for suite in SUITES}
 
 
 def test_unknown_suite_names_the_suites():

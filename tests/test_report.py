@@ -1,5 +1,6 @@
 """Rational serialization round-trips and report structure."""
 
+import csv
 import json
 import os
 import random
@@ -19,8 +20,10 @@ from mbm.properties import (
     check_pp_expost_efficiency,
     corrupted_engine,
 )
+from mbm import report as report_module
 from mbm.report import build_run_report
 from mbm.suites import SUITES, generate_suite
+from references import csv_writer_run_report
 from strategies import instances
 
 WORKED = "agent_id,share,bid\na,0.5,10\nb,0.3,5\nc,0.2,2\n"
@@ -154,8 +157,22 @@ def test_indented_writer_equals_json_dumps(instance, data, name, seed, checked_o
     # ids with quotes, backslashes, control characters, non-ASCII, U+2028 and a
     # lone surrogate; realized mode when a seed is drawn; checks on the real
     # engine, or violated ones (with witness text) under a corrupted engine
+    ids = data.draw(st.lists(_TEXT, min_size=instance[2].n, max_size=instance[2].n))
+    report = _drawn_report(instance, ids, name, seed, checked_on)
+    try:
+        json.dumps(seed)
+    except ValueError:
+        with pytest.raises(ValueError):
+            report.to_json()
+        return
+    out = report.to_json()
+    assert out == _stdlib_layout(out)
+
+
+def _drawn_report(instance, ids, name, seed, checked_on):
+    """The run report on ``instance`` with agent ``ids``: realized with ``seed``
+    unless it is None, with no checks or the three run checks on ``checked_on``'s engine."""
     initial, profile, config = instance
-    ids = data.draw(st.lists(_TEXT, min_size=config.n, max_size=config.n))
     records = [CapTableRecord(agent_id, share) for agent_id, share in zip(ids, initial.shares)]
     expected = run_expected(initial, profile, config)
     checks = ()
@@ -167,17 +184,9 @@ def test_indented_writer_equals_json_dumps(instance, data, name, seed, checked_o
                           check_pp_expost_efficiency)
         ]
     mode = "expected" if seed is None else "realized"
-    report = build_run_report(
+    return build_run_report(
         records, initial, profile, config, expected, mode, seed, name, checks=checks
     )
-    try:
-        json.dumps(seed)
-    except ValueError:
-        with pytest.raises(ValueError):
-            report.to_json()
-        return
-    out = report.to_json()
-    assert out == _stdlib_layout(out)
 
 
 def test_verify_output_equals_json_dumps(capsys):
@@ -208,3 +217,60 @@ def test_indented_writer_equals_json_dumps_on_the_largest_report(capsys):
     report = json.loads(out)
     assert len(report["branches"][0]["agents"]) == 300 and len(report["checks"]) == 3
     assert out == json.dumps(report, indent=2) + "\n"
+
+
+# --- csv ------------------------------------------------------------------------
+
+# besides _TEXT: every character csv quotes, a bare CR (which csv.writer leaves
+# unquoted under a "\n" line terminator), spaces at either end and the empty id
+_CSV_TEXT = _TEXT | st.sampled_from(
+    [",", "a,b", '"', "\r", "\n", "\r\n", "a\rb", " a", "a ", " ", "", ',"\r\n']
+)
+
+
+@given(
+    instance=instances(),
+    data=st.data(),
+    name=_CSV_TEXT,
+    seed=st.none() | st.integers(0, 2**64),
+    checked_on=st.sampled_from(("unchecked", "real") + CORRUPTION_KINDS),
+)
+def test_csv_writer_equals_the_csv_module(instance, data, name, seed, checked_on):
+    ids = data.draw(st.lists(_CSV_TEXT, min_size=instance[2].n, max_size=instance[2].n))
+    report = _drawn_report(instance, ids, name, seed, checked_on)
+    assert report.to_csv() == csv_writer_run_report(report)
+
+
+def test_csv_writer_equals_the_csv_module_on_the_largest_report(capsys):
+    path = os.path.join(DATA, "large_fraction.csv")
+    with open(path, encoding="utf-8") as fh:
+        records = parse_captable(fh.read())
+    initial, profile, config = to_instance(records, m_bar=200)
+    expected = run_expected(initial, profile, config)
+    checks = [check(initial, profile, config) for check in (
+        check_budget_balance, check_individual_rationality, check_pp_expost_efficiency)]
+    report = build_run_report(records, initial, profile, config, expected, "expected", None,
+                              "large_fraction.csv", checks=checks)
+    argv = ["run", "--captable", path, "--mbar", "200", "--expected", "--check", "--format", "csv"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 4 + 2 * 300
+    assert out == csv_writer_run_report(report)
+
+
+def test_csv_module_quotes_only_ids_that_need_it(monkeypatch):
+    made = []
+    writer = csv.writer
+
+    def counted(*args, **kwargs):
+        made.append(args)
+        return writer(*args, **kwargs)
+
+    monkeypatch.setattr(report_module.csv, "writer", counted)
+    records = parse_captable(WORKED)
+    instance = to_instance(records, m_bar=2)
+    for ids, calls in ((("a", "b", "c"), 0), (("a b", "", "\u2028"), 0),
+                       (("a,b", 'q"', "x\ry"), 3), (("a", "b", "n\n"), 1)):
+        made.clear()
+        _drawn_report(instance, ids, "t.csv", None, "unchecked").to_csv()
+        assert len(made) == calls, ids
